@@ -1,17 +1,14 @@
 // Microbenchmarks of the engine's processor-dispatch cost: the host
-// nanoseconds spent per simulated yield/resume round trip, the number the
-// PR-9 dispatcher rebuild optimizes. One benchmark iteration is one proc
-// switch (a processor yielding at a quantum boundary and being resumed in
-// the next quantum), so ns/op reads directly as host ns per switch.
+// nanoseconds spent per simulated yield/resume round trip. One benchmark
+// iteration is one proc switch (a processor yielding at a quantum boundary
+// and being resumed in the next quantum), so ns/op reads directly as host ns
+// per switch.
 //
-// The pre-rebuild engine (goroutine + unbuffered resume/yield channel pair
-// per proc, fresh worker goroutines each quantum) measured 561.3 ns/switch
-// at P=64 and 726.4 ns/switch at P=1024 on this benchmark — the recorded
-// channel-pair baseline in BENCH_PR9.json. The `channelpair` sub-benchmark
-// below reproduces that dispatch discipline synthetically (two channel
-// handoffs per switch through the Go scheduler, none of the engine's
-// bookkeeping) so the baseline stays measurable after the old dispatcher is
-// gone; it reads as a lower bound on what the old engine paid.
+// Two dispatch disciplines exist and each has a row. A coroutine processor
+// is an iter.Pull coroutine: the dispatcher's resume and the body's yield
+// are runtime coroutine switches that hand the host thread over directly,
+// so a switch costs two stack switches plus the engine's bookkeeping and
+// the Go scheduler takes no part. A step processor is a function call.
 package repro_test
 
 import (
@@ -23,8 +20,8 @@ import (
 
 // benchEngineYields measures the full engine dispatch path for coroutine
 // processors: procs processors each compute exactly one quantum and then
-// synchronize, so every dispatch costs one baton handoff (one channel
-// send + park) plus the engine's per-proc share of batch collection and
+// synchronize, so every dispatch costs one coroutine switch in and one
+// back out plus the engine's per-proc share of batch collection and
 // settling.
 func benchEngineYields(b *testing.B, procs int) {
 	b.ReportAllocs()
@@ -47,7 +44,7 @@ func benchEngineYields(b *testing.B, procs int) {
 
 // benchStepYields is benchEngineYields for step processors: the same
 // workload dispatched as direct continuation calls — no goroutine, no
-// park/unpark, just a function call per switch.
+// stack switch, just a function call per switch.
 func benchStepYields(b *testing.B, procs int) {
 	b.ReportAllocs()
 	rounds := b.N/procs + 1
@@ -70,44 +67,11 @@ func benchStepYields(b *testing.B, procs int) {
 	}
 }
 
-// benchChannelPairYields is the synthetic channel-pair baseline: one
-// goroutine per proc, an unbuffered resume and yield channel each, and a
-// scheduler loop that round-trips every proc once per round — the exact
-// handoff discipline of the pre-PR9 dispatcher, minus all simulation
-// bookkeeping.
-func benchChannelPairYields(b *testing.B, procs int) {
-	b.ReportAllocs()
-	rounds := b.N/procs + 1
-	type pair struct{ resume, yield chan struct{} }
-	ps := make([]pair, procs)
-	for i := range ps {
-		ps[i] = pair{make(chan struct{}), make(chan struct{})}
-		p := ps[i]
-		go func() {
-			for k := 0; k < rounds; k++ {
-				<-p.resume
-				p.yield <- struct{}{}
-			}
-		}()
-	}
-	b.ResetTimer()
-	for k := 0; k < rounds; k++ {
-		for _, p := range ps {
-			p.resume <- struct{}{}
-			<-p.yield
-		}
-	}
-}
-
 // BenchmarkMicroProcSwitch measures one simulated processor switch at
-// several machine sizes, for each dispatch discipline: the synthetic
-// channel-pair baseline, the baton-chained coroutine path, and the
-// direct-call step path.
+// several machine sizes, for each dispatch discipline: the coroutine path
+// and the direct-call step path.
 func BenchmarkMicroProcSwitch(b *testing.B) {
 	for _, procs := range []int{64, 1024} {
-		b.Run(fmt.Sprintf("channelpair-%04d", procs), func(b *testing.B) {
-			benchChannelPairYields(b, procs)
-		})
 		b.Run(fmt.Sprintf("coroutine-%04d", procs), func(b *testing.B) {
 			benchEngineYields(b, procs)
 		})

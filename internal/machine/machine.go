@@ -109,7 +109,7 @@ type MPMachine struct {
 type StepProgramMP func(n *MPNode) func(*sim.Proc) sim.StepStatus
 
 // NewMPStep builds a message-passing machine whose application processors
-// run in step (continuation) form: no goroutine, no gate channel — the
+// run in step (continuation) form: no goroutine, no coroutine switch — the
 // engine calls each node's step function directly, and the step returns
 // sim.StepYield where the coroutine form would suspend. Incompatible with
 // fault injection (the reliable transport blocks inside the AM layer) and

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/runner"
+	"repro/internal/sim"
 	"repro/internal/vfs"
 )
 
@@ -378,6 +379,52 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
+// TestProcessorPanicIsolation: a panic inside a simulated processor's body
+// — which runs on a coroutine of its own and, with RunWorkers > 1, on a pool
+// worker's thread — reaches the supervisor's recover like any other panic:
+// the job fails as a JobPanicError and the daemon keeps answering.
+func TestProcessorPanicIsolation(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			s := newTestServer(t, t.TempDir(), func(c *Config) { c.Jobs = 1; c.MaxRetries = 1; c.RunWorkers = workers })
+			defer s.Close()
+			s.runJob = func(spec runner.Spec, opts runner.Options) (*runner.Outcome, error) {
+				e := sim.NewEngine(100)
+				e.Workers = opts.Workers
+				for i := 0; i < 8; i++ {
+					i := i
+					e.AddProc(func(p *sim.Proc) {
+						for q := 0; ; q++ {
+							if i == 1 && q == 3 {
+								panic("kaboom in a processor body")
+							}
+							p.Compute(100)
+							p.Interact()
+						}
+					})
+				}
+				return nil, e.Run()
+			}
+			_, jobs := submitDirect(t, s, testSpecs()[:1])
+			s.Start()
+			defer s.Drain(5 * time.Second)
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+
+			js := waitJobTerminal(t, s, jobs[0].id, 30*time.Second)
+			if js.State != StateFailed || js.FailKind != "panic" {
+				t.Fatalf("job %s/%s, want failed/panic", js.State, js.FailKind)
+			}
+			if !strings.Contains(js.FailError, "proc 1 panicked: kaboom") {
+				t.Fatalf("panic value lost: %q", js.FailError)
+			}
+			if code := getJSON(t, ts, "/healthz", nil); code != http.StatusOK {
+				t.Fatalf("healthz after the panic: %d", code)
+			}
+		})
+	}
+}
+
 // TestDeadlinePreemptionResumes is the acceptance-criteria test: a
 // preempted job checkpoints, requeues, and its next attempt resumes through
 // the checkpoint (replay-verified at that exact cycle — ResumedFrom proves
@@ -426,8 +473,14 @@ func TestDeadlinePreemptionResumes(t *testing.T) {
 	if s.preemptions.Load() != 1 {
 		t.Fatalf("preemption counter=%d, want 1", s.preemptions.Load())
 	}
-	// Finished jobs have their checkpoint directory cleaned up.
-	if _, err := os.Stat(s.ckptDir(jobs[0])); !os.IsNotExist(err) {
+	// Finished jobs have their checkpoint directory cleaned up — just after
+	// the done record becomes visible, so give the supervisor a moment.
+	_, err = os.Stat(s.ckptDir(jobs[0]))
+	for i := 0; i < 400 && !os.IsNotExist(err); i++ {
+		time.Sleep(5 * time.Millisecond)
+		_, err = os.Stat(s.ckptDir(jobs[0]))
+	}
+	if !os.IsNotExist(err) {
 		t.Fatalf("checkpoint dir survived completion: %v", err)
 	}
 }

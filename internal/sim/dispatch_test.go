@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -211,8 +212,8 @@ func TestStepProcFailAborts(t *testing.T) {
 
 // TestStepProcStagedMergeDeterministic mixes step and coroutine processors
 // and checks the staged-event merge order is (procID, staging order) at
-// every worker count — step procs run on whichever goroutine holds the
-// baton, which must not leak into event ordering.
+// every worker count — step procs run on whichever goroutine dispatches
+// their chunk, which must not leak into event ordering.
 func TestStepProcStagedMergeDeterministic(t *testing.T) {
 	run := func(workers int) []string {
 		e := NewEngine(100)
@@ -354,13 +355,161 @@ func TestWorkerPoolGoroutinesBounded(t *testing.T) {
 		t.Errorf("goroutine high-water %d > %d (base %d + procs %d + workers %d + slack): dispatcher is spawning per quantum",
 			high, limit, base, procs, workers)
 	}
-	// Retired procs and stopped workers must not linger. The final
-	// goroutine exits race with Run returning, so poll briefly.
+	// Retired procs and stopped workers must not linger.
+	if n := settledGoroutines(base); n > base+2 {
+		t.Errorf("%d goroutines outlive Run (baseline %d)", n, base)
+	}
+}
+
+// settledGoroutines returns the goroutine count once it is back at base, or
+// what it is stuck at. Coroutines are gone the moment Run returns; the
+// workers' exits race with it, so poll briefly.
+func settledGoroutines(base int) int {
 	for i := 0; i < 200 && runtime.NumGoroutine() > base; i++ {
 		runtime.Gosched()
 		time.Sleep(time.Millisecond)
 	}
-	if n := runtime.NumGoroutine(); n > base+2 {
-		t.Errorf("%d goroutines outlive Run (baseline %d)", n, base)
+	return runtime.NumGoroutine()
+}
+
+// --- Processor-body panics and the unwind path ---
+
+// runCatching runs the engine and returns Run's error or, if Run panicked,
+// the panic value.
+func runCatching(e *Engine) (err error, panicked any) {
+	defer func() { panicked = recover() }()
+	return e.Run(), nil
+}
+
+// TestProcPanicSurfacesFromRun: a body that panics at quantum k — coroutine
+// or step, on the engine's goroutine or a worker's — comes out of Run on the
+// caller's goroutine as a *ProcPanicError naming the lowest-ID panicking
+// processor and carrying the body's stack, with every other processor
+// unwound: blocked, runnable, and finished ones alike leave no goroutine.
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	const procs, k = 8, 3
+	for _, step := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
+			base := runtime.NumGoroutine()
+			e := NewEngine(100)
+			e.Workers = workers
+			for i := 0; i < procs; i++ {
+				i := i
+				bad := i == 2 || i == 5 // same quantum: the lower ID must win
+				switch {
+				case bad && step:
+					q := 0
+					e.AddStepProc(func(p *Proc) StepStatus {
+						if q == k {
+							panic(fmt.Sprintf("boom %d", i))
+						}
+						q++
+						p.Compute(100)
+						return StepYield
+					})
+				case bad:
+					e.AddProc(func(p *Proc) {
+						for q := 0; q < k; q++ {
+							p.Compute(100)
+							p.Interact()
+						}
+						panic(fmt.Sprintf("boom %d", i))
+					})
+				case i == 0:
+					e.AddProc(func(p *Proc) {}) // finished long before the panic
+				case i == 1:
+					e.AddProc(func(p *Proc) { p.Block(stats.LibComp, "never woken") })
+				default:
+					e.AddProc(func(p *Proc) {
+						for {
+							p.Compute(100)
+							p.Interact()
+						}
+					})
+				}
+			}
+			err, r := runCatching(e)
+			pe, ok := r.(*ProcPanicError)
+			if !ok {
+				t.Fatalf("step=%v workers=%d: Run returned %v / panicked with %v, want *ProcPanicError", step, workers, err, r)
+			}
+			if pe.Proc != 2 || pe.Value != "boom 2" {
+				t.Errorf("step=%v workers=%d: got proc %d value %v, want proc 2 \"boom 2\"", step, workers, pe.Proc, pe.Value)
+			}
+			if !strings.Contains(string(pe.Stack), "TestProcPanicSurfacesFromRun") {
+				t.Errorf("step=%v workers=%d: Stack is not the body's:\n%s", step, workers, pe.Stack)
+			}
+			if e.Procs()[2].Clock() != k*100 {
+				t.Errorf("step=%v workers=%d: proc 2 panicked at clock %d, want quantum %d", step, workers, e.Procs()[2].Clock(), k)
+			}
+			if n := settledGoroutines(base); n > base {
+				t.Errorf("step=%v workers=%d: %d goroutines after the panic, baseline %d", step, workers, n, base)
+			}
+		}
+	}
+}
+
+// TestAbortBeforeFirstDispatchLeavesNoGoroutines: a hook that aborts at the
+// very first boundary ends the run with no processor ever dispatched. The
+// coroutines exist but were never entered; shutdown must discard them
+// without running a line of any body.
+func TestAbortBeforeFirstDispatchLeavesNoGoroutines(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		base := runtime.NumGoroutine()
+		e := NewEngine(100)
+		e.Workers = workers
+		sentinel := errors.New("stopped at cycle 0")
+		e.AddQuantumHook(func(Time) { e.Abort(sentinel) })
+		var ran atomic.Int32
+		for i := 0; i < 64; i++ {
+			e.AddProc(func(p *Proc) { ran.Add(1) })
+		}
+		if err := e.Run(); !errors.Is(err, sentinel) {
+			t.Fatalf("workers=%d: Run returned %v, want the hook's abort", workers, err)
+		}
+		if ran.Load() != 0 {
+			t.Errorf("workers=%d: %d bodies ran after an abort that preceded every dispatch", workers, ran.Load())
+		}
+		if n := settledGoroutines(base); n > base {
+			t.Errorf("workers=%d: %d goroutines after the abort, baseline %d", workers, n, base)
+		}
+	}
+}
+
+// TestFailMidRunLeavesNoGoroutines: Proc.Fail in the middle of a run unwinds
+// every other processor — each body's deferred calls run — and retires the
+// workers.
+func TestFailMidRunLeavesNoGoroutines(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		base := runtime.NumGoroutine()
+		e := NewEngine(100)
+		e.Workers = workers
+		sentinel := errors.New("proc 3 gave up")
+		var unwound atomic.Int32
+		for i := 0; i < 64; i++ {
+			i := i
+			e.AddProc(func(p *Proc) {
+				defer unwound.Add(1)
+				for q := 0; ; q++ {
+					if i == 3 && q == 5 {
+						p.Fail(sentinel)
+					}
+					if i%2 == 0 && q == 2 {
+						p.Block(stats.LibComp, "never woken")
+					}
+					p.Compute(100)
+					p.Interact()
+				}
+			})
+		}
+		if err := e.Run(); !errors.Is(err, sentinel) {
+			t.Fatalf("workers=%d: Run returned %v, want proc 3's failure", workers, err)
+		}
+		if unwound.Load() != 64 {
+			t.Errorf("workers=%d: %d of 64 bodies unwound", workers, unwound.Load())
+		}
+		if n := settledGoroutines(base); n > base {
+			t.Errorf("workers=%d: %d goroutines after Fail, baseline %d", workers, n, base)
+		}
 	}
 }

@@ -3,7 +3,10 @@
 // Tunnel (Reinhardt et al., SIGMETRICS 1993).
 //
 // Target "processors" are Go functions executed as coroutines (or as
-// stackless step functions; see Engine.AddStepProc). The engine interleaves
+// stackless step functions; see Engine.AddStepProc). A coroutine is a
+// runtime coroutine (iter.Pull): the dispatcher switches into the body and
+// the body switches back when it yields, on one host thread, without the Go
+// scheduler taking part. The engine interleaves
 // processors within conservative time quanta equal to the minimum network
 // latency (100 cycles): any event one processor causes at another is
 // delayed by at least the network latency, so intra-quantum execution order
@@ -106,9 +109,8 @@ type Engine struct {
 	ahead procHeap
 	batch []*Proc // scratch: the procs dispatched this quantum, ID-sorted
 
-	// engGate is the engine's own park gate (cap 1): the tail of a serial
-	// dispatch chain, the last worker of a parallel phase, and unwound
-	// procs post it to return control.
+	// engGate is the engine's own park gate (cap 1): the last worker of a
+	// parallel phase posts it to return control. Serial mode never uses it.
 	engGate chan struct{}
 
 	// Persistent processor-phase workers (parallel mode only). Workers
@@ -166,10 +168,10 @@ type Engine struct {
 
 // worker is one persistent processor-phase worker: a goroutine that parks
 // on its gate between quanta, and during a phase claims chunks of the
-// batch, chains each chunk, and dispatches it.
+// batch and dispatches each chunk's processors in order.
 type worker struct {
 	eng  *Engine
-	gate chan struct{} // cap 1: phase start from the engine, chunk completion from chain tails
+	gate chan struct{} // cap 1: phase start (or stop) from the engine
 	stop bool
 }
 
@@ -280,7 +282,6 @@ func (e *Engine) newProc() *Proc {
 	p := &Proc{
 		ID:   len(e.procs),
 		eng:  e,
-		gate: make(chan struct{}, 1),
 		Acct: &stats.Acct{PerAccess: e.PerAccessStats},
 	}
 	p.compCat = stats.Comp
@@ -295,6 +296,9 @@ func (e *Engine) newProc() *Proc {
 
 // AddProc registers a new coroutine processor whose body is fn. Must be
 // called before Run. Processors are created with ID = registration order.
+// A body ends by returning, Fail, or a panic; runtime.Goexit (and with it
+// testing's FailNow) from inside one is not supported — under a worker pool
+// it takes the worker with it.
 func (e *Engine) AddProc(fn func(p *Proc)) *Proc {
 	p := e.newProc()
 	p.body = fn
@@ -303,7 +307,7 @@ func (e *Engine) AddProc(fn func(p *Proc)) *Proc {
 
 // AddStepProc registers a stackless processor: instead of a coroutine, step
 // is invoked as a direct continuation call on every dispatch — one function
-// call per quantum, no goroutine, no park/unpark. The step runs until its
+// call per quantum, no goroutine, no stack switch. The step runs until its
 // clock reaches the quantum end (or it blocks via StepBlock) and returns
 // StepYield, or retires with StepDone. Step processors cannot call the
 // suspending primitives (Interact past the horizon, Block, SpinUntil);
@@ -332,17 +336,27 @@ func (e *Engine) workerCount() int {
 // error — a structured failure report instead of a deadlock panic. It still
 // panics on true deadlock (all processors blocked with no pending events and
 // no abort raised) with a description and diagnostics of each processor's
-// state, a programmer error on a perfect network.
+// state, a programmer error on a perfect network. A panic in a processor
+// body — whichever goroutine it ran on — is re-raised here, on the caller's
+// goroutine, as a *ProcPanicError. However Run ends, every processor has
+// been unwound and every worker retired first: no goroutine outlives it.
 func (e *Engine) Run() error {
+	err := e.run()
+	if pp, ok := err.(*ProcPanicError); ok {
+		panic(pp)
+	}
+	return err
+}
+
+func (e *Engine) run() error {
 	for _, p := range e.procs {
 		if p.step == nil {
 			p.start()
 		}
 	}
-	defer e.stopWorkers()
+	defer e.shutdown()
 	for e.finished < len(e.procs) {
 		if e.aborted != nil {
-			e.unwind()
 			return e.aborted
 		}
 		if e.MaxTime > 0 && e.now > e.MaxTime {
@@ -361,7 +375,6 @@ func (e *Engine) Run() error {
 		if len(e.watchdogs) > 0 {
 			e.checkWatchdogs()
 			if e.aborted != nil {
-				e.unwind()
 				return e.aborted
 			}
 		}
@@ -370,7 +383,6 @@ func (e *Engine) Run() error {
 				h(e.now)
 			}
 			if e.aborted != nil { // a hook stopped the run (e.g. -run-until)
-				e.unwind()
 				return e.aborted
 			}
 		}
@@ -405,8 +417,8 @@ func (e *Engine) Run() error {
 			e.batch = append(e.batch, heap.Pop(&e.ahead).(*Proc))
 		}
 		if len(e.batch) > 0 {
-			// Sort by ID once: the dispatch chain, the staged-event merge,
-			// and failure collection all walk this order, so every
+			// Sort by ID once: dispatch, the staged-event merge, and
+			// failure collection all walk this order, so every
 			// deterministic tie-break reduces to processor ID.
 			sortBatchByID(e.batch)
 			e.runBatch(e.batch)
@@ -419,7 +431,7 @@ func (e *Engine) Run() error {
 		// time instead of crawling quantum by quantum.
 		if e.aborted != nil {
 			// An event handler (e.g. a watchdog) aborted mid-quantum; let
-			// the loop top unwind instead of misreporting a deadlock.
+			// the loop top return instead of misreporting a deadlock.
 			continue
 		}
 		next := e.nextInteresting()
@@ -433,7 +445,7 @@ func (e *Engine) Run() error {
 		e.now = next - (next % e.Quantum)
 	}
 	// The last live processor may have been the one that aborted; its
-	// unwind ends the loop without passing the check at the top.
+	// retirement ends the loop without passing the check at the top.
 	if e.aborted != nil {
 		return e.aborted
 	}
@@ -448,30 +460,21 @@ func (e *Engine) Run() error {
 	return nil
 }
 
-// runBatch executes every processor in the batch for one quantum. Serially,
-// the whole batch forms one baton chain: the engine unparks the head and
-// parks once on its own gate — one handoff per processor, plus none at all
-// for runs of step procs. In parallel mode the persistent workers claim
-// chunks of the batch and chain each chunk the same way. Workers only pass
-// batons; all shared mutation (event staging, accounting) is per-processor
-// and merged afterwards, so execution order within the batch is immaterial.
+// runBatch executes every processor in the batch for one quantum. Serially
+// that is a loop on the engine's own goroutine: each coroutine proc costs one
+// runtime coroutine switch in and one back, each step proc one function
+// call. In parallel mode the persistent workers claim chunks of the batch
+// and run the same loop over each chunk. All shared mutation (event staging,
+// accounting) is per-processor and merged afterwards, so execution order
+// within the batch is immaterial.
 func (e *Engine) runBatch(batch []*Proc) {
 	e.inProcPhase = true
-	n := e.workerCount()
-	if n > len(batch) {
-		n = len(batch)
-	}
+	n := min(e.workerCount(), len(batch))
 	if n > 1 {
 		e.ensureWorkers(n)
 		// Chunk so each worker expects several claims (load balance)
 		// without contending on the cursor per proc.
-		c := len(batch) / (4 * n)
-		if c < 1 {
-			c = 1
-		} else if c > 64 {
-			c = 64
-		}
-		e.chunk = c
+		e.chunk = min(max(len(batch)/(4*n), 1), 64)
 		e.cursor.Store(0)
 		e.pending.Store(int32(n))
 		for _, w := range e.workers[:n] {
@@ -479,12 +482,9 @@ func (e *Engine) runBatch(batch []*Proc) {
 		}
 		<-e.engGate
 	} else {
-		for i := 0; i < len(batch)-1; i++ {
-			batch[i].next = batch[i+1]
+		for _, p := range batch {
+			p.dispatch()
 		}
-		batch[len(batch)-1].post = e.engGate
-		advance(batch[0])
-		<-e.engGate
 	}
 	e.inProcPhase = false
 }
@@ -498,23 +498,29 @@ func (e *Engine) ensureWorkers(n int) {
 	}
 }
 
-// stopWorkers retires the persistent workers when Run returns. They are
-// all parked on their gates (a phase never outlives runBatch), so a flagged
-// unpark is enough.
-func (e *Engine) stopWorkers() {
+// shutdown runs however Run ends, a panic included. The workers are all
+// parked on their gates (a phase never outlives runBatch), so a flagged
+// unpark retires them. Halting a live coroutine makes its pending yield
+// report false, which unwinds the body through the procHalt panic; one that
+// was never dispatched is discarded without running.
+func (e *Engine) shutdown() {
 	for _, w := range e.workers {
 		w.stop = true
 		w.gate <- struct{}{}
 	}
 	e.workers = e.workers[:0]
+	for _, p := range e.procs {
+		if !p.done && p.halt != nil {
+			p.halt()
+		}
+	}
 }
 
-// loop is the persistent worker body: park until a phase starts, then
-// claim, chain, and dispatch chunks of the batch until the cursor runs
-// out. The last worker to finish posts the engine's gate. Channel sends
-// order every write: the engine's batch/chunk writes precede the phase
-// start, each chunk's proc state precedes the tail's post, and the pending
-// counter hands the final ordering to the engine.
+// loop is the persistent worker body: park until a phase starts, then claim
+// and dispatch chunks of the batch until the cursor runs out. The last
+// worker to finish posts the engine's gate. The two gates order every
+// write: the engine's batch/chunk writes precede the phase start, and the
+// pending counter hands each worker's proc state to the engine.
 func (w *worker) loop() {
 	for {
 		<-w.gate
@@ -528,17 +534,9 @@ func (w *worker) loop() {
 			if i >= len(e.batch) {
 				break
 			}
-			j := i + sz
-			if j > len(e.batch) {
-				j = len(e.batch)
+			for _, p := range e.batch[i:min(i+sz, len(e.batch))] {
+				p.dispatch()
 			}
-			chunk := e.batch[i:j]
-			for k := 0; k < len(chunk)-1; k++ {
-				chunk[k].next = chunk[k+1]
-			}
-			chunk[len(chunk)-1].post = w.gate
-			advance(chunk[0])
-			<-w.gate
 		}
 		if e.pending.Add(-1) == 0 {
 			e.engGate <- struct{}{}
@@ -637,7 +635,7 @@ func (e *Engine) AddQuantumHook(fn func(now Time)) {
 }
 
 // Abort requests that the run stop with err: at its next scheduling point
-// the engine unwinds every live processor and Run returns err. The first
+// Run unwinds every live processor and returns err. The first
 // abort wins; later calls are ignored. Callable from an event handler or a
 // quantum hook; processor bodies use Proc.Fail, which stages the error so
 // concurrent failures resolve to the lowest processor ID, exactly as serial
@@ -650,26 +648,6 @@ func (e *Engine) Abort(err error) {
 
 // Aborted returns the error the run was aborted with, if any.
 func (e *Engine) Aborted() error { return e.aborted }
-
-// unwind poisons and resumes every live processor so it retires (via the
-// procHalt panic recovered in start, or the step dispatcher's poison
-// check), leaving no coroutine parked.
-func (e *Engine) unwind() {
-	for _, p := range e.procs {
-		if p.done {
-			continue
-		}
-		p.poisoned = true
-		p.blocked = false
-		p.next = nil
-		p.post = e.engGate
-		advance(p)
-		<-e.engGate
-		if p.done {
-			e.finished++
-		}
-	}
-}
 
 // nextInteresting returns the earliest time at which anything can happen:
 // the next event or the clock of the earliest run-ahead processor. Returns

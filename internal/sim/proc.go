@@ -1,7 +1,15 @@
+//go:build go1.23
+
+// The constraint above raises this file's language version past the
+// module's go 1.22 line (which the nested bench module pins) so it may
+// import iter; the toolchain line in go.mod means it is always built.
+
 package sim
 
 import (
 	"fmt"
+	"iter"
+	"runtime/debug"
 
 	"repro/internal/stats"
 )
@@ -20,13 +28,13 @@ import (
 // visibility (memory-system access, network-interface access,
 // synchronization) first synchronizes with the quantum via Interact.
 //
-// Dispatch is a baton chain: the engine links the quantum's batch through
-// the procs' next pointers and hands control to the head. A coroutine proc
-// is resumed by a single send on its one-slot gate channel and, when it
-// yields, passes the baton directly to its successor (or posts the chain's
-// completion gate) — one park/unpark per dispatch instead of the two
-// channel round trips a resume/yield pair costs. A step proc has no
-// goroutine at all: the baton holder simply calls its step function.
+// Dispatch is a loop on the dispatcher's goroutine (the engine's, or a pool
+// worker's) over the quantum's ID-sorted batch. A coroutine proc's body
+// lives behind iter.Pull: dispatching it is a runtime coroutine switch that
+// hands the dispatcher's thread straight to the body, and the body's yield
+// is the same switch back — no channel, no run queue, no wakeup of another
+// host thread. A step proc has no goroutine at all: the dispatcher simply
+// calls its step function.
 type Proc struct {
 	ID   int
 	Acct *stats.Acct
@@ -34,19 +42,19 @@ type Proc struct {
 	eng   *Engine
 	clock Time
 
-	// gate parks and unparks the coroutine (cap 1, so an unpark never
-	// blocks the sender). nil-adjacent fields next/post are the baton
-	// chain: set by the dispatcher before control arrives, consumed at the
-	// proc's yield. step is non-nil for continuation-dispatched procs.
-	gate chan struct{}
-	next *Proc
-	post chan struct{}
-	body func(*Proc)
-	step func(*Proc) StepStatus
+	// resume and halt are the iter.Pull pair around body: resume switches
+	// into the coroutine until its next yield, halt unwinds it (or, before
+	// the first resume, discards it unrun). yield is the body's side of
+	// the switch. All three are nil for continuation-dispatched procs,
+	// whose step is non-nil instead.
+	resume func() (struct{}, bool)
+	halt   func()
+	yield  func(struct{}) bool
+	body   func(*Proc)
+	step   func(*Proc) StepStatus
 
 	done        bool
 	blocked     bool
-	poisoned    bool // engine aborting: unwind at the next resume
 	wakeKind    uint8
 	blockReason string
 	blockStart  Time
@@ -110,108 +118,82 @@ func (p *Proc) Engine() *Engine { return p.eng }
 func (p *Proc) Clock() Time { return p.clock }
 
 // procHalt is the sentinel panic used to unwind a processor when the engine
-// aborts the run; the coroutine recover (or the step dispatcher's) absorbs
-// it so the processor retires cleanly instead of leaking parked on its gate.
+// aborts the run (or the processor calls Fail); retire absorbs it so the
+// processor finishes cleanly instead of staying parked in its coroutine.
 type procHalt struct{}
 
+// ProcPanicError is what Engine.Run panics with, on its caller's goroutine,
+// when a processor body panicked: the run cannot continue, but the failure
+// belongs to whoever called Run — a recover around Run (the sweep driver's,
+// the daemon's per-job isolation) sees it like any other panic. Stack is
+// the panicking body's stack, captured before it unwound.
+type ProcPanicError struct {
+	Proc  int
+	Value any
+	Stack []byte
+}
+
+func (e *ProcPanicError) Error() string {
+	return fmt.Sprintf("sim: proc %d panicked: %v", e.Proc, e.Value)
+}
+
+// start wraps the coroutine body in iter.Pull. The body does not run until
+// the first resume.
 func (p *Proc) start() {
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, halt := r.(procHalt); !halt {
-					panic(r)
-				}
-			}
-			// The engine counts finished processors when it settles the
-			// batch: this deferred function may run on a worker goroutine,
-			// where touching engine state would race. The goroutine exits
-			// here, so a retired processor pins no stack.
-			p.done = true
-			p.passBaton()
-		}()
-		<-p.gate
-		if p.poisoned {
-			panic(procHalt{})
-		}
+	p.resume, p.halt = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer p.retire()
 		p.body(p)
-	}()
+	})
 }
 
-// passBaton hands control onward when this processor is finished with its
-// dispatch: to the chain's next processor if one is linked, else to the
-// chain's completion gate (the engine's or a worker's).
-func (p *Proc) passBaton() {
-	n, post := p.next, p.post
-	p.next, p.post = nil, nil
-	if n != nil {
-		advance(n)
-	} else {
-		post <- struct{}{}
-	}
-}
-
-// advance transfers control to p: a coroutine proc is unparked with a
-// single channel send; a step proc's continuation is called right here, on
-// the current goroutine, and the baton passes on to its successor — a run
-// of step procs dispatches as plain function calls in a loop.
-func advance(p *Proc) {
-	for {
-		if p.step == nil {
-			p.gate <- struct{}{}
-			return
-		}
-		p.runStep()
-		n := p.next
-		if n == nil {
-			post := p.post
-			p.post = nil
-			post <- struct{}{}
-			return
-		}
-		p.next = nil
-		p = n
-	}
-}
-
-// runStep executes one dispatch of a step processor, absorbing the
-// procHalt sentinel exactly as a coroutine's recover does.
-func (p *Proc) runStep() {
-	if p.poisoned {
+// retire is deferred around every processor body, coroutine or step. It
+// absorbs the procHalt sentinel, and stages any other panic as the
+// processor's failure: a body may be running on a pool worker's thread,
+// where letting the panic escape would kill the process, so it travels to
+// the engine the way a Fail error does and Run re-raises it from there.
+func (p *Proc) retire() {
+	if r := recover(); r != nil {
 		p.done = true
-		return
-	}
-	halted := false
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, halt := r.(procHalt); halt {
-					halted = true
-					return
-				}
-				panic(r)
-			}
-		}()
-		if p.step(p) == StepDone {
-			if p.blocked {
-				panic(fmt.Sprintf("sim: step proc %d returned StepDone while blocked", p.ID))
-			}
-			p.done = true
+		if _, halt := r.(procHalt); !halt {
+			p.failErr = &ProcPanicError{Proc: p.ID, Value: r, Stack: debug.Stack()}
 		}
-	}()
-	if halted {
+	}
+}
+
+// dispatch runs the processor for one quantum on the calling goroutine: a
+// step proc's continuation is called right here; a coroutine is switched
+// to, and control comes back when it yields or its body ends.
+func (p *Proc) dispatch() {
+	if p.step != nil {
+		p.runStep()
+	} else if _, live := p.resume(); !live {
+		// The engine counts finished processors when it settles the batch:
+		// this may be a worker goroutine, where touching engine state
+		// would race. The coroutine is gone, so a retired processor pins
+		// no stack.
+		p.done = true
+	}
+}
+
+// runStep executes one dispatch of a step processor.
+func (p *Proc) runStep() {
+	defer p.retire()
+	if p.step(p) == StepDone {
+		if p.blocked {
+			panic(fmt.Sprintf("sim: step proc %d returned StepDone while blocked", p.ID))
+		}
 		p.done = true
 	}
 }
 
 // yieldToEngine suspends the processor until the engine dispatches it
-// again: pass the baton on, park on the gate.
+// again. A false yield means the engine halted the coroutine instead.
 func (p *Proc) yieldToEngine() {
 	if p.step != nil {
 		panic(fmt.Sprintf("sim: step proc %d cannot yield from inside its step; return StepYield instead", p.ID))
 	}
-	p.passBaton()
-	<-p.gate
-	if p.poisoned {
+	if !p.yield(struct{}{}) {
 		panic(procHalt{})
 	}
 }
