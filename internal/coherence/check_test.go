@@ -221,11 +221,13 @@ func TestSMFaultsDeterministic(t *testing.T) {
 func TestNACKStarvationAborts(t *testing.T) {
 	cfg := cost.Default(2)
 	smFaultCfg(&cfg, 3, 1.0, 0)
-	res := machine.RunSM(cfg, parmacs.RoundRobin, func(n *machine.SMNode) {
-		v := n.RT.GMallocFOn(0, 8)
+	var v memsim.FVec
+	m := machine.NewSM(cfg, parmacs.RoundRobin, func(n *machine.SMNode) {
 		v.Get(n.Mem, 0)
 		n.Barrier()
 	})
+	v = m.RT.GMallocFOn(0, 8) // host-side: the address space is not for concurrent bodies
+	res := m.Run()
 	var starve *faults.RetryStarvationError
 	if !errors.As(res.Err, &starve) {
 		t.Fatalf("err = %v, want RetryStarvationError", res.Err)
@@ -244,11 +246,13 @@ func TestWatchdogReportsStall(t *testing.T) {
 	smFaultCfg(&cfg, 3, 1.0, 0)
 	cfg.SMFaults.RetryBudget = 1 << 20 // never rescued by the budget
 	cfg.SMWatchdog = 20000
-	res := machine.RunSM(cfg, parmacs.RoundRobin, func(n *machine.SMNode) {
-		v := n.RT.GMallocFOn(0, 8)
+	var v memsim.FVec
+	m := machine.NewSM(cfg, parmacs.RoundRobin, func(n *machine.SMNode) {
 		v.Get(n.Mem, 0)
 		n.Barrier()
 	})
+	v = m.RT.GMallocFOn(0, 8) // host-side, as in TestNACKStarvationAborts
+	res := m.Run()
 	var stall *sim.StallError
 	if !errors.As(res.Err, &stall) {
 		t.Fatalf("err = %v, want StallError", res.Err)

@@ -94,8 +94,7 @@ type node struct {
 	// context (request issue, evictions, flush hints).
 	evPool cohPool
 
-	// pend is the node's in-flight step-form requester transaction (see
-	// step.go); unused when the processor runs as a coroutine.
+	// pend is the node's in-flight requester transaction (see step.go).
 	pend stepPend
 }
 
@@ -252,107 +251,6 @@ func (pr *Protocol) fillDeferral(id int, block uint64, at sim.Time) (sim.Time, b
 	return fa, true
 }
 
-/// ReadMiss implements memsim.SharedHandler: fetch a readable copy. The
-// block is installed by the cache controller at reply-arrival time (in
-// event context), so a subsequent recall or invalidation always observes
-// the installed line; the processor is charged when it wakes.
-func (pr *Protocol) ReadMiss(m *memsim.Mem, block uint64) {
-	p := m.P
-	home := pr.homeOf(block)
-	cat := p.SharedMissCategory()
-	if home == p.ID {
-		p.Acct.Add(stats.CntSharedMissLocal, 1)
-	} else {
-		p.Acct.Add(stats.CntSharedMissRemote, 1)
-	}
-	atomic.AddInt64(&pr.Reads, 1)
-	p.ChargeStall(cat, pr.Cfg.SharedMissCycles)
-	pr.issue(home, request{kind: reqGETS, block: block, reqID: p.ID, m: m},
-		cat, "shared read miss")
-}
-
-// WriteAccess implements memsim.SharedHandler: obtain a writable copy.
-// resident == Shared is an upgrade — a write fault in the paper's terms;
-// resident == Invalid is a write miss.
-func (pr *Protocol) WriteAccess(m *memsim.Mem, block uint64, resident uint8) {
-	p := m.P
-	home := pr.homeOf(block)
-	var cat stats.Category
-	var kind reqKind
-	if resident == memsim.Shared {
-		cat = p.WriteFaultCategory()
-		p.Acct.Add(stats.CntWriteFaults, 1)
-		kind = reqUPGRADE
-		atomic.AddInt64(&pr.Upgrades, 1)
-	} else {
-		cat = p.SharedMissCategory()
-		if home == p.ID {
-			p.Acct.Add(stats.CntSharedMissLocal, 1)
-		} else {
-			p.Acct.Add(stats.CntSharedMissRemote, 1)
-		}
-		kind = reqGETX
-		atomic.AddInt64(&pr.Writes, 1)
-	}
-	p.ChargeStall(cat, pr.Cfg.SharedMissCycles)
-	pr.issue(home, request{kind: kind, block: block, reqID: p.ID, m: m},
-		cat, "shared write access")
-}
-
-// issue sends request r to its home and blocks until the grant installs,
-// charging the victim's replacement cost on wake. Under fault injection the
-// home may NACK instead: the requester then backs off exponentially —
-// charged to its own taxonomy row (stats.DirRetry), so degradation is
-// visible as a separate cost, not smeared into miss time — and reissues,
-// up to the configured retry budget; exhausting it aborts the run with a
-// structured starvation report instead of livelocking.
-func (pr *Protocol) issue(home int, r request, cat stats.Category, why string) {
-	p := r.m.P
-	if pr.wd != nil {
-		// The engine restarts the watchdog window itself when it observes
-		// the quiet→active transition at a quantum boundary; issue only
-		// maintains the outstanding count the activity gate reads.
-		atomic.AddInt64(&pr.outstanding, 1)
-		defer atomic.AddInt64(&pr.outstanding, -1)
-	}
-	firstSent := p.Clock()
-	retries := 0
-	var backoff int64
-	for {
-		if pr.forensics {
-			pr.note(p.ID, p.Clock(), "sent %v %#x to home %d", r.kind, r.block, home)
-		}
-		pr.countMsg(p.ID, home, false)
-		arrive := p.Clock() + pr.latency(p.ID, home)
-		ev := pr.nodes[p.ID].evPool.get(pr)
-		ev.kind, ev.home, ev.r = evDirHandle, home, r
-		p.ScheduleAction(arrive, ev)
-		repl, nacked := p.BlockVals(cat, why)
-		if nacked == 0 {
-			p.ChargeStall(cat, repl)
-			return
-		}
-		retries++
-		p.Acct.Add(stats.CntNACKs, 1)
-		if retries > pr.smf.RetryBudget {
-			p.Fail(&faults.RetryStarvationError{
-				Node: p.ID, Home: home, Block: r.block, Kind: r.kind.String(),
-				Retries: retries, FirstSent: firstSent, Now: p.Clock(),
-			})
-		}
-		if backoff == 0 {
-			backoff = pr.smf.Backoff
-		} else if backoff < pr.smf.BackoffMax {
-			backoff *= 2
-			if backoff > pr.smf.BackoffMax {
-				backoff = pr.smf.BackoffMax
-			}
-		}
-		p.Acct.Add(stats.CntDirRetries, 1)
-		p.ChargeStall(stats.DirRetry, pr.Cfg.NACKRetryCycles+backoff)
-	}
-}
-
 // installAt runs in event context at reply arrival: the cache controller
 // installs (or upgrades) the block and disposes of the victim. It returns
 // the replacement cycles to charge the waking processor.
@@ -459,10 +357,12 @@ func (pr *Protocol) wakeWatchers(id int, block uint64, at sim.Time) {
 // element: it obtains exclusive ownership (stalling like a write) and
 // exchanges the value.
 func (pr *Protocol) AtomicSwapI(m *memsim.Mem, vec *memsim.IVec, i int, newV int64) int64 {
-	m.Write(vec.Addr(i))
-	old := vec.V[i]
-	vec.V[i] = newV
-	return old
+	for {
+		if old, done := pr.StepAtomicSwapI(m, vec, i, newV); done {
+			return old
+		}
+		m.P.Yield()
+	}
 }
 
 // AtomicCASI is a compare-and-swap on an IVec element. The paper's machine
@@ -470,45 +370,35 @@ func (pr *Protocol) AtomicSwapI(m *memsim.Mem, vec *memsim.IVec, i int, newV int
 // original algorithm, and we model it with the same write-ownership cost as
 // swap (see parmacs for discussion).
 func (pr *Protocol) AtomicCASI(m *memsim.Mem, vec *memsim.IVec, i int, old, newV int64) bool {
-	m.Write(vec.Addr(i))
-	if vec.V[i] != old {
-		return false
+	for {
+		if swapped, done := pr.StepAtomicCASI(m, vec, i, old, newV); done {
+			return swapped
+		}
+		m.P.Yield()
 	}
-	vec.V[i] = newV
-	return true
 }
 
 // SpinI reads vec[i] through the cache until cond holds, sleeping on
 // invalidation between polls; the wait is charged to cat. Returns the value
 // that satisfied cond.
 func (pr *Protocol) SpinI(m *memsim.Mem, vec *memsim.IVec, i int, cat stats.Category, cond func(int64) bool) int64 {
-	p := m.P
-	p.Interact()
+	var ss SpinStep
 	for {
-		m.Read(vec.Addr(i))
-		if v := vec.V[i]; cond(v) {
+		if v, done := pr.StepSpinI(&ss, m, vec, i, cat, cond); done {
 			return v
 		}
-		// Sleep only while holding a valid copy; if an invalidation raced
-		// in before we could arm the watch, re-read immediately.
-		if pr.Watch(m, vec.Addr(i)) {
-			p.Block(cat, "spin")
-		}
+		m.P.Yield()
 	}
 }
 
 // SpinF is SpinI for float vectors.
 func (pr *Protocol) SpinF(m *memsim.Mem, vec *memsim.FVec, i int, cat stats.Category, cond func(float64) bool) float64 {
-	p := m.P
-	p.Interact()
+	var ss SpinStep
 	for {
-		m.Read(vec.Addr(i))
-		if v := vec.V[i]; cond(v) {
+		if v, done := pr.StepSpinF(&ss, m, vec, i, cat, cond); done {
 			return v
 		}
-		if pr.Watch(m, vec.Addr(i)) {
-			p.Block(cat, "spin")
-		}
+		m.P.Yield()
 	}
 }
 

@@ -9,20 +9,21 @@ import (
 	"repro/internal/stats"
 )
 
-// Step-processor forms of the requester-side protocol operations. Each
-// mirrors its coroutine twin transaction-for-transaction: the same counters
-// bump at the same clocks, the same messages enter the network with the
-// same arrival times, and the requester suspends at the same point — so a
-// step-form run is bit-identical to a coroutine-form run at every quantum
-// boundary. A false return means the requester blocked; the step returns
-// sim.StepYield and the re-invocation that finds the grant's wake pending
-// consumes it and completes (or, on a NACK, backs off and reissues).
+// The requester side of the protocol, written once, in non-suspending form.
+// A false return means the requester blocked: the caller gives up the
+// processor and re-invokes the same call with the same arguments, and the
+// re-invocation that finds the grant's wake pending consumes it and
+// completes (or, on a NACK, backs off and reissues). A step processor does
+// that by returning sim.StepYield; the blocking forms (memsim's Read/Write
+// over StepReadMiss/StepWriteAccess; AtomicSwapI, AtomicCASI, SpinI, SpinF)
+// are coroutine drivers, `for !pr.StepFoo(...) { p.Yield() }`, so both
+// processor forms bump the same counters and send the same messages at the
+// same clocks.
 
-// stepPend is a node's in-flight requester transaction: the state the
-// coroutine form keeps on its stack across BlockVals. Step processors are
-// serial with one outstanding request, so one slot per node suffices.
+// stepPend is a node's in-flight requester transaction: the state that must
+// survive from the send to the wake that answers it. A processor is serial
+// with one outstanding request, so one slot per node suffices.
 type stepPend struct {
-	active    bool
 	home      int
 	kind      reqKind
 	block     uint64
@@ -33,7 +34,10 @@ type stepPend struct {
 	firstSent sim.Time
 }
 
-// StepReadMiss implements memsim.StepSharedHandler.
+// StepReadMiss implements memsim.SharedHandler: fetch a readable copy. The
+// block is installed by the cache controller at reply-arrival time (in
+// event context), so a subsequent recall or invalidation always observes
+// the installed line; the processor is charged when it consumes the wake.
 func (pr *Protocol) StepReadMiss(m *memsim.Mem, block uint64) bool {
 	p := m.P
 	if p.WakePending() {
@@ -52,8 +56,10 @@ func (pr *Protocol) StepReadMiss(m *memsim.Mem, block uint64) bool {
 	return false
 }
 
-// StepWriteAccess implements memsim.StepSharedHandler. On a resume the
-// resident argument is ignored (the pending slot holds the request).
+// StepWriteAccess implements memsim.SharedHandler: obtain a writable copy.
+// resident == Shared is an upgrade — a write fault in the paper's terms;
+// resident == Invalid is a write miss. On a resume the resident argument is
+// ignored (the pending slot holds the request).
 func (pr *Protocol) StepWriteAccess(m *memsim.Mem, block uint64, resident uint8) bool {
 	p := m.P
 	if p.WakePending() {
@@ -83,13 +89,17 @@ func (pr *Protocol) StepWriteAccess(m *memsim.Mem, block uint64, resident uint8)
 }
 
 // stepIssue records the transaction in the node's pending slot, sends the
-// request, and blocks the requester — issue's first loop iteration.
+// request to its home, and blocks the requester until the grant installs;
+// stepResume charges the victim's replacement cost on the wake.
 func (pr *Protocol) stepIssue(m *memsim.Mem, home int, kind reqKind, block uint64, cat stats.Category, why string) {
 	p := m.P
 	n := pr.nodes[p.ID]
-	n.pend = stepPend{active: true, home: home, kind: kind, block: block,
+	n.pend = stepPend{home: home, kind: kind, block: block,
 		cat: cat, why: why, firstSent: p.Clock()}
 	if pr.wd != nil {
+		// The engine restarts the watchdog window itself when it observes
+		// the quiet→active transition at a quantum boundary; the requester
+		// only maintains the outstanding count the activity gate reads.
 		atomic.AddInt64(&pr.outstanding, 1)
 	}
 	pr.stepSend(m)
@@ -97,7 +107,7 @@ func (pr *Protocol) stepIssue(m *memsim.Mem, home int, kind reqKind, block uint6
 }
 
 // stepSend emits the pending request toward its home: the message-count,
-// forensics, and event-arrival bookkeeping of one issue-loop send.
+// forensics, and event-arrival bookkeeping of one send (first or retry).
 func (pr *Protocol) stepSend(m *memsim.Mem) {
 	p := m.P
 	n := pr.nodes[p.ID]
@@ -113,9 +123,13 @@ func (pr *Protocol) stepSend(m *memsim.Mem) {
 }
 
 // stepResume consumes the wake that ended a pending transaction's block.
-// A grant charges the replacement cost and completes; a NACK backs off and
-// reissues (blocking again), exactly as issue's retry loop does — the
-// retry send carries no Interact in either form.
+// A grant charges the replacement cost and completes. Under fault injection
+// the home may NACK instead: the requester then backs off exponentially —
+// charged to its own taxonomy row (stats.DirRetry), so degradation is
+// visible as a separate cost, not smeared into miss time — and reissues
+// (blocking again, with no interaction point before the retry send), up to
+// the configured retry budget; exhausting it aborts the run with a
+// structured starvation report instead of livelocking.
 func (pr *Protocol) stepResume(m *memsim.Mem) bool {
 	p := m.P
 	n := pr.nodes[p.ID]
@@ -126,7 +140,6 @@ func (pr *Protocol) stepResume(m *memsim.Mem) bool {
 		if pr.wd != nil {
 			atomic.AddInt64(&pr.outstanding, -1)
 		}
-		pd.active = false
 		return true
 	}
 	pd.retries++
@@ -135,7 +148,6 @@ func (pr *Protocol) stepResume(m *memsim.Mem) bool {
 		if pr.wd != nil {
 			atomic.AddInt64(&pr.outstanding, -1)
 		}
-		pd.active = false
 		p.Fail(&faults.RetryStarvationError{
 			Node: p.ID, Home: pd.home, Block: pd.block, Kind: pd.kind.String(),
 			Retries: pd.retries, FirstSent: pd.firstSent, Now: p.Clock(),
@@ -156,7 +168,7 @@ func (pr *Protocol) stepResume(m *memsim.Mem) bool {
 	return false
 }
 
-// StepAtomicSwapI is AtomicSwapI for step processors; the exchange happens
+// StepAtomicSwapI is the non-suspending AtomicSwapI; the exchange happens
 // exactly once, on the completing call.
 func (pr *Protocol) StepAtomicSwapI(m *memsim.Mem, vec *memsim.IVec, i int, newV int64) (int64, bool) {
 	if !m.StepWrite(vec.Addr(i)) {
@@ -167,7 +179,7 @@ func (pr *Protocol) StepAtomicSwapI(m *memsim.Mem, vec *memsim.IVec, i int, newV
 	return old, true
 }
 
-// StepAtomicCASI is AtomicCASI for step processors: swapped is valid only
+// StepAtomicCASI is the non-suspending AtomicCASI: swapped is valid only
 // when done.
 func (pr *Protocol) StepAtomicCASI(m *memsim.Mem, vec *memsim.IVec, i int, old, newV int64) (swapped, done bool) {
 	if !m.StepWrite(vec.Addr(i)) {
@@ -187,9 +199,11 @@ type SpinStep struct {
 	sleeping bool
 }
 
-// StepSpinI is SpinI for step processors. cond must be a fixed predicate
+// StepSpinI is the non-suspending SpinI. cond must be a fixed predicate
 // (hoisted, not a per-call closure) for allocation-free spinning. The
-// value is valid only when done.
+// value is valid only when done. A spinner may only sleep while it holds a
+// valid copy; if an invalidation raced in before the watch could be armed,
+// it re-reads immediately.
 func (pr *Protocol) StepSpinI(ss *SpinStep, m *memsim.Mem, vec *memsim.IVec, i int, cat stats.Category, cond func(int64) bool) (int64, bool) {
 	p := m.P
 	if ss.sleeping {

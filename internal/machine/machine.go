@@ -270,13 +270,11 @@ type SMMachine struct {
 type StepProgramSM func(n *SMNode) func(*sim.Proc) sim.StepStatus
 
 // NewSMStep builds a shared-memory machine whose application processors
-// run in step form; see NewMPStep. Incompatible with control-message fault
-// injection and hardware combining (the runner gates both; the checker and
-// watchdog remain available).
+// run in step form; see NewMPStep. Incompatible with hardware combining
+// (the runner gates it); the checker, watchdog and control-message fault
+// injection remain available — the NACK/retry path is the same code under
+// either processor form.
 func NewSMStep(cfg cost.Config, policy parmacs.Policy, program StepProgramSM) *SMMachine {
-	if cfg.SMFaults != nil {
-		panic("machine: step processors are incompatible with control-fault injection")
-	}
 	if cfg.HWCombining {
 		panic("machine: step processors are incompatible with hardware combining")
 	}

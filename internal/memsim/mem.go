@@ -11,13 +11,19 @@ import (
 // satisfied by the local cache through this interface. Handlers manipulate
 // the cache themselves (insertion, state changes, victim handling) and
 // charge/stall the processor per the protocol.
+//
+// The two miss methods begin or resume a transaction without suspending the
+// caller. A false return means the requesting processor blocked (a step
+// returns sim.StepYield, a coroutine driver yields); the re-invocation that
+// finds a wake pending consumes it and finishes the transaction.
 type SharedHandler interface {
-	// ReadMiss obtains a readable copy of block for m's processor.
-	ReadMiss(m *Mem, block uint64)
-	// WriteAccess obtains a writable copy. resident is the block's current
-	// local state: Shared means an upgrade (a write fault in the paper's
-	// terms), Invalid a full write miss.
-	WriteAccess(m *Mem, block uint64, resident uint8)
+	// StepReadMiss begins/resumes obtaining a readable copy of block for
+	// m's processor.
+	StepReadMiss(m *Mem, block uint64) bool
+	// StepWriteAccess begins/resumes obtaining a writable copy. resident is
+	// the block's current local state: Shared means an upgrade (a write
+	// fault in the paper's terms), Invalid a full write miss.
+	StepWriteAccess(m *Mem, block uint64, resident uint8) bool
 	// Evict performs replacement bookkeeping when a shared block is chosen
 	// as a victim (writeback of dirty data, replacement cost). The
 	// replacement cycles are charged to cat, the category of the miss that
@@ -28,20 +34,6 @@ type SharedHandler interface {
 	// so the line leaves the copyset (the paper's §5.3.4 optimization —
 	// one message instead of a later invalidation round trip).
 	Flush(m *Mem, victim Line, cat stats.Category)
-}
-
-// StepSharedHandler is the step-processor face of a coherence layer: each
-// method begins or resumes a miss transaction without suspending a
-// goroutine. A false return means the requesting processor blocked (the
-// step must return sim.StepYield); the re-invocation that finds a wake
-// pending consumes it and finishes the transaction. Implemented by
-// coherence.Protocol.
-type StepSharedHandler interface {
-	SharedHandler
-	// StepReadMiss begins/resumes fetching a readable copy of block.
-	StepReadMiss(m *Mem, block uint64) bool
-	// StepWriteAccess begins/resumes obtaining a writable copy.
-	StepWriteAccess(m *Mem, block uint64, resident uint8) bool
 }
 
 // Mem is one processor's memory-system front end: TLB + cache + (on the
@@ -59,11 +51,11 @@ type Mem struct {
 	// Refs counts simulated references (reads+writes), for tests.
 	Refs int64
 
-	// stepSh caches the Shared handler's step interface (step form only).
-	stepSh StepSharedHandler
-	// stepRange is the resumable cursor of an in-progress Step*Range walk:
-	// the next block address to access. Step processors are serial, so one
-	// cursor per Mem suffices.
+	// stepRange is the resumable cursor of an in-progress range walk: the
+	// next block address to access. One cursor per Mem suffices for both
+	// processor forms because a processor never starts a range walk inside
+	// another: a private miss never polls the network, and
+	// cmmd.channelWrite finishes its ReadRange before it sends.
 	stepRange   uint64
 	stepRangeOn bool
 }
@@ -86,6 +78,14 @@ func (m *Mem) translate(addr uint64) {
 	}
 }
 
+// Access forms. Each operation is implemented once, as a Step form that
+// never suspends the caller: a false return means "not done, nothing further
+// mutated", and the caller gives up the processor and re-invokes the same
+// call with the same arguments when redispatched. A step processor does
+// that by returning sim.StepYield; the blocking forms are the coroutine
+// drivers, `for !m.StepFoo(...) { m.P.Yield() }`. Both processor forms thus
+// run the same StepInteract checks and charges at the same clocks.
+
 // Read simulates a load from addr.
 func (m *Mem) Read(addr uint64) { m.ReadTrack(addr) }
 
@@ -93,19 +93,12 @@ func (m *Mem) Read(addr uint64) { m.ReadTrack(addr) }
 // staleness-aware data structures use this to refresh their block snapshot
 // exactly when real hardware would observe new values.
 func (m *Mem) ReadTrack(addr uint64) bool {
-	m.P.Interact()
-	m.Refs++
-	m.translate(addr)
-	block := m.Cache.BlockOf(addr)
-	if m.Cache.Lookup(block) != Invalid {
-		return false // hit
+	for {
+		if done, missed := m.StepReadTrack(addr); done {
+			return missed
+		}
+		m.P.Yield()
 	}
-	if m.Shared != nil && IsShared(addr) {
-		m.Shared.ReadMiss(m, block)
-		return true
-	}
-	m.privateMiss(block)
-	return true
 }
 
 // Write simulates a store to addr. A store to shared data retires only
@@ -114,21 +107,8 @@ func (m *Mem) ReadTrack(addr uint64) bool {
 // store re-acquires ownership — the retry sequentially consistent hardware
 // performs.
 func (m *Mem) Write(addr uint64) {
-	m.P.Interact()
-	m.Refs++
-	m.translate(addr)
-	block := m.Cache.BlockOf(addr)
-	for {
-		st := m.Cache.Lookup(block)
-		if st == Modified {
-			return // write permission held; the store retires
-		}
-		if m.Shared != nil && IsShared(addr) {
-			m.Shared.WriteAccess(m, block, st)
-			continue // verify ownership survived until retirement
-		}
-		m.privateMiss(block)
-		return
+	for !m.StepWrite(addr) {
+		m.P.Yield()
 	}
 }
 
@@ -162,59 +142,41 @@ func (m *Mem) privReplCost() int64 {
 // per cache block is simulated — exact for timing, since within-block hits
 // are free.
 func (m *Mem) ReadRange(addr uint64, bytes int) {
-	if bytes <= 0 {
-		return
-	}
-	bs := uint64(m.Cfg.BlockBytes)
-	end := addr + uint64(bytes)
-	for a := addr &^ (bs - 1); a < end; a += bs {
-		m.Read(a)
+	for !m.StepReadRange(addr, bytes) {
+		m.P.Yield()
 	}
 }
 
 // WriteRange simulates streaming stores over [addr, addr+bytes).
 func (m *Mem) WriteRange(addr uint64, bytes int) {
-	if bytes <= 0 {
-		return
-	}
-	bs := uint64(m.Cfg.BlockBytes)
-	end := addr + uint64(bytes)
-	for a := addr &^ (bs - 1); a < end; a += bs {
-		m.Write(a)
+	for !m.StepWriteRange(addr, bytes) {
+		m.P.Yield()
 	}
 }
 
-// Step-processor access forms. Each mirrors its coroutine twin exactly:
-// the StepInteract check sits where the coroutine's Interact sits, every
-// charge lands at the same clock, and a blocking shared miss suspends at
-// the same point — so the two forms produce bit-identical statistics at
-// every quantum boundary. A false return means "not done, nothing further
-// mutated": the step returns sim.StepYield and re-invokes the same call
-// with the same arguments when redispatched.
-
-// stepShared returns the coherence layer's step interface, caching the
-// assertion. Panics if the attached handler has no step form.
-func (m *Mem) stepShared() StepSharedHandler {
-	if m.stepSh == nil {
-		m.stepSh = m.Shared.(StepSharedHandler)
+// FlushBlock removes a block containing addr from the cache (the software
+// flush optimization discussed in the paper's EM3D section). Dirty shared
+// victims write back through the coherence handler.
+func (m *Mem) FlushBlock(addr uint64) {
+	for !m.StepFlushBlock(addr) {
+		m.P.Yield()
 	}
-	return m.stepSh
 }
 
-// StepRead is Read for step processors.
+// StepRead is the non-suspending Read.
 func (m *Mem) StepRead(addr uint64) bool {
 	done, _ := m.StepReadTrack(addr)
 	return done
 }
 
-// StepReadTrack is ReadTrack for step processors: done reports whether the
+// StepReadTrack is the non-suspending ReadTrack: done reports whether the
 // access completed, and missed (valid only when done) whether it missed.
 // A resumed access always reports missed — only a shared miss blocks.
 func (m *Mem) StepReadTrack(addr uint64) (done, missed bool) {
 	p := m.P
 	if p.WakePending() {
 		// Resuming the shared-miss transaction this access issued.
-		if !m.stepShared().StepReadMiss(m, m.Cache.BlockOf(addr)) {
+		if !m.Shared.StepReadMiss(m, m.Cache.BlockOf(addr)) {
 			return false, true
 		}
 		return true, true
@@ -229,21 +191,20 @@ func (m *Mem) StepReadTrack(addr uint64) (done, missed bool) {
 		return true, false // hit
 	}
 	if m.Shared != nil && IsShared(addr) {
-		m.stepShared().StepReadMiss(m, block) // issues and blocks
+		m.Shared.StepReadMiss(m, block) // issues and blocks
 		return false, true
 	}
 	m.privateMiss(block)
 	return true, true
 }
 
-// StepWrite is Write for step processors, preserving the ownership-retry
-// loop: after a grant the line is re-checked, and a stolen line re-acquires
-// ownership exactly as the coroutine form does.
+// StepWrite is the non-suspending Write. After a grant the line is
+// re-checked, and a stolen line re-acquires ownership (see Write).
 func (m *Mem) StepWrite(addr uint64) bool {
 	p := m.P
 	block := m.Cache.BlockOf(addr)
 	if p.WakePending() {
-		if !m.stepShared().StepWriteAccess(m, block, Invalid) {
+		if !m.Shared.StepWriteAccess(m, block, Invalid) {
 			return false
 		}
 		// Grant installed; verify ownership survived until retirement.
@@ -260,7 +221,7 @@ func (m *Mem) StepWrite(addr uint64) bool {
 			return true
 		}
 		if m.Shared != nil && IsShared(addr) {
-			m.stepShared().StepWriteAccess(m, block, st) // issues and blocks
+			m.Shared.StepWriteAccess(m, block, st) // issues and blocks
 			return false
 		}
 		m.privateMiss(block)
@@ -268,13 +229,13 @@ func (m *Mem) StepWrite(addr uint64) bool {
 	}
 }
 
-// StepReadRange is ReadRange for step processors: the block cursor is held
+// StepReadRange is the non-suspending ReadRange: the block cursor is held
 // in the Mem, so a blocked access resumes mid-range.
 func (m *Mem) StepReadRange(addr uint64, bytes int) bool {
 	return m.stepRangeWalk(addr, bytes, false)
 }
 
-// StepWriteRange is WriteRange for step processors.
+// StepWriteRange is the non-suspending WriteRange.
 func (m *Mem) StepWriteRange(addr uint64, bytes int) bool {
 	return m.stepRangeWalk(addr, bytes, true)
 }
@@ -305,9 +266,9 @@ func (m *Mem) stepRangeWalk(addr uint64, bytes int, write bool) bool {
 	return true
 }
 
-// StepFlushBlock is FlushBlock for step processors. Flushes never block
-// (dirty writebacks travel as staged events), so the only suspension point
-// is the entry Interact.
+// StepFlushBlock is the non-suspending FlushBlock. Flushes never block
+// (dirty writebacks travel as staged events), so the only point it can
+// report "not done" is the entry StepInteract.
 func (m *Mem) StepFlushBlock(addr uint64) bool {
 	if !m.P.StepInteract() {
 		return false
@@ -324,22 +285,4 @@ func (m *Mem) StepFlushBlock(addr uint64) bool {
 		m.Shared.Flush(m, line, cat)
 	}
 	return true
-}
-
-// FlushBlock removes a block containing addr from the cache (the software
-// flush optimization discussed in the paper's EM3D section). Dirty shared
-// victims write back through the coherence handler.
-func (m *Mem) FlushBlock(addr uint64) {
-	m.P.Interact()
-	block := m.Cache.BlockOf(addr)
-	st := m.Cache.Lookup(block)
-	if st == Invalid {
-		return
-	}
-	line := Line{Tag: block, State: st}
-	m.Cache.Invalidate(block)
-	if m.Shared != nil && IsShared(addr) {
-		cat, _ := m.P.MissCategory()
-		m.Shared.Flush(m, line, cat)
-	}
 }

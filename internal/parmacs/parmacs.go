@@ -109,19 +109,9 @@ func (rt *Runtime) GMallocIOn(home int, n int) memsim.IVec {
 // (charged to Start-up Wait, as in the paper's MSE-SM breakdown) until node
 // 0 finishes serial initialization and calls Create.
 func (rt *Runtime) WaitCreate(p *sim.Proc) {
-	if p.ID == 0 {
-		return
+	for !rt.StepWaitCreate(p) {
+		p.Yield()
 	}
-	if rt.created {
-		// The create event has already fired (in an earlier quantum's event
-		// phase); idle until the creation time.
-		p.WaitUntil(rt.createTime, stats.StartupWait)
-		return
-	}
-	rt.mu.Lock()
-	rt.startWait = append(rt.startWait, p)
-	rt.mu.Unlock()
-	p.Block(stats.StartupWait, "waiting for create()")
 }
 
 // Create is called by node 0 after initialization: it starts the worker
@@ -196,40 +186,18 @@ func NewLock(rt *Runtime) *Lock {
 // Acquire takes the lock; all cycles (swap, queue linking, spinning) are
 // charged to the Locks category.
 func (l *Lock) Acquire(m *memsim.Mem) {
-	p := m.P
-	p.PushModeFull(stats.LockWait, stats.LockWait, stats.CntPrivateMisses,
-		stats.LockWait, stats.LockWait)
-	defer p.PopMode()
-	me := p.ID
-	p.Compute(lockOpCycles)
-	l.next[me].Set(m, 0, -1)
-	pred := l.rt.Pr.AtomicSwapI(m, &l.tail, 0, int64(me))
-	if pred >= 0 {
-		l.locked[me].Set(m, 0, 1)
-		l.next[pred].Set(m, 0, int64(me))
-		l.rt.Pr.SpinI(m, &l.locked[me], 0, stats.LockWait,
-			func(v int64) bool { return v == 0 })
+	var ls LockStep
+	for !l.StepAcquire(&ls, m) {
+		m.P.Yield()
 	}
 }
 
 // Release passes the lock to the next waiter, if any.
 func (l *Lock) Release(m *memsim.Mem) {
-	p := m.P
-	p.PushModeFull(stats.LockWait, stats.LockWait, stats.CntPrivateMisses,
-		stats.LockWait, stats.LockWait)
-	defer p.PopMode()
-	me := p.ID
-	p.Compute(lockOpCycles)
-	if l.next[me].Get(m, 0) < 0 {
-		if l.rt.Pr.AtomicCASI(m, &l.tail, 0, int64(me), -1) {
-			return
-		}
-		// A successor is linking itself in; wait for the link.
-		l.rt.Pr.SpinI(m, &l.next[me], 0, stats.LockWait,
-			func(v int64) bool { return v >= 0 })
+	var ls LockStep
+	for !l.StepRelease(&ls, m) {
+		m.P.Yield()
 	}
-	succ := int(l.next[me].Get(m, 0))
-	l.locked[succ].Set(m, 0, 0)
 }
 
 // --- MCS-style software reductions ---
@@ -328,51 +296,30 @@ func NewReduction(rt *Runtime) *Reduction {
 // node 0 (zeros elsewhere). All nodes must call it in the same order.
 func (r *Reduction) Reduce(m *memsim.Mem, val float64, idx int64, op Op, cats Cats) (float64, int64) {
 	p := m.P
-	if !op.valid() {
-		p.Fail(fmt.Errorf("%w: op %d at node %d", ErrUnknownOp, int(op), p.ID))
-	}
-	p.PushModeFull(cats.Comp, cats.Miss, stats.CntPrivateMisses, cats.Miss, cats.Miss)
-	defer p.PopMode()
-
-	me := p.ID
 	if comb := r.rt.Comb; comb != nil {
 		// Hardware-combining ablation: one deposit instruction at the
 		// network port, then the combined result arrives a fixed latency
 		// after the last contributor — no flag spinning, no remote-homed
 		// value traffic, no tree ascent. Result at node 0 only, zeros
-		// elsewhere, preserving the software contract.
+		// elsewhere, preserving the software contract. sim.Combiner.Wait
+		// has no step form, so this branch lives in the blocking driver.
+		if !op.valid() {
+			p.Fail(fmt.Errorf("%w: op %d at node %d", ErrUnknownOp, int(op), p.ID))
+		}
+		p.PushModeFull(cats.Comp, cats.Miss, stats.CntPrivateMisses, cats.Miss, cats.Miss)
+		defer p.PopMode()
 		p.Compute(reduceOpCycles)
 		v, i := comb.Wait(p, cats.Wait, uint8(op), val, idx)
-		if me == 0 {
+		if p.ID == 0 {
 			return v, i
 		}
 		return 0, 0
 	}
-	r.round[me]++
-	round := r.round[me]
-	p.Compute(reduceOpCycles)
-
-	// Gather children (4-ary tree rooted at 0).
-	for c := 0; c < r.arity; c++ {
-		child := me*r.arity + 1 + c
-		if child >= r.rt.Cfg.Procs {
-			break
+	var rs RedStep
+	for {
+		if v, i, done := r.StepReduce(&rs, m, val, idx, op, cats); done {
+			return v, i
 		}
-		r.rt.Pr.SpinI(m, &r.flags[me], c, cats.Wait,
-			func(v int64) bool { return v >= round })
-		cv := r.vals[child].Get(m, 0)
-		ci := r.idxs[child].Get(m, 0)
-		val, idx = combine(op, val, idx, cv, ci)
-		p.Compute(reduceOpCycles)
+		p.Yield()
 	}
-	if me == 0 {
-		return val, idx
-	}
-	// Deposit and notify the parent with remote writes.
-	r.vals[me].Set(m, 0, val)
-	r.idxs[me].Set(m, 0, idx)
-	parent := (me - 1) / r.arity
-	slot := (me - 1) % r.arity
-	r.flags[parent].Set(m, slot, round)
-	return 0, 0
 }

@@ -9,14 +9,16 @@ import (
 	"repro/internal/stats"
 )
 
-// Step-processor forms of the parmacs primitives. Each is a phase machine
-// over its coroutine twin's suspension points: the caller embeds the frame
-// struct, re-invokes the same call with the same arguments after a
-// sim.StepYield, and the accounting-mode push survives across yields on
-// the processor's own mode stack — so both forms charge every cycle to the
-// same category in the same quantum.
+// The parmacs primitives, written once as phase machines that never suspend
+// the caller. The caller embeds the frame struct and, on a false ("not
+// done") return, gives up the processor and re-invokes the same call with
+// the same arguments — a step processor by returning sim.StepYield, the
+// blocking forms in parmacs.go as coroutine drivers,
+// `for !x.StepFoo(&frame, ...) { p.Yield() }`. The primitive pushes its
+// accounting mode in phase 0 and pops it on completion; the push survives
+// yields on the processor's own mode stack, so drivers must not push again.
 
-// StepWaitCreate is WaitCreate for step processors.
+// StepWaitCreate is the non-suspending WaitCreate.
 func (rt *Runtime) StepWaitCreate(p *sim.Proc) bool {
 	if p.ID == 0 {
 		return true
@@ -36,7 +38,7 @@ func (rt *Runtime) StepWaitCreate(p *sim.Proc) bool {
 	return false
 }
 
-// StepBarrier is Barrier for step processors.
+// StepBarrier is the non-suspending Barrier.
 func (rt *Runtime) StepBarrier(p *sim.Proc) bool {
 	return rt.Bar.StepWait(p, stats.BarrierWait)
 }
@@ -54,7 +56,7 @@ type LockStep struct {
 	spin  coherence.SpinStep
 }
 
-// StepAcquire is Acquire for step processors.
+// StepAcquire is the non-suspending Acquire.
 func (l *Lock) StepAcquire(ls *LockStep, m *memsim.Mem) bool {
 	p := m.P
 	me := p.ID
@@ -105,7 +107,7 @@ func (l *Lock) StepAcquire(ls *LockStep, m *memsim.Mem) bool {
 	}
 }
 
-// StepRelease is Release for step processors.
+// StepRelease is the non-suspending Release.
 func (l *Lock) StepRelease(ls *LockStep, m *memsim.Mem) bool {
 	p := m.P
 	me := p.ID
@@ -173,10 +175,11 @@ type RedStep struct {
 	spin  coherence.SpinStep
 }
 
-// StepReduce is Reduce for step processors. The contributed (val, idx) are
-// latched on the first call; re-invocations may pass anything. The result
-// is valid only when done. Incompatible with the hardware-combining
-// ablation (the runner gates the combination off).
+// StepReduce is the non-suspending software-tree Reduce. The contributed
+// (val, idx) are latched on the first call; re-invocations may pass
+// anything. The result is valid only when done. Incompatible with the
+// hardware-combining ablation: Reduce takes that branch before it gets
+// here, and the runner gates the combination off for step processors.
 func (r *Reduction) StepReduce(rs *RedStep, m *memsim.Mem, val float64, idx int64, op Op, cats Cats) (float64, int64, bool) {
 	p := m.P
 	me := p.ID

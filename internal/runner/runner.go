@@ -130,10 +130,6 @@ func (s *Spec) Validate() error {
 			return &StepUnsupportedError{App: s.App, Machine: s.Machine,
 				Reason: "reliable transport suspends inside library calls"}
 		}
-		if s.SMFaults != nil {
-			return &StepUnsupportedError{App: s.App, Machine: s.Machine,
-				Reason: "control-fault injection is untested under step dispatch"}
-		}
 		if s.HWCombining {
 			return &StepUnsupportedError{App: s.App, Machine: s.Machine,
 				Reason: "the hardware combiner suspends its depositors"}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/snapshot"
+	"repro/internal/stats"
 )
 
 // stepPairs are the app/machine pairs with step (continuation) ports. Sizes
@@ -23,6 +24,45 @@ var stepPairs = []struct {
 	{"lcp-sm", Spec{App: "lcp", Machine: "sm", Size: 1024, Iters: 3}},
 }
 
+// runBothForms runs spec in coroutine and step form and checks the
+// cross-form determinism contract: bit-identical accounting (fingerprint,
+// stats bytes, elapsed) and the same app answer line. It returns the
+// coroutine outcome for further assertions.
+func runBothForms(t *testing.T, spec Spec, workers int) *Outcome {
+	t.Helper()
+	spec.StepProcs = false
+	co, err := Run(spec, Options{Workers: workers})
+	if err != nil {
+		t.Fatalf("coroutine run: %v", err)
+	}
+	if co.Res.Err != nil {
+		t.Fatalf("coroutine run aborted: %v", co.Res.Err)
+	}
+
+	spec.StepProcs = true
+	st, err := Run(spec, Options{Workers: workers})
+	if err != nil {
+		t.Fatalf("step run: %v", err)
+	}
+	if st.Res.Err != nil {
+		t.Fatalf("step run aborted: %v", st.Res.Err)
+	}
+
+	if st.Fingerprint != co.Fingerprint {
+		t.Errorf("fingerprint: step %#x, coroutine %#x", st.Fingerprint, co.Fingerprint)
+	}
+	if !bytes.Equal(st.StatsBytes, co.StatsBytes) {
+		t.Errorf("stats bytes differ between forms")
+	}
+	if st.AppLine != co.AppLine {
+		t.Errorf("app answer: step %q, coroutine %q", st.AppLine, co.AppLine)
+	}
+	if st.Res.Elapsed != co.Res.Elapsed {
+		t.Errorf("elapsed: step %d, coroutine %d", st.Res.Elapsed, co.Res.Elapsed)
+	}
+	return co
+}
+
 // TestStepFormEquivalence pins the cross-form determinism contract: for
 // every ported pair, the step form must produce bit-identical accounting
 // (fingerprint, stats bytes, and the app's answer line) to the coroutine
@@ -36,38 +76,35 @@ func TestStepFormEquivalence(t *testing.T) {
 					t.Parallel()
 					spec := pair.Spec
 					spec.Procs = procs
-
-					co, err := Run(spec, Options{Workers: workers})
-					if err != nil {
-						t.Fatalf("coroutine run: %v", err)
-					}
-					if co.Res.Err != nil {
-						t.Fatalf("coroutine run aborted: %v", co.Res.Err)
-					}
-
-					spec.StepProcs = true
-					st, err := Run(spec, Options{Workers: workers})
-					if err != nil {
-						t.Fatalf("step run: %v", err)
-					}
-					if st.Res.Err != nil {
-						t.Fatalf("step run aborted: %v", st.Res.Err)
-					}
-
-					if st.Fingerprint != co.Fingerprint {
-						t.Errorf("fingerprint: step %#x, coroutine %#x", st.Fingerprint, co.Fingerprint)
-					}
-					if !bytes.Equal(st.StatsBytes, co.StatsBytes) {
-						t.Errorf("stats bytes differ between forms")
-					}
-					if st.AppLine != co.AppLine {
-						t.Errorf("app answer: step %q, coroutine %q", st.AppLine, co.AppLine)
-					}
-					if st.Res.Elapsed != co.Res.Elapsed {
-						t.Errorf("elapsed: step %d, coroutine %d", st.Res.Elapsed, co.Res.Elapsed)
-					}
+					runBothForms(t, spec, workers)
 				})
 			}
+		}
+	}
+}
+
+// TestStepFormEquivalenceUnderCtrlFaults extends the contract to coherence
+// control-fault injection: the NACK back-off/retry path is one body run by
+// both forms, so a faulty shared-memory run must stay bit-identical across
+// them — and the plan must actually have fired.
+func TestStepFormEquivalenceUnderCtrlFaults(t *testing.T) {
+	for _, pair := range stepPairs {
+		if pair.Spec.Machine != "sm" {
+			continue
+		}
+		for _, workers := range []int{1, 4} {
+			pair, workers := pair, workers
+			t.Run(fmt.Sprintf("%s/w%d", pair.Name, workers), func(t *testing.T) {
+				t.Parallel()
+				spec := pair.Spec
+				spec.Procs = 16
+				spec.SMCheck = true
+				spec.SMFaults = &cost.SMFaultsConfig{Seed: 7, NACKRate: 0.05, ReorderRate: 0.05}
+				co := runBothForms(t, spec, workers)
+				if co.Res.Summary.CountsAll(stats.CntNACKs) == 0 {
+					t.Errorf("fault plan never NACKed: the retry path went unexercised")
+				}
+			})
 		}
 	}
 }
@@ -162,7 +199,7 @@ func TestValidateStepUnsupported(t *testing.T) {
 		{"em3d-faults", Spec{App: "em3d", Machine: "mp", Procs: 4, StepProcs: true,
 			Faults: &cost.FaultsConfig{Seed: 1}}, false},
 		{"lcp-smfaults", Spec{App: "lcp", Machine: "sm", Procs: 4, StepProcs: true,
-			SMFaults: &cost.SMFaultsConfig{Seed: 1}}, false},
+			SMFaults: &cost.SMFaultsConfig{Seed: 1}}, true},
 		{"em3d-hwcomb", Spec{App: "em3d", Machine: "sm", Procs: 4, StepProcs: true,
 			HWCombining: true}, false},
 	}

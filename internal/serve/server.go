@@ -140,9 +140,6 @@ func New(cfg Config) (*Server, error) {
 	if rep.Quarantined > 0 {
 		s.logf("wal: quarantined %d corrupt records (see *.quarantine)", rep.Quarantined)
 	}
-	if rep.Legacy {
-		s.logf("wal: migrated legacy single-file log into %d-segment model", wal.Segments())
-	}
 	if compactErr != nil {
 		// Uncompacted segments replay identically; serve degraded.
 		s.logf("wal: %v (continuing uncompacted)", compactErr)

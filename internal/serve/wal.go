@@ -30,17 +30,12 @@ import (
 // good records after it are never silently discarded. Compaction
 // (recovery's Compact) writes the minimal live record set into a fresh
 // segment and deletes every fully-compacted predecessor.
-//
-// The single-file model from the pre-rotation service (queue.wal in the
-// data directory root) is read as a phantom segment ordered before all
-// numbered segments and deleted by the first compaction.
 
 const (
 	walMagic            = "WWTWAL\x00"
 	walVersion   uint32 = 1
 	walDirName          = "wal"
 	walSegPrefix        = "wal."
-	legacyWAL           = "queue.wal" // pre-rotation single-file log
 
 	// DefaultSegmentBytes is the rotation threshold when Config leaves it
 	// unset: big enough that short sweeps stay in one segment, small enough
@@ -164,10 +159,9 @@ func segHeader() []byte {
 
 // RecoveryReport summarizes what OpenWAL found and repaired.
 type RecoveryReport struct {
-	Segments    int  // segment files scanned (excluding the legacy file)
-	TornBytes   int  // bytes truncated off the live segment's tail
-	Quarantined int  // corrupt records/regions moved to *.quarantine files
-	Legacy      bool // a pre-rotation queue.wal was read (deleted on Compact)
+	Segments    int // segment files scanned
+	TornBytes   int // bytes truncated off the live segment's tail
+	Quarantined int // corrupt records/regions moved to *.quarantine files
 }
 
 // WAL is an append-only, fsynced, segment-rotated record log.
@@ -247,9 +241,8 @@ func scanSegment(b []byte) (recs []Record, goodLen int, quarantine [][2]int, tor
 }
 
 // OpenWAL opens (or creates) the segmented log under dir/wal, replays every
-// intact record across all segments in order (including a legacy
-// single-file queue.wal, ordered first), quarantines corrupt records, and
-// truncates a torn tail off the live segment. It returns the replayed
+// intact record across all segments in order, quarantines corrupt records,
+// and truncates a torn tail off the live segment. It returns the replayed
 // records in append order plus a report of repairs.
 func OpenWAL(fsys vfs.FS, dir string, segBytes int64) (w *WAL, recs []Record, rep RecoveryReport, err error) {
 	if segBytes <= 0 {
@@ -258,25 +251,6 @@ func OpenWAL(fsys vfs.FS, dir string, segBytes int64) (w *WAL, recs []Record, re
 	w = &WAL{fs: fsys, dir: dir, segBytes: segBytes}
 	if err := fsys.MkdirAll(w.walDir(), 0o755); err != nil {
 		return nil, nil, rep, err
-	}
-
-	// The legacy single-file log replays before every numbered segment.
-	legacy := filepath.Join(dir, legacyWAL)
-	if b, rerr := fsys.ReadFile(legacy); rerr == nil {
-		rep.Legacy = true
-		lr, goodLen, quarantine, torn, serr := scanSegment(b)
-		if serr != nil {
-			return nil, nil, rep, fmt.Errorf("wal: %s: %w", legacy, serr)
-		}
-		if torn {
-			// Not the live segment: nothing appends here again, so the torn
-			// tail is quarantined rather than truncated.
-			quarantine = append(quarantine, [2]int{goodLen, len(b)})
-		}
-		rep.Quarantined += w.quarantineRanges(legacy, b, quarantine)
-		recs = append(recs, lr...)
-	} else if !vfs.IsNotExist(rerr) {
-		return nil, nil, rep, rerr
 	}
 
 	names, err := fsys.ReadDir(w.walDir())
@@ -515,8 +489,8 @@ func (w *WAL) Quarantined() int64 {
 }
 
 // Compact writes recs — the minimal state a future recovery needs — into a
-// fresh segment and deletes every fully-compacted predecessor (and the
-// legacy single-file log). The new segment is durable before anything is
+// fresh segment and deletes every fully-compacted predecessor. The new
+// segment is durable before anything is
 // deleted, so a crash at any point leaves a replayable set: old segments
 // plus a partial new one replay to the same job table, because a compacted
 // segment's records supersede record-for-record what the old ones held.
@@ -554,8 +528,6 @@ func (w *WAL) Compact(recs []Record) error {
 		w.fs.Remove(w.segPath(i))
 		w.fs.Remove(w.segPath(i) + ".quarantine")
 	}
-	w.fs.Remove(filepath.Join(w.dir, legacyWAL))
-	w.fs.Remove(filepath.Join(w.dir, legacyWAL) + ".quarantine")
 	w.fs.SyncDir(w.walDir())
 	return nil
 }

@@ -228,46 +228,9 @@ func TestWALCompactDeletesSegments(t *testing.T) {
 	}
 }
 
-// TestWALLegacyMigration: a pre-rotation single-file queue.wal replays
-// (ordered before any numbered segment) and is deleted by compaction.
-func TestWALLegacyMigration(t *testing.T) {
-	dir := t.TempDir()
-	want := sampleRecords()
-	blob := segHeader()
-	for i := range want {
-		blob = append(blob, encodeRecord(&want[i])...)
-	}
-	legacy := filepath.Join(dir, legacyWAL)
-	if err := os.WriteFile(legacy, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	w, got, rep := openWAL(t, dir, 0)
-	if !rep.Legacy {
-		t.Fatal("legacy file not reported")
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("legacy replay mismatch: got %d records, want %d", len(got), len(want))
-	}
-	if err := w.Compact(got); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
-		t.Fatalf("legacy file survived compaction (stat err %v)", err)
-	}
-	w.Close()
-	_, got2, rep2 := openWAL(t, dir, 0)
-	if rep2.Legacy {
-		t.Fatal("legacy still reported after migration")
-	}
-	if !reflect.DeepEqual(got2, want) {
-		t.Fatal("records lost across migration")
-	}
-}
-
 // TestWALRotationRecoveryEquivalence is the acceptance criterion for the
 // segmented model: the same record stream recovered through ≥3 rotations
-// must produce the same job table as the legacy single-file model, and
+// must produce the same job table as when it fits one segment, and
 // compaction must leave one segment.
 func TestWALRotationRecoveryEquivalence(t *testing.T) {
 	spec := []byte(`{"app":"gauss","machine":"mp","procs":4}`)
@@ -280,37 +243,26 @@ func TestWALRotationRecoveryEquivalence(t *testing.T) {
 	}
 	stream = append(stream, Record{Type: recAttempt, Job: 7, Attempts: 1})
 
-	recover := func(dir string, segBytes int64, legacy bool) map[uint64]string {
-		if legacy {
-			blob := segHeader()
-			for i := range stream {
-				blob = append(blob, encodeRecord(&stream[i])...)
-			}
-			if err := os.WriteFile(filepath.Join(dir, legacyWAL), blob, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
+	recover := func(dir string, segBytes int64, minSegs int) map[uint64]string {
 		w, recs, _, err := OpenWAL(vfs.OS{}, dir, segBytes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !legacy {
-			for i := range recs {
-				t.Fatalf("unexpected replay in fresh dir: %+v", recs[i])
-			}
-			for i := range stream {
-				if err := w.Append(stream[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if w.Segments() < 3 {
-				t.Fatalf("only %d rotations at segBytes=%d", w.Segments(), segBytes)
-			}
-			w.Close()
-			w, recs, _, err = OpenWAL(vfs.OS{}, dir, segBytes)
-			if err != nil {
+		for i := range recs {
+			t.Fatalf("unexpected replay in fresh dir: %+v", recs[i])
+		}
+		for i := range stream {
+			if err := w.Append(stream[i]); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if w.Segments() < minSegs {
+			t.Fatalf("only %d segments at segBytes=%d, want >= %d", w.Segments(), segBytes, minSegs)
+		}
+		w.Close()
+		w, recs, _, err = OpenWAL(vfs.OS{}, dir, segBytes)
+		if err != nil {
+			t.Fatal(err)
 		}
 		cache, err := OpenCache(vfs.OS{}, filepath.Join(dir, "cache"))
 		if err != nil {
@@ -331,10 +283,10 @@ func TestWALRotationRecoveryEquivalence(t *testing.T) {
 		return states
 	}
 
-	single := recover(t.TempDir(), 0, true)
-	rotated := recover(t.TempDir(), 200, false)
+	single := recover(t.TempDir(), 0, 1)
+	rotated := recover(t.TempDir(), 200, 3)
 	if !reflect.DeepEqual(single, rotated) {
-		t.Fatalf("recovery divergence:\nsingle-file %v\nrotated     %v", single, rotated)
+		t.Fatalf("recovery divergence:\none segment %v\nrotated     %v", single, rotated)
 	}
 	if len(rotated) != 12 {
 		t.Fatalf("recovered %d jobs, want 12", len(rotated))

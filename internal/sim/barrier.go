@@ -80,32 +80,18 @@ func (b *Barrier) Epochs() int64 { return b.epoch }
 // Wait enters the barrier. The caller stalls until latency cycles after the
 // last participant arrives; the stall is charged to cat. Reentering before
 // all participants have arrived for the current episode is a program error
-// and panics.
+// and panics. Wait is the coroutine driver over StepWait.
 func (b *Barrier) Wait(p *Proc, cat stats.Category) {
-	p.Interact()
-	b.mu.Lock()
-	for _, q := range b.waiting {
-		if q == p {
-			b.mu.Unlock()
-			panic(fmt.Sprintf("sim: proc %d re-entered barrier", p.ID))
-		}
+	for !b.StepWait(p, cat) {
+		p.Yield()
 	}
-	if p.clock > b.maxArr {
-		b.maxArr = p.clock
-	}
-	b.waiting = append(b.waiting, p)
-	if len(b.waiting)+b.polling == b.n {
-		b.stageRelease()
-	}
-	b.mu.Unlock()
-	p.Block(cat, "barrier")
 }
 
-// StepWait is Wait for step processors: it returns false after recording
-// the arrival and blocking (the step must return StepYield), and true on
-// the reentry that consumes the release wake. The arrival bookkeeping is
-// identical to Wait's, so mixed coroutine/step participant sets release
-// together and the release event wakes everyone in processor-ID order.
+// StepWait is the one implementation of a barrier arrival: it returns false
+// after recording the arrival and blocking (a step returns StepYield, Wait
+// yields), and true on the reentry that consumes the release wake. Coroutine
+// and step participants therefore share the arrival bookkeeping, release
+// together, and are woken by the release event in processor-ID order.
 func (b *Barrier) StepWait(p *Proc, cat stats.Category) bool {
 	if p.WakePending() {
 		p.WakePayload()

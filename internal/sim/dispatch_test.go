@@ -165,6 +165,60 @@ func TestStepProcBlockWake(t *testing.T) {
 	}
 }
 
+// TestCoroutineDrivesStepWait is the driver contract every blocking
+// shared-memory library call is built on: a coroutine body runs a
+// step-style wait (StepBlock, Yield, consume the wake on redispatch) and
+// lands in the same engine state as a step processor doing the same — one
+// event wakes both, both see the payload and the same charged stall, and no
+// goroutine outlives Run.
+func TestCoroutineDrivesStepWait(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine(100)
+	var got [2][2]int64
+	// stepWait is the shared non-suspending body: false means "parked".
+	stepWait := func(p *Proc) bool {
+		if p.WakePending() {
+			got[p.ID][0], got[p.ID][1] = p.WakePayloadVals()
+			return true
+		}
+		p.Compute(40)
+		p.StepBlock(stats.SharedMiss, "step wait")
+		return false
+	}
+	co := e.AddProc(func(p *Proc) {
+		for !stepWait(p) {
+			p.Yield()
+		}
+	})
+	st := e.AddStepProc(func(p *Proc) StepStatus {
+		if !stepWait(p) {
+			return StepYield
+		}
+		return StepDone
+	})
+	e.Schedule(150, func() {
+		co.WakeVals(340, 5, 6)
+		st.WakeVals(340, 5, 6)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	for _, p := range []*Proc{co, st} {
+		if got[p.ID] != [2]int64{5, 6} {
+			t.Errorf("proc %d payload = %v, want [5 6]", p.ID, got[p.ID])
+		}
+		if c := p.Acct.Cycles(stats.PhaseDefault, stats.SharedMiss); c != 300 {
+			t.Errorf("proc %d stall charged %d, want 300", p.ID, c)
+		}
+		if p.Clock() != 340 {
+			t.Errorf("proc %d clock = %d, want 340", p.ID, p.Clock())
+		}
+	}
+	if n := settledGoroutines(base); n > base {
+		t.Errorf("%d goroutines outlive Run (baseline %d)", n, base)
+	}
+}
+
 // TestStepProcCannotSuspend pins the step-proc restrictions: the
 // suspending primitives panic with a message naming the alternative.
 func TestStepProcCannotSuspend(t *testing.T) {

@@ -187,9 +187,12 @@ func (p *Proc) runStep() {
 	}
 }
 
-// yieldToEngine suspends the processor until the engine dispatches it
-// again. A false yield means the engine halted the coroutine instead.
-func (p *Proc) yieldToEngine() {
+// Yield suspends a coroutine processor until the engine dispatches it again
+// (next quantum, or at the wake if it parked with StepBlock). Blocking
+// library calls are `for !x.StepFoo(&frame, args...) { p.Yield() }` over
+// their step forms; a step processor returns StepYield instead. A false
+// yield means the engine halted the coroutine instead.
+func (p *Proc) Yield() {
 	if p.step != nil {
 		panic(fmt.Sprintf("sim: step proc %d cannot yield from inside its step; return StepYield instead", p.ID))
 	}
@@ -265,19 +268,19 @@ func (p *Proc) ChargeStall(cat stats.Category, cycles int64) {
 // once the quantum catches up — the same run-ahead bound without a stack.
 func (p *Proc) Interact() {
 	for p.clock >= p.eng.qEnd {
-		p.yieldToEngine()
+		p.Yield()
 	}
 }
 
-// StepInteract is Interact for step processors: it reports whether the
+// StepInteract is the non-suspending Interact: it reports whether the
 // local clock is still inside the current quantum. A step-form library
-// operation calls it wherever its coroutine twin calls Interact; on false
-// the operation returns "not done" without mutating anything, the step
-// returns StepYield, and the engine redispatches the processor in the
-// quantum containing its clock — exactly where the coroutine would have
-// resumed. Keeping the check-points identical across forms is what makes
-// the two forms charge every stall in the same quantum and hence produce
-// bit-identical statistics at every quantum boundary.
+// operation calls it at each interaction point; on false the operation
+// returns "not done" without mutating anything, the caller gives up the
+// processor (a step returns StepYield, a coroutine driver calls Yield),
+// and the engine redispatches it in the quantum containing its clock.
+// Because the check-points belong to the one step-form body both processor
+// forms run, the two forms charge every stall in the same quantum and
+// produce bit-identical statistics at every quantum boundary.
 func (p *Proc) StepInteract() bool { return p.clock < p.eng.qEnd }
 
 // WakePending reports whether a wake payload is waiting to be consumed
@@ -300,7 +303,7 @@ func (p *Proc) SpinQuantum(cat stats.Category) {
 	if p.clock < p.eng.qEnd {
 		p.ChargeStall(cat, p.eng.qEnd-p.clock)
 	}
-	p.yieldToEngine()
+	p.Yield()
 }
 
 // SpinUntil repeatedly evaluates cond at quantum granularity, charging the
@@ -374,7 +377,7 @@ func (p *Proc) Block(cat stats.Category, reason string) any {
 		panic(fmt.Sprintf("sim: step proc %d cannot Block; use StepBlock and return StepYield", p.ID))
 	}
 	p.blockState(cat, reason)
-	p.yieldToEngine()
+	p.Yield()
 	return p.takeWakeAny()
 }
 
@@ -387,21 +390,20 @@ func (p *Proc) BlockVals(cat stats.Category, reason string) (int64, int64) {
 		panic(fmt.Sprintf("sim: step proc %d cannot BlockVals; use StepBlock and return StepYield", p.ID))
 	}
 	p.blockState(cat, reason)
-	p.yieldToEngine()
+	p.Yield()
 	return p.takeWakeVals()
 }
 
-// StepBlock suspends a step processor: the step must return StepYield
-// immediately after calling it, and is next dispatched when a wake
-// arrives. The resumed step consumes the wake with WakePayload or
-// WakePayloadVals (which charge the blocked stall to cat, exactly as Block
-// does); blocking again with a wake still pending panics.
+// StepBlock parks the processor without suspending the caller: a step must
+// return StepYield immediately after calling it, a coroutine body must
+// Yield, and either is next dispatched when a wake arrives (a parked
+// coroutine and a parked step processor are the same engine state). The
+// resumed caller consumes the wake with WakePayload or WakePayloadVals
+// (which charge the blocked stall to cat, exactly as Block does); blocking
+// again with a wake still pending panics.
 func (p *Proc) StepBlock(cat stats.Category, reason string) {
-	if p.step == nil {
-		panic(fmt.Sprintf("sim: coroutine proc %d must use Block, not StepBlock", p.ID))
-	}
 	if p.wakeKind != wakeNone {
-		panic(fmt.Sprintf("sim: step proc %d re-blocked without consuming its wake (call WakePayload or WakePayloadVals first)", p.ID))
+		panic(fmt.Sprintf("sim: proc %d re-blocked without consuming its wake (call WakePayload or WakePayloadVals first)", p.ID))
 	}
 	p.blockState(cat, reason)
 }
