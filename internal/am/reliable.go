@@ -11,20 +11,31 @@ package am
 //     filtering duplicates, and discarding corrupt packets (modeled
 //     checksum). Each accepted or duplicate packet is answered with a
 //     cumulative acknowledgement.
-//   - The sender keeps unacknowledged packets in a window (sends block when
-//     it fills), retransmits the oldest on timeout with exponential backoff,
-//     and gives up after a bounded retry budget — aborting the run with a
-//     structured faults.StarvationError naming the peer and the oldest
-//     unacked sequence number, instead of deadlocking the machine.
+//   - The sender keeps unacknowledged packets in a window (sends service the
+//     network when it fills), retransmits the oldest on timeout with
+//     exponential backoff, and gives up after a bounded retry budget —
+//     aborting the run with a structured faults.StarvationError naming the
+//     peer and the oldest unacked sequence number, instead of deadlocking
+//     the machine.
+//
+// The transport has no loop of its own: it is a per-packet filter inside
+// the poll machine (AM.StepPoll), with its cursors in the poll frame. accept
+// classifies the packet just popped, release hands the in-order run to the
+// handlers one dispatch at a time and then stages the cumulative ack, due
+// finds the next expired timeout and stages the retransmission. The calls
+// that wait on the network (a send under a full window, StepFlush,
+// StepShutdown) repeat service steps through a poll frame; Flush and
+// Shutdown are coroutine drivers over the step forms.
 //
 // All software overhead lives in the LibRetrans accounting category so the
 // cost of reliability appears as its own row next to the paper's Lib Comp /
-// Lib Misses taxonomy. Retransmitted packets pass through ni.Send again, so
+// Lib Misses taxonomy. Retransmitted packets pass through the NI again, so
 // their wire traffic lands in the ordinary message/byte counters exactly
 // like first transmissions.
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cost"
 	"repro/internal/faults"
@@ -140,47 +151,65 @@ func (r *Reliable) peer(id int) *relPeer {
 	return pr
 }
 
-// send assigns the next per-peer sequence number and injects the packet,
-// blocking (while servicing the network) when the send window is full.
-func (r *Reliable) send(pkt *ni.Packet) {
-	pr := r.peer(pkt.Dst)
-	for len(pr.unacked) >= r.fc.Window {
-		r.step(stats.LibRetrans)
+// stepSend assigns the next per-peer sequence number and injects the packet.
+// While the send window is full it services the network through a frame of
+// its own, borrowed from the AM's frame stack for the duration: the caller
+// may itself be a handler running inside a poll.
+func (r *Reliable) stepSend(ss *SendStep, pkt *ni.Packet) bool {
+	a := r.a
+	if !ss.sequenced {
+		pr := r.peer(pkt.Dst)
+		open := func() bool { return len(pr.unacked) < r.fc.Window }
+		if ss.svc == nil && !open() {
+			ss.svc = a.pushFrame()
+		}
+		if ss.svc != nil {
+			if !r.serviceUntil(ss.svc, open) {
+				return false
+			}
+			a.popFrame()
+			ss.svc = nil
+		}
+		p := a.P
+		p.ChargeStall(stats.LibRetrans, a.Cfg.RelSeqCycles)
+		pr.nextSeq++
+		pkt.Seq = pr.nextSeq
+		pr.unacked = append(pr.unacked, relPkt{seq: pkt.Seq, pkt: *pkt, first: p.Clock()})
+		r.outstanding++
+		if len(pr.unacked) == 1 {
+			pr.rto = r.fc.RTO
+			pr.retries = 0
+			pr.deadline = p.Clock() + pr.rto
+		}
+		ss.sequenced = true
 	}
-	p := r.a.P
-	p.ChargeStall(stats.LibRetrans, r.a.Cfg.RelSeqCycles)
-	pr.nextSeq++
-	pkt.Seq = pr.nextSeq
-	pr.unacked = append(pr.unacked, relPkt{seq: pkt.Seq, pkt: *pkt, first: p.Clock()})
-	r.outstanding++
-	if len(pr.unacked) == 1 {
-		pr.rto = r.fc.RTO
-		pr.retries = 0
-		pr.deadline = p.Clock() + pr.rto
+	if !a.NI.StepSend(pkt) {
+		return false
 	}
-	r.a.NI.Send(pkt)
+	ss.sequenced = false
+	return true
 }
 
-// progress retransmits any packet whose timeout has expired. Called from
-// every Poll, so any code that services the network drives recovery. If a
-// peer's retry budget is exhausted the run is aborted with a structured
-// starvation report (this does not return).
-func (r *Reliable) progress() {
-	if r.outstanding == 0 {
-		return
-	}
+// due is the retransmit scan, entered from every poll so that any code that
+// services the network drives recovery. It advances ps.peer to the next
+// peer whose timeout had expired at ps.now — the clock latched when the
+// scan started, for every peer, even after an earlier retransmission
+// advanced it — charges the retransmission and stages it in ps.pkt. False
+// means the scan is over. If the peer's retry budget is exhausted the run
+// is aborted with a structured starvation report (this does not return).
+func (r *Reliable) due(ps *PollStep) bool {
 	p := r.a.P
-	now := p.Clock()
-	for id, pr := range r.peers {
-		if pr == nil || len(pr.unacked) == 0 || now < pr.deadline {
+	for ; ps.peer < len(r.peers); ps.peer++ {
+		pr := r.peers[ps.peer]
+		if pr == nil || len(pr.unacked) == 0 || ps.now < pr.deadline {
 			continue
 		}
 		if pr.retries >= r.fc.MaxRetries {
 			oldest := pr.unacked[0]
 			p.Fail(&faults.StarvationError{
-				Node: r.a.NI.Node, Peer: id,
+				Node: r.a.NI.Node, Peer: ps.peer,
 				OldestUnacked: oldest.seq, Retries: pr.retries,
-				FirstSent: oldest.first, Now: now,
+				FirstSent: oldest.first, Now: ps.now,
 			})
 		}
 		pr.retries++
@@ -190,97 +219,107 @@ func (r *Reliable) progress() {
 		}
 		// Retransmit the oldest unacked packet only: the receiver's reorder
 		// window holds everything that did arrive, so the cumulative ack
-		// jumps past it once the hole is plugged. Send gets a private copy —
-		// it stamps Arrive and the fault plan may corrupt the transmission,
-		// neither of which may touch the stored clean copy.
+		// jumps past it once the hole is plugged. The injection gets a
+		// private copy — it stamps Arrive and the fault plan may corrupt the
+		// transmission, neither of which may touch the stored clean copy.
 		p.ChargeStall(stats.LibRetrans, r.a.Cfg.RelRetransCycles)
 		p.Acct.Add(stats.CntRetransmissions, 1)
-		rp := pr.unacked[0].pkt
-		r.a.NI.Send(&rp)
-		pr.deadline = p.Clock() + pr.rto
+		ps.pkt = pr.unacked[0].pkt
+		return true
 	}
+	return false
 }
 
-// nextDeadline returns the earliest retransmit deadline over all peers with
-// unacked packets, and whether one exists. Waiters use it to bound blocking.
-func (r *Reliable) nextDeadline() (sim.Time, bool) {
-	if r.outstanding == 0 {
-		return 0, false
+// retransmitted re-arms the timeout of the peer whose retransmission was
+// just injected and moves the scan past it.
+func (r *Reliable) retransmitted(ps *PollStep) {
+	pr := r.peers[ps.peer]
+	pr.deadline = r.a.P.Clock() + pr.rto
+	ps.peer++
+}
+
+// nextDeadline returns when a waiter must wake at the latest: the earliest
+// retransmit deadline over all peers with unacked packets; with nothing
+// pending, one timeout from now once the node is shutting down (to re-check
+// the group), and otherwise — or without a transport — the math.MaxInt64
+// that ni.StepWaitPacketUntil takes for "no bound".
+func (r *Reliable) nextDeadline() sim.Time {
+	dl := sim.Time(math.MaxInt64)
+	if r == nil {
+		return dl
 	}
-	var dl sim.Time
-	found := false
+	if r.outstanding == 0 && r.down {
+		return r.a.P.Clock() + r.fc.RTO
+	}
 	for _, pr := range r.peers {
-		if pr == nil || len(pr.unacked) == 0 {
-			continue
-		}
-		if !found || pr.deadline < dl {
-			dl, found = pr.deadline, true
+		if pr != nil && len(pr.unacked) > 0 && pr.deadline < dl {
+			dl = pr.deadline
 		}
 	}
-	return dl, found
+	return dl
 }
 
-// receive is the transport's receiver half, called for every packet popped
-// from the NI: checksum, duplicate filtering, in-order release, cumulative
-// acks. Raw packets (seq 0: acks, lossless-era control) dispatch directly.
-func (r *Reliable) receive(pkt *ni.Packet) error {
+// accept is the transport's receive filter for the packet just popped into
+// ps.pkt: checksum, duplicate filtering, buffering for in-order release. It
+// returns the poll's next phase. Raw packets (seq 0: acks) dispatch directly.
+func (r *Reliable) accept(ps *PollStep) uint8 {
 	p := r.a.P
+	pkt := &ps.pkt
 	if pkt.Corrupt {
 		// Modeled checksum failure: discard silently; if the packet was
 		// sequenced the sender's timeout recovers it.
 		p.ChargeStall(stats.LibRetrans, r.a.Cfg.RelSeqCycles)
 		p.Acct.Add(stats.CntCorrupt, 1)
-		return nil
+		return pProgress
 	}
 	if pkt.Seq == 0 {
-		return r.a.dispatchInner(pkt)
+		return pDispatch
 	}
-	// pkt may point at the shared dispatch buffer, which the release loop
-	// below overwrites — latch the sender before dispatching anything.
-	src := pkt.Src
-	pr := r.peer(src)
+	// The release run overwrites ps.pkt — latch the sender first.
+	ps.src = pkt.Src
+	pr := r.peer(ps.src)
 	p.ChargeStall(stats.LibRetrans, r.a.Cfg.RelSeqCycles)
-	switch seq := pkt.Seq; {
-	case seq <= pr.cum:
-		// Already delivered: a network duplicate, or a retransmission
-		// after our ack was lost. Re-ack so the sender stops resending.
+	if pkt.Seq <= pr.cum {
+		// Already delivered: a network duplicate, or a retransmission after
+		// our ack was lost. Re-ack so the sender stops resending.
 		p.Acct.Add(stats.CntDuplicates, 1)
-		r.sendAck(src, pr.cum)
-		return nil
-	case func() bool { _, dup := pr.buf[seq]; return dup }():
+		r.stageAck(ps, pr.cum)
+		return pAck
+	}
+	if _, dup := pr.buf[pkt.Seq]; dup {
 		p.Acct.Add(stats.CntDuplicates, 1)
-		return nil
-	default:
-		pr.buf[seq] = *pkt
+		return pProgress
 	}
-	// Release the in-order prefix to the handlers, through the dispatch
-	// scratch buffer (a stack local would escape into the indirect handler
-	// call and allocate per packet).
-	var err error
-	for {
-		nxt, ok := pr.buf[pr.cum+1]
-		if !ok {
-			break
-		}
-		delete(pr.buf, pr.cum+1)
-		pr.cum++
-		r.a.recvBuf = nxt
-		if e := r.a.dispatchInner(&r.a.recvBuf); e != nil && err == nil {
-			err = e
-		}
-	}
-	r.sendAck(src, pr.cum)
-	return err
+	pr.buf[pkt.Seq] = *pkt
+	ps.inRun = true
+	return pRelease
 }
 
-// sendAck transmits a cumulative acknowledgement (a raw 20-byte control
-// packet; its bytes count as protocol control traffic).
-func (r *Reliable) sendAck(dst int, cum uint64) {
+// release moves the next in-order buffered packet from ps.src into ps.pkt
+// for dispatch; when the run is exhausted it stages the cumulative ack. The
+// cursor is re-read from the peer each time: a handler whose send serviced
+// the network may have released part of the run through its own frame.
+func (r *Reliable) release(ps *PollStep) uint8 {
+	pr := r.peer(ps.src)
+	if nxt, ok := pr.buf[pr.cum+1]; ok {
+		delete(pr.buf, pr.cum+1)
+		pr.cum++
+		ps.pkt = nxt
+		return pDispatch
+	}
+	ps.inRun = false
+	r.stageAck(ps, pr.cum)
+	return pAck
+}
+
+// stageAck charges and stages in ps.pkt a cumulative acknowledgement to
+// ps.src (a raw 20-byte control packet; its bytes count as protocol control
+// traffic).
+func (r *Reliable) stageAck(ps *PollStep, cum uint64) {
 	p := r.a.P
 	p.ChargeStall(stats.LibRetrans, r.a.Cfg.RelAckCycles)
 	p.Acct.Add(stats.CntAcks, 1)
-	ack := ni.Packet{Dst: dst, Tag: r.hAck, Args: [4]uint64{cum}}
-	r.a.NI.Send(&ack)
+	ps.pkt = ni.Packet{Dst: ps.src, Tag: r.hAck, Args: [4]uint64{cum}}
 }
 
 // onAck is the ack handler on the sending side: drop acknowledged packets
@@ -304,42 +343,49 @@ func (r *Reliable) onAck(pkt *ni.Packet) {
 	pr.deadline = p.Clock() + pr.rto
 }
 
-// step services the network once: a poll (which also drives retransmission)
-// and, if nothing was handled, a wait bounded by the next transport
-// deadline, charged to cat. Errors abort the run (they only arise on the
-// faulty path, where continuing would corrupt the target program).
-func (r *Reliable) step(cat stats.Category) {
-	handled, err := r.a.Poll()
+// StepService performs one non-blocking poll through ps; the barrier's
+// poll-mode wait calls it each quantum so acks and retransmissions progress
+// while a node waits at a barrier.
+func (r *Reliable) StepService(ps *PollStep) bool {
+	_, done, err := r.a.StepPoll(ps)
 	if err != nil {
 		r.a.P.Fail(err)
 	}
-	if handled {
-		return
-	}
-	if dl, ok := r.nextDeadline(); ok {
-		r.a.NI.WaitPacketUntil(cat, dl)
-		return
-	}
-	r.a.NI.WaitPacket(cat)
-}
-
-// Service performs one non-blocking poll step; the barrier's poll-mode wait
-// calls it each quantum so acks and retransmissions progress while a node
-// waits at a barrier.
-func (r *Reliable) Service() {
-	if _, err := r.a.Poll(); err != nil {
-		r.a.P.Fail(err)
-	}
+	return done
 }
 
 // Flush services the network until every packet this node sent has been
-// acknowledged. CMMD's barrier calls it on entry so that no node can park
-// in the hardware barrier with undelivered data (the message-passing
-// analogue of a memory fence).
+// acknowledged. CMMD's barrier flushes on entry so that no node can park in
+// the hardware barrier with undelivered data (the message-passing analogue
+// of a memory fence).
 func (r *Reliable) Flush() {
-	for r.outstanding > 0 {
-		r.step(stats.LibRetrans)
+	ps := r.a.pushFrame()
+	for !r.StepFlush(ps) {
+		r.a.P.Yield()
 	}
+	r.a.popFrame()
+}
+
+// StepFlush is the one implementation of Flush.
+func (r *Reliable) StepFlush(ps *PollStep) bool {
+	return r.serviceUntil(ps, func() bool { return r.outstanding == 0 })
+}
+
+// serviceUntil services the network through ps, on the transport's account,
+// until cond holds; dispatch errors abort the run (they only arise on the
+// faulty path, where continuing would corrupt the target program).
+func (r *Reliable) serviceUntil(ps *PollStep, cond func() bool) bool {
+	done, err := r.a.stepServiceUntil(ps, stats.LibRetrans, cond)
+	if err != nil {
+		r.a.P.Fail(err)
+	}
+	return done
+}
+
+// ShutdownStep is the resumable state of one StepShutdown.
+type ShutdownStep struct {
+	idle bool // flushed; servicing the network for the peers' sake
+	ps   PollStep
 }
 
 // Shutdown quiesces the node at the end of its program: flush our own
@@ -348,22 +394,36 @@ func (r *Reliable) Flush() {
 // and it can only stop once we re-ack. Idle waiting here is charged to
 // LibComp like any other end-of-program load imbalance.
 func (r *Reliable) Shutdown() {
+	sd := new(ShutdownStep)
+	for !r.StepShutdown(sd) {
+		r.a.P.Yield()
+	}
+}
+
+// StepShutdown is the one implementation of Shutdown.
+func (r *Reliable) StepShutdown(sd *ShutdownStep) bool {
 	r.down = true
 	for {
-		r.Flush()
-		if r.grp == nil || r.grp.Quiet() {
-			return
+		if !sd.idle {
+			if !r.StepFlush(&sd.ps) {
+				return false
+			}
+			if r.grp == nil || r.grp.Quiet() {
+				return true
+			}
+			sd.idle = true
 		}
-		handled, err := r.a.Poll()
+		// Nothing pending locally: one service step — a poll, then a sleep of
+		// one timeout interval or until a packet arrives (nextDeadline) — and
+		// re-check the group.
+		done, err := r.a.stepService(&sd.ps, stats.LibComp)
+		if !done {
+			return false
+		}
 		if err != nil {
 			r.a.P.Fail(err)
 		}
-		if handled {
-			continue
-		}
-		// Nothing pending locally: sleep one timeout interval (or until a
-		// packet arrives) and re-check the group.
-		r.a.NI.WaitPacketUntil(stats.LibComp, r.a.P.Clock()+r.fc.RTO)
+		sd.idle = false
 	}
 }
 

@@ -105,6 +105,12 @@ type Comm struct {
 	vec                   map[int64]*vecState
 
 	lopParent []int // cached lop-sided tree in virtual-rank space
+
+	// Frames of the blocking Reduce and Bcast drivers, allocated on first
+	// use: a node runs one collective at a time, and the frames embed a poll
+	// frame, which would escape from the Go stack on every call.
+	rs *ReduceStep
+	bs *BcastStep
 }
 
 type redState struct {
@@ -238,18 +244,6 @@ func (h *lopHeap) Pop() any     { old := *h; n := len(old); v := old[n-1]; *h = 
 func (c *Comm) vrank(id, root int) int     { return (id - root + c.ep.Nodes) % c.ep.Nodes }
 func (c *Comm) actual(vrank, root int) int { return (vrank + root) % c.ep.Nodes }
 
-// scalarSend sends one collective control/value message. The paper's tuning
-// progression matters here: the flat and binary configurations transmitted
-// with CMMD-level sends (full channel setup per message), while the final
-// lop-sided version drops to raw active messages — "active messages also
-// help reduce this latency".
-func (c *Comm) scalarSend(dst, handler int, args [4]uint64, dataBytes int) {
-	if c.Shape != LopSided {
-		c.ep.P.ChargeStall(stats.LibComp, c.ep.Cfg.CMMDCallCycles)
-	}
-	c.ep.AM.Request(dst, handler, args, dataBytes, nil)
-}
-
 // --- reduction ---
 
 func (c *Comm) redState(seq int64) *redState {
@@ -280,44 +274,15 @@ func (c *Comm) onUp(pkt *ni.Packet) {
 // The reduction ascends the configured tree; the paper's Gauss-MP uses the
 // same lop-sided trees for reductions and broadcasts.
 func (c *Comm) Reduce(root int, val float64, idx int64, op ReduceOp) (float64, int64) {
-	ep := c.ep
-	p := ep.P
-	p.Interact()
-	if c.HW != nil {
-		// Hardware-combining ablation: deposit the contribution at the
-		// network port and stall until the combined result returns, a fixed
-		// latency after the last depositor. No tree ascent, no per-hop
-		// send/receive overhead.
-		p.ChargeStall(stats.NetAccess, ep.Cfg.NIWriteTagDest+ep.Cfg.NISendCycles)
-		v, i := c.HW.Wait(p, stats.LibComp, uint8(op), val, idx)
-		if ep.Self == root {
+	if c.rs == nil {
+		c.rs = new(ReduceStep)
+	}
+	for {
+		if v, i, done := c.StepReduce(c.rs, root, val, idx, op); done {
 			return v, i
 		}
-		return 0, 0
+		c.ep.P.Yield()
 	}
-	p.ChargeStall(stats.LibComp, ep.Cfg.CollectiveEntry)
-	seq := c.redSeq
-	c.redSeq++
-
-	vr := c.vrank(ep.Self, root)
-	parent, children := c.topology(vr, ep.Nodes)
-
-	st := c.redState(seq)
-	if st.has {
-		st.val, st.idx = combine(op, st.val, st.idx, val, idx)
-	} else {
-		st.val, st.idx, st.has = val, idx, true
-	}
-	ep.pollUntil(func() bool { return st.n >= len(children) })
-	v, i := st.val, st.idx
-	delete(c.red, seq)
-	if parent >= 0 {
-		c.scalarSend(c.actual(parent, root), c.hUp,
-			[4]uint64{uint64(seq), math.Float64bits(v), uint64(i), uint64(op)},
-			memsim.WordBytes)
-		return 0, 0
-	}
-	return v, i
 }
 
 // --- scalar broadcast ---
@@ -348,29 +313,15 @@ func (c *Comm) BcastPair(root int, val float64, idx int64) (float64, int64) {
 }
 
 func (c *Comm) bcastPair(root int, val float64, idx int64, dataBytes int) (float64, int64) {
-	ep := c.ep
-	p := ep.P
-	p.Interact()
-	p.ChargeStall(stats.LibComp, ep.Cfg.CollectiveEntry)
-	seq := c.bcSeq
-	c.bcSeq++
-
-	vr := c.vrank(ep.Self, root)
-	parent, children := c.topology(vr, ep.Nodes)
-	if parent >= 0 {
-		ep.pollUntil(func() bool {
-			st := c.bc[seq]
-			return st != nil && st.has
-		})
-		val, idx = c.bc[seq].val, c.bc[seq].idx
+	if c.bs == nil {
+		c.bs = new(BcastStep)
 	}
-	delete(c.bc, seq)
-	for _, ch := range children {
-		c.scalarSend(c.actual(ch, root), c.hDown,
-			[4]uint64{uint64(seq), math.Float64bits(val), uint64(idx)},
-			dataBytes)
+	for {
+		if v, i, done := c.stepBcastPair(c.bs, root, val, idx, dataBytes); done {
+			return v, i
+		}
+		c.ep.P.Yield()
 	}
-	return val, idx
 }
 
 // --- vector broadcast ---

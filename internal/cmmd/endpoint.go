@@ -8,18 +8,17 @@
 // exchange the receiver's channel number. Programs with static communication
 // use channels directly to avoid the handshake (the paper's EM3D and LCP do
 // exactly this).
+//
+// Every library call that can suspend is written once, as a step form over a
+// caller-held frame (step.go); the blocking calls in this file and in
+// collective.go are coroutine drivers over them.
 package cmmd
 
 import (
-	"fmt"
-	"math"
-
 	"repro/internal/am"
 	"repro/internal/cost"
 	"repro/internal/memsim"
-	"repro/internal/ni"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // elemsPerPacket returns how many elements of size elemBytes fit a packet
@@ -33,21 +32,18 @@ func elemsPerPacket(cfg *cost.Config, elemBytes int) int {
 }
 
 // RecvChannel is a receiver-side channel: a registered destination buffer
-// plus transfer bookkeeping. Channels re-arm automatically when a transfer
-// completes, matching the repeated fixed-size transfers they are used for.
+// (elements [lo, lo+expectWords) of vec) plus transfer bookkeeping. Channels
+// re-arm automatically when a transfer completes, matching the repeated
+// fixed-size transfers they are used for.
 type RecvChannel struct {
 	ID int
 
-	baseAddr    uint64
-	elemBytes   int
-	store       func(word int, w uint64)
+	vec         *memsim.FVec
+	lo          int
 	expectWords int
 	gotWords    int
 	completions int64
 }
-
-// Completions returns how many full transfers have arrived.
-func (c *RecvChannel) Completions() int64 { return c.completions }
 
 // Endpoint is one node's CMMD library state.
 type Endpoint struct {
@@ -70,19 +66,12 @@ type Endpoint struct {
 	pendingRTS  map[int][]rts          // tag -> senders awaiting a receiver
 	ctsGrants   map[int][]int          // src -> granted channel ids (FIFO)
 
-	// wbuf is channelWrite's reusable staging buffer for the payload words
-	// of one transfer. Safe to reuse because SetPayload copies the words
-	// into each packet value at injection — nothing aliases the buffer once
-	// SendPacket returns — and receive-side handlers never channel-write.
-	wbuf []uint64
-}
-
-// payloadBuf returns the endpoint's staging buffer resized to n words.
-func (ep *Endpoint) payloadBuf(n int) []uint64 {
-	if cap(ep.wbuf) < n {
-		ep.wbuf = make([]uint64, n)
-	}
-	return ep.wbuf[:n]
+	// Frames of the calls a node runs at most one of at a time, allocated on
+	// first use: the reliable-transport barrier (StepBarrier is parameterless)
+	// and the blocking SendBlock driver (the frame embeds a poll frame, which
+	// would escape from the Go stack).
+	bar  *barrierStep
+	send *SendStep
 }
 
 type rts struct {
@@ -99,8 +88,8 @@ func NewEndpoint(self, nodes int, a *am.AM, mem *memsim.Mem, bar *sim.Barrier) *
 		pendingRTS:  make(map[int][]rts),
 		ctsGrants:   make(map[int][]int),
 	}
-	ep.hData = a.Register(ep.onData)
-	ep.hRTS = a.Register(ep.onRTS)
+	ep.hData = a.RegisterStep(ep.onData)
+	ep.hRTS = a.RegisterStep(ep.onRTS)
 	ep.hCTS = a.Register(ep.onCTS)
 	return ep
 }
@@ -112,23 +101,9 @@ func NewEndpoint(self, nodes int, a *am.AM, mem *memsim.Mem, bar *sim.Barrier) *
 // barrier wait on a lossy network is a machine-wide deadlock waiting to
 // happen.
 func (ep *Endpoint) Barrier() {
-	if rel := ep.AM.Rel(); rel != nil {
-		rel.Flush()
-		ep.Bar.WaitService(ep.P, stats.BarrierWait, rel.Service)
-		return
+	for !ep.StepBarrier() {
+		ep.P.Yield()
 	}
-	ep.Bar.Wait(ep.P, stats.BarrierWait)
-}
-
-// Poll lets the library make progress; applications with asynchronous
-// servicing responsibilities call it inside compute loops. Dispatch errors
-// (possible only on a faulty network) abort the run with a structured error.
-func (ep *Endpoint) Poll() bool {
-	handled, err := ep.AM.Poll()
-	if err != nil {
-		ep.P.Fail(err)
-	}
-	return handled
 }
 
 // pollUntil wraps AM.PollUntil, aborting the run on dispatch errors.
@@ -144,48 +119,12 @@ func (ep *Endpoint) pollUntil(cond func() bool) {
 // destination and returns the channel. The channel id must be communicated
 // to the sender (by handshake or by symmetric construction).
 func (ep *Endpoint) OpenRecvChannelF(vec *memsim.FVec, lo, hi int) *RecvChannel {
-	return ep.openRecv(vec.Addr(lo), hi-lo, vec.ElemBytes, func(w int, bits uint64) {
-		vec.V[lo+w] = math.Float64frombits(bits)
-	})
-}
-
-// OpenRecvChannelI registers elements [lo, hi) of an IVec as a channel
-// destination.
-func (ep *Endpoint) OpenRecvChannelI(vec *memsim.IVec, lo, hi int) *RecvChannel {
-	return ep.openRecv(vec.Addr(lo), hi-lo, memsim.WordBytes, func(w int, bits uint64) {
-		vec.V[lo+w] = int64(bits)
-	})
-}
-
-func (ep *Endpoint) openRecv(base uint64, words, elemBytes int, store func(int, uint64)) *RecvChannel {
-	if words <= 0 {
+	if hi <= lo {
 		panic("cmmd: empty receive channel")
 	}
-	c := &RecvChannel{ID: len(ep.recvCh), baseAddr: base, elemBytes: elemBytes,
-		store: store, expectWords: words}
+	c := &RecvChannel{ID: len(ep.recvCh), vec: vec, lo: lo, expectWords: hi - lo}
 	ep.recvCh = append(ep.recvCh, c)
 	return c
-}
-
-// onData is the data-packet handler: it stores the payload words into the
-// channel's buffer (through the cache — library misses are real) and counts
-// transfer progress.
-func (ep *Endpoint) onData(pkt *ni.Packet) {
-	ch := ep.recvCh[int(pkt.Args[0])]
-	off := int(pkt.Args[1])
-	ep.Mem.WriteRange(ch.baseAddr+uint64(off*ch.elemBytes),
-		pkt.NWords*ch.elemBytes)
-	for i, w := range pkt.Payload() {
-		ch.store(off+i, w)
-	}
-	ch.gotWords += pkt.NWords
-	if ch.gotWords > ch.expectWords {
-		panic(fmt.Sprintf("cmmd: node %d channel %d overrun", ep.Self, ch.ID))
-	}
-	if ch.gotWords == ch.expectWords {
-		ch.gotWords = 0
-		ch.completions++
-	}
 }
 
 // ChannelWriteF streams elements [lo, hi) of vec to channel chID on dst:
@@ -193,45 +132,9 @@ func (ep *Endpoint) onData(pkt *ni.Packet) {
 // injects them (paper §4.1). One channel-write op is counted regardless of
 // packet count.
 func (ep *Endpoint) ChannelWriteF(dst, chID int, vec *memsim.FVec, lo, hi int) {
-	words := ep.payloadBuf(hi - lo)
-	for i := lo; i < hi; i++ {
-		words[i-lo] = math.Float64bits(vec.V[i])
-	}
-	ep.channelWrite(dst, chID, words, vec.Addr(lo), vec.ElemBytes)
-}
-
-// ChannelWriteI streams elements [lo, hi) of an IVec to channel chID on dst.
-func (ep *Endpoint) ChannelWriteI(dst, chID int, vec *memsim.IVec, lo, hi int) {
-	words := ep.payloadBuf(hi - lo)
-	for i := lo; i < hi; i++ {
-		words[i-lo] = uint64(vec.V[i])
-	}
-	ep.channelWrite(dst, chID, words, vec.Addr(lo), memsim.WordBytes)
-}
-
-func (ep *Endpoint) channelWrite(dst, chID int, words []uint64, srcAddr uint64, elemBytes int) {
-	p := ep.P
-	p.Interact()
-	p.PushMode(stats.LibComp, stats.LibMiss, stats.CntLibMisses)
-	defer p.PopMode()
-	p.Acct.Add(stats.CntChannelWrites, 1)
-	p.ChargeStall(stats.LibComp, ep.Cfg.CMMDCallCycles)
-	per := elemsPerPacket(ep.Cfg, elemBytes)
-	for off := 0; off < len(words); off += per {
-		end := off + per
-		if end > len(words) {
-			end = len(words)
-		}
-		// The library loads the payload from memory, then injects it.
-		ep.Mem.ReadRange(srcAddr+uint64(off*elemBytes), (end-off)*elemBytes)
-		p.ChargeStall(stats.LibComp, ep.Cfg.CMMDPerPacket)
-		pkt := ni.Packet{
-			Dst: dst, Tag: ep.hData,
-			Args:      [4]uint64{uint64(chID), uint64(off)},
-			DataBytes: (end - off) * elemBytes,
-		}
-		pkt.SetPayload(words[off:end])
-		ep.AM.SendPacket(&pkt)
+	var cs ChanWriteStep
+	for !ep.StepChannelWriteF(&cs, dst, chID, vec, lo, hi) {
+		ep.P.Yield()
 	}
 }
 
@@ -242,67 +145,28 @@ func (ep *Endpoint) WaitChannel(ch *RecvChannel, n int64) {
 
 // --- High-level send/receive (RTS/CTS handshake) ---
 
-// onRTS queues or answers a sender's request-to-send.
-func (ep *Endpoint) onRTS(pkt *ni.Packet) {
-	tag := int(pkt.Args[0])
-	words := int(pkt.Args[1])
-	if chs := ep.postedRecvs[tag]; len(chs) > 0 {
-		ch := chs[0]
-		ep.postedRecvs[tag] = chs[1:]
-		ep.grantCTS(pkt.Src, ch, words)
-		return
-	}
-	ep.pendingRTS[tag] = append(ep.pendingRTS[tag], rts{src: pkt.Src, words: words})
-}
-
-func (ep *Endpoint) grantCTS(src int, ch *RecvChannel, words int) {
-	if words != ch.expectWords {
-		panic(fmt.Sprintf("cmmd: node %d: send of %d words to recv of %d",
-			ep.Self, words, ch.expectWords))
-	}
-	ep.AM.Request(src, ep.hCTS, [4]uint64{uint64(ch.ID)}, 0, nil)
-}
-
-// onCTS records a clear-to-send grant for a pending send.
-func (ep *Endpoint) onCTS(pkt *ni.Packet) {
-	ep.ctsGrants[pkt.Src] = append(ep.ctsGrants[pkt.Src], int(pkt.Args[0]))
-}
-
 // RecvPost posts a receive of hi-lo elements into vec with the given tag.
-// Use Completions on the returned channel (or WaitChannel) to detect
-// delivery.
+// Use WaitChannel on the returned channel to detect delivery.
 func (ep *Endpoint) RecvPost(tag int, vec *memsim.FVec, lo, hi int) *RecvChannel {
-	p := ep.P
-	p.Interact()
-	p.PushMode(stats.LibComp, stats.LibMiss, stats.CntLibMisses)
-	p.ChargeStall(stats.LibComp, ep.Cfg.CMMDCallCycles)
-	ch := ep.OpenRecvChannelF(vec, lo, hi)
-	if rs := ep.pendingRTS[tag]; len(rs) > 0 {
-		r := rs[0]
-		ep.pendingRTS[tag] = rs[1:]
-		ep.grantCTS(r.src, ch, r.words)
-	} else {
-		ep.postedRecvs[tag] = append(ep.postedRecvs[tag], ch)
+	var rs RecvStep
+	for {
+		if ch, done := ep.StepRecvPost(&rs, tag, vec, lo, hi); done {
+			return ch
+		}
+		ep.P.Yield()
 	}
-	p.PopMode()
-	return ch
 }
 
 // SendBlock sends elements [lo, hi) of vec to dst with a tag, blocking until
 // the handshake completes and the data has been injected (CMMD's synchronous
 // send: RTS, wait for CTS, stream packets to the granted channel).
 func (ep *Endpoint) SendBlock(dst, tag int, vec *memsim.FVec, lo, hi int) {
-	p := ep.P
-	p.Interact()
-	p.PushMode(stats.LibComp, stats.LibMiss, stats.CntLibMisses)
-	p.ChargeStall(stats.LibComp, ep.Cfg.CMMDCallCycles)
-	ep.AM.Request(dst, ep.hRTS, [4]uint64{uint64(tag), uint64(hi - lo)}, 0, nil)
-	p.PopMode()
-	ep.pollUntil(func() bool { return len(ep.ctsGrants[dst]) > 0 })
-	grants := ep.ctsGrants[dst]
-	chID := grants[0]
-	ep.ctsGrants[dst] = grants[1:]
-	ep.ChannelWriteF(dst, chID, vec, lo, hi)
+	if ep.send == nil {
+		ep.send = new(SendStep)
+	}
+	for !ep.StepSendBlock(ep.send, dst, tag, vec, lo, hi) {
+		ep.P.Yield()
+	}
 }
 
 // RecvBlock posts a receive and blocks until the data arrives.

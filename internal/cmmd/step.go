@@ -4,169 +4,100 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/am"
 	"repro/internal/memsim"
 	"repro/internal/ni"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
-// Step-processor forms of the CMMD library calls. Each is a phase machine
-// over its coroutine twin's suspension points — the entry Interact, the
-// per-packet memory loads/stores, the NI injections, and the poll loop's
-// status/receive/wait cycle — so a step-form run charges every cycle to
-// the same category at the same clock as the coroutine form, and the two
-// produce bit-identical fingerprints. A false return means the call is not
-// finished: the step returns sim.StepYield and re-invokes the same call
-// with the same arguments when redispatched.
-//
-// The step forms assume the lossless machine (no reliable transport): the
-// runner rejects step_procs under a fault plan, and StepBarrier panics if
-// a transport is attached anyway.
+// The CMMD library calls, written once as phase machines that never suspend
+// the caller. The caller holds the frame and, on a false ("not done")
+// return, gives up the processor and re-invokes the same call with the same
+// frame and arguments — a step processor by returning sim.StepYield, the
+// blocking forms in endpoint.go and collective.go as coroutine drivers,
+// `for !x.StepFoo(&frame, ...) { p.Yield() }`. Everything below the library
+// (polling, handler dispatch, the reliable transport) is the am package's
+// one poll machine; this file adds the library's own charges and the two
+// handlers that touch simulated memory or the network, registered as
+// am.StepHandlers so either processor form can run them.
 
-// PollStep is the resumable state of one poll-until wait: the step twin of
-// AM.PollUntil plus handler dispatch. The frame holds which micro-phase of
-// the poll yielded, the packet being dispatched, and a pending CTS grant.
-type PollStep struct {
-	phase uint8
-	pkt   ni.Packet // received packet whose dispatch is in progress
-	gpkt  ni.Packet // CTS grant being injected from an RTS dispatch
-}
+// PollStep is the frame of one poll-until wait (am.StepPollUntil).
+type PollStep = am.PollStep
 
-const (
-	ppEntry     uint8 = iota // PollUntil's entry Interact
-	ppCond                   // evaluate the caller's condition (host state)
-	ppStatus                 // NI status-register read
-	ppWait                   // no packet: park on the NI
-	ppRecv                   // FIFO load + dispatch-entry accounting
-	ppData                   // hData handler: payload store through the cache
-	ppGrant                  // hRTS matched: the CTS Request's send overhead
-	ppGrantSend              // CTS injection
-)
-
-// stepPoll runs the poll machine until cond() holds. cond must read host
-// state only (channel completion counts, grant queues, collective fold
-// state) — exactly what the coroutine pollUntil conditions read.
+// stepPoll polls the network until cond() holds, aborting the run on a
+// dispatch error. cond must read host state only (channel completion
+// counts, grant queues, collective fold state).
 func (ep *Endpoint) stepPoll(ps *PollStep, cond func() bool) bool {
-	p := ep.P
-	for {
-		switch ps.phase {
-		case ppEntry:
-			if !p.StepInteract() {
-				return false
-			}
-			ps.phase = ppCond
-		case ppCond:
-			if cond() {
-				ps.phase = ppEntry
-				return true
-			}
-			ps.phase = ppStatus
-		case ppStatus:
-			avail, done := ep.AM.NI.StepStatus()
-			if !done {
-				return false
-			}
-			if avail {
-				ps.phase = ppRecv
-			} else {
-				ps.phase = ppWait
-			}
-		case ppWait:
-			done, _ := ep.AM.NI.StepWaitPacket(stats.LibComp)
-			if !done {
-				return false
-			}
-			ps.phase = ppCond
-		case ppRecv:
-			if !ep.AM.NI.StepRecv(&ps.pkt) {
-				return false
-			}
-			// dispatchInner's entry accounting; the handler body follows in
-			// the tag's own phases.
-			p.ChargeStall(stats.LibComp, ep.Cfg.AMDispatchCycles)
-			p.PushMode(stats.LibComp, stats.LibMiss, stats.CntLibMisses)
-			pkt := &ps.pkt
-			switch pkt.Tag {
-			case ep.hData:
-				ps.phase = ppData
-			case ep.hRTS:
-				tag := int(pkt.Args[0])
-				words := int(pkt.Args[1])
-				if chs := ep.postedRecvs[tag]; len(chs) > 0 {
-					ch := chs[0]
-					ep.postedRecvs[tag] = chs[1:]
-					if words != ch.expectWords {
-						panic(fmt.Sprintf("cmmd: node %d: send of %d words to recv of %d",
-							ep.Self, words, ch.expectWords))
-					}
-					ps.gpkt = ni.Packet{Dst: pkt.Src, Tag: ep.hCTS,
-						Args: [4]uint64{uint64(ch.ID)}}
-					ps.phase = ppGrant
-				} else {
-					ep.pendingRTS[tag] = append(ep.pendingRTS[tag],
-						rts{src: pkt.Src, words: words})
-					p.PopMode()
-					ps.phase = ppCond
-				}
-			case ep.hCTS:
-				ep.onCTS(pkt)
-				p.PopMode()
-				ps.phase = ppCond
-			default:
-				// Handlers that touch host state only (the collectives'
-				// onUp/onDown/onVec): a direct call is the whole dispatch.
-				ep.AM.HandlerFor(pkt.Tag)(pkt)
-				p.PopMode()
-				ps.phase = ppCond
-			}
-		case ppData:
-			ch := ep.recvCh[int(ps.pkt.Args[0])]
-			off := int(ps.pkt.Args[1])
-			if !ep.Mem.StepWriteRange(ch.baseAddr+uint64(off*ch.elemBytes),
-				ps.pkt.NWords*ch.elemBytes) {
-				return false
-			}
-			for i, w := range ps.pkt.Payload() {
-				ch.store(off+i, w)
-			}
-			ch.gotWords += ps.pkt.NWords
-			if ch.gotWords > ch.expectWords {
-				panic(fmt.Sprintf("cmmd: node %d channel %d overrun", ep.Self, ch.ID))
-			}
-			if ch.gotWords == ch.expectWords {
-				ch.gotWords = 0
-				ch.completions++
-			}
-			p.PopMode()
-			ps.phase = ppCond
-		case ppGrant:
-			// grantCTS's AM.Request: entry Interact + send overhead.
-			if !p.StepInteract() {
-				return false
-			}
-			p.ChargeStall(stats.LibComp, ep.Cfg.AMSendCycles)
-			p.Acct.Add(stats.CntActiveMessages, 1)
-			ps.phase = ppGrantSend
-		case ppGrantSend:
-			if !ep.AM.NI.StepSend(&ps.gpkt) {
-				return false
-			}
-			p.PopMode()
-			ps.phase = ppCond
-		}
+	done, err := ep.AM.StepPollUntil(ps, cond)
+	if err != nil {
+		ep.P.Fail(err)
 	}
+	return done
 }
 
-// StepBarrier is Barrier for step processors.
+// barrierStep is the frame of the reliable-transport barrier: the entry
+// flush, then the polling wait with one service poll per quantum.
+type barrierStep struct {
+	flushed bool
+	poll    PollStep
+	wait    sim.ServiceWait
+	service func() bool
+}
+
+// StepBarrier is the one implementation of Barrier. Its frame lives in the
+// endpoint: a node is in one barrier at a time.
 func (ep *Endpoint) StepBarrier() bool {
-	if ep.AM.Rel() != nil {
-		panic("cmmd: step barrier with reliable transport attached")
+	rel := ep.AM.Rel()
+	if rel == nil {
+		return ep.Bar.StepWait(ep.P, stats.BarrierWait)
 	}
-	return ep.Bar.StepWait(ep.P, stats.BarrierWait)
+	bs := ep.bar
+	if bs == nil {
+		bs = &barrierStep{}
+		bs.service = func() bool { return rel.StepService(&bs.poll) }
+		ep.bar = bs
+	}
+	if !bs.flushed {
+		if !rel.StepFlush(&bs.poll) {
+			return false
+		}
+		bs.flushed = true
+	}
+	if !ep.Bar.StepWaitService(ep.P, &bs.wait, stats.BarrierWait, bs.service) {
+		return false
+	}
+	bs.flushed = false
+	return true
 }
 
-// StepWaitChannel is WaitChannel for step processors.
+// StepWaitChannel polls until the channel has completed at least n
+// transfers.
 func (ep *Endpoint) StepWaitChannel(ps *PollStep, ch *RecvChannel, n int64) bool {
 	return ep.stepPoll(ps, func() bool { return ch.completions >= n })
+}
+
+// onData is the data-packet handler: it stores the payload words into the
+// channel's buffer (through the cache — library misses are real) and counts
+// transfer progress.
+func (ep *Endpoint) onData(_ *am.HandlerStep, pkt *ni.Packet) bool {
+	ch := ep.recvCh[int(pkt.Args[0])]
+	at := ch.lo + int(pkt.Args[1])
+	if !ch.vec.StepWriteRange(ep.Mem, at, at+pkt.NWords) {
+		return false
+	}
+	for i, w := range pkt.Payload() {
+		ch.vec.V[at+i] = math.Float64frombits(w)
+	}
+	ch.gotWords += pkt.NWords
+	if ch.gotWords > ch.expectWords {
+		panic(fmt.Sprintf("cmmd: node %d channel %d overrun", ep.Self, ch.ID))
+	}
+	if ch.gotWords == ch.expectWords {
+		ch.gotWords = 0
+		ch.completions++
+	}
+	return true
 }
 
 // ChanWriteStep is the resumable state of one StepChannelWriteF: the word
@@ -175,12 +106,14 @@ type ChanWriteStep struct {
 	phase uint8
 	off   int
 	pkt   ni.Packet
+	send  am.SendStep
 }
 
-// StepChannelWriteF is ChannelWriteF for step processors. The payload words
-// are read from the vector as each packet is staged; the vector is the
-// sender's private data and the sender is parked in this call, so the
-// values match the coroutine form's up-front staging copy.
+// StepChannelWriteF is the one implementation of ChannelWriteF. The payload
+// words are read from the vector as each packet is staged, not copied up
+// front. With a transport attached a send under a full window services the
+// network, so data handlers can run between packets: a caller must not send
+// from a range it is concurrently receiving into (no application does).
 func (ep *Endpoint) StepChannelWriteF(cs *ChanWriteStep, dst, chID int, vec *memsim.FVec, lo, hi int) bool {
 	p := ep.P
 	per := elemsPerPacket(ep.Cfg, vec.ElemBytes)
@@ -198,7 +131,7 @@ func (ep *Endpoint) StepChannelWriteF(cs *ChanWriteStep, dst, chID int, vec *mem
 		case 1:
 			if cs.off >= hi-lo {
 				p.PopMode()
-				*cs = ChanWriteStep{}
+				cs.phase = 0
 				return true
 			}
 			end := cs.off + per
@@ -210,20 +143,18 @@ func (ep *Endpoint) StepChannelWriteF(cs *ChanWriteStep, dst, chID int, vec *mem
 				return false
 			}
 			p.ChargeStall(stats.LibComp, ep.Cfg.CMMDPerPacket)
-			pkt := ni.Packet{
+			cs.pkt = ni.Packet{
 				Dst: dst, Tag: ep.hData,
 				Args:      [4]uint64{uint64(chID), uint64(cs.off)},
 				DataBytes: (end - cs.off) * vec.ElemBytes,
+				NWords:    end - cs.off,
 			}
-			words := ep.payloadBuf(end - cs.off)
 			for i := cs.off; i < end; i++ {
-				words[i-cs.off] = math.Float64bits(vec.V[lo+i])
+				cs.pkt.Words[i-cs.off] = math.Float64bits(vec.V[lo+i])
 			}
-			pkt.SetPayload(words)
-			cs.pkt = pkt
 			cs.phase = 2
 		case 2:
-			if !ep.AM.NI.StepSend(&cs.pkt) {
+			if !ep.AM.StepSendPacket(&cs.send, &cs.pkt) {
 				return false
 			}
 			cs.off += per
@@ -232,61 +163,77 @@ func (ep *Endpoint) StepChannelWriteF(cs *ChanWriteStep, dst, chID int, vec *mem
 	}
 }
 
-// RecvStep is the resumable state of one StepRecvPost.
-type RecvStep struct {
-	phase uint8
-	ch    *RecvChannel
-	gpkt  ni.Packet
+// --- High-level send/receive (RTS/CTS handshake) ---
+
+// stepGrant answers src's request-to-send of words elements, matched with
+// receive channel ch, with the channel id to stream to (a CTS message).
+func (ep *Endpoint) stepGrant(rs *am.ReqStep, src, words int, ch *RecvChannel) bool {
+	if words != ch.expectWords {
+		panic(fmt.Sprintf("cmmd: node %d: send of %d words to recv of %d",
+			ep.Self, words, ch.expectWords))
+	}
+	return ep.AM.StepRequest(rs, src, ep.hCTS, [4]uint64{uint64(ch.ID)}, 0, nil)
 }
 
-// StepRecvPost is RecvPost for step processors; the channel is valid only
-// when done.
+// onRTS queues or answers a sender's request-to-send. hs.Arg holds the
+// matched channel (id+1) while the grant is being sent.
+func (ep *Endpoint) onRTS(hs *am.HandlerStep, pkt *ni.Packet) bool {
+	tag, words := int(pkt.Args[0]), int(pkt.Args[1])
+	if hs.Arg == 0 {
+		chs := ep.postedRecvs[tag]
+		if len(chs) == 0 {
+			ep.pendingRTS[tag] = append(ep.pendingRTS[tag], rts{src: pkt.Src, words: words})
+			return true
+		}
+		ep.postedRecvs[tag] = chs[1:]
+		hs.Arg = uint64(chs[0].ID) + 1
+	}
+	if !ep.stepGrant(&hs.Req, pkt.Src, words, ep.recvCh[hs.Arg-1]) {
+		return false
+	}
+	hs.Arg = 0
+	return true
+}
+
+// onCTS records a clear-to-send grant for a pending send.
+func (ep *Endpoint) onCTS(pkt *ni.Packet) {
+	ep.ctsGrants[pkt.Src] = append(ep.ctsGrants[pkt.Src], int(pkt.Args[0]))
+}
+
+// RecvStep is the resumable state of one StepRecvPost: the opened channel
+// and, when a sender was already waiting, its request being granted.
+type RecvStep struct {
+	ch       *RecvChannel
+	granting bool
+	from     rts
+	req      am.ReqStep
+}
+
+// StepRecvPost is the one implementation of RecvPost; the channel is valid
+// only when done.
 func (ep *Endpoint) StepRecvPost(rs *RecvStep, tag int, vec *memsim.FVec, lo, hi int) (*RecvChannel, bool) {
 	p := ep.P
-	for {
-		switch rs.phase {
-		case 0:
-			if !p.StepInteract() {
-				return nil, false
-			}
-			p.PushMode(stats.LibComp, stats.LibMiss, stats.CntLibMisses)
-			p.ChargeStall(stats.LibComp, ep.Cfg.CMMDCallCycles)
-			ch := ep.OpenRecvChannelF(vec, lo, hi)
-			rs.ch = ch
-			if pend := ep.pendingRTS[tag]; len(pend) > 0 {
-				r := pend[0]
-				ep.pendingRTS[tag] = pend[1:]
-				if r.words != ch.expectWords {
-					panic(fmt.Sprintf("cmmd: node %d: send of %d words to recv of %d",
-						ep.Self, r.words, ch.expectWords))
-				}
-				rs.gpkt = ni.Packet{Dst: r.src, Tag: ep.hCTS,
-					Args: [4]uint64{uint64(ch.ID)}}
-				rs.phase = 1
-				continue
-			}
-			ep.postedRecvs[tag] = append(ep.postedRecvs[tag], ch)
-			p.PopMode()
-			*rs = RecvStep{}
-			return ch, true
-		case 1:
-			// grantCTS's AM.Request: entry Interact + send overhead.
-			if !p.StepInteract() {
-				return nil, false
-			}
-			p.ChargeStall(stats.LibComp, ep.Cfg.AMSendCycles)
-			p.Acct.Add(stats.CntActiveMessages, 1)
-			rs.phase = 2
-		case 2:
-			if !ep.AM.NI.StepSend(&rs.gpkt) {
-				return nil, false
-			}
-			p.PopMode()
-			ch := rs.ch
-			*rs = RecvStep{}
-			return ch, true
+	if rs.ch == nil {
+		if !p.StepInteract() {
+			return nil, false
+		}
+		p.PushMode(stats.LibComp, stats.LibMiss, stats.CntLibMisses)
+		p.ChargeStall(stats.LibComp, ep.Cfg.CMMDCallCycles)
+		rs.ch = ep.OpenRecvChannelF(vec, lo, hi)
+		if pend := ep.pendingRTS[tag]; len(pend) > 0 {
+			ep.pendingRTS[tag] = pend[1:]
+			rs.from, rs.granting = pend[0], true
+		} else {
+			ep.postedRecvs[tag] = append(ep.postedRecvs[tag], rs.ch)
 		}
 	}
+	if rs.granting && !ep.stepGrant(&rs.req, rs.from.src, rs.from.words, rs.ch) {
+		return nil, false
+	}
+	ch := rs.ch
+	rs.ch, rs.granting = nil, false
+	p.PopMode()
+	return ch, true
 }
 
 // SendStep is the resumable state of one StepSendBlock: the RTS handshake,
@@ -294,12 +241,12 @@ func (ep *Endpoint) StepRecvPost(rs *RecvStep, tag int, vec *memsim.FVec, lo, hi
 type SendStep struct {
 	phase uint8
 	chID  int
-	rpkt  ni.Packet
+	req   am.ReqStep
 	poll  PollStep
 	cw    ChanWriteStep
 }
 
-// StepSendBlock is SendBlock for step processors.
+// StepSendBlock is the one implementation of SendBlock.
 func (ep *Endpoint) StepSendBlock(ss *SendStep, dst, tag int, vec *memsim.FVec, lo, hi int) bool {
 	p := ep.P
 	for {
@@ -310,38 +257,42 @@ func (ep *Endpoint) StepSendBlock(ss *SendStep, dst, tag int, vec *memsim.FVec, 
 			}
 			p.PushMode(stats.LibComp, stats.LibMiss, stats.CntLibMisses)
 			p.ChargeStall(stats.LibComp, ep.Cfg.CMMDCallCycles)
-			ss.rpkt = ni.Packet{Dst: dst, Tag: ep.hRTS,
-				Args: [4]uint64{uint64(tag), uint64(hi - lo)}}
 			ss.phase = 1
 		case 1:
-			// The RTS Request: entry Interact + send overhead.
-			if !p.StepInteract() {
-				return false
-			}
-			p.ChargeStall(stats.LibComp, ep.Cfg.AMSendCycles)
-			p.Acct.Add(stats.CntActiveMessages, 1)
-			ss.phase = 2
-		case 2:
-			if !ep.AM.NI.StepSend(&ss.rpkt) {
+			if !ep.AM.StepRequest(&ss.req, dst, ep.hRTS, [4]uint64{uint64(tag), uint64(hi - lo)}, 0, nil) {
 				return false
 			}
 			p.PopMode()
-			ss.phase = 3
-		case 3:
+			ss.phase = 2
+		case 2:
 			if !ep.stepPoll(&ss.poll, func() bool { return len(ep.ctsGrants[dst]) > 0 }) {
 				return false
 			}
 			grants := ep.ctsGrants[dst]
 			ss.chID = grants[0]
 			ep.ctsGrants[dst] = grants[1:]
-			ss.phase = 4
-		case 4:
+			ss.phase = 3
+		case 3:
 			if !ep.StepChannelWriteF(&ss.cw, dst, ss.chID, vec, lo, hi) {
 				return false
 			}
-			*ss = SendStep{}
+			ss.phase = 0
 			return true
 		}
+	}
+}
+
+// --- collectives ---
+
+// chargeScalarSend pays the library-call overhead of one collective
+// control/value message, ahead of its Request (the charge carries no
+// Interact of its own). The paper's tuning progression matters here: the
+// flat and binary configurations transmitted with CMMD-level sends (full
+// channel setup per message), while the final lop-sided version drops to
+// raw active messages — "active messages also help reduce this latency".
+func (c *Comm) chargeScalarSend() {
+	if c.Shape != LopSided {
+		c.ep.P.ChargeStall(stats.LibComp, c.ep.Cfg.CMMDCallCycles)
 	}
 }
 
@@ -350,17 +301,17 @@ type ReduceStep struct {
 	phase  uint8
 	seq    int64
 	parent int
-	root   int
 	nch    int
 	st     *redState
-	pkt    ni.Packet
+	val    float64
+	idx    int64
+	req    am.ReqStep
 	poll   PollStep
 }
 
-// StepReduce is Comm.Reduce for step processors. The contributed (val, idx)
-// are latched on the first call; the result is valid only when done.
-// Incompatible with the hardware-combining ablation (the runner gates the
-// combination off).
+// StepReduce is the one implementation of Comm.Reduce. The contributed
+// (val, idx) are latched on the first call; the result is valid only when
+// done.
 func (c *Comm) StepReduce(rs *ReduceStep, root int, val float64, idx int64, op ReduceOp) (float64, int64, bool) {
 	ep := c.ep
 	p := ep.P
@@ -370,15 +321,21 @@ func (c *Comm) StepReduce(rs *ReduceStep, root int, val float64, idx int64, op R
 			if !p.StepInteract() {
 				return 0, 0, false
 			}
+			rs.val, rs.idx = val, idx
 			if c.HW != nil {
-				panic("cmmd: step reductions are incompatible with hardware combining")
+				// Hardware-combining ablation: deposit the contribution at
+				// the network port and stall until the combined result
+				// returns, a fixed latency after the last depositor. No tree
+				// ascent, no per-hop send/receive overhead.
+				p.ChargeStall(stats.NetAccess, ep.Cfg.NIWriteTagDest+ep.Cfg.NISendCycles)
+				rs.phase = 3
+				continue
 			}
 			p.ChargeStall(stats.LibComp, ep.Cfg.CollectiveEntry)
 			rs.seq = c.redSeq
 			c.redSeq++
-			vr := c.vrank(ep.Self, root)
-			parent, children := c.topology(vr, ep.Nodes)
-			rs.parent, rs.nch, rs.root = parent, len(children), root
+			parent, children := c.topology(c.vrank(ep.Self, root), ep.Nodes)
+			rs.parent, rs.nch = parent, len(children)
 			st := c.redState(rs.seq)
 			if st.has {
 				st.val, st.idx = combine(op, st.val, st.idx, val, idx)
@@ -391,35 +348,32 @@ func (c *Comm) StepReduce(rs *ReduceStep, root int, val float64, idx int64, op R
 			if !ep.stepPoll(&rs.poll, func() bool { return rs.st.n >= rs.nch }) {
 				return 0, 0, false
 			}
-			v, i := rs.st.val, rs.st.idx
+			rs.val, rs.idx = rs.st.val, rs.st.idx
 			delete(c.red, rs.seq)
 			if rs.parent < 0 {
-				*rs = ReduceStep{}
-				return v, i, true
+				rs.phase = 0
+				return rs.val, rs.idx, true
 			}
-			// scalarSend's CMMD-call charge carries no Interact of its own.
-			if c.Shape != LopSided {
-				p.ChargeStall(stats.LibComp, ep.Cfg.CMMDCallCycles)
-			}
-			rs.pkt = ni.Packet{Dst: c.actual(rs.parent, rs.root), Tag: c.hUp,
-				Args: [4]uint64{uint64(rs.seq), math.Float64bits(v), uint64(i),
-					uint64(op)},
-				DataBytes: memsim.WordBytes}
+			c.chargeScalarSend()
 			rs.phase = 2
 		case 2:
-			// The up-message Request: entry Interact + send overhead.
-			if !p.StepInteract() {
+			if !ep.AM.StepRequest(&rs.req, c.actual(rs.parent, root), c.hUp,
+				[4]uint64{uint64(rs.seq), math.Float64bits(rs.val), uint64(rs.idx), uint64(op)},
+				memsim.WordBytes, nil) {
 				return 0, 0, false
 			}
-			p.ChargeStall(stats.LibComp, ep.Cfg.AMSendCycles)
-			p.Acct.Add(stats.CntActiveMessages, 1)
-			rs.phase = 3
-		case 3:
-			if !ep.AM.NI.StepSend(&rs.pkt) {
-				return 0, 0, false
-			}
-			*rs = ReduceStep{}
+			rs.phase = 0
 			return 0, 0, true
+		case 3:
+			v, i, done := c.HW.StepWait(p, stats.LibComp, uint8(op), rs.val, rs.idx)
+			if !done {
+				return 0, 0, false
+			}
+			rs.phase = 0
+			if ep.Self != root {
+				return 0, 0, true
+			}
+			return v, i, true
 		}
 	}
 }
@@ -428,24 +382,22 @@ func (c *Comm) StepReduce(rs *ReduceStep, root int, val float64, idx int64, op R
 type BcastStep struct {
 	phase    uint8
 	seq      int64
-	root     int
 	ci       int
-	db       int
 	val      float64
 	idx      int64
 	children []int
-	pkt      ni.Packet
+	req      am.ReqStep
 	poll     PollStep
 }
 
-// StepBcast is Comm.Bcast for step processors; the value is valid only
-// when done.
+// StepBcast is the one implementation of Comm.Bcast; the value is valid
+// only when done.
 func (c *Comm) StepBcast(bs *BcastStep, root int, val float64) (float64, bool) {
 	v, _, done := c.stepBcastPair(bs, root, val, 0, memsim.WordBytes)
 	return v, done
 }
 
-// StepBcastPair is Comm.BcastPair for step processors.
+// StepBcastPair is the one implementation of Comm.BcastPair.
 func (c *Comm) StepBcastPair(bs *BcastStep, root int, val float64, idx int64) (float64, int64, bool) {
 	return c.stepBcastPair(bs, root, val, idx, 2*memsim.WordBytes)
 }
@@ -462,10 +414,9 @@ func (c *Comm) stepBcastPair(bs *BcastStep, root int, val float64, idx int64, da
 			p.ChargeStall(stats.LibComp, ep.Cfg.CollectiveEntry)
 			bs.seq = c.bcSeq
 			c.bcSeq++
-			vr := c.vrank(ep.Self, root)
-			parent, children := c.topology(vr, ep.Nodes)
-			bs.root, bs.children, bs.ci = root, children, 0
-			bs.val, bs.idx, bs.db = val, idx, dataBytes
+			parent, children := c.topology(c.vrank(ep.Self, root), ep.Nodes)
+			bs.children, bs.ci = children, 0
+			bs.val, bs.idx = val, idx
 			if parent >= 0 {
 				bs.phase = 1
 			} else {
@@ -483,30 +434,17 @@ func (c *Comm) stepBcastPair(bs *BcastStep, root int, val float64, idx int64, da
 			delete(c.bc, bs.seq)
 			bs.phase = 2
 		case 2:
-			if bs.ci >= len(bs.children) {
-				v, i := bs.val, bs.idx
-				*bs = BcastStep{}
-				return v, i, true
+			if bs.ci == len(bs.children) {
+				bs.children = nil
+				bs.phase = 0
+				return bs.val, bs.idx, true
 			}
-			// scalarSend's CMMD-call charge carries no Interact of its own.
-			if c.Shape != LopSided {
-				p.ChargeStall(stats.LibComp, ep.Cfg.CMMDCallCycles)
-			}
-			bs.pkt = ni.Packet{Dst: c.actual(bs.children[bs.ci], bs.root),
-				Tag:  c.hDown,
-				Args: [4]uint64{uint64(bs.seq), math.Float64bits(bs.val), uint64(bs.idx)},
-				DataBytes: bs.db}
+			c.chargeScalarSend()
 			bs.phase = 3
 		case 3:
-			// The down-message Request: entry Interact + send overhead.
-			if !p.StepInteract() {
-				return 0, 0, false
-			}
-			p.ChargeStall(stats.LibComp, ep.Cfg.AMSendCycles)
-			p.Acct.Add(stats.CntActiveMessages, 1)
-			bs.phase = 4
-		case 4:
-			if !ep.AM.NI.StepSend(&bs.pkt) {
+			if !ep.AM.StepRequest(&bs.req, c.actual(bs.children[bs.ci], root), c.hDown,
+				[4]uint64{uint64(bs.seq), math.Float64bits(bs.val), uint64(bs.idx)},
+				dataBytes, nil) {
 				return 0, 0, false
 			}
 			bs.ci++

@@ -111,16 +111,10 @@ type StepProgramMP func(n *MPNode) func(*sim.Proc) sim.StepStatus
 // NewMPStep builds a message-passing machine whose application processors
 // run in step (continuation) form: no goroutine, no coroutine switch — the
 // engine calls each node's step function directly, and the step returns
-// sim.StepYield where the coroutine form would suspend. Incompatible with
-// fault injection (the reliable transport blocks inside the AM layer) and
-// with hardware combining (Combiner.Wait blocks); the runner gates both.
+// sim.StepYield where the coroutine form would suspend. The library below
+// the program is the same one body per call either way, so every fault and
+// ablation configuration is available in both forms.
 func NewMPStep(cfg cost.Config, shape cmmd.Shape, program StepProgramMP) *MPMachine {
-	if cfg.Faults != nil {
-		panic("machine: step processors are incompatible with fault injection")
-	}
-	if cfg.HWCombining {
-		panic("machine: step processors are incompatible with hardware combining")
-	}
 	return buildMP(cfg, shape, nil, program)
 }
 
@@ -164,11 +158,25 @@ func buildMP(cfg cost.Config, shape cmmd.Shape, program func(n *MPNode), stepPro
 		var p *sim.Proc
 		if stepProgram != nil {
 			var stepFn func(*sim.Proc) sim.StepStatus
+			var quiesce *am.ShutdownStep // the end-of-program transport shutdown
+			if grp != nil {
+				quiesce = new(am.ShutdownStep)
+			}
+			running := true
 			p = eng.AddStepProc(func(sp *sim.Proc) sim.StepStatus {
 				if stepFn == nil {
 					stepFn = stepProgram(m.Nodes[i])
 				}
-				return stepFn(sp)
+				if running {
+					if stepFn(sp) != sim.StepDone {
+						return sim.StepYield
+					}
+					running = false
+				}
+				if quiesce != nil && !m.Nodes[i].AM.Rel().StepShutdown(quiesce) {
+					return sim.StepYield
+				}
+				return sim.StepDone
 			})
 		} else {
 			p = eng.AddProc(func(*sim.Proc) {
@@ -270,14 +278,10 @@ type SMMachine struct {
 type StepProgramSM func(n *SMNode) func(*sim.Proc) sim.StepStatus
 
 // NewSMStep builds a shared-memory machine whose application processors
-// run in step form; see NewMPStep. Incompatible with hardware combining
-// (the runner gates it); the checker, watchdog and control-message fault
-// injection remain available — the NACK/retry path is the same code under
-// either processor form.
+// run in step form; see NewMPStep. The checker, watchdog, control-message
+// fault injection and hardware combining remain available — each is the
+// same code under either processor form.
 func NewSMStep(cfg cost.Config, policy parmacs.Policy, program StepProgramSM) *SMMachine {
-	if cfg.HWCombining {
-		panic("machine: step processors are incompatible with hardware combining")
-	}
 	return buildSM(cfg, policy, nil, program)
 }
 

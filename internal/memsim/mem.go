@@ -55,7 +55,7 @@ type Mem struct {
 	// next block address to access. One cursor per Mem suffices for both
 	// processor forms because a processor never starts a range walk inside
 	// another: a private miss never polls the network, and
-	// cmmd.channelWrite finishes its ReadRange before it sends.
+	// cmmd.StepChannelWriteF finishes its StepReadRange before it sends.
 	stepRange   uint64
 	stepRangeOn bool
 }

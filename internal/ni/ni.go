@@ -8,11 +8,18 @@
 // constant network latency; attaching a faults.Plan makes the network drop,
 // duplicate, delay, or corrupt packets deterministically, the substrate for
 // the degradation experiments the paper's machines cannot express.
+//
+// Every operation that can suspend exists once, as a step form (StepStatus,
+// StepRecv, StepSend, StepWaitPacketUntil) that returns "not done" instead
+// of suspending; the blocking calls are coroutine drivers,
+// `for !ni.StepFoo(...) { p.Yield() }`, over the same bodies (Send and
+// TryRecv: an Interact in front of the shared body).
 package ni
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/cost"
@@ -138,11 +145,13 @@ func (ni *NI) qlen() int { return len(ni.inq) - ni.inqHead }
 
 func (ni *NI) qhead() *Packet { return &ni.inq[ni.inqHead] }
 
-func (ni *NI) qpop() Packet {
+// qpop moves the head packet into dst: one 128-byte move into the caller's
+// frame instead of a pop-return-assign chain.
+func (ni *NI) qpop(dst *Packet) {
 	// The consumed slot is left as-is: Packet is pointer-free, so stale
 	// slots retain nothing, and skipping the clear avoids a 128-byte
 	// duffzero per receive on the hottest message path.
-	pkt := ni.inq[ni.inqHead]
+	*dst = ni.inq[ni.inqHead]
 	ni.inqHead++
 	if ni.inqHead == len(ni.inq) {
 		ni.inq = ni.inq[:0]
@@ -152,7 +161,6 @@ func (ni *NI) qpop() Packet {
 		ni.inq = ni.inq[:n]
 		ni.inqHead = 0
 	}
-	return pkt
 }
 
 // Pending returns the number of queued incoming packets (for tests).
@@ -168,13 +176,16 @@ func (ni *NI) Faulty() bool { return ni.net.Faults != nil }
 // Status reads the NI status word (5 cycles, charged to network access) and
 // reports whether an incoming packet is available at the current clock.
 func (ni *NI) Status() bool {
-	ni.P.Interact()
-	ni.P.ChargeStall(stats.NetAccess, ni.Cfg.NIStatusCycles)
-	return ni.qlen() > 0 && ni.qhead().Arrive <= ni.P.Clock()
+	for {
+		if avail, done := ni.StepStatus(); done {
+			return avail
+		}
+		ni.P.Yield()
+	}
 }
 
-// StepStatus is Status for step processors: avail is valid only when done.
-// A false done means nothing was charged; re-invoke when redispatched.
+// StepStatus is the one implementation of Status: avail is valid only when
+// done. A false done means nothing was charged; re-invoke when redispatched.
 func (ni *NI) StepStatus() (avail, done bool) {
 	p := ni.P
 	if !p.StepInteract() {
@@ -184,10 +195,9 @@ func (ni *NI) StepStatus() (avail, done bool) {
 	return ni.qlen() > 0 && ni.qhead().Arrive <= p.Clock(), true
 }
 
-// StepRecv is TryRecv for step processors, on the path where Status already
-// said a packet is available (the step-form poll never loads an empty FIFO).
-// The packet is popped into dst, the caller's resumable frame — one 128-byte
-// move instead of a pop-return-assign chain.
+// StepRecv pops the head packet into dst, the caller's resumable frame, on
+// the path where Status already said a packet is available (a poll never
+// loads an empty FIFO). False means the quantum must catch up first.
 func (ni *NI) StepRecv(dst *Packet) bool {
 	p := ni.P
 	if !p.StepInteract() {
@@ -197,41 +207,58 @@ func (ni *NI) StepRecv(dst *Packet) bool {
 		panic("ni: step recv with no packet available")
 	}
 	p.ChargeStall(stats.NetAccess, ni.Cfg.NIRecvCycles)
-	*dst = *ni.qhead()
-	ni.inqHead++
-	if ni.inqHead == len(ni.inq) {
-		ni.inq = ni.inq[:0]
-		ni.inqHead = 0
-	} else if ni.inqHead > 1024 && ni.inqHead*2 > len(ni.inq) {
-		n := copy(ni.inq, ni.inq[ni.inqHead:])
-		ni.inq = ni.inq[:n]
-		ni.inqHead = 0
-	}
+	ni.qpop(dst)
 	return true
 }
 
-// StepWaitPacket is WaitPacket for step processors. Outcomes: done means a
-// packet is available and the clock has advanced to its arrival (waiting
-// charged to cat); done=false, blocked=true means the waiter is parked
-// (StepBlock ran — return StepYield and re-invoke on the delivery wake);
-// done=false, blocked=false means the entry Interact would yield — return
-// StepYield and re-invoke when the quantum catches up.
-func (ni *NI) StepWaitPacket(cat stats.Category) (done, blocked bool) {
+// never is the deadline of an unbounded wait.
+const never = sim.Time(math.MaxInt64)
+
+// StepWaitPacket is the non-suspending WaitPacket: StepWaitPacketUntil with
+// no deadline.
+func (ni *NI) StepWaitPacket(cat stats.Category) bool {
+	return ni.StepWaitPacketUntil(cat, never)
+}
+
+// StepWaitPacketUntil is the one implementation of the packet waits. True
+// means a packet is available and the clock has advanced to its arrival, or
+// the clock has reached deadline, whichever is first (waiting charged to
+// cat). False means give up the processor and re-invoke with the same
+// deadline (the caller latches it in its frame): either the entry Interact
+// would yield, or the queue is empty and the waiter is parked until the next
+// delivery — a wake is then pending on reentry. A bounded wait also
+// schedules a wake at the deadline each time it parks; spurious wakes are
+// harmless (the queue and clock are re-checked). A deadline of
+// math.MaxInt64 is no bound at all.
+func (ni *NI) StepWaitPacketUntil(cat stats.Category, deadline sim.Time) bool {
 	p := ni.P
 	if p.WakePending() {
 		p.WakePayload()
 	} else if !p.StepInteract() {
-		return false, false
+		return false
 	}
 	if ni.qlen() > 0 {
-		if a := ni.qhead().Arrive; a > p.Clock() {
-			p.WaitUntil(a, cat)
+		a := ni.qhead().Arrive
+		if a > deadline {
+			a = deadline
 		}
-		return true, false
+		p.WaitUntil(a, cat)
+		return true
+	}
+	if p.Clock() >= deadline {
+		return true
 	}
 	ni.waiter = true
+	if deadline != never {
+		p.Schedule(deadline, func() {
+			if ni.waiter {
+				ni.waiter = false
+				ni.P.Wake(deadline, nil)
+			}
+		})
+	}
 	p.StepBlock(cat, "awaiting packet")
-	return false, true
+	return false
 }
 
 // Send injects a packet: write tag+destination (5 cycles) then store five
@@ -243,7 +270,7 @@ func (ni *NI) Send(pkt *Packet) {
 	ni.sendBody(pkt)
 }
 
-// StepSend is Send for step processors: false means the quantum must catch
+// StepSend is the non-suspending Send: false means the quantum must catch
 // up first (nothing injected, nothing charged); re-invoke with the same
 // packet when redispatched.
 func (ni *NI) StepSend(pkt *Packet) bool {
@@ -378,58 +405,26 @@ func (ni *NI) TryRecv() (Packet, error) {
 		return Packet{}, fmt.Errorf("ni: node %d: %w", ni.Node, ErrNoPacket)
 	}
 	p.ChargeStall(stats.NetAccess, ni.Cfg.NIRecvCycles)
-	return ni.qpop(), nil
+	var pkt Packet
+	ni.qpop(&pkt)
+	return pkt, nil
 }
 
 // WaitPacket stalls (charging cat) until a packet is available. An empty
 // queue blocks the processor until the next delivery — the stall spans
 // exactly the idle window, as a polling loop would.
 func (ni *NI) WaitPacket(cat stats.Category) {
-	p := ni.P
-	p.Interact()
-	for {
-		if ni.qlen() > 0 {
-			if a := ni.qhead().Arrive; a > p.Clock() {
-				p.WaitUntil(a, cat)
-			}
-			return
-		}
-		ni.waiter = true
-		p.Block(cat, "awaiting packet")
+	for !ni.StepWaitPacket(cat) {
+		ni.P.Yield()
 	}
 }
 
 // WaitPacketUntil stalls (charging cat) until a packet is available or the
 // local clock reaches deadline, whichever is first. The reliable transport
 // uses it so a node waiting on a lossy network wakes in time to retransmit
-// instead of blocking forever on a packet that was dropped. A wake event is
-// scheduled at the deadline; spurious wakes are harmless (callers re-check).
+// instead of blocking forever on a packet that was dropped.
 func (ni *NI) WaitPacketUntil(cat stats.Category, deadline sim.Time) {
-	p := ni.P
-	p.Interact()
-	for {
-		if ni.qlen() > 0 {
-			a := ni.qhead().Arrive
-			if a <= p.Clock() {
-				return
-			}
-			if a > deadline {
-				p.WaitUntil(deadline, cat)
-				return
-			}
-			p.WaitUntil(a, cat)
-			return
-		}
-		if p.Clock() >= deadline {
-			return
-		}
-		ni.waiter = true
-		p.Schedule(deadline, func() {
-			if ni.waiter {
-				ni.waiter = false
-				ni.P.Wake(deadline, nil)
-			}
-		})
-		p.Block(cat, "awaiting packet or transport deadline")
+	for !ni.StepWaitPacketUntil(cat, deadline) {
+		ni.P.Yield()
 	}
 }

@@ -295,31 +295,11 @@ func NewReduction(rt *Runtime) *Reduction {
 // Reduce combines (val, idx) across all nodes, delivering the result at
 // node 0 (zeros elsewhere). All nodes must call it in the same order.
 func (r *Reduction) Reduce(m *memsim.Mem, val float64, idx int64, op Op, cats Cats) (float64, int64) {
-	p := m.P
-	if comb := r.rt.Comb; comb != nil {
-		// Hardware-combining ablation: one deposit instruction at the
-		// network port, then the combined result arrives a fixed latency
-		// after the last contributor — no flag spinning, no remote-homed
-		// value traffic, no tree ascent. Result at node 0 only, zeros
-		// elsewhere, preserving the software contract. sim.Combiner.Wait
-		// has no step form, so this branch lives in the blocking driver.
-		if !op.valid() {
-			p.Fail(fmt.Errorf("%w: op %d at node %d", ErrUnknownOp, int(op), p.ID))
-		}
-		p.PushModeFull(cats.Comp, cats.Miss, stats.CntPrivateMisses, cats.Miss, cats.Miss)
-		defer p.PopMode()
-		p.Compute(reduceOpCycles)
-		v, i := comb.Wait(p, cats.Wait, uint8(op), val, idx)
-		if p.ID == 0 {
-			return v, i
-		}
-		return 0, 0
-	}
 	var rs RedStep
 	for {
 		if v, i, done := r.StepReduce(&rs, m, val, idx, op, cats); done {
 			return v, i
 		}
-		p.Yield()
+		m.P.Yield()
 	}
 }

@@ -175,11 +175,9 @@ type RedStep struct {
 	spin  coherence.SpinStep
 }
 
-// StepReduce is the non-suspending software-tree Reduce. The contributed
-// (val, idx) are latched on the first call; re-invocations may pass
-// anything. The result is valid only when done. Incompatible with the
-// hardware-combining ablation: Reduce takes that branch before it gets
-// here, and the runner gates the combination off for step processors.
+// StepReduce is the non-suspending Reduce. The contributed (val, idx) are
+// latched on the first call; re-invocations may pass anything. The result
+// is valid only when done.
 func (r *Reduction) StepReduce(rs *RedStep, m *memsim.Mem, val float64, idx int64, op Op, cats Cats) (float64, int64, bool) {
 	p := m.P
 	me := p.ID
@@ -189,14 +187,15 @@ func (r *Reduction) StepReduce(rs *RedStep, m *memsim.Mem, val float64, idx int6
 			if !op.valid() {
 				p.Fail(fmt.Errorf("%w: op %d at node %d", ErrUnknownOp, int(op), p.ID))
 			}
-			if r.rt.Comb != nil {
-				panic("parmacs: step reductions are incompatible with hardware combining")
-			}
 			p.PushModeFull(cats.Comp, cats.Miss, stats.CntPrivateMisses, cats.Miss, cats.Miss)
-			r.round[me]++
-			rs.round = r.round[me]
 			rs.val, rs.idx = val, idx
 			p.Compute(reduceOpCycles)
+			if r.rt.Comb != nil {
+				rs.phase = 7
+				continue
+			}
+			r.round[me]++
+			rs.round = r.round[me]
 			rs.child = 0
 			rs.spin = coherence.SpinStep{}
 			rs.phase = 1
@@ -253,6 +252,22 @@ func (r *Reduction) StepReduce(rs *RedStep, m *memsim.Mem, val float64, idx int6
 			p.PopMode()
 			*rs = RedStep{}
 			return 0, 0, true
+		case 7:
+			// Hardware-combining ablation: one deposit instruction at the
+			// network port, then the combined result arrives a fixed latency
+			// after the last contributor — no flag spinning, no remote-homed
+			// value traffic, no tree ascent. Result at node 0 only, zeros
+			// elsewhere, preserving the software contract.
+			v, i, done := r.rt.Comb.StepWait(p, cats.Wait, uint8(op), rs.val, rs.idx)
+			if !done {
+				return 0, 0, false
+			}
+			p.PopMode()
+			*rs = RedStep{}
+			if me != 0 {
+				return 0, 0, true
+			}
+			return v, i, true
 		}
 	}
 }

@@ -71,9 +71,9 @@ type Spec struct {
 	StepProcs bool `json:"step_procs,omitempty"`
 }
 
-// StepUnsupportedError reports a spec requesting step processors for a
-// configuration without a step implementation (an app that only exists in
-// coroutine form, or a robustness layer that must suspend mid-call).
+// StepUnsupportedError reports a spec requesting step processors for an
+// app that only exists in coroutine form. Every machine configuration —
+// fault plans, robustness layers, ablations — runs under both forms.
 type StepUnsupportedError struct {
 	App     string
 	Machine string
@@ -125,14 +125,6 @@ func (s *Spec) Validate() error {
 		default:
 			return &StepUnsupportedError{App: s.App, Machine: s.Machine,
 				Reason: "app has no step implementation"}
-		}
-		if s.Faults != nil {
-			return &StepUnsupportedError{App: s.App, Machine: s.Machine,
-				Reason: "reliable transport suspends inside library calls"}
-		}
-		if s.HWCombining {
-			return &StepUnsupportedError{App: s.App, Machine: s.Machine,
-				Reason: "the hardware combiner suspends its depositors"}
 		}
 	}
 	return nil

@@ -109,6 +109,53 @@ func TestStepFormEquivalenceUnderCtrlFaults(t *testing.T) {
 	}
 }
 
+// TestStepFormEquivalenceUnderNetFaults extends the contract to network
+// fault injection: the reliable transport is a packet filter inside the one
+// poll machine both forms run, so a lossy message-passing run must stay
+// bit-identical across them — and the plan must actually have exercised
+// the acknowledgement and retransmission paths.
+func TestStepFormEquivalenceUnderNetFaults(t *testing.T) {
+	for _, pair := range stepPairs {
+		if pair.Spec.Machine != "mp" {
+			continue
+		}
+		for _, workers := range []int{1, 4} {
+			pair, workers := pair, workers
+			t.Run(fmt.Sprintf("%s/w%d", pair.Name, workers), func(t *testing.T) {
+				t.Parallel()
+				spec := pair.Spec
+				spec.Procs = 16
+				spec.Faults = &cost.FaultsConfig{Seed: 7, DropRate: 0.02, DupRate: 0.01, DelayRate: 0.05}
+				co := runBothForms(t, spec, workers)
+				if co.Res.Summary.CountsAll(stats.CntRetransmissions) == 0 {
+					t.Errorf("fault plan never forced a retransmission")
+				}
+				if co.Res.Summary.CountsAll(stats.CntAcks) == 0 {
+					t.Errorf("transport never acknowledged anything")
+				}
+			})
+		}
+	}
+}
+
+// TestStepFormEquivalenceUnderHWCombining covers the hardware-combining
+// ablation: the combiner deposit is one step-form body on both machines.
+func TestStepFormEquivalenceUnderHWCombining(t *testing.T) {
+	for _, pair := range stepPairs {
+		if pair.Spec.App != "lcp" {
+			continue
+		}
+		pair := pair
+		t.Run(pair.Name, func(t *testing.T) {
+			t.Parallel()
+			spec := pair.Spec
+			spec.Procs = 16
+			spec.HWCombining = true
+			runBothForms(t, spec, 1)
+		})
+	}
+}
+
 // TestStepCrossFormResume checks that checkpoints are form-portable: a
 // snapshot written by one form resumes (replay-verified) under the other,
 // in both directions, with the original fingerprint.
@@ -184,7 +231,8 @@ func TestStepCrossFormResume(t *testing.T) {
 }
 
 // TestValidateStepUnsupported pins the typed rejection of step requests for
-// configurations without a step implementation.
+// apps without a step implementation — and that no machine configuration
+// (fault plans, hardware combining) is rejected for an app that has one.
 func TestValidateStepUnsupported(t *testing.T) {
 	cases := []struct {
 		name string
@@ -197,11 +245,11 @@ func TestValidateStepUnsupported(t *testing.T) {
 		{"mse", Spec{App: "mse", Machine: "sm", Procs: 4, StepProcs: true}, false},
 		{"alcp", Spec{App: "alcp", Machine: "mp", Procs: 4, StepProcs: true}, false},
 		{"em3d-faults", Spec{App: "em3d", Machine: "mp", Procs: 4, StepProcs: true,
-			Faults: &cost.FaultsConfig{Seed: 1}}, false},
+			Faults: &cost.FaultsConfig{Seed: 1}}, true},
 		{"lcp-smfaults", Spec{App: "lcp", Machine: "sm", Procs: 4, StepProcs: true,
 			SMFaults: &cost.SMFaultsConfig{Seed: 1}}, true},
 		{"em3d-hwcomb", Spec{App: "em3d", Machine: "sm", Procs: 4, StepProcs: true,
-			HWCombining: true}, false},
+			HWCombining: true}, true},
 	}
 	for _, tc := range cases {
 		err := tc.spec.Validate()

@@ -125,25 +125,67 @@ func (b *Barrier) StepWait(p *Proc, cat stats.Category) bool {
 // in a barrier — on a lossy network a blocked barrier wait can deadlock the
 // whole machine (a peer may be waiting for this node to re-ack data whose
 // acknowledgement was lost). The stall is charged to cat, as in Wait.
+// WaitService is the coroutine driver over StepWaitService; service runs to
+// completion on the caller's stack.
 func (b *Barrier) WaitService(p *Proc, cat stats.Category, service func()) {
-	p.Interact()
-	b.mu.Lock()
-	if p.clock > b.maxArr {
-		b.maxArr = p.clock
+	var step func() bool
+	if service != nil {
+		step = func() bool { service(); return true }
 	}
-	my := b.epoch
-	b.polling++
-	if len(b.waiting)+b.polling == b.n {
-		b.stageRelease()
+	var sw ServiceWait
+	for !b.StepWaitService(p, &sw, cat, step) {
+		p.Yield()
 	}
-	b.mu.Unlock()
-	for b.epoch == my {
-		if service != nil {
-			service()
+}
+
+// ServiceWait is the resumable state of one StepWaitService.
+type ServiceWait struct {
+	phase uint8
+	epoch int64 // the episode this participant arrived in
+}
+
+// StepWaitService is the one implementation of a polling barrier wait.
+// service is itself resumable: false means it suspended mid-call and must be
+// re-invoked before anything else. After a completed service the rest of
+// the quantum is charged to cat — nothing observable can change until the
+// next one — and the wait returns false; the reentry that finds the episode
+// released returns true with the clock at the release time.
+func (b *Barrier) StepWaitService(p *Proc, sw *ServiceWait, cat stats.Category, service func() bool) bool {
+	for {
+		switch sw.phase {
+		case 0: // arrive
+			if !p.StepInteract() {
+				return false
+			}
+			b.mu.Lock()
+			if p.clock > b.maxArr {
+				b.maxArr = p.clock
+			}
+			sw.epoch = b.epoch
+			b.polling++
+			if len(b.waiting)+b.polling == b.n {
+				b.stageRelease()
+			}
+			b.mu.Unlock()
+			sw.phase = 1
+		case 1: // released?
+			if b.epoch != sw.epoch {
+				p.WaitUntil(b.release, cat)
+				sw.phase = 0
+				return true
+			}
+			sw.phase = 2
+		case 2: // service the network, then spin out the quantum
+			if service != nil && !service() {
+				return false
+			}
+			if p.clock < p.eng.qEnd {
+				p.ChargeStall(cat, p.eng.qEnd-p.clock)
+			}
+			sw.phase = 1
+			return false
 		}
-		p.SpinQuantum(cat)
 	}
-	p.WaitUntil(b.release, cat)
 }
 
 // stageRelease, called with mu held by the episode's last arrival, stages

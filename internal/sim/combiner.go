@@ -106,9 +106,28 @@ func (c *Combiner) Epochs() int64 { return c.epoch }
 // result (delivered to every participant — root-only semantics are the
 // caller's to impose). The stall is charged to cat. Every participant of an
 // episode must pass the same op; re-entering before the episode completes
-// panics, as does calling from a step processor (Wait blocks).
+// panics. Wait is the coroutine driver over StepWait.
 func (c *Combiner) Wait(p *Proc, cat stats.Category, op uint8, val float64, idx int64) (float64, int64) {
-	p.Interact()
+	for {
+		if v, i, done := c.StepWait(p, cat, op, val, idx); done {
+			return v, i
+		}
+		p.Yield()
+	}
+}
+
+// StepWait is the one implementation of a combining deposit, the mirror of
+// Barrier.StepWait: it returns done=false after recording the deposit and
+// blocking, and the combined result on the reentry that consumes the
+// release wake.
+func (c *Combiner) StepWait(p *Proc, cat stats.Category, op uint8, val float64, idx int64) (float64, int64, bool) {
+	if p.WakePending() {
+		a, b := p.WakePayloadVals()
+		return math.Float64frombits(uint64(a)), b, true
+	}
+	if !p.StepInteract() {
+		return 0, 0, false
+	}
 	c.mu.Lock()
 	for _, a := range c.arrived {
 		if a.p == p {
@@ -131,8 +150,8 @@ func (c *Combiner) Wait(p *Proc, cat stats.Category, op uint8, val float64, idx 
 		c.stageRelease()
 	}
 	c.mu.Unlock()
-	a, b := p.BlockVals(cat, "combine")
-	return math.Float64frombits(uint64(a)), b
+	p.StepBlock(cat, "combine")
+	return 0, 0, false
 }
 
 // stageRelease, called with mu held by the episode's last arrival, sorts
