@@ -176,3 +176,20 @@ func TestEM3DScalesAcrossProcessorCounts(t *testing.T) {
 		prevComp = comp
 	}
 }
+
+// TestEM3DSMFlushGolden pins the software-flush variant to literals recorded
+// when it was still a separate coroutine body: the variant is not reachable
+// through runner.Spec, so runner's golden.json cannot cover it.
+func TestEM3DSMFlushGolden(t *testing.T) {
+	out := RunSMFlush(cost.Default(4), parmacs.RoundRobin, smallParams())
+	if out.Res.Elapsed != 1404524 {
+		t.Errorf("elapsed %d, want 1404524", out.Res.Elapsed)
+	}
+	var main int64
+	for _, a := range out.Res.Accts {
+		main += a.TotalCycles(PhaseMain)
+	}
+	if main != 1778380 {
+		t.Errorf("main-phase cycles over all processors %d, want 1778380", main)
+	}
+}
