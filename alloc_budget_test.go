@@ -165,7 +165,7 @@ func TestAllocBudgetBarrierEpisode(t *testing.T) {
 }
 
 // TestAllocBudgetStepAppMainLoop gates the step (continuation) dispatch
-// path on a complete application: once EM3D-MP's step form reaches its
+// path on a complete application: once EM3D-MP under step dispatch reaches its
 // main loop at P=256, the whole simulator — step dispatch, the cmmd
 // channel/poll machines, the NI packet path, batched accounting — must
 // allocate nothing. Measured as the host malloc count across the middle
@@ -177,15 +177,15 @@ func TestAllocBudgetStepAppMainLoop(t *testing.T) {
 	par.NodesPer, par.Iters = 8, 40
 
 	cfg := cost.Default(256)
-	cfg.Workers = 1
-	base := em3d.RunMPStep(cfg, cmmd.LopSided, par)
+	cfg.Workers, cfg.StepProcs = 1, true
+	base := em3d.RunMP(cfg, cmmd.LopSided, par)
 	if base.Res.Err != nil {
 		t.Fatalf("sizing run: %v", base.Res.Err)
 	}
 	start, end := base.Res.Elapsed/2, base.Res.Elapsed*9/10
 
 	cfg = cost.Default(256)
-	cfg.Workers = 1
+	cfg.Workers, cfg.StepProcs = 1, true
 	var m0, m1 runtime.MemStats
 	var got0, got1 bool
 	var quanta int64
@@ -204,7 +204,7 @@ func TestAllocBudgetStepAppMainLoop(t *testing.T) {
 			}
 		})
 	}
-	out := em3d.RunMPStep(cfg, cmmd.LopSided, par)
+	out := em3d.RunMP(cfg, cmmd.LopSided, par)
 	if out.Res.Err != nil {
 		t.Fatalf("measured run: %v", out.Res.Err)
 	}

@@ -34,10 +34,10 @@
 // (simulated livelock).
 //
 // -workers N bounds how many simulated processors execute concurrently on
-// host cores within each quantum (0 = all cores, 1 = serial). It is a pure
-// host-throughput knob: the conservative-window engine stages and merges
-// cross-processor events deterministically, so every -workers value prints
-// the identical stats fingerprint.
+// host cores within each quantum (1 = serial, the default; 0 = all cores).
+// It is a pure host-throughput knob: the conservative-window engine stages
+// and merges cross-processor events deterministically, so every -workers
+// value prints the identical stats fingerprint.
 //
 // -checkpoint-every N writes a snapshot (ckpt-<cycle>.wws in
 // -checkpoint-dir) at the first quantum boundary at or after every N
@@ -88,9 +88,9 @@ func main() {
 	ckDir := flag.String("checkpoint-dir", ".", "directory for checkpoint files")
 	resume := flag.String("resume", "", "resume (replay + verify) from a snapshot file")
 	runUntil := flag.Int64("run-until", 0, "stop cleanly at the first quantum boundary at or after this cycle (0 = off)")
-	workers := flag.Int("workers", 0, "host worker pool for the processor phase (0 = GOMAXPROCS, 1 = serial); fingerprint-neutral")
+	workers := flag.Int("workers", 1, "host worker pool for the processor phase (1 = serial, 0 = GOMAXPROCS); fingerprint-neutral")
 	hwCombining := flag.Bool("hw-combining", false, "ablation: in-network hardware combining tree for reductions")
-	step := flag.Bool("step", false, "run the step (continuation) form of the application; fingerprint-identical to the coroutine form")
+	step := flag.Bool("step", false, "dispatch the application's nodes as step processors instead of coroutines (em3d, lcp, alcp); fingerprint-identical")
 	flag.Parse()
 
 	for _, r := range []struct {

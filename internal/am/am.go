@@ -204,6 +204,7 @@ type PollStep struct {
 	entered bool  // StepPollUntil is past its entry Interact
 	handled bool  // this poll popped a packet
 	inRun   bool  // pkt came out of the transport's in-order release run
+	drained int   // packets StepDrain has dispatched through this frame
 
 	pkt ni.Packet
 	hs  HandlerStep
@@ -353,12 +354,29 @@ func (a *AM) enter(ps *PollStep) bool {
 // Drain handles every currently available packet and returns how many were
 // dispatched, stopping at the first dispatch error.
 func (a *AM) Drain() (n int, err error) {
+	ps := a.pushFrame()
+	ps.drained = 0
+	for !a.StepDrain(ps) {
+		a.P.Yield()
+	}
+	a.popFrame()
+	return ps.drained, ps.err
+}
+
+// StepDrain is the one implementation of Drain: polls through ps until one
+// handles nothing or fails to dispatch. Each poll runs to done before its
+// outcome is tested, so one suspended in an acknowledgement or
+// retransmission injection is finished, never abandoned.
+func (a *AM) StepDrain(ps *PollStep) bool {
 	for {
-		handled, err := a.Poll()
-		if err != nil || !handled {
-			return n, err
+		handled, done, err := a.StepPoll(ps)
+		if !done {
+			return false
 		}
-		n++
+		if err != nil || !handled {
+			return true
+		}
+		ps.drained++
 	}
 }
 

@@ -1,6 +1,7 @@
 package am_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/am"
@@ -62,6 +63,110 @@ func TestDrainDispatchesEverythingAvailable(t *testing.T) {
 	for i, v := range got {
 		if v != uint64(i) {
 			t.Fatalf("out of order: %v", got)
+		}
+	}
+}
+
+// drainRun has node 0 send n spaced-out requests while node 1 alternates a
+// drain with computation until all have arrived: Drain on coroutines, or
+// StepDrain under step dispatch. It returns the arrival order, how many had
+// arrived after each drain, and both processors' accounts.
+func drainRun(t *testing.T, step bool) (order []uint64, after []int, accts []*stats.Acct) {
+	t.Helper()
+	const n = 12
+	cfg := cost.Default(2)
+	eng := sim.NewEngine(cfg.NetLatency)
+	net := ni.NewNetwork(eng, &cfg)
+	var procs [2]*sim.Proc
+	var ams [2]*am.AM
+	spacing := func(k int) int64 { return int64(400 * (k % 3)) }
+	if !step {
+		procs[0] = eng.AddProc(func(p *sim.Proc) {
+			for k := 0; k < n; k++ {
+				ams[0].Request(1, 0, [4]uint64{uint64(k)}, 0, nil)
+				p.Compute(spacing(k))
+			}
+		})
+		procs[1] = eng.AddProc(func(p *sim.Proc) {
+			for len(order) < n {
+				if _, err := ams[1].Drain(); err != nil {
+					t.Errorf("drain: %v", err)
+				}
+				after = append(after, len(order))
+				p.Compute(150)
+			}
+		})
+	} else {
+		var (
+			k        int
+			rs       am.ReqStep
+			ps       am.PollStep
+			draining bool
+		)
+		procs[0] = eng.AddStepProc(func(p *sim.Proc) sim.StepStatus {
+			for ; k < n; k++ {
+				if !ams[0].StepRequest(&rs, 1, 0, [4]uint64{uint64(k)}, 0, nil) {
+					return sim.StepYield
+				}
+				p.Compute(spacing(k))
+			}
+			return sim.StepDone
+		})
+		procs[1] = eng.AddStepProc(func(p *sim.Proc) sim.StepStatus {
+			// A suspended drain is finished before the loop condition is
+			// re-tested, as a blocking Drain call would be.
+			for draining || len(order) < n {
+				draining = true
+				if !ams[1].StepDrain(&ps) {
+					return sim.StepYield
+				}
+				draining = false
+				after = append(after, len(order))
+				p.Compute(150)
+			}
+			return sim.StepDone
+		})
+	}
+	for i, p := range procs {
+		ams[i] = am.New(net.Attach(p))
+	}
+	ams[0].Register(func(*ni.Packet) {})
+	ams[1].Register(func(pkt *ni.Packet) {
+		order = append(order, pkt.Args[0])
+		procs[1].Compute(90) // long enough that later requests queue behind it
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatalf("run aborted (step=%v): %v", step, err)
+	}
+	return order, after, []*stats.Acct{procs[0].Acct, procs[1].Acct}
+}
+
+// TestStepDrainMatchesDrain checks that Drain is a faithful driver over
+// StepDrain: a coroutine calling Drain and a step processor calling
+// StepDrain dispatch the same packets at the same drains, with equal
+// per-processor accounting.
+func TestStepDrainMatchesDrain(t *testing.T) {
+	coOrder, coAfter, coAcct := drainRun(t, false)
+	stOrder, stAfter, stAcct := drainRun(t, true)
+	if !slices.Equal(coOrder, stOrder) {
+		t.Errorf("arrival order: coroutine %v, step %v", coOrder, stOrder)
+	}
+	if !slices.Equal(coAfter, stAfter) {
+		t.Errorf("arrivals after each drain: coroutine %v, step %v", coAfter, stAfter)
+	}
+	if len(coAfter) < 3 {
+		t.Errorf("only %d drains: the spacing never made a drain stop short", len(coAfter))
+	}
+	for me := range coAcct {
+		for c := stats.Category(0); c < stats.NumCategories; c++ {
+			if co, st := coAcct[me].Cycles(stats.PhaseDefault, c), stAcct[me].Cycles(stats.PhaseDefault, c); co != st {
+				t.Errorf("node %d: %v cycles: coroutine %d, step %d", me, c, co, st)
+			}
+		}
+		for c := stats.Count(0); c < stats.NumCounts; c++ {
+			if co, st := coAcct[me].Counts(stats.PhaseDefault, c), stAcct[me].Counts(stats.PhaseDefault, c); co != st {
+				t.Errorf("node %d: %v count: coroutine %d, step %d", me, c, co, st)
+			}
 		}
 	}
 }

@@ -9,12 +9,12 @@ import (
 	"repro/internal/snapshot"
 )
 
-// RunMPStep runs EM3D-MP in step (continuation) form: the same program as
-// RunMP rewritten as an explicit state machine so each node runs without a
-// goroutine. Every simulated operation of the coroutine form appears here
-// at the same point in the op sequence — charges land at the same clocks,
-// so the two forms produce bit-identical fingerprints.
-func RunMPStep(cfg cost.Config, shape cmmd.Shape, par Params) *Output {
+// RunMP runs EM3D-MP: the Split-C-derived message-passing version with one
+// ghost node per remote edge and bulk channel transfers between ring
+// neighbors before each half-step. The program is a step machine (mpStep);
+// cfg.StepProcs chooses whether the engine calls it directly or drives it
+// from a coroutine, with bit-identical results.
+func RunMP(cfg cost.Config, shape cmmd.Shape, par Params) *Output {
 	out := &Output{}
 	g := genGraph(par, cfg.Procs)
 
@@ -22,10 +22,11 @@ func RunMPStep(cfg cost.Config, shape cmmd.Shape, par Params) *Output {
 	out.H = make([][]float64, cfg.Procs)
 
 	out.Res = machine.NewMPStep(cfg, shape, func(nd *machine.MPNode) func(*sim.Proc) sim.StepStatus {
-		s := newMPStep(nd, g, par, cfg.Procs, out)
-		return s.step
+		return newMPStep(nd, g, par, cfg.Procs, out).step
 	}).Run()
 
+	// An aborted run (fault-injection starvation) leaves partial state;
+	// validation only makes sense for a completed execution.
 	if out.Res.Err == nil {
 		out.validate(g, par.Iters)
 	}
@@ -35,18 +36,23 @@ func RunMPStep(cfg cost.Config, shape cmmd.Shape, par Params) *Output {
 // gseg is one neighbor's slot range in a ghost vector.
 type gseg struct{ start, len int }
 
-// mpLayout is the host-side graph layout shared by both forms: ghost
-// segments and send lists per neighbor, by kind (0: H sources feeding the
-// E update, 1: E sources feeding the H update).
+// mpLayout is the host-side graph layout: ghost segments (one slot per
+// remote in-edge, grouped by neighbor) and send lists (the local value
+// indices to ship, one per remote edge at the neighbor, in its canonical
+// order) per neighbor, by kind (0: H sources feeding the E update, 1: E
+// sources feeding the H update).
 type mpLayout struct {
 	segs     [2]map[int]*gseg
 	counts   [2]int
 	sendList [2]map[int][]int32
 }
 
+// ins2 returns proc d's in-edge lists by kind.
+func ins2(g *graph, d int) [2][]edge { return [2][]edge{g.eIn[d], g.hIn[d]} }
+
 func layoutMP(g *graph, me int, nbs []int) *mpLayout {
 	l := &mpLayout{segs: [2]map[int]*gseg{{}, {}}, sendList: [2]map[int][]int32{{}, {}}}
-	ins := [2][]edge{g.eIn[me], g.hIn[me]}
+	ins := ins2(g, me)
 	for kind := 0; kind < 2; kind++ {
 		for _, d := range nbs {
 			sg := &gseg{start: l.counts[kind]}
@@ -74,7 +80,7 @@ func layoutMP(g *graph, me int, nbs []int) *mpLayout {
 // wireEdges fills the in-edge metadata host arrays: local sources index the
 // value vector directly; remote sources index their per-edge ghost slot.
 func (l *mpLayout) wireEdges(g *graph, me, np int, nbs []int, idxV [2]*memsim.IVec, wV [2]*memsim.FVec) {
-	ins := [2][]edge{g.eIn[me], g.hIn[me]}
+	ins := ins2(g, me)
 	for kind := 0; kind < 2; kind++ {
 		next := map[int]int{}
 		for _, d := range nbs {
@@ -160,10 +166,11 @@ type mpStep struct {
 	hf   halfFrame
 }
 
-// newMPStep does the host-side setup the coroutine program performs between
-// simulated operations: allocation, graph layout, wiring values, initial
-// values, and channel registration. No cycles are charged here; the step
-// function issues every simulated operation in RunMP's exact order.
+// newMPStep does the host-side setup at the node's first dispatch:
+// allocation, graph layout, wiring values, and channel registration (ghost
+// receive channels open in canonical order — kind-major, neighbor-sorted —
+// so channel ids agree across nodes by symmetry). No cycles are charged
+// here; the step function issues every simulated operation.
 func newMPStep(nd *machine.MPNode, g *graph, par Params, procs int, out *Output) *mpStep {
 	np, deg := par.NodesPer, par.Degree
 	me := nd.ID
@@ -249,6 +256,10 @@ func (s *mpStep) step(p *sim.Proc) sim.StepStatus {
 				s.pc = emInfoPost
 			}
 		case emInfoPost:
+			// Exchange edge information between each pair of processors in a
+			// single bulk message (paper §5.3.2), referenced twice on the
+			// receiving side. The receives are posted first — a blocking
+			// send on both sides of each pair would deadlock the handshake.
 			if s.ni >= len(s.nbs) {
 				s.ni = 0
 				s.pc = emInfoSend
@@ -276,10 +287,9 @@ func (s *mpStep) step(p *sim.Proc) sim.StepStatus {
 			s.ni++
 		case emInfoWait:
 			if s.ni >= len(s.nbs) {
-				// Host-side initial values land here, not at build time:
-				// checkpoint images must match the coroutine form at every
-				// quantum boundary, and the coroutine copies these between
-				// the edge-info exchange and the value write-back.
+				// Host-side initial values land here, not at setup: they are
+				// registered state, so moving them changes the image of
+				// every checkpoint taken before this point.
 				copy(s.eVal.V, s.g.e0[me])
 				copy(s.hVal.V, s.g.h0[me])
 				s.pc = emValWriteE
@@ -409,9 +419,9 @@ type gatherFrame struct {
 	i   int
 }
 
-// stepGatherSend mirrors RunMP's gatherSend: collect the listed values into
-// the send buffer (one simulated load + gather charge per element), write
-// the buffer through the cache, and stream it in one channel write.
+// stepGatherSend collects the listed values into the send buffer (one
+// simulated load + gather charge per element), writes the buffer through
+// the cache, and streams it to d in one channel write.
 func (s *mpStep) stepGatherSend(kind int, vals *memsim.FVec, d int) bool {
 	lst := s.lay.sendList[kind][d]
 	if len(lst) == 0 {
@@ -449,15 +459,20 @@ func (s *mpStep) stepGatherSend(kind int, vals *memsim.FVec, d int) bool {
 	}
 }
 
-// halfFrame is the resumable state of one stepHalf.
+// halfFrame is the resumable state of one stepHalf or stepSMHalf.
 type halfFrame struct {
 	sub  uint8
 	i, k int
 	acc  float64
+	// flushed is the software-flush pass's per-half-step set of blocks
+	// already dropped (EM3D-SM flush variant only; nil otherwise).
+	flushed map[uint64]struct{}
 }
 
-// stepHalf mirrors halfStep: per node, load the edge metadata, accumulate
-// the weighted source values (local or ghost), and store the result.
+// stepHalf updates dst: per node, load the edge metadata, accumulate the
+// weighted source values — read from the local value vector or the ghost
+// vector: "ghost nodes make remote and local data accesses uniform" — and
+// store the result.
 func (s *mpStep) stepHalf(idx *memsim.IVec, w *memsim.FVec, src, ghost, dst *memsim.FVec) bool {
 	np, deg := s.par.NodesPer, s.par.Degree
 	m := s.m

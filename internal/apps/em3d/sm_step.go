@@ -9,10 +9,36 @@ import (
 	"repro/internal/snapshot"
 )
 
-// RunSMStep runs EM3D-SM in step (continuation) form: RunSM rewritten as an
-// explicit state machine, fingerprint-identical to the coroutine form. The
-// software-flush variant stays coroutine-only.
-func RunSMStep(cfg cost.Config, policy parmacs.Policy, par Params) *Output {
+// smShared is the shared-memory problem state established by node 0.
+type smShared struct {
+	eVal, hVal []memsim.FVec // per-owner value vectors ("value fields in a separate vector")
+	eIdx, hIdx []memsim.IVec // per-owner in-edge source slots (owner-major)
+	eW, hW     []memsim.FVec // per-owner in-edge weights
+	eCnt, hCnt []memsim.IVec // per-owner in-degree fill counters
+	locks      []*parmacs.Lock
+}
+
+// RunSM runs EM3D-SM: no ghost nodes — caching supplies the temporal
+// locality, with the invalidation protocol's four-message producer-consumer
+// cost. policy selects gmalloc placement (RoundRobin reproduces Table 14;
+// Local reproduces the Table 17 ablation). Pass a Config with a 1 MB cache
+// for the Table 16 ablation. The program is a step machine (smStep);
+// cfg.StepProcs chooses whether the engine calls it directly or drives it
+// from a coroutine, with bit-identical results.
+func RunSM(cfg cost.Config, policy parmacs.Policy, par Params) *Output {
+	return runSM(cfg, policy, par, false)
+}
+
+// RunSMFlush runs the §5.3.4 software-flush variant the paper proposes:
+// after consuming a remote value, the consumer flushes its cached copy,
+// turning the producer's next two-message invalidation round into a silent
+// single-message replacement. (The paper notes the benefit shrinks as the
+// data set outgrows the cache, since lines are often evicted anyway.)
+func RunSMFlush(cfg cost.Config, policy parmacs.Policy, par Params) *Output {
+	return runSM(cfg, policy, par, true)
+}
+
+func runSM(cfg cost.Config, policy parmacs.Policy, par Params, flush bool) *Output {
 	out := &Output{}
 	g := genGraph(par, cfg.Procs)
 	procs := cfg.Procs
@@ -22,8 +48,7 @@ func RunSMStep(cfg cost.Config, policy parmacs.Policy, par Params) *Output {
 	var sh smShared
 
 	out.Res = machine.NewSMStep(cfg, policy, func(nd *machine.SMNode) func(*sim.Proc) sim.StepStatus {
-		s := newSMStep(nd, g, par, procs, out, &sh)
-		return s.step
+		return newSMStep(nd, g, par, procs, flush, out, &sh).step
 	}).Run()
 
 	if out.Res.Err == nil {
@@ -55,6 +80,7 @@ type smStep struct {
 	out   *Output
 	sh    *smShared
 	sinks []int // me then ring neighbors: registration order
+	flush bool  // the §5.3.4 software-flush variant
 
 	pc int
 	it int
@@ -64,14 +90,15 @@ type smStep struct {
 	hf halfFrame
 }
 
-// newSMStep does the host-side setup. Node 0 also establishes the shared
-// structures here — its first dispatch, before any other node can observe
-// them: non-zero nodes touch sh only after their StepWaitCreate completes,
-// which a Create wake (a later quantum) must precede.
-func newSMStep(nd *machine.SMNode, g *graph, par Params, procs int, out *Output, sh *smShared) *smStep {
+// newSMStep does the host-side setup at the node's first dispatch. Node 0
+// also establishes the shared structures here (gmalloc places them per the
+// policy) before any other node can observe them: non-zero nodes touch sh
+// only after their StepWaitCreate completes, which a Create wake (a later
+// quantum) must precede.
+func newSMStep(nd *machine.SMNode, g *graph, par Params, procs int, flush bool, out *Output, sh *smShared) *smStep {
 	np, deg := par.NodesPer, par.Degree
 	me := nd.ID
-	s := &smStep{nd: nd, m: nd.Mem, g: g, par: par, procs: procs, out: out, sh: sh,
+	s := &smStep{nd: nd, m: nd.Mem, g: g, par: par, procs: procs, flush: flush, out: out, sh: sh,
 		sinks: append([]int{me}, neighbors(me, procs)...)}
 	nd.Phase(PhaseInit)
 	if me == 0 {
@@ -108,9 +135,9 @@ func (s *smStep) step(p *sim.Proc) sim.StepStatus {
 			if !nd.RT.StepBarrier(p) {
 				return sim.StepYield
 			}
-			// Registered here — the same simulated point as the coroutine
-			// form — so snapshots taken before this quantum encode the same
-			// (shorter) state list in both forms.
+			// Registered here, once sh is established on every node:
+			// snapshots taken before this quantum encode a shorter state
+			// list.
 			nd.OnState(func(enc *snapshot.Enc) {
 				enc.F64s(sh.eVal[me].V)
 				enc.F64s(sh.hVal[me].V)
@@ -140,6 +167,8 @@ func (s *smStep) step(p *sim.Proc) sim.StepStatus {
 			if !nd.RT.StepBarrier(p) {
 				return sim.StepYield
 			}
+			// Main loop: barriers separate the half-steps and prevent a
+			// processor from reading a remote value before it is computed.
 			nd.Phase(PhaseMain)
 			s.it = 0
 			s.pc = esHalfE
@@ -186,9 +215,13 @@ type regFrame struct {
 	slot int64
 }
 
-// stepRegister mirrors RunSM's register loops: for each sink (me, then the
-// ring neighbors) and each kind, claim a slot under the sink's lock and
-// write the packed source pointer and weight with remote writes.
+// stepRegister registers my out-edges at their sinks: for each sink (me,
+// then the ring neighbors) and each kind, lock the sink processor's region,
+// claim the next in-edge slot, and write the source pointer and weight with
+// remote writes (paper: "remote data accesses require locks and remote
+// writes because each processor updates incoming edge counts and pointers
+// for remote sinks"). The source pointer packs (owner<<32 | index) — the
+// simulated analogue of a pointer into the owner's value vector.
 func (s *smStep) stepRegister() bool {
 	np, deg := s.par.NodesPer, s.par.Degree
 	m, sh := s.m, s.sh
@@ -274,7 +307,10 @@ func (s *smStep) stepRegister() bool {
 	}
 }
 
-// stepSMHalf mirrors smHalf (without the software-flush variant).
+// stepSMHalf updates this processor's dst nodes from the shared source
+// value vectors, whose owner and index each edge's packed index word names.
+// Local sources usually hit; remote sources take the protocol's
+// invalidate-request-response round trips every iteration.
 func (s *smStep) stepSMHalf(idx *memsim.IVec, w *memsim.FVec, srcVals []memsim.FVec, dst *memsim.FVec) bool {
 	np, deg := s.par.NodesPer, s.par.Degree
 	m := s.m
@@ -283,6 +319,12 @@ func (s *smStep) stepSMHalf(idx *memsim.IVec, w *memsim.FVec, srcVals []memsim.F
 		switch hf.sub {
 		case 0:
 			if hf.i >= np {
+				if s.flush {
+					hf.k = 0
+					hf.flushed = make(map[uint64]struct{})
+					hf.sub = 4
+					continue
+				}
 				*hf = halfFrame{}
 				return true
 			}
@@ -318,6 +360,29 @@ func (s *smStep) stepSMHalf(idx *memsim.IVec, w *memsim.FVec, srcVals []memsim.F
 			s.nd.Compute(int64(deg)*cMac + cNode)
 			hf.i++
 			hf.sub = 0
+		case 4:
+			// Software flush (paper §5.3.4): after the half-step, drop every
+			// remote block we consumed, in edge order, so the producers'
+			// rewrites find no copies to invalidate (a silent replacement
+			// instead of a two-message invalidation round). Deduplicated per
+			// block — values are reused within the half-step.
+			for ; hf.k < np*deg; hf.k++ {
+				packed := idx.V[hf.k]
+				owner := int(packed >> 32)
+				if owner == s.nd.ID {
+					continue
+				}
+				addr := srcVals[owner].Addr(int(packed & 0xFFFFFFFF))
+				if _, ok := hf.flushed[addr>>5]; ok {
+					continue
+				}
+				if !m.StepFlushBlock(addr) {
+					return false
+				}
+				hf.flushed[addr>>5] = struct{}{}
+			}
+			*hf = halfFrame{}
+			return true
 		}
 	}
 }

@@ -12,28 +12,44 @@ import (
 	"repro/internal/snapshot"
 )
 
-// RunMPStep runs the synchronous LCP-MP variant in step (continuation)
-// form: runMP's sync path rewritten as an explicit state machine,
-// fingerprint-identical to the coroutine form. The asynchronous star
-// variant (ALCP-MP) stays coroutine-only — its Drain-at-sweep-boundary
-// polling is not ported.
-func RunMPStep(cfg cost.Config, shape cmmd.Shape, par Params) *Output {
+// RunMP runs the synchronous message-passing variant (LCP-MP): each
+// processor keeps a full local copy of the solution vector; after the
+// sweeps of a step, local copies are reconciled with log2(P) point-to-point
+// butterfly exchanges across pre-established CMMD channels, and a reduction
+// tests convergence. The processor count must be a power of two.
+func RunMP(cfg cost.Config, shape cmmd.Shape, par Params) *Output {
+	return runMP(cfg, shape, par, false)
+}
+
+// RunAMP runs the asynchronous variant (ALCP-MP): bulk updates are sent to
+// every other node (a star) after each individual sweep, and applied
+// whenever they arrive; processors synchronize only for the convergence
+// test. Faster convergence in steps, far more communication.
+func RunAMP(cfg cost.Config, shape cmmd.Shape, par Params) *Output {
+	return runMP(cfg, shape, par, true)
+}
+
+// runMP runs the one step machine behind both variants (mpStep);
+// cfg.StepProcs chooses whether the engine calls it directly or drives it
+// from a coroutine, with bit-identical results.
+func runMP(cfg cost.Config, shape cmmd.Shape, par Params, async bool) *Output {
 	out := &Output{}
 	pr := genProblem(par)
 	procs := cfg.Procs
 	rpp := rowsPerProc(par.N, procs)
-	logP := bits.Len(uint(procs)) - 1
-	if 1<<logP != procs {
+	if !async && procs&(procs-1) != 0 {
+		// Spec.Validate rejects this before a run starts.
 		panic("lcp: butterfly exchange needs a power-of-two processor count")
 	}
 
-	segs := make([][]float64, procs)
+	segs := make([][]float64, procs) // final owner segments, for validation
 
 	out.Res = machine.NewMPStep(cfg, shape, func(nd *machine.MPNode) func(*sim.Proc) sim.StepStatus {
-		s := newMPStep(nd, pr, par, rpp, logP, out, segs)
-		return s.step
+		return newMPStep(nd, pr, par, rpp, async, out, segs).step
 	}).Run()
 
+	// Reconstruct the global solution from the authoritative owner
+	// segments and validate complementarity (skipped on an aborted run).
 	if out.Res.Err == nil {
 		zfinal := make([]float64, par.N)
 		for p := 0; p < procs; p++ {
@@ -60,6 +76,8 @@ const (
 	lmNorm
 	lmReduce
 	lmBcast
+	lmQuiesce
+	lmQuiesceDrain
 	lmBarrier1
 )
 
@@ -67,6 +85,7 @@ type mpStep struct {
 	nd       *machine.MPNode
 	pr       *problem
 	par      Params
+	async    bool
 	rpp, lgP int
 	lo       int
 	out      *Output
@@ -84,6 +103,7 @@ type mpStep struct {
 	r      int // row index within the sweep
 	sub    uint8
 	bk     int // butterfly stage
+	peer   int // star destination
 	norm   float64
 	done   float64
 
@@ -93,14 +113,17 @@ type mpStep struct {
 	bs   cmmd.BcastStep
 }
 
-// newMPStep does the host-side setup (allocations, private matrix copies
-// with their setup charges, and the butterfly channels) — everything the
-// coroutine form runs before its first memory-system operation.
-func newMPStep(nd *machine.MPNode, pr *problem, par Params, rpp, logP int, out *Output, segs [][]float64) *mpStep {
+// newMPStep does the host-side setup at the node's first dispatch:
+// allocations, private copies of my matrix rows with their setup charges,
+// and the pre-established channels (static communication, as the paper's
+// LCP-MP: "point-to-point exchanges across CMMD channels").
+func newMPStep(nd *machine.MPNode, pr *problem, par Params, rpp int, async bool, out *Output, segs [][]float64) *mpStep {
 	me := nd.ID
-	s := &mpStep{nd: nd, pr: pr, par: par, rpp: rpp, lgP: logP, lo: me * rpp,
+	s := &mpStep{nd: nd, pr: pr, par: par, async: async, rpp: rpp, lo: me * rpp,
 		out: out, segs: segs, stepNo: 1}
 
+	// Full local copy of the solution vector, plus the previous step's own
+	// segment for the convergence norm.
 	s.z = nd.AllocF(par.N)
 	s.zprev = nd.AllocF(rpp)
 	nd.OnState(func(enc *snapshot.Enc) {
@@ -121,9 +144,22 @@ func newMPStep(nd *machine.MPNode, pr *problem, par Params, rpp, logP int, out *
 		s.mq.V[r] = pr.q[gi]
 		nd.Compute(int64(cSetup * par.NNZ))
 	}
-	for k := 0; k < logP; k++ {
+	if async {
+		// Star: one channel per peer, receiving directly into that peer's
+		// segment of my local copy. Opened in peer order, so channel ids
+		// agree across nodes by symmetry.
+		for peer := 0; peer < nd.Procs; peer++ {
+			if peer != me {
+				nd.EP.OpenRecvChannelF(&s.z, peer*rpp, (peer+1)*rpp)
+			}
+		}
+		return s
+	}
+	// Butterfly: at stage k I receive my partner's 2^k-proc segment.
+	s.lgP = bits.Len(uint(nd.Procs)) - 1
+	for k := 0; k < s.lgP; k++ {
 		partner := me ^ (1 << k)
-		segStart := (partner >> k) << k
+		segStart := (partner >> k) << k // in proc units
 		s.bflyRecv = append(s.bflyRecv,
 			nd.EP.OpenRecvChannelF(&s.z, segStart*rpp, (segStart+(1<<k))*rpp))
 	}
@@ -189,7 +225,7 @@ func (s *mpStep) step(p *sim.Proc) sim.StepStatus {
 			s.bk, s.sub = 0, 0
 			s.pc = lmBfly
 		case lmBfly:
-			if !s.stepButterfly() {
+			if !s.async && !s.stepButterfly() {
 				return sim.StepYield
 			}
 			s.pc = lmNorm
@@ -225,6 +261,20 @@ func (s *mpStep) step(p *sim.Proc) sim.StepStatus {
 				continue
 			}
 			s.pc = lmBarrier1
+			if s.async {
+				s.pc = lmQuiesce
+			}
+		case lmQuiesce:
+			// Drain in-flight updates so every node quiesces.
+			if !nd.EP.StepBarrier() {
+				return sim.StepYield
+			}
+			s.pc = lmQuiesceDrain
+		case lmQuiesceDrain:
+			if !nd.AM.StepDrain(&s.poll) {
+				return sim.StepYield
+			}
+			s.pc = lmBarrier1
 		case lmBarrier1:
 			if !nd.EP.StepBarrier() {
 				return sim.StepYield
@@ -238,22 +288,22 @@ func (s *mpStep) step(p *sim.Proc) sim.StepStatus {
 	}
 }
 
-// stepSweeps mirrors the sync sweep loop: per row, stream the matrix row
-// from local memory, then apply the projected SOR update to the host-side
-// local copy exactly once, on the completing access.
+// stepSweeps runs the step's sweeps: per row, stream the matrix row from
+// local memory (the solution entries it references are cache-resident — the
+// paper's tiny local-miss counts confirm this working set fits), then apply
+// the projected SOR update to the host-side local copy exactly once, on the
+// completing access. The asynchronous variant exchanges updates at every
+// sweep boundary.
 func (s *mpStep) stepSweeps() bool {
 	m := s.nd.Mem
 	nnz := s.par.NNZ
 	for {
-		if s.r >= s.rpp {
-			s.r = 0
-			s.swp++
-			if s.swp >= s.par.Sweeps {
-				return true
-			}
-		}
 		switch s.sub {
 		case 0:
+			if s.r >= s.rpp {
+				s.sub = 2
+				continue
+			}
 			if !s.mvals.StepReadRange(m, s.r*nnz, (s.r+1)*nnz) {
 				return false
 			}
@@ -267,12 +317,47 @@ func (s *mpStep) stepSweeps() bool {
 			s.nd.Compute(cRow + int64(nnz)*cElem)
 			s.r++
 			s.sub = 0
+		case 2:
+			if s.async && !s.stepStar() {
+				return false
+			}
+			s.r, s.sub = 0, 0
+			s.swp++
+			if s.swp >= s.par.Sweeps {
+				return true
+			}
 		}
 	}
 }
 
-// stepButterfly mirrors the log2(P) all-gather: at each stage send my
-// current 2^k-proc segment to the partner and wait for the partner's.
+// stepStar broadcasts my fresh segment to everyone, then applies whatever
+// has arrived. Updates are serviced at sweep boundaries — the polling
+// granularity of the compute loop — so a peer's values take one to two
+// sweeps to take effect end-to-end.
+func (s *mpStep) stepStar() bool {
+	me := s.nd.ID
+	for ; s.peer < s.nd.Procs; s.peer++ {
+		if s.peer == me {
+			continue
+		}
+		chID := me // my segment's channel on peer: opened in peer order, self skipped
+		if me > s.peer {
+			chID = me - 1
+		}
+		if !s.nd.EP.StepChannelWriteF(&s.cw, s.peer, chID, &s.z, s.lo, s.lo+s.rpp) {
+			return false
+		}
+	}
+	if !s.nd.AM.StepDrain(&s.poll) {
+		return false
+	}
+	s.peer = 0
+	return true
+}
+
+// stepButterfly is the log2(P) all-gather of the updated local copies: at
+// each stage send my current 2^k-proc segment to the partner and wait for
+// the partner's.
 func (s *mpStep) stepButterfly() bool {
 	nd := s.nd
 	me := nd.ID

@@ -13,27 +13,43 @@ import (
 
 // lcpSMShared is the shared problem state established by node 0.
 type lcpSMShared struct {
-	zg    memsim.FVec
+	zg    memsim.FVec // the global solution vector
 	stale *memsim.StaleVec
 	red   *parmacs.Reduction
-	done  memsim.IVec
+	done  memsim.IVec // convergence decision published by node 0
 }
 
-// RunSMStep runs the synchronous LCP-SM variant in step (continuation)
-// form: runSM's sync path rewritten as an explicit state machine,
-// fingerprint-identical to the coroutine form. The asynchronous variant
-// (ALCP-SM) stays coroutine-only.
-func RunSMStep(cfg cost.Config, par Params) *Output {
+// RunSM runs the synchronous shared-memory variant (LCP-SM): a single
+// global solution vector in shared memory; each step every processor
+// refreshes a private local copy from the global vector, sweeps against it,
+// and publishes its portion back, with a reduction testing convergence —
+// exactly the structure the paper describes ("processors compute their
+// portion of the new solution vector into a local buffer. To update, they
+// copy values from the local buffer into the global vector").
+func RunSM(cfg cost.Config, par Params) *Output {
+	return runSM(cfg, par, false)
+}
+
+// RunASM runs the asynchronous variant (ALCP-SM): new values are written
+// directly into the global solution vector as they are computed, so other
+// processors see them as soon as the coherence protocol delivers them;
+// processors synchronize only every Sweeps sweeps for the convergence test.
+func RunASM(cfg cost.Config, par Params) *Output {
+	return runSM(cfg, par, true)
+}
+
+// runSM runs the one step machine behind both variants (smStep);
+// cfg.StepProcs chooses whether the engine calls it directly or drives it
+// from a coroutine, with bit-identical results.
+func runSM(cfg cost.Config, par Params, async bool) *Output {
 	out := &Output{}
 	pr := genProblem(par)
-	procs := cfg.Procs
-	rpp := rowsPerProc(par.N, procs)
+	rpp := rowsPerProc(par.N, cfg.Procs)
 
 	var sh lcpSMShared
 
 	out.Res = machine.NewSMStep(cfg, parmacs.RoundRobin, func(nd *machine.SMNode) func(*sim.Proc) sim.StepStatus {
-		s := newSMStep(nd, pr, par, rpp, out, &sh)
-		return s.step
+		return newSMStep(nd, pr, par, rpp, async, out, &sh).step
 	}).Run()
 
 	if out.Res.Err == nil {
@@ -66,15 +82,16 @@ const (
 )
 
 type smStep struct {
-	nd  *machine.SMNode
-	pr  *problem
-	par Params
-	rpp int
-	lo  int
-	out *Output
-	sh  *lcpSMShared
+	nd    *machine.SMNode
+	pr    *problem
+	par   Params
+	async bool
+	rpp   int
+	lo    int
+	out   *Output
+	sh    *lcpSMShared
 
-	mvals, zloc memsim.FVec
+	mvals, zloc memsim.FVec // zloc: the local copy (synchronous variant)
 	zprev       memsim.FVec
 	mcols       memsim.IVec
 
@@ -92,12 +109,12 @@ type smStep struct {
 	rds parmacs.RedStep
 }
 
-// newSMStep does the host-side setup. Node 0 also establishes the shared
-// vectors here — its first dispatch; other nodes touch sh only after their
-// StepWaitCreate completes, which node 0's Create must precede.
-func newSMStep(nd *machine.SMNode, pr *problem, par Params, rpp int, out *Output, sh *lcpSMShared) *smStep {
+// newSMStep does the host-side setup at the node's first dispatch. Node 0
+// also establishes the shared vectors here; other nodes touch sh only after
+// their StepWaitCreate completes, which node 0's Create must precede.
+func newSMStep(nd *machine.SMNode, pr *problem, par Params, rpp int, async bool, out *Output, sh *lcpSMShared) *smStep {
 	me := nd.ID
-	s := &smStep{nd: nd, pr: pr, par: par, rpp: rpp, lo: me * rpp,
+	s := &smStep{nd: nd, pr: pr, par: par, async: async, rpp: rpp, lo: me * rpp,
 		out: out, sh: sh, stepNo: 1}
 	if me == 0 {
 		sh.zg = nd.RT.GMallocF(0, par.N)
@@ -130,7 +147,7 @@ func (s *smStep) step(p *sim.Proc) sim.StepStatus {
 			if !nd.RT.StepBarrier(p) {
 				return sim.StepYield
 			}
-			// Same simulated point as the coroutine form's registration.
+			// Registered here, once sh is established on every node.
 			nd.OnState(func(enc *snapshot.Enc) {
 				if me == 0 {
 					enc.F64s(sh.zg.V)
@@ -175,7 +192,11 @@ func (s *smStep) step(p *sim.Proc) sim.StepStatus {
 			if !s.zprev.StepWriteRange(m, 0, rpp) {
 				return sim.StepYield
 			}
+			s.swp, s.r, s.sub = 0, 0, 0
 			s.pc = lsRefresh
+			if s.async {
+				s.pc = lsSweep
+			}
 		case lsRefresh:
 			for r := 0; r < rpp; r++ {
 				s.zloc.V[lo+r] = sh.zg.V[lo+r]
@@ -183,14 +204,17 @@ func (s *smStep) step(p *sim.Proc) sim.StepStatus {
 			if !s.zloc.StepWriteRange(m, lo, lo+rpp) {
 				return sim.StepYield
 			}
-			s.swp, s.r, s.sub = 0, 0, 0
 			s.pc = lsSweep
 		case lsSweep:
 			if !s.stepSweeps() {
 				return sim.StepYield
 			}
 			s.pc = lsPubRead
-		case lsPubRead:
+			if s.async {
+				nd.Compute(cStep)
+				s.pc = lsNorm
+			}
+		case lsPubRead: // publish: copy the local buffer into the global vector
 			if !s.zloc.StepReadRange(m, lo, lo+rpp) {
 				return sim.StepYield
 			}
@@ -206,6 +230,10 @@ func (s *smStep) step(p *sim.Proc) sim.StepStatus {
 			nd.Compute(cStep)
 			s.pc = lsNorm
 		case lsNorm:
+			// Convergence test (paper: synchronize every five iterations in
+			// the asynchronous version — i.e. once per step here too). The
+			// synchronous variant needs all publishes complete before the
+			// next refresh; the barrier after the reduction provides that.
 			if !s.zprev.StepReadRange(m, 0, rpp) {
 				return sim.StepYield
 			}
@@ -262,14 +290,23 @@ func (s *smStep) step(p *sim.Proc) sim.StepStatus {
 	}
 }
 
-// stepSweeps mirrors the sync sweep loops: own entries come from the
-// private buffer; remote entries are demand-fetched from the shared vector
-// with cache staleness. The buffer mutates exactly once per row, after the
-// row's last access completes.
+// stepSweeps runs the step's sweeps. The synchronous variant sweeps against
+// "a local copy of the solution vector": own entries live in a private
+// buffer; remote entries are read from the shared vector on demand. The
+// first sweep's reads miss (each block once — the owners' publishes
+// invalidated them at the end of the previous step) and later sweeps hit the
+// cached snapshot, which is exactly the local-copy semantics; demand
+// fetching spreads the misses through the sweep, so the directory sees
+// little contention. The asynchronous variant sweeps directly against the
+// global vector: every reference is a real shared access returning what the
+// cache holds, invalidated afresh by each producer — the producer-consumer
+// pattern the invalidation protocol handles so poorly. Either way the
+// row's result is stored exactly once, after the row's last access completes.
 func (s *smStep) stepSweeps() bool {
 	m := s.nd.Mem
 	par, lo := s.par, s.lo
 	nnz := par.NNZ
+	stale := s.sh.stale
 	for {
 		if s.r >= s.rpp {
 			s.r = 0
@@ -289,32 +326,51 @@ func (s *smStep) stepSweeps() bool {
 			if !s.mcols.StepReadRange(m, s.r*nnz, (s.r+1)*nnz) {
 				return false
 			}
-			s.zi = s.zloc.V[gi]
-			s.acc = s.pr.q[gi] + s.pr.diag[gi]*s.zi
-			s.k = 0
 			s.sub = 2
 		case 2:
+			if s.async {
+				// Values arrive with cache staleness: each read sees what
+				// the cache holds, refreshed only when an invalidation
+				// forced a miss.
+				zi, ok := stale.StepGet(m, gi)
+				if !ok {
+					return false
+				}
+				s.zi = zi
+			} else {
+				s.zi = s.zloc.V[gi]
+			}
+			s.acc = s.pr.q[gi] + s.pr.diag[gi]*s.zi
+			s.k = 0
+			s.sub = 3
+		case 3:
 			cols := s.pr.cols[gi]
 			vals := s.pr.vals[gi]
 			for s.k < len(cols) {
 				ci := int(cols[s.k])
-				if ci >= lo && ci < lo+s.rpp {
+				if !s.async && ci >= lo && ci < lo+s.rpp {
 					s.acc += vals[s.k] * s.zloc.V[ci]
 					s.k++
 					continue
 				}
-				v, ok := s.sh.stale.StepGet(m, ci)
+				v, ok := stale.StepGet(m, ci)
 				if !ok {
 					return false
 				}
 				s.acc += vals[s.k] * v
 				s.k++
 			}
+			s.sub = 4
+		case 4:
 			nz := s.zi - par.Omega*s.acc/s.pr.diag[gi]
 			if nz < 0 {
 				nz = 0
 			}
-			s.zloc.V[gi] = nz
+			if !s.async {
+				s.zloc.V[gi] = nz
+			} else if !stale.StepSet(m, gi, nz) {
+				return false
+			}
 			s.nd.Compute(cRow + int64(nnz)*cElem)
 			s.r++
 			s.sub = 0

@@ -149,13 +149,13 @@ type Config struct {
 	// snapshots (see the serial/parallel determinism tests).
 	Workers int `json:"-"`
 
-	// PerAccessStats switches processor accounts to the per-access reference
-	// charging mode (sim.Engine.PerAccessStats): every Charge/Add applies
-	// directly to the phase table instead of batching into a per-quantum
-	// accumulator. Both modes are bit-identical in every observable — this
-	// switch exists so the equivalence tests can prove it — so like Workers
-	// it is a host-side knob excluded from JSON run specs and snapshots.
-	PerAccessStats bool `json:"-"`
+	// StepProcs selects how the engine dispatches an application written as
+	// a step program (machine.NewMPStep/NewSMStep): true runs each node as a
+	// step processor, false (the default) drives the same continuation from
+	// a coroutine. One body runs either way and the two are bit-identical, so
+	// like Workers this is a host-side knob excluded from JSON run specs
+	// (runner.Spec.StepProcs carries the request and sets it).
+	StepProcs bool `json:"-"`
 
 	// OnBuild, when non-nil, is invoked once at the end of machine
 	// construction with the assembled machine (*machine.MPMachine or

@@ -102,24 +102,35 @@ type MPMachine struct {
 	Comb *sim.Combiner
 }
 
-// StepProgramMP builds one node's step function: called lazily at the
-// node's first dispatch (engine context, quantum zero — where the
-// coroutine form's program body starts), it does the host-side setup and
-// returns the continuation the engine then calls once per quantum.
+// StepProgramMP builds one node's step function: called at the node's first
+// dispatch (engine context, quantum zero — where a blocking program's body
+// starts), it does the host-side setup and returns the continuation that
+// runs the node, one call per dispatch, until it returns sim.StepDone.
 type StepProgramMP func(n *MPNode) func(*sim.Proc) sim.StepStatus
 
-// NewMPStep builds a message-passing machine whose application processors
-// run in step (continuation) form: no goroutine, no coroutine switch — the
-// engine calls each node's step function directly, and the step returns
-// sim.StepYield where the coroutine form would suspend. The library below
-// the program is the same one body per call either way, so every fault and
-// ablation configuration is available in both forms.
+// NewMPStep builds a message-passing machine that runs a step program on
+// every node. cfg.StepProcs chooses how the engine dispatches it: as a step
+// processor (no goroutine, no coroutine switch — the engine calls the
+// continuation directly) or, by default, from a coroutine that yields
+// wherever the continuation returns sim.StepYield. The program and the
+// library below it are the same one body either way, so the two forms are
+// fingerprint-identical in every fault and ablation configuration.
 func NewMPStep(cfg cost.Config, shape cmmd.Shape, program StepProgramMP) *MPMachine {
-	return buildMP(cfg, shape, nil, program)
+	if cfg.StepProcs {
+		return buildMP(cfg, shape, nil, program)
+	}
+	return buildMP(cfg, shape, func(n *MPNode) { drive(n.P, program(n)) }, nil)
+}
+
+// drive runs a step continuation to completion on a coroutine processor.
+func drive(p *sim.Proc, step func(*sim.Proc) sim.StepStatus) {
+	for step(p) != sim.StepDone {
+		p.Yield()
+	}
 }
 
 // NewMP builds a message-passing machine with the given collective tree
-// shape; program runs on every node.
+// shape; the blocking program runs on every node, each on a coroutine.
 func NewMP(cfg cost.Config, shape cmmd.Shape, program func(n *MPNode)) *MPMachine {
 	return buildMP(cfg, shape, program, nil)
 }
@@ -131,7 +142,6 @@ func buildMP(cfg cost.Config, shape cmmd.Shape, program func(n *MPNode), stepPro
 	c := cfg // one copy shared by all nodes
 	eng := sim.NewEngine(c.NetLatency)
 	eng.Workers = c.Workers
-	eng.PerAccessStats = c.PerAccessStats
 	net := ni.NewNetwork(eng, &c)
 	bar := sim.NewBarrier(eng, c.Procs, c.BarrierLatency)
 	space := memsim.NewAddrSpace(c.Procs, c.BlockBytes)
@@ -277,16 +287,19 @@ type SMMachine struct {
 // StepProgramSM is StepProgramMP for the shared-memory machine.
 type StepProgramSM func(n *SMNode) func(*sim.Proc) sim.StepStatus
 
-// NewSMStep builds a shared-memory machine whose application processors
-// run in step form; see NewMPStep. The checker, watchdog, control-message
-// fault injection and hardware combining remain available — each is the
-// same code under either processor form.
+// NewSMStep builds a shared-memory machine that runs a step program on
+// every node, dispatched as cfg.StepProcs selects; see NewMPStep. The
+// checker, watchdog, control-message fault injection and hardware combining
+// remain available — each is the same code under either processor form.
 func NewSMStep(cfg cost.Config, policy parmacs.Policy, program StepProgramSM) *SMMachine {
-	return buildSM(cfg, policy, nil, program)
+	if cfg.StepProcs {
+		return buildSM(cfg, policy, nil, program)
+	}
+	return buildSM(cfg, policy, func(n *SMNode) { drive(n.P, program(n)) }, nil)
 }
 
 // NewSM builds a shared-memory machine with the given allocation policy;
-// program runs on every node.
+// the blocking program runs on every node, each on a coroutine.
 func NewSM(cfg cost.Config, policy parmacs.Policy, program func(n *SMNode)) *SMMachine {
 	return buildSM(cfg, policy, program, nil)
 }
@@ -298,7 +311,6 @@ func buildSM(cfg cost.Config, policy parmacs.Policy, program func(n *SMNode), st
 	c := cfg
 	eng := sim.NewEngine(c.NetLatency)
 	eng.Workers = c.Workers
-	eng.PerAccessStats = c.PerAccessStats
 	bar := sim.NewBarrier(eng, c.Procs, c.BarrierLatency)
 	space := memsim.NewAddrSpace(c.Procs, c.BlockBytes)
 	pr := coherence.New(eng, &c)

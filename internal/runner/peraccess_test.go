@@ -9,7 +9,7 @@ import (
 
 // TestBatchedStatsEquivalence is the batched-accounting contract: the
 // default per-quantum cost accumulators and the reference per-access mode
-// (Options.PerAccessStats) must produce byte-identical canonical stats —
+// (Options.perAccessStats) must produce byte-identical canonical stats —
 // same fingerprint, same encoded bytes, same application answer — for
 // every configuration in the equivalence matrix, serially and across a
 // worker pool. Run it under -race to also catch any accumulator access
@@ -30,8 +30,8 @@ func TestBatchedStatsEquivalence(t *testing.T) {
 				name string
 				opts Options
 			}{
-				{"per-access/workers=1", Options{Workers: 1, PerAccessStats: true}},
-				{"per-access/workers=4", Options{Workers: 4, PerAccessStats: true}},
+				{"per-access/workers=1", Options{Workers: 1, perAccessStats: true}},
+				{"per-access/workers=4", Options{Workers: 4, perAccessStats: true}},
 				{"batched/workers=4", Options{Workers: 4}},
 			}
 			for _, v := range variants {
@@ -95,8 +95,8 @@ func TestCheckpointAcrossAccountingModes(t *testing.T) {
 				t.Fatalf("read %s: %v", cp.Path, err)
 			}
 			for _, opts := range []Options{
-				{Resume: snap, PerAccessStats: true},
-				{Resume: snap, PerAccessStats: true, Workers: 4},
+				{Resume: snap, perAccessStats: true},
+				{Resume: snap, perAccessStats: true, Workers: 4},
 			} {
 				re, err := Run(spec, opts)
 				if err != nil {

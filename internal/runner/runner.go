@@ -62,18 +62,19 @@ type Spec struct {
 	// simulated hardware, so it must survive the snapshot round-trip.
 	HWCombining bool `json:"hw_combining,omitempty"`
 
-	// StepProcs selects the step (continuation) form of the application:
-	// each node runs as an engine-dispatched state machine instead of a
-	// goroutine. Fingerprint-identical to the coroutine form by contract
-	// (the cross-form equality tests pin it), so checkpoints written by one
-	// form resume under the other; part of Spec because only some apps have
-	// step implementations and Validate must reject the rest up front.
+	// StepProcs selects how the engine dispatches the application's nodes:
+	// as step processors (engine-called state machines, no goroutine) instead
+	// of coroutines. EM3D, LCP and ALCP are step programs — one body that
+	// runs under either form, fingerprint-identical by contract (the
+	// cross-form tests pin it), so checkpoints written by one form resume
+	// under the other; part of Spec because MSE and Gauss are blocking
+	// programs only and Validate must reject them up front.
 	StepProcs bool `json:"step_procs,omitempty"`
 }
 
 // StepUnsupportedError reports a spec requesting step processors for an
-// app that only exists in coroutine form. Every machine configuration —
-// fault plans, robustness layers, ablations — runs under both forms.
+// app that is a blocking program (mse, gauss). Every machine configuration
+// — fault plans, robustness layers, ablations — runs under both forms.
 type StepUnsupportedError struct {
 	App     string
 	Machine string
@@ -119,15 +120,41 @@ func (s *Spec) Validate() error {
 	if (s.SMCheck || s.SMFaults != nil || s.SMWatchdog > 0) && s.Machine != "sm" {
 		return fmt.Errorf("runner: coherence robustness controls require machine sm")
 	}
+	// The row-partitioned apps give every processor N/P rows, and LCP-MP's
+	// butterfly all-gather pairs processors across log2(P) stages.
+	if n := s.rows(); n%s.Procs != 0 {
+		return fmt.Errorf("runner: %s size %d is not divisible by procs %d", s.App, n, s.Procs)
+	}
+	if s.App == "lcp" && s.Machine == "mp" && s.Procs&(s.Procs-1) != 0 {
+		return fmt.Errorf("runner: lcp/mp butterfly exchange needs a power-of-two procs, got %d", s.Procs)
+	}
 	if s.StepProcs {
 		switch s.App {
-		case "em3d", "lcp":
+		case "em3d", "lcp", "alcp":
 		default:
 			return &StepUnsupportedError{App: s.App, Machine: s.Machine,
-				Reason: "app has no step implementation"}
+				Reason: "app is a blocking program, not a step program"}
 		}
 	}
 	return nil
+}
+
+// gaussN is Gauss's paper-default system size.
+const gaussN = 512
+
+// rows returns the system size N of the row-partitioned apps (gauss, lcp,
+// alcp) after the Size override, and 0 for the others.
+func (s *Spec) rows() int {
+	switch {
+	case s.App != "gauss" && s.App != "lcp" && s.App != "alcp":
+		return 0
+	case s.Size > 0:
+		return s.Size
+	case s.App == "gauss":
+		return gaussN
+	default:
+		return lcp.DefaultParams().N
+	}
 }
 
 // Config derives the hardware configuration the spec implies.
@@ -141,6 +168,7 @@ func (s *Spec) Config() cost.Config {
 	cfg.SMFaults = s.SMFaults
 	cfg.SMWatchdog = s.SMWatchdog
 	cfg.HWCombining = s.HWCombining
+	cfg.StepProcs = s.StepProcs
 	return cfg
 }
 
@@ -194,13 +222,12 @@ type Options struct {
 	// host knob, deliberately not part of Spec: any value yields the same
 	// fingerprint, so it lives beside the other run-local options.
 	Workers int
-	// PerAccessStats switches cost accounting to the reference per-access
-	// mode (every charge posted to the phase buckets immediately) instead of
-	// the default batched per-quantum accumulators. The two modes are
-	// fingerprint-identical by contract — TestBatchedStatsEquivalence pins
-	// it — so, like Workers, this is a host-side diagnostic knob and not
-	// part of Spec.
-	PerAccessStats bool
+	// perAccessStats switches cost accounting to the reference per-access
+	// mode (stats.Acct.PerAccess: every charge posted to the phase buckets
+	// immediately) instead of the batched per-quantum accumulators. The two
+	// modes are fingerprint-identical by contract; only this package's
+	// equivalence tests, which pin that contract, set it.
+	perAccessStats bool
 	// Interrupt, when non-nil, arms cooperative preemption: once Fire is
 	// called (from any goroutine — a wall-clock deadline timer, a drain
 	// signal), the run stops at the next quantum boundary, writes a
@@ -330,7 +357,6 @@ func Run(spec Spec, opts Options) (*Outcome, error) {
 
 	cfg := spec.Config()
 	cfg.Workers = opts.Workers
-	cfg.PerAccessStats = opts.PerAccessStats
 	cfg.OnBuild = func(m any) {
 		var eng *sim.Engine
 		var me interface {
@@ -344,6 +370,11 @@ func Run(spec Spec, opts Options) (*Outcome, error) {
 			eng, me = mm.Eng, mm
 		default:
 			return
+		}
+		if opts.perAccessStats {
+			for _, p := range eng.Procs() {
+				p.Acct.PerAccess = true
+			}
 		}
 
 		capture := func(now sim.Time) *snapshot.Snapshot {
@@ -475,10 +506,7 @@ func runApp(spec *Spec, cfg cost.Config) (*machine.Result, string) {
 		}
 		return out.Res, fmt.Sprintf("refErr=%.3g residual=%.3g", out.RefErr, out.Residual)
 	case "gauss":
-		par := gauss.Params{N: 512, Seed: 1}
-		if spec.Size > 0 {
-			par.N = spec.Size
-		}
+		par := gauss.Params{N: spec.rows(), Seed: 1}
 		var out *gauss.Output
 		if spec.Machine == "mp" {
 			out = gauss.RunMP(cfg, shape, par)
@@ -495,33 +523,22 @@ func runApp(spec *Spec, cfg cost.Config) (*machine.Result, string) {
 			par.Iters = spec.Iters
 		}
 		var out *em3d.Output
-		switch {
-		case spec.Machine == "mp" && spec.StepProcs:
-			out = em3d.RunMPStep(cfg, shape, par)
-		case spec.Machine == "mp":
+		if spec.Machine == "mp" {
 			out = em3d.RunMP(cfg, shape, par)
-		case spec.StepProcs:
-			out = em3d.RunSMStep(cfg, spec.policy(), par)
-		default:
+		} else {
 			out = em3d.RunSM(cfg, spec.policy(), par)
 		}
 		return out.Res, fmt.Sprintf("maxErr=%.3g", out.MaxErr)
 	default: // lcp | alcp, enforced by Validate
 		par := lcp.DefaultParams()
-		if spec.Size > 0 {
-			par.N = spec.Size
-		}
+		par.N = spec.rows()
 		if spec.Iters > 0 {
 			par.MaxSteps = spec.Iters
 		}
 		var out *lcp.Output
 		switch {
-		case spec.App == "lcp" && spec.Machine == "mp" && spec.StepProcs:
-			out = lcp.RunMPStep(cfg, shape, par)
 		case spec.App == "lcp" && spec.Machine == "mp":
 			out = lcp.RunMP(cfg, shape, par)
-		case spec.App == "lcp" && spec.StepProcs:
-			out = lcp.RunSMStep(cfg, par)
 		case spec.App == "lcp":
 			out = lcp.RunSM(cfg, par)
 		case spec.Machine == "mp":

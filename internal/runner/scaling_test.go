@@ -151,7 +151,7 @@ func TestScalingSmokeStep1024(t *testing.T) {
 	}
 	par := em3d.DefaultParams()
 	par.NodesPer, par.Iters = 8, 2
-	out := em3d.RunMPStep(cfg, cmmd.LopSided, par)
+	out := em3d.RunMP(cfg, cmmd.LopSided, par)
 	if out.Res.Err != nil {
 		t.Fatalf("step run aborted: %v", out.Res.Err)
 	}

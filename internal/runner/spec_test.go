@@ -87,6 +87,14 @@ func randSpec(rng *rand.Rand) Spec {
 		}
 	}
 	s.Policy = policies[rng.Intn(len(policies))]
+	// The shapes Validate requires: a power-of-two procs for LCP-MP's
+	// butterfly, N divisible by procs for the row-partitioned apps.
+	if s.App == "lcp" && s.Machine == "mp" {
+		s.Procs = 1 << rng.Intn(7)
+	}
+	if s.rows()%s.Procs != 0 {
+		s.Size = s.Procs * (1 + rng.Intn(4))
+	}
 	if rng.Intn(4) == 0 {
 		s.CacheBytes = cost.Default(s.Procs).CacheBytes // default spelled out
 	}
@@ -210,11 +218,53 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
+// TestValidateShapes pins the rejection of shapes the apps cannot partition
+// — found here as an ordinary error, not as a panic inside the run: the
+// row-partitioned apps need their effective N divisible by procs, and the
+// synchronous LCP-MP butterfly needs a power-of-two procs.
+func TestValidateShapes(t *testing.T) {
+	cases := []struct {
+		spec Spec
+		ok   bool
+	}{
+		{Spec{App: "lcp", Machine: "mp", Procs: 32}, true},
+		{Spec{App: "lcp", Machine: "mp", Procs: 24}, false}, // 4096 % 24 != 0
+		{Spec{App: "lcp", Machine: "sm", Procs: 24}, false},
+		{Spec{App: "alcp", Machine: "mp", Procs: 24}, false},
+		{Spec{App: "gauss", Machine: "mp", Procs: 24}, false}, // 512 % 24 != 0
+		{Spec{App: "gauss", Machine: "sm", Procs: 4, Size: 50}, false},
+		{Spec{App: "gauss", Machine: "sm", Procs: 24, Size: 48}, true},
+		{Spec{App: "lcp", Machine: "mp", Procs: 6, Size: 96}, false}, // divisible, not a power of two
+		{Spec{App: "lcp", Machine: "sm", Procs: 6, Size: 96}, true},
+		{Spec{App: "alcp", Machine: "mp", Procs: 6, Size: 96}, true},
+		{Spec{App: "em3d", Machine: "mp", Procs: 24, Size: 7}, true},
+		{Spec{App: "mse", Machine: "sm", Procs: 3, Size: 8}, true},
+	}
+	for _, c := range cases {
+		err := c.spec.Validate()
+		if c.ok && err != nil {
+			t.Errorf("%+v: unexpected validate error: %v", c.spec, err)
+		}
+		if !c.ok && err == nil {
+			t.Errorf("%+v: Validate accepted an unrunnable shape", c.spec)
+		}
+		if !c.ok {
+			continue
+		}
+		c.spec.Iters = 1
+		if out, err := Run(c.spec, Options{Workers: 1}); err != nil {
+			t.Errorf("%+v: validated but did not run: %v", c.spec, err)
+		} else if out.Res.Err != nil {
+			t.Errorf("%+v: validated but aborted: %v", c.spec, out.Res.Err)
+		}
+	}
+}
+
 // TestValidateProcsBoundary pins the procs cap itself: exactly MaxProcs
 // validates (the scaling studies need every proc up to the cap), one past
 // it does not.
 func TestValidateProcsBoundary(t *testing.T) {
-	s := Spec{App: "gauss", Machine: "mp", Procs: MaxProcs}
+	s := Spec{App: "gauss", Machine: "mp", Procs: MaxProcs, Size: MaxProcs}
 	if err := s.Validate(); err != nil {
 		t.Errorf("Validate rejected procs=%d (the documented cap): %v", MaxProcs, err)
 	}

@@ -11,9 +11,10 @@ import (
 	"repro/internal/stats"
 )
 
-// stepPairs are the app/machine pairs with step (continuation) ports. Sizes
-// are kept small: the matrix below multiplies them by three processor
-// counts and two worker counts, under the race detector.
+// stepPairs are the app/machine pairs written as step programs, which the
+// engine can dispatch in either processor form. Sizes are kept small: the
+// matrix below multiplies them by three processor counts and two worker
+// counts, under the race detector.
 var stepPairs = []struct {
 	Name string
 	Spec Spec
@@ -22,9 +23,11 @@ var stepPairs = []struct {
 	{"em3d-sm", Spec{App: "em3d", Machine: "sm", Size: 8, Iters: 2}},
 	{"lcp-mp", Spec{App: "lcp", Machine: "mp", Size: 1024, Iters: 3}},
 	{"lcp-sm", Spec{App: "lcp", Machine: "sm", Size: 1024, Iters: 3}},
+	{"alcp-mp", Spec{App: "alcp", Machine: "mp", Size: 1024, Iters: 2}},
+	{"alcp-sm", Spec{App: "alcp", Machine: "sm", Size: 1024, Iters: 2}},
 }
 
-// runBothForms runs spec in coroutine and step form and checks the
+// runBothForms runs spec under coroutine and step dispatch and checks the
 // cross-form determinism contract: bit-identical accounting (fingerprint,
 // stats bytes, elapsed) and the same app answer line. It returns the
 // coroutine outcome for further assertions.
@@ -64,12 +67,15 @@ func runBothForms(t *testing.T, spec Spec, workers int) *Outcome {
 }
 
 // TestStepFormEquivalence pins the cross-form determinism contract: for
-// every ported pair, the step form must produce bit-identical accounting
-// (fingerprint, stats bytes, and the app's answer line) to the coroutine
-// form, at several processor counts, serial and parallel.
+// every step program, step dispatch must produce bit-identical accounting
+// (fingerprint, stats bytes, and the app's answer line) to coroutine
+// dispatch, at several processor counts, serial and parallel.
 func TestStepFormEquivalence(t *testing.T) {
 	for _, pair := range stepPairs {
 		for _, procs := range []int{16, 64, 256} {
+			if pair.Spec.App == "alcp" && procs > 64 {
+				continue // the star sends P^2 bulk updates per sweep
+			}
 			for _, workers := range []int{1, 4} {
 				pair, procs, workers := pair, procs, workers
 				t.Run(fmt.Sprintf("%s/p%d/w%d", pair.Name, procs, workers), func(t *testing.T) {
@@ -231,8 +237,8 @@ func TestStepCrossFormResume(t *testing.T) {
 }
 
 // TestValidateStepUnsupported pins the typed rejection of step requests for
-// apps without a step implementation — and that no machine configuration
-// (fault plans, hardware combining) is rejected for an app that has one.
+// the apps that are blocking programs — and that no machine configuration
+// (fault plans, hardware combining) is rejected for a step program.
 func TestValidateStepUnsupported(t *testing.T) {
 	cases := []struct {
 		name string
@@ -243,7 +249,7 @@ func TestValidateStepUnsupported(t *testing.T) {
 		{"lcp-sm", Spec{App: "lcp", Machine: "sm", Procs: 4, StepProcs: true}, true},
 		{"gauss", Spec{App: "gauss", Machine: "mp", Procs: 4, StepProcs: true}, false},
 		{"mse", Spec{App: "mse", Machine: "sm", Procs: 4, StepProcs: true}, false},
-		{"alcp", Spec{App: "alcp", Machine: "mp", Procs: 4, StepProcs: true}, false},
+		{"alcp", Spec{App: "alcp", Machine: "mp", Procs: 4, StepProcs: true}, true},
 		{"em3d-faults", Spec{App: "em3d", Machine: "mp", Procs: 4, StepProcs: true,
 			Faults: &cost.FaultsConfig{Seed: 1}}, true},
 		{"lcp-smfaults", Spec{App: "lcp", Machine: "sm", Procs: 4, StepProcs: true,

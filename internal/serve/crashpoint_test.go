@@ -96,7 +96,7 @@ func crashWorkload(t *testing.T, fsys vfs.FS, dir string) (acked map[string]stri
 	h := s.Handler()
 
 	specAt := func(size int) runner.Spec {
-		return runner.Spec{App: "gauss", Machine: "mp", Procs: 4, Size: size}
+		return runner.Spec{App: "gauss", Machine: "mp", Procs: 4, Size: 4 * size}
 	}
 	submit := func(sizes ...int) {
 		var req SubmitRequest

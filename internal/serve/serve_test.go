@@ -579,7 +579,7 @@ func TestDrainRacingSubmits(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			<-start
-			spec := runner.Spec{App: "gauss", Machine: "mp", Procs: 4, Size: 10 + g}
+			spec := runner.Spec{App: "gauss", Machine: "mp", Procs: 4, Size: 4 * (10 + g)}
 			var sub SubmitResponse
 			code, apiErr := postJSON(t, ts, "/v1/batches", &SubmitRequest{Runs: []runner.Spec{spec}}, &sub)
 			o := outcome{code: code}

@@ -84,13 +84,6 @@ type Engine struct {
 	// part of runner.Spec or the snapshot format.
 	Workers int
 
-	// PerAccessStats, when set before AddProc, creates processor accounts
-	// in the per-access reference charging mode instead of the batched
-	// default (see stats.Acct.PerAccess). A host-side observability knob
-	// for the equivalence tests: both modes produce bit-identical stats,
-	// so like Workers it is not a model parameter.
-	PerAccessStats bool
-
 	now    Time // start of the current quantum
 	qEnd   Time // end of the current quantum
 	events bucketQueue
@@ -282,7 +275,7 @@ func (e *Engine) newProc() *Proc {
 	p := &Proc{
 		ID:   len(e.procs),
 		eng:  e,
-		Acct: &stats.Acct{PerAccess: e.PerAccessStats},
+		Acct: &stats.Acct{},
 	}
 	p.compCat = stats.Comp
 	p.missCat = stats.LocalMiss

@@ -191,8 +191,8 @@ type Acct struct {
 	// PerAccess, when true, disables batching: every Charge/Add applies
 	// directly to the phase table, as the pre-batching implementation did.
 	// This is the reference mode the equivalence tests compare against.
-	// Set at construction (cost.Config.PerAccessStats); flipping it
-	// mid-run is a programming error.
+	// Set before the run starts (runner's equivalence tests do, from the
+	// machine-build hook); flipping it mid-run is a programming error.
 	PerAccess bool
 
 	pend    bucket // pending charges for phase cur, not yet folded in
