@@ -70,13 +70,18 @@ func goldenSpecs(scaling []goldenEntry) []NamedSpec {
 		specs = append(specs, NamedSpec{"table/" + tb.app + "-" + tb.machine, s})
 	}
 	for _, row := range scaling {
-		name := fmt.Sprintf("scaling/%s-%s-p%d", row.Spec.App, row.Spec.Machine, row.Spec.Procs)
-		if row.Spec.HWCombining {
-			name += "-hw"
-		}
-		specs = append(specs, NamedSpec{name, row.Spec})
+		specs = append(specs, NamedSpec{scalingName(row.Spec), row.Spec})
 	}
 	return specs
+}
+
+// scalingName names a scaling row's golden entry.
+func scalingName(s Spec) string {
+	name := fmt.Sprintf("scaling/%s-%s-p%d", s.App, s.Machine, s.Procs)
+	if s.HWCombining {
+		name += "-hw"
+	}
+	return name
 }
 
 func goldenRun(t *testing.T, name string, spec Spec) goldenEntry {
@@ -136,9 +141,8 @@ func TestGoldenFingerprints(t *testing.T) {
 		t.Errorf("%s has %d entries, goldenSpecs lists %d: regenerate with -update",
 			goldenPath, len(golden), len(specs))
 	}
-	// The scaling rows are the tail of specs, in file order.
-	for i, row := range scaling {
-		e := golden[specs[len(specs)-len(scaling)+i].Name]
+	for _, row := range scaling {
+		e := golden[scalingName(row.Spec)]
 		if e.Fingerprint != row.Fingerprint || e.ElapsedCycles != row.ElapsedCycles {
 			t.Errorf("%s: golden %s/%d cycles, %s records %s/%d", e.Name,
 				e.Fingerprint, e.ElapsedCycles, scalingPath, row.Fingerprint, row.ElapsedCycles)

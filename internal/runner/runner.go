@@ -145,16 +145,19 @@ const gaussN = 512
 // rows returns the system size N of the row-partitioned apps (gauss, lcp,
 // alcp) after the Size override, and 0 for the others.
 func (s *Spec) rows() int {
-	switch {
-	case s.App != "gauss" && s.App != "lcp" && s.App != "alcp":
-		return 0
-	case s.Size > 0:
-		return s.Size
-	case s.App == "gauss":
-		return gaussN
+	var n int
+	switch s.App {
+	case "gauss":
+		n = gaussN
+	case "lcp", "alcp":
+		n = lcp.DefaultParams().N
 	default:
-		return lcp.DefaultParams().N
+		return 0
 	}
+	if s.Size > 0 {
+		n = s.Size
+	}
+	return n
 }
 
 // Config derives the hardware configuration the spec implies.
