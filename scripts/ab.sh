@@ -67,7 +67,7 @@ done
 for w in "${workloads[@]}"; do
 	jq -rn --arg w "$w" --slurpfile m "$manifest" \
 		--slurpfile p "$tmp/$w.parent" --slurpfile c "$tmp/$w.change" '
-		def quantile(q): sort as $s | (($s | length) - 1) * q as $h | ($h | floor) as $lo
+		def quantile(q): sort as $s | ((($s | length) - 1) * q) as $h | ($h | floor) as $lo
 			| $s[$lo] + ($h - $lo) * (($s[$lo + 1] // $s[$lo]) - $s[$lo]);
 		def r3: . * 1000 | round / 1000;
 		"\n\($w): \($p | length) pairs, failed parent \([$p[].failed] | add) change \([$c[].failed] | add)",
