@@ -177,7 +177,7 @@ func TestAllocBudgetStepAppMainLoop(t *testing.T) {
 	par.NodesPer, par.Iters = 8, 40
 
 	cfg := cost.Default(256)
-	cfg.Workers, cfg.StepProcs = 1, true
+	cfg.Workers = 1
 	base := em3d.RunMP(cfg, cmmd.LopSided, par)
 	if base.Res.Err != nil {
 		t.Fatalf("sizing run: %v", base.Res.Err)
@@ -185,7 +185,7 @@ func TestAllocBudgetStepAppMainLoop(t *testing.T) {
 	start, end := base.Res.Elapsed/2, base.Res.Elapsed*9/10
 
 	cfg = cost.Default(256)
-	cfg.Workers, cfg.StepProcs = 1, true
+	cfg.Workers = 1
 	var m0, m1 runtime.MemStats
 	var got0, got1 bool
 	var quanta int64

@@ -38,7 +38,7 @@ func scalingSpec(app, mach string, procs int) runner.Spec {
 func benchScalingRun(b *testing.B, spec runner.Spec) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		out, err := runner.Run(spec, runner.Options{})
+		out, err := runner.Run(spec, runner.Options{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,43 +1,20 @@
-// BenchmarkStepApp measures whole-app host cost in both processor forms at
-// the scaling-study machine sizes: one benchmark op is one complete
+// BenchmarkStepApp measures whole-app host cost of a step program at the
+// scaling-study machine sizes: one benchmark op is one complete
 // serial-dispatch run of EM3D-MP (the step-port flagship) at P=256 or
-// P=1024, as a coroutine machine and as a step machine. The two forms
-// simulate bit-identical runs (TestStepFormEquivalence pins it), so the
-// ns/op ratio reads directly as the host-side win of continuation dispatch
-// over goroutine dispatch, and the allocs/op gap is the removed per-proc
-// stack/channel machinery. Budgets in scripts/bench_budgets.json pin both
-// rows; the step rows' budgets are far below the coroutine rows', so the
-// win itself is gated, not just remembered.
+// P=1024, every node an engine-called state machine with no goroutine.
+// Budgets in scripts/bench_budgets.json pin the allocs/op of both rows.
 package repro_test
 
 import (
 	"fmt"
 	"testing"
-
-	"repro/internal/runner"
 )
 
 func BenchmarkStepApp(b *testing.B) {
 	for _, procs := range []int{256, 1024} {
-		for _, step := range []bool{false, true} {
-			form := "coroutine"
-			if step {
-				form = "step"
-			}
-			spec := scalingSpec("em3d", "mp", procs)
-			spec.StepProcs = step
-			b.Run(fmt.Sprintf("%s-%04d", form, procs), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					out, err := runner.Run(spec, runner.Options{Workers: 1})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if out.Res.Err != nil {
-						b.Fatal(out.Res.Err)
-					}
-				}
-			})
-		}
+		spec := scalingSpec("em3d", "mp", procs)
+		b.Run(fmt.Sprintf("step-%04d", procs), func(b *testing.B) {
+			benchScalingRun(b, spec)
+		})
 	}
 }

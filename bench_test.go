@@ -39,10 +39,12 @@ func report(b *testing.B, res *machine.Result) {
 }
 
 // benchRun executes one runner spec and reports the standard metrics,
-// returning the outcome for benchmark-specific extras.
+// returning the outcome for benchmark-specific extras. Workers is 1, the
+// mode wwtsim, wwtsweep, wwtserved and wwtbench all run; only
+// bench_parallel_test.go varies it.
 func benchRun(b *testing.B, spec runner.Spec) *runner.Outcome {
 	b.Helper()
-	out, err := runner.Run(spec, runner.Options{})
+	out, err := runner.Run(spec, runner.Options{Workers: 1})
 	if err != nil {
 		b.Fatalf("runner: %v", err)
 	}
@@ -226,7 +228,7 @@ func BenchmarkTable21_ALCP_SM(b *testing.B) {
 func BenchmarkTable22_LCP_MP_Events(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sync := benchRun(b, runner.TableSpec("lcp", "mp"))
-		async, err := runner.Run(runner.TableSpec("alcp", "mp"), runner.Options{})
+		async, err := runner.Run(runner.TableSpec("alcp", "mp"), runner.Options{Workers: 1})
 		if err != nil || async.Res.Err != nil {
 			b.Fatalf("alcp run: %v / %v", err, async.Res.Err)
 		}
@@ -238,7 +240,7 @@ func BenchmarkTable22_LCP_MP_Events(b *testing.B) {
 func BenchmarkTable23_LCP_SM_Events(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sync := benchRun(b, runner.TableSpec("lcp", "sm"))
-		async, err := runner.Run(runner.TableSpec("alcp", "sm"), runner.Options{})
+		async, err := runner.Run(runner.TableSpec("alcp", "sm"), runner.Options{Workers: 1})
 		if err != nil || async.Res.Err != nil {
 			b.Fatalf("alcp run: %v / %v", err, async.Res.Err)
 		}

@@ -90,7 +90,6 @@ func main() {
 	runUntil := flag.Int64("run-until", 0, "stop cleanly at the first quantum boundary at or after this cycle (0 = off)")
 	workers := flag.Int("workers", 1, "host worker pool for the processor phase (1 = serial, 0 = GOMAXPROCS); fingerprint-neutral")
 	hwCombining := flag.Bool("hw-combining", false, "ablation: in-network hardware combining tree for reductions")
-	step := flag.Bool("step", false, "dispatch the application's nodes as step processors instead of coroutines (em3d, lcp, alcp); fingerprint-identical")
 	flag.Parse()
 
 	for _, r := range []struct {
@@ -127,27 +126,16 @@ func main() {
 			fatal("-resume: %v", err)
 		}
 		spec = *sp
-		// An explicit -step / -step=false overrides the snapshot's processor
-		// form: checkpoints are form-portable, so resuming a coroutine run in
-		// step form (or vice versa) is supported and fingerprint-identical.
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "step" {
-				spec.StepProcs = *step
-			}
-		})
-		if err := spec.Validate(); err != nil {
-			fatal("-resume: %v", err)
-		}
 		opts.Resume = snap
-		fmt.Printf("resuming %s on %s from %s (checkpoint cycle %d, step=%v)\n",
-			spec.App, spec.Machine, *resume, snap.Cycle, spec.StepProcs)
+		fmt.Printf("resuming %s on %s from %s (checkpoint cycle %d)\n",
+			spec.App, spec.Machine, *resume, snap.Cycle)
 	} else {
 		spec = runner.Spec{
 			App: *app, Machine: *mach, Procs: *procs,
 			CacheBytes: *cache, Shape: *shapeStr, Policy: *policy,
 			Size: *size, Iters: *iters,
 			SMCheck: *smCheck, SMWatchdog: *watchdog,
-			HWCombining: *hwCombining, StepProcs: *step,
+			HWCombining: *hwCombining,
 		}
 		if *faultsOn || *dropRate > 0 || *dupRate > 0 || *corruptRate > 0 || *jitter > 0 {
 			if *mach != "mp" {

@@ -120,7 +120,6 @@ func main() {
 	size := flag.Int("size", 0, "problem size override (app-specific)")
 	iters := flag.Int("iters", 0, "iteration override")
 	hwCombining := flag.Bool("hw-combining", false, "ablation: in-network hardware combining tree for reductions (flag-built runs)")
-	step := flag.Bool("step", false, "dispatch every spec's nodes as step processors (em3d, lcp, alcp; other apps are rejected); matrix specs may also set \"step_procs\" per run")
 	dropRates := flag.String("droprates", "", "comma-separated network drop rates (mp machines)")
 	nackRates := flag.String("nackrates", "", "comma-separated directory NACK rates (sm machines)")
 	seeds := flag.String("seeds", "1", "comma-separated fault seeds (fault-injected runs only)")
@@ -147,11 +146,6 @@ func main() {
 	}
 	if len(specs) == 0 {
 		fatal("no runs: give -matrix or -apps/-machines")
-	}
-	if *step {
-		for i := range specs {
-			specs[i].StepProcs = true
-		}
 	}
 	for i := range specs {
 		if err := specs[i].Validate(); err != nil {

@@ -50,7 +50,11 @@ func TestDrainDispatchesEverythingAvailable(t *testing.T) {
 		func(p *sim.Proc, a *am.AM) {
 			a.Register(func(pkt *ni.Packet) { got = append(got, pkt.Args[0]) })
 			// Wait until all five are queued, then drain in one call.
-			p.SpinUntil(stats.LibComp, func() bool { return a.NI.Pending() == 5 })
+			p.Interact()
+			for a.NI.Pending() != 5 {
+				p.ChargeStall(stats.LibComp, p.Engine().QuantumEnd()-p.Clock())
+				p.Yield()
+			}
 			n, err := a.Drain()
 			if err != nil {
 				t.Errorf("drain error: %v", err)

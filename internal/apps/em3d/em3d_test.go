@@ -1,14 +1,12 @@
 package em3d
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
 	"repro/internal/cmmd"
 	"repro/internal/cost"
 	"repro/internal/parmacs"
-	"repro/internal/snapshot"
 	"repro/internal/stats"
 )
 
@@ -193,29 +191,5 @@ func TestEM3DSMFlushGolden(t *testing.T) {
 	}
 	if main != 1778380 {
 		t.Errorf("main-phase cycles over all processors %d, want 1778380", main)
-	}
-}
-
-// TestEM3DSMFlushFormEquivalence checks the flush variant under both
-// processor forms (runner's cross-form suites cannot reach it): identical
-// elapsed time and per-processor accounting with cfg.StepProcs set and unset.
-func TestEM3DSMFlushFormEquivalence(t *testing.T) {
-	encode := func(stepProcs bool) ([]byte, int64) {
-		cfg := cost.Default(4)
-		cfg.StepProcs = stepProcs
-		out := RunSMFlush(cfg, parmacs.RoundRobin, smallParams())
-		var enc snapshot.Enc
-		for _, a := range out.Res.Accts {
-			a.EncodeState(&enc)
-		}
-		return enc.Bytes(), int64(out.Res.Elapsed)
-	}
-	co, coElapsed := encode(false)
-	st, stElapsed := encode(true)
-	if coElapsed != stElapsed {
-		t.Errorf("elapsed: coroutine %d, step %d", coElapsed, stElapsed)
-	}
-	if !bytes.Equal(co, st) {
-		t.Error("per-processor accounting differs between processor forms")
 	}
 }

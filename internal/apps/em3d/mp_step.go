@@ -11,9 +11,8 @@ import (
 
 // RunMP runs EM3D-MP: the Split-C-derived message-passing version with one
 // ghost node per remote edge and bulk channel transfers between ring
-// neighbors before each half-step. The program is a step machine (mpStep);
-// cfg.StepProcs chooses whether the engine calls it directly or drives it
-// from a coroutine, with bit-identical results.
+// neighbors before each half-step. The program is a step machine (mpStep)
+// that the engine calls directly.
 func RunMP(cfg cost.Config, shape cmmd.Shape, par Params) *Output {
 	out := &Output{}
 	g := genGraph(par, cfg.Procs)

@@ -22,9 +22,8 @@ type smShared struct {
 // locality, with the invalidation protocol's four-message producer-consumer
 // cost. policy selects gmalloc placement (RoundRobin reproduces Table 14;
 // Local reproduces the Table 17 ablation). Pass a Config with a 1 MB cache
-// for the Table 16 ablation. The program is a step machine (smStep);
-// cfg.StepProcs chooses whether the engine calls it directly or drives it
-// from a coroutine, with bit-identical results.
+// for the Table 16 ablation. The program is a step machine (smStep) that
+// the engine calls directly.
 func RunSM(cfg cost.Config, policy parmacs.Policy, par Params) *Output {
 	return runSM(cfg, policy, par, false)
 }

@@ -29,9 +29,7 @@ func RunAMP(cfg cost.Config, shape cmmd.Shape, par Params) *Output {
 	return runMP(cfg, shape, par, true)
 }
 
-// runMP runs the one step machine behind both variants (mpStep);
-// cfg.StepProcs chooses whether the engine calls it directly or drives it
-// from a coroutine, with bit-identical results.
+// runMP runs the one step machine behind both variants (mpStep).
 func runMP(cfg cost.Config, shape cmmd.Shape, par Params, async bool) *Output {
 	out := &Output{}
 	pr := genProblem(par)

@@ -38,9 +38,7 @@ func RunASM(cfg cost.Config, par Params) *Output {
 	return runSM(cfg, par, true)
 }
 
-// runSM runs the one step machine behind both variants (smStep);
-// cfg.StepProcs chooses whether the engine calls it directly or drives it
-// from a coroutine, with bit-identical results.
+// runSM runs the one step machine behind both variants (smStep).
 func runSM(cfg cost.Config, par Params, async bool) *Output {
 	out := &Output{}
 	pr := genProblem(par)

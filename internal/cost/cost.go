@@ -149,14 +149,6 @@ type Config struct {
 	// snapshots (see the serial/parallel determinism tests).
 	Workers int `json:"-"`
 
-	// StepProcs selects how the engine dispatches an application written as
-	// a step program (machine.NewMPStep/NewSMStep): true runs each node as a
-	// step processor, false (the default) drives the same continuation from
-	// a coroutine. One body runs either way and the two are bit-identical, so
-	// like Workers this is a host-side knob excluded from JSON run specs
-	// (runner.Spec.StepProcs carries the request and sets it).
-	StepProcs bool `json:"-"`
-
 	// OnBuild, when non-nil, is invoked once at the end of machine
 	// construction with the assembled machine (*machine.MPMachine or
 	// *machine.SMMachine), before any simulated cycle runs. It exists so

@@ -109,24 +109,11 @@ type MPMachine struct {
 type StepProgramMP func(n *MPNode) func(*sim.Proc) sim.StepStatus
 
 // NewMPStep builds a message-passing machine that runs a step program on
-// every node. cfg.StepProcs chooses how the engine dispatches it: as a step
-// processor (no goroutine, no coroutine switch — the engine calls the
-// continuation directly) or, by default, from a coroutine that yields
-// wherever the continuation returns sim.StepYield. The program and the
-// library below it are the same one body either way, so the two forms are
-// fingerprint-identical in every fault and ablation configuration.
+// every node, each as a step processor: no goroutine, no coroutine switch —
+// the engine calls the continuation directly. The processor form follows
+// the program: a step program is built here, a blocking one by NewMP.
 func NewMPStep(cfg cost.Config, shape cmmd.Shape, program StepProgramMP) *MPMachine {
-	if cfg.StepProcs {
-		return buildMP(cfg, shape, nil, program)
-	}
-	return buildMP(cfg, shape, func(n *MPNode) { drive(n.P, program(n)) }, nil)
-}
-
-// drive runs a step continuation to completion on a coroutine processor.
-func drive(p *sim.Proc, step func(*sim.Proc) sim.StepStatus) {
-	for step(p) != sim.StepDone {
-		p.Yield()
-	}
+	return buildMP(cfg, shape, nil, program)
 }
 
 // NewMP builds a message-passing machine with the given collective tree
@@ -288,14 +275,11 @@ type SMMachine struct {
 type StepProgramSM func(n *SMNode) func(*sim.Proc) sim.StepStatus
 
 // NewSMStep builds a shared-memory machine that runs a step program on
-// every node, dispatched as cfg.StepProcs selects; see NewMPStep. The
-// checker, watchdog, control-message fault injection and hardware combining
-// remain available — each is the same code under either processor form.
+// every node, each as a step processor; see NewMPStep. The checker,
+// watchdog, control-message fault injection and hardware combining remain
+// available — each is the same code under either processor form.
 func NewSMStep(cfg cost.Config, policy parmacs.Policy, program StepProgramSM) *SMMachine {
-	if cfg.StepProcs {
-		return buildSM(cfg, policy, nil, program)
-	}
-	return buildSM(cfg, policy, func(n *SMNode) { drive(n.P, program(n)) }, nil)
+	return buildSM(cfg, policy, nil, program)
 }
 
 // NewSM builds a shared-memory machine with the given allocation policy;

@@ -1,11 +1,13 @@
 package machine
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/cmmd"
 	"repro/internal/cost"
 	"repro/internal/parmacs"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -74,5 +76,62 @@ func TestPhaseBucketsSeparate(t *testing.T) {
 	}
 	if got := res.Summary.Cycles(1, stats.Comp); got != 25 {
 		t.Errorf("phase 1 = %v", got)
+	}
+}
+
+// TestStepProgramStartsNoCoroutine: which constructor built the machine
+// decides the processor form, and nothing else does. A step program never
+// starts a coroutine — at P=32 its machine, on either side, runs with a
+// flat goroutine count — while a blocking program still gets one per node.
+func TestStepProgramStartsNoCoroutine(t *testing.T) {
+	const procs, quanta = 32, 20
+	cfg := cost.Default(procs)
+	cfg.Workers = 1
+	step := func() func(*sim.Proc) sim.StepStatus {
+		k := 0
+		return func(p *sim.Proc) sim.StepStatus {
+			if k == quanta {
+				return sim.StepDone
+			}
+			k++
+			p.Compute(cfg.NetLatency)
+			return sim.StepYield
+		}
+	}
+	var mpStep StepProgramMP = func(*MPNode) func(*sim.Proc) sim.StepStatus { return step() }
+	var smStep StepProgramSM = func(*SMNode) func(*sim.Proc) sim.StepStatus { return step() }
+	// highWater runs the machine and returns the most goroutines seen at a
+	// quantum boundary, over the count before it was built.
+	highWater := func(base int, eng *sim.Engine) int {
+		t.Helper()
+		high := 0
+		eng.AddQuantumHook(func(sim.Time) {
+			if n := runtime.NumGoroutine(); n > high {
+				high = n
+			}
+		})
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return high - base
+	}
+
+	base := runtime.NumGoroutine()
+	if d := highWater(base, NewMPStep(cfg, cmmd.LopSided, mpStep).Eng); d > 2 {
+		t.Errorf("NewMPStep machine ran with %d extra goroutines: a step program must start no coroutine", d)
+	}
+	base = runtime.NumGoroutine()
+	if d := highWater(base, NewSMStep(cfg, parmacs.RoundRobin, smStep).Eng); d > 2 {
+		t.Errorf("NewSMStep machine ran with %d extra goroutines: a step program must start no coroutine", d)
+	}
+	base = runtime.NumGoroutine()
+	blocking := NewMP(cfg, cmmd.LopSided, func(n *MPNode) {
+		for k := 0; k < quanta; k++ {
+			n.Compute(cfg.NetLatency)
+			n.P.Interact()
+		}
+	})
+	if d := highWater(base, blocking.Eng); d < procs {
+		t.Errorf("NewMP machine ran with %d extra goroutines, want one coroutine per node (%d)", d, procs)
 	}
 }

@@ -10,6 +10,16 @@ import (
 	"repro/internal/stats"
 )
 
+// spinQuantum burns the rest of the current quantum as library computation
+// and yields: nothing observable can change until the next quantum, so a
+// poll loop charges the whole window at once.
+func spinQuantum(p *sim.Proc) {
+	if p.StepInteract() {
+		p.ChargeStall(stats.LibComp, p.Engine().QuantumEnd()-p.Clock())
+	}
+	p.Yield()
+}
+
 func TestSendDeliversAfterLatency(t *testing.T) {
 	cfg := cost.Default(2)
 	eng := sim.NewEngine(cfg.NetLatency)
@@ -177,7 +187,7 @@ func TestFaultConservationInvariant(t *testing.T) {
 			if done, _ := procs[0].Blocked(); !done && p.Clock() > int64(n)*30+5000 {
 				return
 			}
-			p.SpinQuantum(stats.LibComp)
+			spinQuantum(p)
 			if p.Clock() > int64(n)*40+20000 {
 				return
 			}
@@ -223,7 +233,10 @@ func TestInputQueueCompactionUnderJitteredBacklog(t *testing.T) {
 	procs[1] = eng.AddProc(func(p *sim.Proc) {
 		// Sleep until most of the stream has queued up, so draining walks
 		// inqHead deep into the buffer while stragglers keep appending.
-		p.SpinUntil(stats.LibComp, func() bool { return nis[1].Pending() >= n-n/8 })
+		p.Interact()
+		for nis[1].Pending() < n-n/8 {
+			spinQuantum(p)
+		}
 		for len(got) < n {
 			nis[1].WaitPacket(stats.LibComp)
 			got = append(got, nis[1].Recv().Tag)

@@ -84,6 +84,24 @@ func scalingName(s Spec) string {
 	return name
 }
 
+// loadGolden reads testdata/golden.json, keyed by row name.
+func loadGolden(t *testing.T) map[string]goldenEntry {
+	t.Helper()
+	raw, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries []goldenEntry
+	if err := json.Unmarshal(raw, &entries); err != nil {
+		t.Fatalf("%s: %v", goldenPath, err)
+	}
+	golden := make(map[string]goldenEntry, len(entries))
+	for _, e := range entries {
+		golden[e.Name] = e
+	}
+	return golden
+}
+
 func goldenRun(t *testing.T, name string, spec Spec) goldenEntry {
 	t.Helper()
 	out, err := Run(spec, Options{Workers: 1})
@@ -99,12 +117,10 @@ func goldenRun(t *testing.T, name string, spec Spec) goldenEntry {
 
 // TestGoldenFingerprints pins the fingerprint, elapsed cycles and answer
 // line of every goldenSpecs row to the literals in testdata/golden.json.
-// Every other equivalence suite compares two runs of the same build (form
-// against form, serial against parallel, replay against run), so a change
-// to a body both sides share moves them together; this file is the witness
-// that does not move. Each row runs in coroutine form and, where the spec
-// validates with step processors, in step form too. After an intended
-// model change regenerate with
+// Every other equivalence suite compares two runs of the same build (serial
+// against parallel, replay against run, batched against per-access), so a
+// change to a body both sides share moves them together; this file is the
+// witness that does not move. After an intended model change regenerate with
 //
 //	go test ./internal/runner -run TestGoldenFingerprints -update
 func TestGoldenFingerprints(t *testing.T) {
@@ -125,18 +141,7 @@ func TestGoldenFingerprints(t *testing.T) {
 		return
 	}
 
-	raw, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var entries []goldenEntry
-	if err := json.Unmarshal(raw, &entries); err != nil {
-		t.Fatalf("%s: %v", goldenPath, err)
-	}
-	golden := make(map[string]goldenEntry, len(entries))
-	for _, e := range entries {
-		golden[e.Name] = e
-	}
+	golden := loadGolden(t)
 	if len(golden) != len(specs) {
 		t.Errorf("%s has %d entries, goldenSpecs lists %d: regenerate with -update",
 			goldenPath, len(golden), len(specs))
@@ -161,21 +166,39 @@ func TestGoldenFingerprints(t *testing.T) {
 				t.Skip("paper-scale gauss takes minutes under the race detector")
 			}
 			t.Parallel()
-			forms := []bool{false}
-			step := ns.Spec
-			step.StepProcs = true
-			if step.Validate() == nil {
-				forms = append(forms, true)
-			}
-			for _, stepProcs := range forms {
-				spec := ns.Spec
-				spec.StepProcs = stepProcs
-				got := goldenRun(t, ns.Name, spec)
-				got.Spec = want.Spec // pointer fields; the name ties the row to its spec
-				if got != want {
-					t.Errorf("step_procs=%v:\n got %+v\nwant %+v", stepProcs, got, want)
-				}
+			got := goldenRun(t, ns.Name, ns.Spec)
+			got.Spec = want.Spec // pointer fields; the name ties the row to its spec
+			if got != want {
+				t.Errorf("\n got %+v\nwant %+v", got, want)
 			}
 		})
+	}
+}
+
+// TestStoredStepProcsSpecsRun: specs stored while "step_procs" selected the
+// processor form — sweep matrices, WAL submit records, snapshots — still
+// decode, validate and run the program they named, for blocking programs
+// (which used to reject the field) as for step programs. Each row is its
+// golden row's spec with the field set, and must land on that row's literals.
+func TestStoredStepProcsSpecsRun(t *testing.T) {
+	golden := loadGolden(t)
+	for name, blob := range map[string]string{
+		"gauss-mp": `{"app":"gauss","machine":"mp","procs":4,"size":48,"step_procs":true}`,
+		"mse-mp":   `{"app":"mse","machine":"mp","procs":4,"size":32,"iters":2,"step_procs":true}`,
+		"em3d-mp":  `{"app":"em3d","machine":"mp","procs":4,"size":40,"iters":3,"step_procs":true}`,
+	} {
+		var spec Spec
+		if err := json.Unmarshal([]byte(blob), &spec); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !spec.StepProcs {
+			t.Fatalf("%s: step_procs did not decode", name)
+		}
+		want := golden[name]
+		got := goldenRun(t, name, spec) // Run validates
+		got.Spec = want.Spec
+		if got != want {
+			t.Errorf("%s with step_procs:\n got %+v\nwant %+v", name, got, want)
+		}
 	}
 }

@@ -45,7 +45,7 @@ func (s Spec) Normalized() Spec {
 
 // cacheKeyVersion tags the key encoding; bump it whenever the Spec fields
 // or their encoding change so stale cache entries miss instead of aliasing.
-const cacheKeyVersion = "wwt-spec-key-v1"
+const cacheKeyVersion = "wwt-spec-key-v2"
 
 // CacheKey returns the content address of the run this spec describes: the
 // FNV-1a hash of a canonical fixed-order encoding of the normalized spec.
@@ -89,6 +89,7 @@ func (s Spec) CacheKey() uint64 {
 		e.I64(int64(f.RetryBudget))
 	}
 	e.I64(n.SMWatchdog)
+	e.Bool(n.HWCombining)
 	return snapshot.Hash(e.Bytes())
 }
 

@@ -2,46 +2,111 @@ package runner
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
+	"repro/internal/cost"
 	"repro/internal/snapshot"
 )
 
+// mustRun runs spec and fails the test on a harness error or an aborted run.
+func mustRun(t *testing.T, what string, spec Spec, opts Options) *Outcome {
+	t.Helper()
+	out, err := Run(spec, opts)
+	if err != nil {
+		t.Fatalf("%s run: %v", what, err)
+	}
+	if out.Res.Err != nil {
+		t.Fatalf("%s run aborted: %v", what, out.Res.Err)
+	}
+	return out
+}
+
+// sameRun fails unless got reproduces want bit for bit: stats fingerprint,
+// canonical stats bytes, elapsed cycles and the application's answer line.
+func sameRun(t *testing.T, what string, got, want *Outcome) {
+	t.Helper()
+	if got.Fingerprint != want.Fingerprint {
+		t.Errorf("%s fingerprint %#x, want %#x", what, got.Fingerprint, want.Fingerprint)
+	}
+	if !bytes.Equal(got.StatsBytes, want.StatsBytes) {
+		t.Errorf("%s canonical stats bytes differ", what)
+	}
+	if got.Res.Elapsed != want.Res.Elapsed {
+		t.Errorf("%s elapsed %d, want %d", what, got.Res.Elapsed, want.Res.Elapsed)
+	}
+	if got.AppLine != want.AppLine {
+		t.Errorf("%s app answer %q, want %q", what, got.AppLine, want.AppLine)
+	}
+}
+
+// named returns the row called name.
+func named(rows []NamedSpec, name string) NamedSpec {
+	for _, ns := range rows {
+		if ns.Name == name {
+			return ns
+		}
+	}
+	panic("no row named " + name)
+}
+
+// parallelRow is a parallel-determinism configuration; fired, when set,
+// checks that the row's fault plan exercised the path it is there for.
+type parallelRow struct {
+	NamedSpec
+	fired func(*testing.T, *Outcome)
+}
+
+// parallelRows is the shared matrix plus what it lacks of the step
+// programs: ALCP, LCP and ALCP on a lossy network (EM3D is a matrix row),
+// the three shared-memory step programs under coherence control faults,
+// and LCP with hardware combining on both machines.
+func parallelRows() []parallelRow {
+	var rows []parallelRow
+	for _, ns := range matrixALCP {
+		rows = append(rows, parallelRow{NamedSpec: ns})
+	}
+	for _, name := range []string{"lcp-mp", "alcp-mp", "em3d-sm", "lcp-sm", "alcp-sm"} {
+		ns := named(matrixALCP, name)
+		row := parallelRow{NamedSpec: NamedSpec{ns.Name + "-faults", ns.Spec}}
+		if ns.Spec.Machine == "mp" {
+			row.Spec.Faults = &cost.FaultsConfig{Seed: 7, DropRate: 0.02, DupRate: 0.01, DelayRate: 0.05}
+			row.fired = retransmitted
+		} else {
+			row.Spec.SMCheck = true
+			row.Spec.SMFaults = &cost.SMFaultsConfig{Seed: 7, NACKRate: 0.05, ReorderRate: 0.05}
+			row.fired = nacked
+		}
+		rows = append(rows, row)
+	}
+	for _, name := range []string{"lcp-mp", "lcp-sm"} {
+		ns := named(matrixALCP, name)
+		row := parallelRow{NamedSpec: NamedSpec{ns.Name + "-hw", ns.Spec}}
+		row.Spec.HWCombining = true
+		rows = append(rows, row)
+	}
+	return rows
+}
+
 // TestParallelDeterminismMatrix is the serial≡parallel contract at the
-// system level: every configuration in the replay-equivalence matrix —
-// including the fault-injected MP and SM entries — must produce the same
-// stats fingerprint, the same canonical stats bytes, and the same
-// application answer whether the engine dispatches processors serially or
-// across a worker pool. Run it under -race to also catch any cross-
-// processor access the staging discipline missed.
+// system level: every configuration in the replay-equivalence matrix and
+// every step program — under both machines' fault plans and with hardware
+// combining — must produce the same stats fingerprint, the same canonical
+// stats bytes, and the same application answer whether the engine
+// dispatches processors serially or across a worker pool. Run it under
+// -race to also catch any cross-processor access the staging discipline
+// missed.
 func TestParallelDeterminismMatrix(t *testing.T) {
-	for _, tc := range matrix {
-		tc := tc
-		t.Run(tc.Name, func(t *testing.T) {
+	for _, row := range parallelRows() {
+		t.Run(row.Name, func(t *testing.T) {
 			t.Parallel()
-			serial, err := Run(tc.Spec, Options{Workers: 1})
-			if err != nil {
-				t.Fatalf("serial run: %v", err)
-			}
-			if serial.Res.Err != nil {
-				t.Fatalf("serial run aborted: %v", serial.Res.Err)
+			serial := mustRun(t, "serial", row.Spec, Options{Workers: 1})
+			if row.fired != nil {
+				row.fired(t, serial)
 			}
 			for _, workers := range []int{2, 4} {
-				par, err := Run(tc.Spec, Options{Workers: workers})
-				if err != nil {
-					t.Fatalf("workers=%d run: %v", workers, err)
-				}
-				if par.Fingerprint != serial.Fingerprint {
-					t.Errorf("workers=%d fingerprint %#x, want serial %#x",
-						workers, par.Fingerprint, serial.Fingerprint)
-				}
-				if !bytes.Equal(par.StatsBytes, serial.StatsBytes) {
-					t.Errorf("workers=%d canonical stats bytes differ from serial", workers)
-				}
-				if par.AppLine != serial.AppLine {
-					t.Errorf("workers=%d app answer %q, want %q",
-						workers, par.AppLine, serial.AppLine)
-				}
+				what := fmt.Sprintf("workers=%d", workers)
+				sameRun(t, what, mustRun(t, what, row.Spec, Options{Workers: workers}), serial)
 			}
 		})
 	}
@@ -53,16 +118,7 @@ func TestParallelDeterminismMatrix(t *testing.T) {
 // resume, and vice versa, landing on the serial run's fingerprint.
 func TestParallelCheckpointEquivalence(t *testing.T) {
 	for _, name := range []string{"em3d-mp-faults", "gauss-sm-faults"} {
-		var spec Spec
-		found := false
-		for _, tc := range matrix {
-			if tc.Name == name {
-				spec, found = tc.Spec, true
-			}
-		}
-		if !found {
-			t.Fatalf("matrix entry %q missing", name)
-		}
+		spec := named(matrix, name).Spec
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			serial, err := Run(spec, Options{Workers: 1})

@@ -62,28 +62,13 @@ type Spec struct {
 	// simulated hardware, so it must survive the snapshot round-trip.
 	HWCombining bool `json:"hw_combining,omitempty"`
 
-	// StepProcs selects how the engine dispatches the application's nodes:
-	// as step processors (engine-called state machines, no goroutine) instead
-	// of coroutines. EM3D, LCP and ALCP are step programs — one body that
-	// runs under either form, fingerprint-identical by contract (the
-	// cross-form tests pin it), so checkpoints written by one form resume
-	// under the other; part of Spec because MSE and Gauss are blocking
-	// programs only and Validate must reject them up front.
+	// StepProcs is decode-only and has no effect: it once selected the
+	// processor form, which now follows the program (a step program runs as
+	// step processors, a blocking one as coroutines). The field stays so
+	// that stored specs carrying "step_procs" — sweep matrices, WAL submit
+	// records, snapshots — decode and re-encode unchanged; nothing reads it,
+	// and it is not part of CacheKey.
 	StepProcs bool `json:"step_procs,omitempty"`
-}
-
-// StepUnsupportedError reports a spec requesting step processors for an
-// app that is a blocking program (mse, gauss). Every machine configuration
-// — fault plans, robustness layers, ablations — runs under both forms.
-type StepUnsupportedError struct {
-	App     string
-	Machine string
-	Reason  string
-}
-
-func (e *StepUnsupportedError) Error() string {
-	return fmt.Sprintf("runner: step_procs unsupported for %s/%s: %s",
-		e.App, e.Machine, e.Reason)
 }
 
 // Validate rejects specs that name no runnable configuration.
@@ -128,14 +113,6 @@ func (s *Spec) Validate() error {
 	if s.App == "lcp" && s.Machine == "mp" && s.Procs&(s.Procs-1) != 0 {
 		return fmt.Errorf("runner: lcp/mp butterfly exchange needs a power-of-two procs, got %d", s.Procs)
 	}
-	if s.StepProcs {
-		switch s.App {
-		case "em3d", "lcp", "alcp":
-		default:
-			return &StepUnsupportedError{App: s.App, Machine: s.Machine,
-				Reason: "app is a blocking program, not a step program"}
-		}
-	}
 	return nil
 }
 
@@ -171,7 +148,6 @@ func (s *Spec) Config() cost.Config {
 	cfg.SMFaults = s.SMFaults
 	cfg.SMWatchdog = s.SMWatchdog
 	cfg.HWCombining = s.HWCombining
-	cfg.StepProcs = s.StepProcs
 	return cfg
 }
 

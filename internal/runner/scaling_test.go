@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/apps/em3d"
+	"repro/internal/apps/mse"
 	"repro/internal/cmmd"
 	"repro/internal/cost"
 	"repro/internal/machine"
@@ -60,12 +61,13 @@ func TestScalingSmoke(t *testing.T) {
 }
 
 // TestScalingSmokeGoroutineHighWater samples the host goroutine count at
-// every quantum boundary of a P=256 pooled run and bounds the high-water
-// mark. Suspended coroutine processors each hold a (small, pooled) goroutine
-// stack, so the honest bound is procs + workers + slack: what the check
-// proves is that dispatch spawns nothing per quantum — the high-water mark
-// is set at startup and stays flat, instead of growing with quanta executed
-// as a spawn-per-handoff dispatcher would.
+// every quantum boundary of a P=256 pooled run of a blocking program (MSE:
+// a step program starts no coroutine, so it would pass any bound) and
+// bounds the high-water mark. Suspended coroutine processors each hold a
+// (small, pooled) goroutine stack, so the honest bound is procs + workers +
+// slack: what the check proves is that dispatch spawns nothing per quantum
+// — the high-water mark is set at startup and stays flat, instead of
+// growing with quanta executed as a spawn-per-handoff dispatcher would.
 func TestScalingSmokeGoroutineHighWater(t *testing.T) {
 	const procs, workers = 256, 4
 	before := runtime.NumGoroutine()
@@ -83,9 +85,9 @@ func TestScalingSmokeGoroutineHighWater(t *testing.T) {
 			}
 		})
 	}
-	par := em3d.DefaultParams()
-	par.NodesPer, par.Iters = 8, 2
-	out := em3d.RunMP(cfg, cmmd.LopSided, par)
+	par := mse.DefaultParams()
+	par.Elems, par.Iters = 4, 1
+	out := mse.RunMP(cfg, cmmd.LopSided, par)
 	if out.Res.Err != nil {
 		t.Fatalf("run aborted: %v", out.Res.Err)
 	}
@@ -93,6 +95,10 @@ func TestScalingSmokeGoroutineHighWater(t *testing.T) {
 	if high > bound {
 		t.Errorf("goroutine high-water %d exceeds %d (base %d + %d procs + %d workers + slack): dispatch is spawning per quantum",
 			high, bound, before, procs, workers)
+	}
+	if high < before+procs {
+		t.Errorf("goroutine high-water %d below base %d + %d procs: the program ran no coroutines and the bound above proved nothing",
+			high, before, procs)
 	}
 
 	// Step processors are the O(1)-stack path: a 1024-proc engine made only
@@ -125,16 +131,16 @@ func TestScalingSmokeGoroutineHighWater(t *testing.T) {
 	}
 }
 
-// TestScalingSmokeStep1024 is the step-form scaling canary, strong enough
-// to run under -race at P=1024: a full step-form app (every node an
+// TestScalingSmokeStep1024 is the step-program scaling canary, strong
+// enough to run under -race at P=1024: a full step program (every node an
 // engine-dispatched state machine) must complete with serial/pooled
 // fingerprint equality, and its goroutine high-water mark must be
-// O(workers) — independent of P — where the coroutine form's is O(P).
+// O(workers) — independent of P — where a blocking program's is O(P).
 func TestScalingSmokeStep1024(t *testing.T) {
 	const procs, workers = 1024, 4
 	before := runtime.NumGoroutine()
 	high := 0
-	spec := Spec{App: "em3d", Machine: "mp", Procs: procs, Size: 8, Iters: 2, StepProcs: true}
+	spec := Spec{App: "em3d", Machine: "mp", Procs: procs, Size: 8, Iters: 2}
 
 	cfg := spec.Config()
 	cfg.Workers = workers
@@ -180,7 +186,7 @@ func TestScalingSmokeStep1024(t *testing.T) {
 
 // TestProcs4096StepPairsComplete pushes the ported pairs one octave past
 // the P=1024 study: every step-ported pair must complete at the Spec limit
-// P=4096 with serial/pooled fingerprint equality. Step form only — 4096
+// P=4096 with serial/pooled fingerprint equality. Step programs only — 4096
 // coroutine stacks are exactly the host cost the step port removes. Heavy
 // gated: minutes per pair without the race detector.
 func TestProcs4096StepPairsComplete(t *testing.T) {
@@ -191,10 +197,10 @@ func TestProcs4096StepPairsComplete(t *testing.T) {
 		t.Skip("P=4096 workload; set WWT_SCALING_HEAVY=1")
 	}
 	pairs := []Spec{
-		{App: "em3d", Machine: "mp", Procs: 4096, Size: 8, Iters: 2, StepProcs: true},
-		{App: "em3d", Machine: "sm", Procs: 4096, Size: 8, Iters: 2, StepProcs: true},
-		{App: "lcp", Machine: "mp", Procs: 4096, Size: 4096, Iters: 2, StepProcs: true},
-		{App: "lcp", Machine: "sm", Procs: 4096, Size: 4096, Iters: 2, StepProcs: true},
+		{App: "em3d", Machine: "mp", Procs: 4096, Size: 8, Iters: 2},
+		{App: "em3d", Machine: "sm", Procs: 4096, Size: 8, Iters: 2},
+		{App: "lcp", Machine: "mp", Procs: 4096, Size: 4096, Iters: 2},
+		{App: "lcp", Machine: "sm", Procs: 4096, Size: 4096, Iters: 2},
 	}
 	for _, spec := range pairs {
 		spec := spec

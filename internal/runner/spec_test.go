@@ -158,27 +158,154 @@ func TestCacheKeyIgnoresUnknownJSONFields(t *testing.T) {
 	}
 }
 
-// TestEqualKeysEqualFingerprints closes the loop: two differently-spelled
-// specs with the same cache key produce bit-identical stats fingerprints,
-// which is the property that makes serving one's cached result for the
-// other sound.
+// TestEqualKeysEqualFingerprints closes the loop over a small corpus: any
+// two specs that share a cache key produce bit-identical stats
+// fingerprints — the property that makes serving one's cached result for
+// the other sound — and the hardware-combining twins, which run different
+// simulations, do not share one.
 func TestEqualKeysEqualFingerprints(t *testing.T) {
-	a := Spec{App: "gauss", Machine: "mp", Procs: 4, Size: 48}
-	b := Spec{App: "gauss", Machine: "mp", Procs: 4, Size: 48,
+	plain := Spec{App: "gauss", Machine: "mp", Procs: 4, Size: 48}
+	spelled := Spec{App: "gauss", Machine: "mp", Procs: 4, Size: 48,
 		Shape: "lopsided", Policy: "rr", CacheBytes: cost.Default(4).CacheBytes}
-	if a.CacheKey() != b.CacheKey() {
-		t.Fatalf("setup: keys differ: %s vs %s", a.KeyString(), b.KeyString())
+	hw, hwSpelled := plain, spelled
+	hw.HWCombining, hwSpelled.HWCombining = true, true
+	if plain.CacheKey() != spelled.CacheKey() || hw.CacheKey() != hwSpelled.CacheKey() {
+		t.Fatalf("setup: default spellings moved the key")
 	}
-	oa, err := Run(a, Options{})
-	if err != nil {
-		t.Fatal(err)
+
+	corpus := []Spec{plain, spelled, hw, hwSpelled}
+	fps := make([]uint64, len(corpus))
+	byKey := map[uint64]uint64{}
+	for i, s := range corpus {
+		out, err := Run(s, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fps[i] = out.Fingerprint
+		if prev, seen := byKey[s.CacheKey()]; seen && prev != fps[i] {
+			t.Errorf("key %s answers for fingerprints %#x and %#x", s.KeyString(), prev, fps[i])
+		}
+		byKey[s.CacheKey()] = fps[i]
 	}
-	ob, err := Run(b, Options{})
-	if err != nil {
-		t.Fatal(err)
+	if fps[0] == fps[2] {
+		t.Fatalf("setup: hardware combining did not change the run")
 	}
-	if oa.Fingerprint != ob.Fingerprint {
-		t.Fatalf("equal keys, different fingerprints: %#x vs %#x", oa.Fingerprint, ob.Fingerprint)
+}
+
+// hostOnlyFields are the Spec fields that change nothing about the
+// simulated run and therefore must not move the cache key.
+var hostOnlyFields = map[string]bool{"StepProcs": true}
+
+// TestCacheKeyCoversEverySpecField makes "a Spec field the key forgot"
+// (hw_combining once was) impossible to reintroduce: it walks Spec and the
+// nested fault configurations by reflection, perturbs one field at a time,
+// and fails unless the key moves — or the field is host-only, when it must
+// not. The bases between them set every field, so the same walk checks that
+// normalization is idempotent everywhere it looks and that a snapshot
+// round trip preserves every field.
+func TestCacheKeyCoversEverySpecField(t *testing.T) {
+	common := Spec{App: "em3d", Procs: 8, CacheBytes: 1 << 20, Shape: "flat", Policy: "local",
+		Size: 64, Iters: 5, HWCombining: true, StepProcs: true}
+	mp, sm := common, common
+	mp.Machine = "mp"
+	mp.Faults = &cost.FaultsConfig{Seed: 3, DropRate: 0.5, DupRate: 0.25, CorruptRate: 0.125,
+		DelayRate: 0.5, MaxDelay: 400, RTO: 2000, RTOMax: 9000, MaxRetries: 5, Window: 3}
+	sm.Machine = "sm"
+	sm.SMCheck, sm.SMWatchdog = true, 1_000_000
+	sm.SMFaults = &cost.SMFaultsConfig{Seed: 3, NACKRate: 0.5, ReorderRate: 0.25, DelayRate: 0.125,
+		MaxDelay: 400, Backoff: 50, BackoffMax: 800, RetryBudget: 9}
+	bases := []Spec{mp, sm}
+
+	idempotent := func(s Spec) {
+		t.Helper()
+		if n := s.Normalized(); !reflect.DeepEqual(n, n.Normalized()) {
+			t.Errorf("Normalized not idempotent on %+v", s)
+		}
+	}
+	for _, base := range bases {
+		idempotent(base)
+		blob, err := json.Marshal(&base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := snapshot.Decode(snapshot.Encode(&snapshot.Snapshot{Spec: blob, StateHash: snapshot.Hash(nil)}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := SpecFromSnapshot(snap)
+		if err != nil {
+			t.Fatalf("%s base from snapshot: %v", base.Machine, err)
+		}
+		if !reflect.DeepEqual(*got, base) {
+			t.Errorf("snapshot round trip changed the %s base:\n got %+v\nwant %+v", base.Machine, *got, base)
+		}
+	}
+
+	// walk visits every leaf of the struct v addresses; path names it.
+	var walk func(v reflect.Value, path string, visit func(leaf reflect.Value, path string))
+	walk = func(v reflect.Value, path string, visit func(reflect.Value, string)) {
+		for i := 0; i < v.NumField(); i++ {
+			f, name := v.Field(i), path+v.Type().Field(i).Name
+			if f.Kind() == reflect.Pointer {
+				visit(f, name) // presence itself is part of the run
+				if !f.IsNil() {
+					walk(f.Elem(), name+".", visit)
+				}
+				continue
+			}
+			visit(f, name)
+		}
+	}
+	perturb := func(f reflect.Value) {
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(!f.Bool())
+		case reflect.Int, reflect.Int64:
+			f.SetInt(f.Int() + 1)
+		case reflect.Uint64:
+			f.SetUint(f.Uint() + 1)
+		case reflect.Float64:
+			f.SetFloat(f.Float() / 2)
+		case reflect.String:
+			f.SetString(f.String() + "x")
+		case reflect.Pointer:
+			f.Set(reflect.Zero(f.Type()))
+		default:
+			t.Fatalf("no perturbation for kind %s: extend this test", f.Kind())
+		}
+	}
+
+	set, moved := map[string]bool{}, map[string]bool{}
+	for _, base := range bases {
+		walk(reflect.ValueOf(&base).Elem(), "", func(leaf reflect.Value, path string) {
+			if _, seen := set[path]; !seen {
+				set[path] = false
+			}
+			if leaf.IsZero() {
+				return
+			}
+			set[path] = true
+			// Perturb in place, look, and put the value back.
+			key := base.CacheKey()
+			old := reflect.New(leaf.Type()).Elem()
+			old.Set(leaf)
+			perturb(leaf)
+			idempotent(base)
+			if base.CacheKey() != key {
+				moved[path] = true
+			}
+			leaf.Set(old)
+		})
+	}
+	for path, isSet := range set {
+		switch {
+		case !isSet:
+			t.Errorf("no base spec sets %s: set it above so the walk covers it", path)
+		case hostOnlyFields[path] && moved[path]:
+			t.Errorf("host-only field %s moves the cache key", path)
+		case !hostOnlyFields[path] && !moved[path]:
+			t.Errorf("CacheKey ignores %s: two different runs would share a cache entry", path)
+		}
 	}
 }
 

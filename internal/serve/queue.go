@@ -108,6 +108,11 @@ func recoverQueue(wal *WAL, recs []Record, cache *Cache) (q *queue, compactErr e
 				// impossible (specs are validated before the append), but a
 				// typed terminal failure beats wedging recovery.
 				j.state, j.failKind, j.failText = jobFailed, "bad_spec", err.Error()
+			} else {
+				// The key is this build's, not the record's: a record written
+				// before a cacheKeyVersion bump must miss the cache (and be
+				// recomputed), not find whatever its old key aliased.
+				j.key = j.spec.CacheKey()
 			}
 			// A crash mid-compaction can replay the same submit from both an
 			// old segment and the partial compacted one; the fresh record

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"sync"
@@ -298,5 +299,93 @@ func TestDrainParksRunningJobAtCheckpoint(t *testing.T) {
 	}
 	if want := fmt.Sprintf("%#x", base.Fingerprint); fin.Fingerprint != want {
 		t.Fatalf("fingerprint %s after drain+resume, want %s", fin.Fingerprint, want)
+	}
+}
+
+// preBumpKey is the "wwt-spec-key-v1" cache key of {gauss mp 4 48} and — v1
+// left hw_combining out of the encoding — of its hardware-combining twin.
+const preBumpKey = 0x38d1b3f2766ca97f
+
+// TestPreBumpDataDirMissesNotAliases: a data directory left by a daemon
+// from before the key bump holds the plain run's result under the v1 key
+// the twins shared, and a WAL that records the hardware-combining twin as
+// done out of that entry. This build must not serve it: the recovered job
+// is recomputed under its own key, a fresh submit of either twin misses,
+// and each lands on its own fingerprint.
+func TestPreBumpDataDirMissesNotAliases(t *testing.T) {
+	dir := t.TempDir()
+	plain := runner.Spec{App: "gauss", Machine: "mp", Procs: 4, Size: 48}
+	hw := plain
+	hw.HWCombining = true
+	want := baselineFingerprints(t, []runner.Spec{plain, hw})
+	if want[0] == want[1] {
+		t.Fatalf("setup: hardware combining did not change the run")
+	}
+	hwJSON, err := json.Marshal(&hw)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s0 := newTestServer(t, dir, nil)
+	if err := s0.cache.Put(&Result{Key: preBumpKey, Fingerprint: 0xbad, AppLine: "plain, pre-bump"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s0.wal.Append(
+		Record{Type: recSubmit, Job: 0, Key: preBumpKey, Spec: hwJSON},
+		Record{Type: recDone, Job: 0, Key: preBumpKey, Cached: true},
+	); err != nil {
+		t.Fatal(err)
+	}
+	crash(s0)
+
+	s1 := newTestServer(t, dir, nil)
+	defer s1.Close()
+	js, ok := s1.q.jobStatus(0)
+	if !ok || js.State != StatePending || js.Key != hw.KeyString() {
+		t.Fatalf("pre-bump done job recovered as %+v, want pending under key %s", js, hw.KeyString())
+	}
+	_, fresh := submitDirect(t, s1, []runner.Spec{plain, hw})
+	s1.Start()
+	defer s1.Drain(5 * time.Second)
+	for _, tc := range []struct {
+		id   uint64
+		want string
+	}{{0, want[1]}, {fresh[0].id, want[0]}, {fresh[1].id, want[1]}} {
+		js := waitJobTerminal(t, s1, tc.id, 30*time.Second)
+		if js.State != StateDone || js.Fingerprint != tc.want {
+			t.Errorf("job %s: %s fingerprint %s, want done %s", js.ID, js.State, js.Fingerprint, tc.want)
+		}
+		if js.Key == fmt.Sprintf("%016x", uint64(preBumpKey)) {
+			t.Errorf("job %s still carries the pre-bump key", js.ID)
+		}
+	}
+	if b, err := os.ReadFile(s1.cache.path(preBumpKey)); err != nil || len(b) == 0 {
+		t.Errorf("pre-bump entry was touched (%v): it should simply never be looked up", err)
+	}
+}
+
+// TestRecoveryRunsStoredStepProcsSpec: a submit record from when
+// "step_procs" selected the processor form — here on gauss, a blocking
+// program, which a daemon of that era would have failed terminally — is
+// recovered and run as the spec it names: same key, same fingerprint.
+func TestRecoveryRunsStoredStepProcsSpec(t *testing.T) {
+	dir := t.TempDir()
+	plain := runner.Spec{App: "gauss", Machine: "mp", Procs: 4, Size: 48}
+	want := baselineFingerprints(t, []runner.Spec{plain})[0]
+
+	s0 := newTestServer(t, dir, nil)
+	stored := []byte(`{"app":"gauss","machine":"mp","procs":4,"size":48,"step_procs":true}`)
+	if err := s0.wal.Append(Record{Type: recSubmit, Job: 0, Key: plain.CacheKey(), Spec: stored}); err != nil {
+		t.Fatal(err)
+	}
+	crash(s0)
+
+	s1 := newTestServer(t, dir, nil)
+	defer s1.Close()
+	s1.Start()
+	defer s1.Drain(5 * time.Second)
+	js := waitJobTerminal(t, s1, 0, 30*time.Second)
+	if js.State != StateDone || js.Fingerprint != want || js.Key != plain.KeyString() {
+		t.Fatalf("stored step_procs job: %+v, want done, fingerprint %s, key %s", js, want, plain.KeyString())
 	}
 }

@@ -12,11 +12,11 @@ import (
 	"repro/internal/stats"
 )
 
-// --- Block/Wake payload-kind mismatch (the stale-wakeData fix) ---
+// --- Wake payload-kind mismatch (the stale-wakeData fix) ---
 
-// TestBlockWakeValsMismatchPanics pins the mismatch fix: a Block resumed by
-// WakeVals used to return nil silently (the typed payload sat unread in
-// wakeA/wakeB); now it panics with a message naming both halves of the
+// TestBlockWakeValsMismatchPanics pins the mismatch fix: a WakePayload
+// after WakeVals used to return nil silently (the typed payload sat unread
+// in wakeA/wakeB); now it panics with a message naming both halves of the
 // mispaired call.
 func TestBlockWakeValsMismatchPanics(t *testing.T) {
 	e := NewEngine(100)
@@ -28,21 +28,21 @@ func TestBlockWakeValsMismatchPanics(t *testing.T) {
 			}
 			panic(procHalt{}) // retire cleanly so Run completes
 		}()
-		p.Block(stats.SharedMiss, "mismatch test")
-		t.Error("Block returned despite mismatched wake")
+		park(p, stats.SharedMiss, "mismatch test")
+		p.WakePayload()
+		t.Error("WakePayload returned despite mismatched wake")
 	})
 	e.Schedule(150, func() { p.WakeVals(250, 7, 8) })
 	if err := e.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if !strings.Contains(msg, "Block woken by WakeVals") {
-		t.Fatalf("panic %q does not name the Block/WakeVals mismatch", msg)
+	if !strings.Contains(msg, "WakePayload after WakeVals") {
+		t.Fatalf("panic %q does not name the WakePayload/WakeVals mismatch", msg)
 	}
 }
 
-// TestBlockValsWakeMismatchPanics is the mirror direction: BlockVals
-// resumed by Wake used to return (0, 0) with the payload stranded in
-// wakeData.
+// TestBlockValsWakeMismatchPanics is the mirror direction: WakePayloadVals
+// after Wake used to return (0, 0) with the payload stranded in wakeData.
 func TestBlockValsWakeMismatchPanics(t *testing.T) {
 	e := NewEngine(100)
 	var msg string
@@ -53,28 +53,31 @@ func TestBlockValsWakeMismatchPanics(t *testing.T) {
 			}
 			panic(procHalt{})
 		}()
-		p.BlockVals(stats.SharedMiss, "mismatch test")
-		t.Error("BlockVals returned despite mismatched wake")
+		park(p, stats.SharedMiss, "mismatch test")
+		p.WakePayloadVals()
+		t.Error("WakePayloadVals returned despite mismatched wake")
 	})
 	e.Schedule(150, func() { p.Wake(250, "boxed") })
 	if err := e.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if !strings.Contains(msg, "BlockVals woken by Wake") {
-		t.Fatalf("panic %q does not name the BlockVals/Wake mismatch", msg)
+	if !strings.Contains(msg, "WakePayloadVals after Wake") {
+		t.Fatalf("panic %q does not name the WakePayloadVals/Wake mismatch", msg)
 	}
 }
 
 // TestMatchedBlockWakePairsStillWork guards the fix against false
-// positives: correctly paired Block/Wake and BlockVals/WakeVals deliver
-// payloads and stall charges exactly as before.
+// positives: correctly paired Wake/WakePayload and WakeVals/WakePayloadVals
+// deliver payloads and stall charges exactly as before.
 func TestMatchedBlockWakePairsStillWork(t *testing.T) {
 	e := NewEngine(100)
 	var data any
 	var a, b int64
 	p := e.AddProc(func(p *Proc) {
-		data = p.Block(stats.SharedMiss, "any wait")
-		a, b = p.BlockVals(stats.SharedMiss, "vals wait")
+		park(p, stats.SharedMiss, "any wait")
+		data = p.WakePayload()
+		park(p, stats.SharedMiss, "vals wait")
+		a, b = p.WakePayloadVals()
 	})
 	e.Schedule(150, func() { p.Wake(200, "payload") })
 	e.Schedule(350, func() { p.WakeVals(400, 41, 42) })
@@ -132,8 +135,8 @@ func TestStepProcMatchesCoroutine(t *testing.T) {
 	}
 }
 
-// TestStepProcBlockWake exercises StepBlock/WakePayloadVals: the blocked
-// stall must be charged on consumption exactly as BlockVals charges it.
+// TestStepProcBlockWake exercises StepBlock/WakePayloadVals on a step
+// processor: the blocked stall is charged on consumption.
 func TestStepProcBlockWake(t *testing.T) {
 	e := NewEngine(100)
 	var a, b int64
@@ -219,18 +222,19 @@ func TestCoroutineDrivesStepWait(t *testing.T) {
 	}
 }
 
-// TestStepProcCannotSuspend pins the step-proc restrictions: the
-// suspending primitives panic with a message naming the alternative.
+// TestStepProcCannotSuspend pins the step-proc restriction: the suspending
+// primitives (Yield, and Interact past the horizon) panic with a message
+// naming the alternative.
 func TestStepProcCannotSuspend(t *testing.T) {
 	e := NewEngine(100)
-	var blockMsg, yieldMsg string
+	var yieldMsg, interactMsg string
 	e.AddStepProc(func(p *Proc) StepStatus {
 		func() {
-			defer func() { blockMsg = fmt.Sprint(recover()) }()
-			p.Block(stats.SharedMiss, "nope")
+			defer func() { yieldMsg = fmt.Sprint(recover()) }()
+			p.Yield()
 		}()
 		func() {
-			defer func() { yieldMsg = fmt.Sprint(recover()) }()
+			defer func() { interactMsg = fmt.Sprint(recover()) }()
 			p.Compute(200) // past the horizon: Interact would need to yield
 			p.Interact()
 		}()
@@ -239,11 +243,10 @@ func TestStepProcCannotSuspend(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if !strings.Contains(blockMsg, "StepBlock") {
-		t.Errorf("Block panic %q does not point at StepBlock", blockMsg)
-	}
-	if !strings.Contains(yieldMsg, "StepYield") {
-		t.Errorf("yield panic %q does not point at StepYield", yieldMsg)
+	for what, msg := range map[string]string{"Yield": yieldMsg, "Interact": interactMsg} {
+		if !strings.Contains(msg, "StepYield") {
+			t.Errorf("%s panic %q does not point at StepYield", what, msg)
+		}
 	}
 }
 
@@ -257,7 +260,7 @@ func TestStepProcFailAborts(t *testing.T) {
 		return StepYield // unreachable
 	})
 	e.AddProc(func(p *Proc) {
-		p.Block(stats.LibComp, "waiting forever")
+		park(p, stats.LibComp, "waiting forever")
 	})
 	if err := e.Run(); !errors.Is(err, sentinel) {
 		t.Fatalf("Run returned %v, want the step proc's Fail error", err)
@@ -472,7 +475,7 @@ func TestProcPanicSurfacesFromRun(t *testing.T) {
 				case i == 0:
 					e.AddProc(func(p *Proc) {}) // finished long before the panic
 				case i == 1:
-					e.AddProc(func(p *Proc) { p.Block(stats.LibComp, "never woken") })
+					e.AddProc(func(p *Proc) { park(p, stats.LibComp, "never woken") })
 				default:
 					e.AddProc(func(p *Proc) {
 						for {
@@ -549,7 +552,7 @@ func TestFailMidRunLeavesNoGoroutines(t *testing.T) {
 						p.Fail(sentinel)
 					}
 					if i%2 == 0 && q == 2 {
-						p.Block(stats.LibComp, "never woken")
+						park(p, stats.LibComp, "never woken")
 					}
 					p.Compute(100)
 					p.Interact()

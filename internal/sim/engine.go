@@ -303,9 +303,8 @@ func (e *Engine) AddProc(fn func(p *Proc)) *Proc {
 // call per quantum, no goroutine, no stack switch. The step runs until its
 // clock reaches the quantum end (or it blocks via StepBlock) and returns
 // StepYield, or retires with StepDone. Step processors cannot call the
-// suspending primitives (Interact past the horizon, Block, SpinUntil);
-// they are for service processors and dispatch-bound workloads structured
-// as explicit state machines.
+// suspending primitives (Yield, Interact past the horizon); they are for
+// programs structured as explicit state machines.
 func (e *Engine) AddStepProc(step func(p *Proc) StepStatus) *Proc {
 	p := e.newProc()
 	p.step = step

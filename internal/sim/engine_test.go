@@ -9,6 +9,14 @@ import (
 	"repro/internal/stats"
 )
 
+// park suspends a coroutine body until a wake arrives, the way every
+// blocking library call does: StepBlock, then Yield. The caller consumes
+// the wake with WakePayload or WakePayloadVals.
+func park(p *Proc, cat stats.Category, reason string) {
+	p.StepBlock(cat, reason)
+	p.Yield()
+}
+
 func TestComputeAdvancesClockAndCharges(t *testing.T) {
 	e := NewEngine(100)
 	var got Time
@@ -60,7 +68,8 @@ func TestBlockWakeChargesStall(t *testing.T) {
 	var data any
 	p := e.AddProc(func(p *Proc) {
 		p.Compute(40)
-		data = p.Block(stats.SharedMiss, "test wait")
+		park(p, stats.SharedMiss, "test wait")
+		data = p.WakePayload()
 		woke = p.Clock()
 	})
 	// Wakes always arrive at least a quantum after the block in practice
@@ -107,7 +116,13 @@ func TestSpinUntilSeesEventUpdates(t *testing.T) {
 	ready := false
 	var doneAt Time
 	p := e.AddProc(func(p *Proc) {
-		p.SpinUntil(stats.LibComp, func() bool { return ready })
+		// Spin at quantum granularity: nothing observable changes until
+		// the next quantum, so one charge covers the whole window.
+		p.Interact()
+		for !ready {
+			p.ChargeStall(stats.LibComp, e.QuantumEnd()-p.Clock())
+			p.Yield()
+		}
 		doneAt = p.Clock()
 	})
 	e.Schedule(730, func() { ready = true })
@@ -186,7 +201,7 @@ func TestDeadlockPanics(t *testing.T) {
 	}()
 	e := NewEngine(100)
 	e.AddProc(func(p *Proc) {
-		p.Block(stats.SharedMiss, "never woken")
+		park(p, stats.SharedMiss, "never woken")
 	})
 	e.Run()
 }
@@ -257,7 +272,8 @@ func TestIdleQuantumSkipping(t *testing.T) {
 	e := NewEngine(100)
 	var woke Time
 	p := e.AddProc(func(p *Proc) {
-		p.Block(stats.BarrierWait, "long wait")
+		park(p, stats.BarrierWait, "long wait")
+		p.WakePayload()
 		woke = p.Clock()
 	})
 	e.Schedule(1_000_000, func() { p.Wake(1_000_000, nil) })
@@ -314,10 +330,10 @@ func TestFailAbortsRunWithStructuredError(t *testing.T) {
 		p.Fail(sentinel)
 		after = true // Fail must not return
 	})
-	// A second processor parked in Block must be unwound, not leaked or
+	// A second, parked processor must be unwound, not leaked or
 	// reported as a deadlock.
 	e.AddProc(func(p *Proc) {
-		p.Block(stats.LibComp, "waiting forever")
+		park(p, stats.LibComp, "waiting forever")
 	})
 	err := e.Run()
 	if !errors.Is(err, sentinel) {
@@ -350,7 +366,7 @@ func TestAbortFromEventHandlerUnwindsProcs(t *testing.T) {
 	e := NewEngine(100)
 	sentinel := errors.New("watchdog fired")
 	e.AddProc(func(p *Proc) {
-		p.Block(stats.LibComp, "awaiting a packet that was dropped")
+		park(p, stats.LibComp, "awaiting a packet that was dropped")
 	})
 	e.Schedule(1000, func() { e.Abort(sentinel) })
 	if err := e.Run(); !errors.Is(err, sentinel) {
@@ -370,7 +386,7 @@ func TestDiagnosticAppearsInDeadlockReport(t *testing.T) {
 	e := NewEngine(100)
 	e.AddProc(func(p *Proc) {
 		p.SetDiagnostic(func() string { return "transport: [->1 unacked=3 oldest=7]" })
-		p.Block(stats.LibComp, "barrier")
+		park(p, stats.LibComp, "barrier")
 	})
 	defer func() {
 		r := recover()

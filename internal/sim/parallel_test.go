@@ -131,7 +131,7 @@ func TestProcPhaseGuards(t *testing.T) {
 		var recovered any
 		var victim *Proc
 		victim = e.AddProc(func(p *Proc) {
-			p.Block(stats.BarrierWait, "guard test")
+			park(p, stats.BarrierWait, "guard test")
 		})
 		e.AddProc(func(p *Proc) {
 			p.Compute(10) // let the victim block first (same quantum is fine: it blocks at dispatch)

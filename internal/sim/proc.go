@@ -61,7 +61,7 @@ type Proc struct {
 	blockCat    stats.Category
 	wakeAt      Time
 	wakeData    any
-	wakeA       int64 // typed wake payload (WakeVals/BlockVals): no boxing
+	wakeA       int64 // typed wake payload (WakeVals/WakePayloadVals): no boxing
 	wakeB       int64
 	diag        func() string // optional library diagnostic for stall reports
 
@@ -89,7 +89,7 @@ type mode struct {
 }
 
 // Wake payload kinds: which of Wake/WakeVals delivered the pending wake.
-// Block and BlockVals check the kind on resume, so mixing typed and
+// WakePayload and WakePayloadVals check the kind, so mixing typed and
 // untyped payloads on one block/wake pair fails loudly instead of
 // returning stale zeros.
 const (
@@ -296,46 +296,34 @@ func (p *Proc) WaitUntil(t Time, cat stats.Category) {
 	}
 }
 
-// SpinQuantum burns the remainder of the current quantum in category cat and
-// yields. Poll loops use it to wait efficiently: nothing observable can
-// change until the next quantum, so one charge covers the whole window.
-func (p *Proc) SpinQuantum(cat stats.Category) {
-	if p.clock < p.eng.qEnd {
-		p.ChargeStall(cat, p.eng.qEnd-p.clock)
+// StepBlock parks the processor without suspending the caller: a step must
+// return StepYield immediately after calling it, a coroutine body must
+// Yield, and either is next dispatched when a wake arrives (a parked
+// coroutine and a parked step processor are the same engine state). The
+// resumed caller consumes the wake with WakePayload or WakePayloadVals,
+// which charge the stall from now until the wake time to cat; blocking
+// again with a wake still pending panics.
+func (p *Proc) StepBlock(cat stats.Category, reason string) {
+	if p.wakeKind != wakeNone {
+		panic(fmt.Sprintf("sim: proc %d re-blocked without consuming its wake (call WakePayload or WakePayloadVals first)", p.ID))
 	}
-	p.Yield()
-}
-
-// SpinUntil repeatedly evaluates cond at quantum granularity, charging the
-// wait to cat, until cond returns true. cond is evaluated at the processor's
-// current clock; per-check costs (e.g. a status-register read) are the
-// caller's responsibility.
-func (p *Proc) SpinUntil(cat stats.Category, cond func() bool) {
-	p.Interact()
-	for !cond() {
-		p.SpinQuantum(cat)
-	}
-}
-
-// blockState records the suspension so wake-time charging and stall
-// reports see a consistent picture whichever block form was used.
-func (p *Proc) blockState(cat stats.Category, reason string) {
 	p.blocked = true
 	p.blockReason = reason
 	p.blockStart = p.clock
 	p.blockCat = cat
 }
 
-// takeWakeAny consumes a pending untyped wake: charge the blocked stall,
-// advance the clock to the wake time, and return the payload. Panics if the
+// WakePayload consumes the wake that resumed the processor after
+// StepBlock: it charges the blocked stall, advances the clock to the wake
+// time, and returns the Wake payload. Panics if no wake is pending or the
 // waker used WakeVals — the typed and untyped payload channels must not be
 // mixed on one block/wake pair (the stale-payload bug this replaces
 // returned nil/zeros silently).
-func (p *Proc) takeWakeAny() any {
+func (p *Proc) WakePayload() any {
 	switch p.wakeKind {
 	case wakeAny:
 	case wakeVals:
-		panic(fmt.Sprintf("sim: proc %d: Block woken by WakeVals — typed and untyped wake payloads cannot be mixed; pair Block with Wake, or BlockVals with WakeVals", p.ID))
+		panic(fmt.Sprintf("sim: proc %d: WakePayload after WakeVals — typed and untyped wake payloads cannot be mixed; pair WakePayload with Wake, or WakePayloadVals with WakeVals", p.ID))
 	default:
 		panic(fmt.Sprintf("sim: proc %d: no wake pending", p.ID))
 	}
@@ -349,12 +337,14 @@ func (p *Proc) takeWakeAny() any {
 	return d
 }
 
-// takeWakeVals is takeWakeAny for the typed two-int64 payload channel.
-func (p *Proc) takeWakeVals() (int64, int64) {
+// WakePayloadVals is WakePayload for the two int64 values of WakeVals. The
+// typed channel avoids boxing the payload into an `any` on every wake — one
+// heap allocation per miss on the coherence fast path.
+func (p *Proc) WakePayloadVals() (int64, int64) {
 	switch p.wakeKind {
 	case wakeVals:
 	case wakeAny:
-		panic(fmt.Sprintf("sim: proc %d: BlockVals woken by Wake — typed and untyped wake payloads cannot be mixed; pair Block with Wake, or BlockVals with WakeVals", p.ID))
+		panic(fmt.Sprintf("sim: proc %d: WakePayloadVals after Wake — typed and untyped wake payloads cannot be mixed; pair WakePayload with Wake, or WakePayloadVals with WakeVals", p.ID))
 	default:
 		panic(fmt.Sprintf("sim: proc %d: no wake pending", p.ID))
 	}
@@ -368,59 +358,11 @@ func (p *Proc) takeWakeVals() (int64, int64) {
 	return a, b
 }
 
-// Block suspends the processor until another party calls Wake. The stall
-// from now until the wake time is charged to cat. It returns the value
-// passed to Wake; a waker that used WakeVals instead is a programming
-// error and panics on resume.
-func (p *Proc) Block(cat stats.Category, reason string) any {
-	if p.step != nil {
-		panic(fmt.Sprintf("sim: step proc %d cannot Block; use StepBlock and return StepYield", p.ID))
-	}
-	p.blockState(cat, reason)
-	p.Yield()
-	return p.takeWakeAny()
-}
-
-// BlockVals is Block for wakers that deliver two int64 values via WakeVals
-// instead of an interface payload. The typed channel avoids boxing the
-// payload into an `any` on every wake — one heap allocation per miss on the
-// coherence fast path. A waker that used Wake instead panics on resume.
-func (p *Proc) BlockVals(cat stats.Category, reason string) (int64, int64) {
-	if p.step != nil {
-		panic(fmt.Sprintf("sim: step proc %d cannot BlockVals; use StepBlock and return StepYield", p.ID))
-	}
-	p.blockState(cat, reason)
-	p.Yield()
-	return p.takeWakeVals()
-}
-
-// StepBlock parks the processor without suspending the caller: a step must
-// return StepYield immediately after calling it, a coroutine body must
-// Yield, and either is next dispatched when a wake arrives (a parked
-// coroutine and a parked step processor are the same engine state). The
-// resumed caller consumes the wake with WakePayload or WakePayloadVals
-// (which charge the blocked stall to cat, exactly as Block does); blocking
-// again with a wake still pending panics.
-func (p *Proc) StepBlock(cat stats.Category, reason string) {
-	if p.wakeKind != wakeNone {
-		panic(fmt.Sprintf("sim: proc %d re-blocked without consuming its wake (call WakePayload or WakePayloadVals first)", p.ID))
-	}
-	p.blockState(cat, reason)
-}
-
-// WakePayload consumes the wake that resumed a step processor after
-// StepBlock, returning the Wake payload and charging the blocked stall.
-// Panics if the waker used WakeVals (see Block) or no wake is pending.
-func (p *Proc) WakePayload() any { return p.takeWakeAny() }
-
-// WakePayloadVals is WakePayload for the typed WakeVals channel.
-func (p *Proc) WakePayloadVals() (int64, int64) { return p.takeWakeVals() }
-
-// Wake unblocks a processor at absolute time at, delivering data to the
-// Block call. Must be called from engine context — an event handler, never
-// the processor phase (processor-context code that needs to wake a peer
-// stages an event via Proc.Schedule that performs the wake). Waking an
-// unblocked processor panics.
+// Wake unblocks a processor at absolute time at, delivering data to its
+// WakePayload call. Must be called from engine context — an event handler,
+// never the processor phase (processor-context code that needs to wake a
+// peer stages an event via Proc.Schedule that performs the wake). Waking
+// an unblocked processor panics.
 func (p *Proc) Wake(at Time, data any) {
 	if p.eng.inProcPhase {
 		panic(fmt.Sprintf("sim: waking proc %d from processor context; stage the wake via Proc.Schedule", p.ID))
@@ -443,8 +385,8 @@ func (p *Proc) Wake(at Time, data any) {
 }
 
 // WakeVals unblocks a processor at absolute time at, delivering two int64
-// values to a matching BlockVals call without boxing. Same engine-context
-// restriction and semantics as Wake.
+// values to a matching WakePayloadVals call without boxing. Same
+// engine-context restriction and semantics as Wake.
 func (p *Proc) WakeVals(at Time, a, b int64) {
 	if p.eng.inProcPhase {
 		panic(fmt.Sprintf("sim: waking proc %d from processor context; stage the wake via Proc.Schedule", p.ID))
