@@ -24,6 +24,7 @@ import (
 	"repro/internal/memsim"
 	"repro/internal/ni"
 	"repro/internal/parmacs"
+	"repro/internal/runner"
 	"repro/internal/sim"
 )
 
@@ -172,6 +173,14 @@ func TestAllocBudgetBarrierEpisode(t *testing.T) {
 // ~40% of the run's quantum boundaries; the budget is exactly zero, so a
 // single escaping closure or per-quantum slice growth in the step stack
 // fails loudly.
+//
+// runtime.MemStats is process-wide: with `go test ./...` loading a small host
+// the runtime itself (a timer, a GC worker, the test framework's output
+// goroutine) has been seen to allocate a handful of objects inside a window
+// of two thousand quanta. So the window is measured up to three times, each a
+// whole fresh run, and the best counts: an allocation the simulator makes is
+// deterministic and shows in all three, a stray runtime allocation does not.
+// The budget itself stays at exactly zero.
 func TestAllocBudgetStepAppMainLoop(t *testing.T) {
 	par := em3d.DefaultParams()
 	par.NodesPer, par.Iters = 8, 40
@@ -184,11 +193,28 @@ func TestAllocBudgetStepAppMainLoop(t *testing.T) {
 	}
 	start, end := base.Res.Elapsed/2, base.Res.Elapsed*9/10
 
-	cfg = cost.Default(256)
+	var mallocs, bytes []uint64
+	var quanta int64
+	for attempt := 0; attempt < 3; attempt++ {
+		var d, db uint64
+		d, db, quanta = mainLoopMallocs(t, par, start, end)
+		mallocs, bytes = append(mallocs, d), append(bytes, db)
+		if d == 0 {
+			return
+		}
+	}
+	t.Errorf("step-form main loop allocates in every measured window: %v mallocs (%v bytes) over %d quanta, budget 0",
+		mallocs, bytes, quanta)
+}
+
+// mainLoopMallocs runs EM3D-MP at P=256 and returns the host mallocs and
+// bytes allocated between the first quantum boundaries at or after simulated
+// times start and end, and the number of quanta between them.
+func mainLoopMallocs(t *testing.T, par em3d.Params, start, end sim.Time) (mallocs, bytes uint64, quanta int64) {
+	cfg := cost.Default(256)
 	cfg.Workers = 1
 	var m0, m1 runtime.MemStats
 	var got0, got1 bool
-	var quanta int64
 	cfg.OnBuild = func(m any) {
 		mm := m.(*machine.MPMachine)
 		mm.Eng.AddQuantumHook(func(now sim.Time) {
@@ -214,8 +240,42 @@ func TestAllocBudgetStepAppMainLoop(t *testing.T) {
 	if quanta < 100 {
 		t.Fatalf("window too short: %d quanta", quanta)
 	}
-	if d := m1.Mallocs - m0.Mallocs; d != 0 {
-		t.Errorf("step-form main loop allocates: %d mallocs (%d bytes) over %d quanta, budget 0",
-			d, m1.TotalAlloc-m0.TotalAlloc, quanta)
+	return m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc, quanta
+}
+
+// TestHostAllocsLinearInP holds whole runs to host state linear in the
+// machine size: for every scaling pair, the mallocs of one complete run
+// divided by P may grow at most 2.5x from P=256 to P=1024 and stay under 400
+// per simulated node. A structure that is O(P) per node — every node's own
+// copy of the collective tree, a lock with an object per node when there is a
+// lock per node — quadruples that ratio and used to reach 2,300-3,200 per
+// node, so the next one is a test failure, not a profile finding. The bound
+// is loose enough for lcp-sm, whose 70 -> 163 per node is real, small and not
+// yet attributed (ROADMAP).
+func TestHostAllocsLinearInP(t *testing.T) {
+	perNode := func(app, mach string, procs int) float64 {
+		spec := scalingSpec(app, mach, procs)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		out, err := runner.Run(spec, runner.Options{Workers: 1})
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatalf("%s-%s P=%d: %v", app, mach, procs, err)
+		}
+		if out.Res.Err != nil {
+			t.Fatalf("%s-%s P=%d: %v", app, mach, procs, out.Res.Err)
+		}
+		return float64(m1.Mallocs-m0.Mallocs) / float64(procs)
+	}
+	for _, pair := range scalingPairs {
+		small, large := perNode(pair.app, pair.mach, 256), perNode(pair.app, pair.mach, 1024)
+		t.Logf("%s-%s: %.0f mallocs per node at P=256, %.0f at P=1024", pair.app, pair.mach, small, large)
+		if large > 2.5*small {
+			t.Errorf("%s-%s: mallocs per node grow %.0f -> %.0f from P=256 to P=1024 (%.1fx, bound 2.5x): some host structure is quadratic in P",
+				pair.app, pair.mach, small, large, large/small)
+		}
+		if large > 400 {
+			t.Errorf("%s-%s: %.0f mallocs per node at P=1024, bound 400", pair.app, pair.mach, large)
+		}
 	}
 }

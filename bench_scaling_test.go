@@ -2,11 +2,15 @@
 // processor counts (P = 64, 256, 1024) with per-processor-scaled working
 // sets, so one benchmark op is one complete simulated run at that machine
 // size. Alongside the table-suite benchmarks (fixed P=32, paper workloads)
-// this is the regression canary for the large-P path: the batched
-// dispatcher, the compacted per-proc state, and the O(P) structures in the
-// network, directory, and collectives all sit on its critical path, and the
-// bench-gate budgets pin its allocation behavior so a per-proc or per-event
-// allocation regression at P=1024 fails CI loudly.
+// this is the regression canary for the large-P path. All four scaling pairs
+// run, because each puts different O(P) structures on the critical path:
+// em3d-mp the batched dispatcher, the network and the channel machines;
+// lcp-mp the software-tree collectives (a reduction and a broadcast per
+// sweep); em3d-sm the directory and one MCS lock per node; lcp-sm the
+// directory and the parmacs reduction tree. The bench-gate budgets pin the
+// allocation behavior of every row, so a per-proc or per-event allocation
+// regression at P=1024 fails CI loudly; TestHostAllocsLinearInP
+// (alloc_budget_test.go) holds the same runs to mallocs linear in P.
 package repro_test
 
 import (
@@ -16,9 +20,9 @@ import (
 	"repro/internal/runner"
 )
 
-// scalingSpec builds the per-processor-scaled run for one scaling pair: one
-// message-passing and one shared-memory representative whose total work is
-// linear in the machine size (em3d's graph is NodesPer per proc; lcp gets
+// scalingSpec builds the per-processor-scaled run for one scaling pair: the
+// two applications, on either machine, whose total work is linear in the
+// machine size (em3d's graph is NodesPer per proc; lcp gets
 // two matrix rows per proc), so growing P grows the machine, not the
 // per-proc work. mse and gauss are excluded deliberately — their total work
 // is quadratic/cubic in the problem size, so a per-proc-scaled run at
@@ -48,12 +52,17 @@ func benchScalingRun(b *testing.B, spec runner.Spec) {
 	}
 }
 
+// scalingPairs are the app/machine pairs scalingSpec can size.
+var scalingPairs = []struct{ app, mach string }{
+	{"em3d", "mp"},
+	{"em3d", "sm"},
+	{"lcp", "mp"},
+	{"lcp", "sm"},
+}
+
 func BenchmarkScalingP(b *testing.B) {
 	for _, procs := range []int{64, 256, 1024} {
-		for _, pair := range []struct{ app, mach string }{
-			{"em3d", "mp"},
-			{"lcp", "sm"},
-		} {
+		for _, pair := range scalingPairs {
 			spec := scalingSpec(pair.app, pair.mach, procs)
 			b.Run(fmt.Sprintf("%s-%s-%04d", pair.app, pair.mach, procs), func(b *testing.B) {
 				benchScalingRun(b, spec)

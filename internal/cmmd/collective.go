@@ -1,7 +1,6 @@
 package cmmd
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -88,8 +87,8 @@ func combine(op ReduceOp, v1 float64, i1 int64, v2 float64, i2 int64) (float64, 
 // each collective in the same global order (SPMD discipline); sequence
 // numbers match contributions across nodes.
 type Comm struct {
-	ep    *Endpoint
-	Shape Shape
+	ep   *Endpoint
+	topo *Topology // the machine's trees, shared by every node, read-only
 
 	// HW, when non-nil, routes reductions through an in-network hardware
 	// combining tree (the cost.Config.HWCombining ablation) instead of the
@@ -99,12 +98,19 @@ type Comm struct {
 
 	hUp, hDown, hVec int
 
+	// Per-sequence-number fold state, created by whichever comes first — the
+	// node's own call or a peer's message for that sequence. These stay maps:
+	// a leaf may run arbitrarily many sequence numbers ahead of its parent (a
+	// non-root Reduce returns as soon as it has sent), so a fixed ring indexed
+	// by seq % K is not safe. A state retired by its collective goes on the
+	// free list and serves a later sequence number.
 	redSeq, bcSeq, vecSeq int64
 	red                   map[int64]*redState
 	bc                    map[int64]*bcState
 	vec                   map[int64]*vecState
-
-	lopParent []int // cached lop-sided tree in virtual-rank space
+	redFree               []*redState
+	bcFree                []*bcState
+	vecFree               []*vecState
 
 	// Frames of the blocking Reduce and Bcast drivers, allocated on first
 	// use: a node runs one collective at a time, and the frames embed a poll
@@ -126,9 +132,23 @@ type bcState struct {
 	idx int64
 }
 
+// vecState collects one incoming vector stream. Packets of a stream arrive
+// in order, so words[:got] is always written; a recycled buffer's stale
+// words beyond got are never read.
 type vecState struct {
 	words []uint64
 	got   int
+}
+
+// take pops a retired state off a free list, or allocates the first one.
+func take[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return new(T)
+	}
+	st := (*free)[n-1]
+	*free = (*free)[:n-1]
+	return st
 }
 
 // NewCombiner constructs the shared hardware combining tree for the
@@ -141,11 +161,11 @@ func NewCombiner(eng *sim.Engine, cfg *cost.Config) *sim.Combiner {
 		})
 }
 
-// NewComm creates the collective layer with the given tree shape. Must be
-// created in the same order on all nodes (it registers AM handlers).
-func NewComm(ep *Endpoint, shape Shape) *Comm {
+// NewComm creates one node's collective layer over the machine's trees. Must
+// be created in the same order on all nodes (it registers AM handlers).
+func NewComm(ep *Endpoint, topo *Topology) *Comm {
 	c := &Comm{
-		ep: ep, Shape: shape,
+		ep: ep, topo: topo,
 		red: make(map[int64]*redState),
 		bc:  make(map[int64]*bcState),
 		vec: make(map[int64]*vecState),
@@ -156,91 +176,8 @@ func NewComm(ep *Endpoint, shape Shape) *Comm {
 	return c
 }
 
-// --- tree construction (virtual ranks; rank 0 = root) ---
-
-// topology returns the parent virtual rank and children virtual ranks of
-// vrank in the configured tree over p nodes.
-func (c *Comm) topology(vrank, p int) (parent int, children []int) {
-	return c.topologyFor(c.Shape, vrank, p)
-}
-
-func (c *Comm) topologyFor(shape Shape, vrank, p int) (parent int, children []int) {
-	switch shape {
-	case Flat:
-		if vrank == 0 {
-			for i := 1; i < p; i++ {
-				children = append(children, i)
-			}
-			return -1, children
-		}
-		return 0, nil
-	case Binary:
-		for _, ch := range []int{2*vrank + 1, 2*vrank + 2} {
-			if ch < p {
-				children = append(children, ch)
-			}
-		}
-		if vrank == 0 {
-			return -1, children
-		}
-		return (vrank - 1) / 2, children
-	case LopSided:
-		par := c.lopsided(p)
-		for v := 1; v < p; v++ {
-			if par[v] == vrank {
-				children = append(children, v)
-			}
-		}
-		return par[vrank], children
-	}
-	panic("cmmd: unknown tree shape")
-}
-
-// lopsided computes (and caches) the LogP greedy broadcast tree: a priority
-// queue of informed nodes by next-free time; the earliest-free node informs
-// the next rank. o is the per-message send overhead, L the wire latency,
-// and the receive overhead delays when a child may start forwarding.
-func (c *Comm) lopsided(p int) []int {
-	if c.lopParent != nil && len(c.lopParent) == p {
-		return c.lopParent
-	}
-	cfg := c.ep.Cfg
-	o := cfg.AMSendCycles + cfg.NIWriteTagDest + cfg.NISendCycles
-	oR := cfg.AMDispatchCycles + cfg.NIStatusCycles + cfg.NIRecvCycles
-	L := cfg.NetLatency
-
-	par := make([]int, p)
-	par[0] = -1
-	h := &lopHeap{{t: 0, v: 0}}
-	next := 1
-	for next < p {
-		s := heap.Pop(h).(lopNode)
-		par[next] = s.v
-		heap.Push(h, lopNode{t: s.t + o, v: s.v})
-		heap.Push(h, lopNode{t: s.t + o + L + oR, v: next})
-		next++
-	}
-	c.lopParent = par
-	return par
-}
-
-type lopNode struct {
-	t int64
-	v int
-}
-type lopHeap []lopNode
-
-func (h lopHeap) Len() int { return len(h) }
-func (h lopHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].v < h[j].v
-}
-func (h lopHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *lopHeap) Push(x any)   { *h = append(*h, x.(lopNode)) }
-func (h *lopHeap) Pop() any     { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
-
+// vrank and actual rotate a collective's root onto virtual rank 0 of the
+// machine's Topology and back.
 func (c *Comm) vrank(id, root int) int     { return (id - root + c.ep.Nodes) % c.ep.Nodes }
 func (c *Comm) actual(vrank, root int) int { return (vrank + root) % c.ep.Nodes }
 
@@ -249,7 +186,7 @@ func (c *Comm) actual(vrank, root int) int { return (vrank + root) % c.ep.Nodes 
 func (c *Comm) redState(seq int64) *redState {
 	st := c.red[seq]
 	if st == nil {
-		st = &redState{}
+		st = take(&c.redFree)
 		c.red[seq] = st
 	}
 	return st
@@ -291,7 +228,7 @@ func (c *Comm) onDown(pkt *ni.Packet) {
 	seq := int64(pkt.Args[0])
 	st := c.bc[seq]
 	if st == nil {
-		st = &bcState{}
+		st = take(&c.bcFree)
 		c.bc[seq] = st
 	}
 	st.val = math.Float64frombits(pkt.Args[1])
@@ -330,7 +267,12 @@ func (c *Comm) onVec(pkt *ni.Packet) {
 	seq := int64(pkt.Args[0])
 	st := c.vec[seq]
 	if st == nil {
-		st = &vecState{words: make([]uint64, int(pkt.Args[2]))}
+		st = take(&c.vecFree)
+		if n := int(pkt.Args[2]); n <= cap(st.words) {
+			st.words = st.words[:n]
+		} else {
+			st.words = make([]uint64, n)
+		}
 		c.vec[seq] = st
 	}
 	off := int(pkt.Args[1])
@@ -352,30 +294,19 @@ func (c *Comm) BcastVecF(root int, vec *memsim.FVec, lo, hi int) {
 	c.vecSeq++
 	n := hi - lo
 
-	// Bulk streams pipeline poorly through the lop-sided tree's wide root
-	// fan-out; the tuned implementation (the paper's "active messages and
-	// channels") streams rows over a binary tree through pre-established
-	// virtual channels, whose per-use cost is far below a full CMMD send
-	// setup. Flat stays flat — that is the ablation's pathological case.
-	vecShape := c.Shape
-	chanFast := false
-	if c.Shape == LopSided {
-		vecShape, chanFast = Binary, true
-	}
+	// The stream runs over the machine's vector tree: binary when the shape is
+	// lop-sided (see vecShape), and then through pre-established virtual
+	// channels, whose per-use cost is far below a full CMMD send setup.
 	vr := c.vrank(ep.Self, root)
-	parent, children := c.topologyFor(vecShape, vr, ep.Nodes)
+	parent, children := c.topo.vec.parent[vr], c.topo.vec.children(vr)
 
-	dsts := make([]int, len(children))
-	for i, ch := range children {
-		dsts[i] = c.actual(ch, root)
-	}
 	p.PushMode(stats.LibComp, stats.LibMiss, stats.CntLibMisses)
 	defer p.PopMode()
 	perChild := ep.Cfg.CMMDCallCycles
-	if chanFast {
+	if c.topo.Shape == LopSided {
 		perChild = ep.Cfg.CollectiveEntry // channel already set up; just arm it
 	}
-	for range dsts {
+	for range children {
 		p.Acct.Add(stats.CntChannelWrites, 1)
 		p.ChargeStall(stats.LibComp, perChild)
 	}
@@ -384,7 +315,7 @@ func (c *Comm) BcastVecF(root int, vec *memsim.FVec, lo, hi int) {
 	// interleaved across children so all subtrees progress together.
 	per := elemsPerPacket(ep.Cfg, vec.ElemBytes)
 	forward := func(off, end int) {
-		if len(dsts) == 0 || off >= end {
+		if len(children) == 0 || off >= end {
 			return
 		}
 		for a := off; a < end; a += per {
@@ -402,9 +333,9 @@ func (c *Comm) BcastVecF(root int, vec *memsim.FVec, lo, hi int) {
 			for i := a; i < b; i++ {
 				pkt.Words[i-a] = math.Float64bits(vec.V[lo+i])
 			}
-			for _, dst := range dsts {
+			for _, ch := range children {
 				p.ChargeStall(stats.LibComp, ep.Cfg.CMMDPerPacket)
-				pkt.Dst = dst
+				pkt.Dst = c.actual(ch, root)
 				ep.AM.SendPacket(&pkt)
 			}
 		}
@@ -432,5 +363,9 @@ func (c *Comm) BcastVecF(root int, vec *memsim.FVec, lo, hi int) {
 		forward(done, got)
 		done = got
 	}
-	delete(c.vec, seq)
+	if st := c.vec[seq]; st != nil {
+		delete(c.vec, seq)
+		st.got = 0
+		c.vecFree = append(c.vecFree, st)
+	}
 }

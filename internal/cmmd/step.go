@@ -291,7 +291,7 @@ func (ep *Endpoint) StepSendBlock(ss *SendStep, dst, tag int, vec *memsim.FVec, 
 // channel setup per message), while the final lop-sided version drops to
 // raw active messages — "active messages also help reduce this latency".
 func (c *Comm) chargeScalarSend() {
-	if c.Shape != LopSided {
+	if c.topo.Shape != LopSided {
 		c.ep.P.ChargeStall(stats.LibComp, c.ep.Cfg.CMMDCallCycles)
 	}
 }
@@ -334,8 +334,8 @@ func (c *Comm) StepReduce(rs *ReduceStep, root int, val float64, idx int64, op R
 			p.ChargeStall(stats.LibComp, ep.Cfg.CollectiveEntry)
 			rs.seq = c.redSeq
 			c.redSeq++
-			parent, children := c.topology(c.vrank(ep.Self, root), ep.Nodes)
-			rs.parent, rs.nch = parent, len(children)
+			vr := c.vrank(ep.Self, root)
+			rs.parent, rs.nch = c.topo.scalar.parent[vr], len(c.topo.scalar.children(vr))
 			st := c.redState(rs.seq)
 			if st.has {
 				st.val, st.idx = combine(op, st.val, st.idx, val, idx)
@@ -350,6 +350,9 @@ func (c *Comm) StepReduce(rs *ReduceStep, root int, val float64, idx int64, op R
 			}
 			rs.val, rs.idx = rs.st.val, rs.st.idx
 			delete(c.red, rs.seq)
+			*rs.st = redState{}
+			c.redFree = append(c.redFree, rs.st)
+			rs.st = nil
 			if rs.parent < 0 {
 				rs.phase = 0
 				return rs.val, rs.idx, true
@@ -385,7 +388,7 @@ type BcastStep struct {
 	ci       int
 	val      float64
 	idx      int64
-	children []int
+	children []int // the node's child list in the machine's Topology
 	req      am.ReqStep
 	poll     PollStep
 }
@@ -414,10 +417,10 @@ func (c *Comm) stepBcastPair(bs *BcastStep, root int, val float64, idx int64, da
 			p.ChargeStall(stats.LibComp, ep.Cfg.CollectiveEntry)
 			bs.seq = c.bcSeq
 			c.bcSeq++
-			parent, children := c.topology(c.vrank(ep.Self, root), ep.Nodes)
-			bs.children, bs.ci = children, 0
+			vr := c.vrank(ep.Self, root)
+			bs.children, bs.ci = c.topo.scalar.children(vr), 0
 			bs.val, bs.idx = val, idx
-			if parent >= 0 {
+			if c.topo.scalar.parent[vr] >= 0 {
 				bs.phase = 1
 			} else {
 				delete(c.bc, bs.seq)
@@ -430,8 +433,11 @@ func (c *Comm) stepBcastPair(bs *BcastStep, root int, val float64, idx int64, da
 			}) {
 				return 0, 0, false
 			}
-			bs.val, bs.idx = c.bc[bs.seq].val, c.bc[bs.seq].idx
+			st := c.bc[bs.seq]
+			bs.val, bs.idx = st.val, st.idx
 			delete(c.bc, bs.seq)
+			*st = bcState{}
+			c.bcFree = append(c.bcFree, st)
 			bs.phase = 2
 		case 2:
 			if bs.ci == len(bs.children) {

@@ -149,6 +149,8 @@ func buildMP(cfg cost.Config, shape cmmd.Shape, program func(n *MPNode), stepPro
 	if c.HWCombining {
 		m.Comb = cmmd.NewCombiner(eng, &c)
 	}
+	topo := cmmd.NewTopology(&c, shape) // one set of collective trees, read by every node
+	nodes := make([]MPNode, c.Procs)    // one block, not an object per node
 	m.Nodes = make([]*MPNode, c.Procs)
 	for i := 0; i < c.Procs; i++ {
 		i := i
@@ -190,12 +192,13 @@ func buildMP(cfg cost.Config, shape cmmd.Shape, program func(n *MPNode), stepPro
 			am.NewReliable(a, c.Procs, fc, grp)
 		}
 		ep := cmmd.NewEndpoint(i, c.Procs, a, mem, bar)
-		comm := cmmd.NewComm(ep, shape)
+		comm := cmmd.NewComm(ep, topo)
 		comm.HW = m.Comb
-		m.Nodes[i] = &MPNode{
+		nodes[i] = MPNode{
 			ID: i, P: p, Mem: mem, NI: nif, AM: a, EP: ep, Comm: comm,
 			Cfg: &c, Space: space, Procs: c.Procs,
 		}
+		m.Nodes[i] = &nodes[i]
 	}
 	if c.OnBuild != nil {
 		c.OnBuild(m)

@@ -163,22 +163,39 @@ type Lock struct {
 	rt   *Runtime
 	tail memsim.IVec // one element: -1 free, else waiter node id
 
-	locked []memsim.IVec // per node, homed at that node
-	next   []memsim.IVec // per node, homed at that node
+	// The queue cells: node i's locked flag and next pointer, one word each
+	// in its own block homed at node i. A waiter touches only its own cells
+	// and its neighbours', so per node the lock keeps a value and a simulated
+	// address and nothing else — four vectors per lock, not two objects per
+	// node; lockedCell and nextCell build the one-word view the memory calls
+	// take (the protocol keeps no pointer to it: spins re-derive the address
+	// each call and watchers are keyed by block).
+	locked, next     []int64
+	lockedAt, nextAt []uint64
+}
+
+func (l *Lock) lockedCell(i int) memsim.IVec {
+	return memsim.IVec{Base: l.lockedAt[i], V: l.locked[i : i+1 : i+1]}
+}
+
+func (l *Lock) nextCell(i int) memsim.IVec {
+	return memsim.IVec{Base: l.nextAt[i], V: l.next[i : i+1 : i+1]}
 }
 
 // NewLock allocates a lock. Called once (by node 0) during initialization.
 func NewLock(rt *Runtime) *Lock {
 	n := rt.Cfg.Procs
-	l := &Lock{rt: rt, tail: rt.GMallocIOn(rt.lockSerial%n, 1)}
+	l := &Lock{
+		rt: rt, tail: rt.GMallocIOn(rt.lockSerial%n, 1),
+		locked: make([]int64, n), next: make([]int64, n),
+		lockedAt: make([]uint64, n), nextAt: make([]uint64, n),
+	}
 	rt.lockSerial++
 	l.tail.V[0] = -1
 	for i := 0; i < n; i++ {
-		lv := rt.GMallocIOn(i, 1)
-		nv := rt.GMallocIOn(i, 1)
-		nv.V[0] = -1
-		l.locked = append(l.locked, lv)
-		l.next = append(l.next, nv)
+		l.lockedAt[i] = rt.Space.AllocSharedOn(i, memsim.WordBytes)
+		l.nextAt[i] = rt.Space.AllocSharedOn(i, memsim.WordBytes)
+		l.next[i] = -1
 	}
 	return l
 }

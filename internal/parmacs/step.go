@@ -68,7 +68,7 @@ func (l *Lock) StepAcquire(ls *LockStep, m *memsim.Mem) bool {
 			p.Compute(lockOpCycles)
 			ls.phase = 1
 		case 1:
-			if !l.next[me].StepSet(m, 0, -1) {
+			if next := l.nextCell(me); !next.StepSet(m, 0, -1) {
 				return false
 			}
 			ls.phase = 2
@@ -85,18 +85,19 @@ func (l *Lock) StepAcquire(ls *LockStep, m *memsim.Mem) bool {
 			ls.pred = pred
 			ls.phase = 3
 		case 3:
-			if !l.locked[me].StepSet(m, 0, 1) {
+			if locked := l.lockedCell(me); !locked.StepSet(m, 0, 1) {
 				return false
 			}
 			ls.phase = 4
 		case 4:
-			if !l.next[ls.pred].StepSet(m, 0, int64(me)) {
+			if next := l.nextCell(int(ls.pred)); !next.StepSet(m, 0, int64(me)) {
 				return false
 			}
 			ls.spin = coherence.SpinStep{}
 			ls.phase = 5
 		case 5:
-			if _, done := l.rt.Pr.StepSpinI(&ls.spin, m, &l.locked[me], 0,
+			locked := l.lockedCell(me)
+			if _, done := l.rt.Pr.StepSpinI(&ls.spin, m, &locked, 0,
 				stats.LockWait, lockFreeCond); !done {
 				return false
 			}
@@ -119,7 +120,8 @@ func (l *Lock) StepRelease(ls *LockStep, m *memsim.Mem) bool {
 			p.Compute(lockOpCycles)
 			ls.phase = 1
 		case 1:
-			nx, done := l.next[me].StepGet(m, 0)
+			next := l.nextCell(me)
+			nx, done := next.StepGet(m, 0)
 			if !done {
 				return false
 			}
@@ -141,20 +143,22 @@ func (l *Lock) StepRelease(ls *LockStep, m *memsim.Mem) bool {
 			ls.spin = coherence.SpinStep{}
 			ls.phase = 3
 		case 3:
-			if _, done := l.rt.Pr.StepSpinI(&ls.spin, m, &l.next[me], 0,
+			next := l.nextCell(me)
+			if _, done := l.rt.Pr.StepSpinI(&ls.spin, m, &next, 0,
 				stats.LockWait, linkDoneCond); !done {
 				return false
 			}
 			ls.phase = 4
 		case 4:
-			succ, done := l.next[me].StepGet(m, 0)
+			next := l.nextCell(me)
+			succ, done := next.StepGet(m, 0)
 			if !done {
 				return false
 			}
 			ls.succ = succ
 			ls.phase = 5
 		case 5:
-			if !l.locked[ls.succ].StepSet(m, 0, 0) {
+			if locked := l.lockedCell(int(ls.succ)); !locked.StepSet(m, 0, 0) {
 				return false
 			}
 			p.PopMode()

@@ -60,7 +60,10 @@ type parallelRow struct {
 // parallelRows is the shared matrix plus what it lacks of the step
 // programs: ALCP, LCP and ALCP on a lossy network (EM3D is a matrix row),
 // the three shared-memory step programs under coherence control faults,
-// and LCP with hardware combining on both machines.
+// LCP with hardware combining on both machines, and — at P=256, wide enough
+// that every pool worker's chunk holds interior nodes of the tree — the two
+// programs that read the machine-wide state all nodes share: LCP-MP the
+// collective Topology, EM3D-SM one flat-celled MCS lock per node.
 func parallelRows() []parallelRow {
 	var rows []parallelRow
 	for _, ns := range matrixALCP {
@@ -85,6 +88,9 @@ func parallelRows() []parallelRow {
 		row.Spec.HWCombining = true
 		rows = append(rows, row)
 	}
+	rows = append(rows,
+		parallelRow{NamedSpec: NamedSpec{"em3d-sm-p256", Spec{App: "em3d", Machine: "sm", Procs: 256, Size: 8, Iters: 2}}},
+		parallelRow{NamedSpec: NamedSpec{"lcp-mp-p256", Spec{App: "lcp", Machine: "mp", Procs: 256, Size: 512, Iters: 2}}})
 	return rows
 }
 
