@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"testing"
+
+	"repro/internal/cost"
 )
 
 var updateGolden = flag.Bool("update", false, "regenerate testdata/golden.json from this build")
@@ -47,10 +49,12 @@ func scalingRows(t *testing.T) []goldenEntry {
 }
 
 // goldenSpecs lists the pinned configurations: the replay-equivalence
-// matrix, the asynchronous LCP variants (absent from it), the capped
-// paper-table specs behind the benchmark's mp-tables and sm-tables
-// workloads (bench/workloads.go — a separate module this test cannot
-// import), and the scaling rows.
+// matrix, the asynchronous LCP variants (absent from it), Gauss-MP over the
+// §5.2 ablation's flat and binary trees and over a lossy network (the
+// pivot-row stream's per-child charges and its sends through the reliable
+// transport), the capped paper-table specs behind the benchmark's mp-tables
+// and sm-tables workloads (bench/workloads.go — a separate module this test
+// cannot import), and the scaling rows.
 func goldenSpecs(scaling []goldenEntry) []NamedSpec {
 	specs := EquivalenceMatrix()
 	for _, m := range []string{"mp", "sm"} {
@@ -58,6 +62,14 @@ func goldenSpecs(scaling []goldenEntry) []NamedSpec {
 			NamedSpec{"alcp-" + m, Spec{App: "alcp", Machine: m, Procs: 4, Size: 128, Iters: 3}},
 			NamedSpec{"alcp-" + m + "-p64", Spec{App: "alcp", Machine: m, Procs: 64, Size: 128, Iters: 2}})
 	}
+	gauss := Spec{App: "gauss", Machine: "mp", Procs: 8, Size: 64}
+	flat, binary, lossy := gauss, gauss, gauss
+	flat.Shape, binary.Shape = "flat", "binary"
+	lossy.Faults = &cost.FaultsConfig{Seed: 7, DropRate: 0.02, DupRate: 0.01, DelayRate: 0.05}
+	specs = append(specs,
+		NamedSpec{"gauss-mp-p8-flat", flat},
+		NamedSpec{"gauss-mp-p8-binary", binary},
+		NamedSpec{"gauss-mp-p8-faults", lossy})
 	for _, tb := range []struct {
 		app, machine string
 		size, iters  int
