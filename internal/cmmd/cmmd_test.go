@@ -158,38 +158,6 @@ func TestBcastReachesAllFromAnyRoot(t *testing.T) {
 	}
 }
 
-func TestBcastVecAllShapes(t *testing.T) {
-	for _, shape := range []cmmd.Shape{cmmd.Flat, cmmd.Binary, cmmd.LopSided} {
-		cfg := cost.Default(6)
-		const N = 33 // odd length exercises the final short packet
-		sums := make([]float64, 6)
-		machine.RunMP(cfg, shape, func(n *machine.MPNode) {
-			v := n.AllocF(N)
-			if n.ID == 2 {
-				for i := range v.V {
-					v.V[i] = float64(i * i)
-				}
-			}
-			n.Comm.BcastVecF(2, &v, 0, N)
-			s := 0.0
-			for i := range v.V {
-				s += v.V[i]
-			}
-			sums[n.ID] = s
-			n.Barrier()
-		})
-		want := 0.0
-		for i := 0; i < N; i++ {
-			want += float64(i * i)
-		}
-		for i, s := range sums {
-			if s != want {
-				t.Fatalf("%v: node %d sum = %v, want %v", shape, i, s, want)
-			}
-		}
-	}
-}
-
 func TestLopSidedBeatsFlatBroadcastLatency(t *testing.T) {
 	// The paper's Gauss tuning: a flat broadcast was very slow, a binary
 	// tree better, the LogP lop-sided tree best. Check the ordering on a

@@ -5,10 +5,8 @@ import (
 	"math"
 
 	"repro/internal/cost"
-	"repro/internal/memsim"
 	"repro/internal/ni"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Shape selects the software reduction/broadcast tree. The machines provide
@@ -239,23 +237,12 @@ func (c *Comm) onDown(pkt *ni.Packet) {
 // Bcast distributes val from root to every node down the tree, returning it
 // everywhere (the backward-substitution value broadcasts in Gauss).
 func (c *Comm) Bcast(root int, val float64) float64 {
-	v, _ := c.bcastPair(root, val, 0, memsim.WordBytes)
-	return v
-}
-
-// BcastPair broadcasts a (value, index) pair in a single message — Gauss's
-// pivot announcement carries the pivot value and the owning global row.
-func (c *Comm) BcastPair(root int, val float64, idx int64) (float64, int64) {
-	return c.bcastPair(root, val, idx, 2*memsim.WordBytes)
-}
-
-func (c *Comm) bcastPair(root int, val float64, idx int64, dataBytes int) (float64, int64) {
 	if c.bs == nil {
 		c.bs = new(BcastStep)
 	}
 	for {
-		if v, i, done := c.stepBcastPair(c.bs, root, val, idx, dataBytes); done {
-			return v, i
+		if v, done := c.StepBcast(c.bs, root, val); done {
+			return v
 		}
 		c.ep.P.Yield()
 	}
@@ -278,94 +265,4 @@ func (c *Comm) onVec(pkt *ni.Packet) {
 	off := int(pkt.Args[1])
 	copy(st.words[off:], pkt.Payload())
 	st.got += pkt.NWords
-}
-
-// BcastVecF distributes elements [lo, hi) of vec from root to all nodes down
-// the tree (the pivot-row broadcasts of Gauss-MP: "active messages and
-// channels"). The stream is pipelined: interior nodes forward each packet
-// as it arrives rather than waiting for the whole vector, so the cost of
-// tree depth is latency, not repeated store-and-forward of the full row.
-func (c *Comm) BcastVecF(root int, vec *memsim.FVec, lo, hi int) {
-	ep := c.ep
-	p := ep.P
-	p.Interact()
-	p.ChargeStall(stats.LibComp, ep.Cfg.CollectiveEntry)
-	seq := c.vecSeq
-	c.vecSeq++
-	n := hi - lo
-
-	// The stream runs over the machine's vector tree: binary when the shape is
-	// lop-sided (see vecShape), and then through pre-established virtual
-	// channels, whose per-use cost is far below a full CMMD send setup.
-	vr := c.vrank(ep.Self, root)
-	parent, children := c.topo.vec.parent[vr], c.topo.vec.children(vr)
-
-	p.PushMode(stats.LibComp, stats.LibMiss, stats.CntLibMisses)
-	defer p.PopMode()
-	perChild := ep.Cfg.CMMDCallCycles
-	if c.topo.Shape == LopSided {
-		perChild = ep.Cfg.CollectiveEntry // channel already set up; just arm it
-	}
-	for range children {
-		p.Acct.Add(stats.CntChannelWrites, 1)
-		p.ChargeStall(stats.LibComp, perChild)
-	}
-
-	// forward streams words [off, end) of vec to every child, one packet
-	// interleaved across children so all subtrees progress together.
-	per := elemsPerPacket(ep.Cfg, vec.ElemBytes)
-	forward := func(off, end int) {
-		if len(children) == 0 || off >= end {
-			return
-		}
-		for a := off; a < end; a += per {
-			b := a + per
-			if b > end {
-				b = end
-			}
-			ep.Mem.ReadRange(vec.Addr(lo+a), (b-a)*vec.ElemBytes)
-			pkt := ni.Packet{
-				Tag:       c.hVec,
-				Args:      [4]uint64{uint64(seq), uint64(a), uint64(n)},
-				DataBytes: (b - a) * vec.ElemBytes,
-				NWords:    b - a,
-			}
-			for i := a; i < b; i++ {
-				pkt.Words[i-a] = math.Float64bits(vec.V[lo+i])
-			}
-			for _, ch := range children {
-				p.ChargeStall(stats.LibComp, ep.Cfg.CMMDPerPacket)
-				pkt.Dst = c.actual(ch, root)
-				ep.AM.SendPacket(&pkt)
-			}
-		}
-	}
-
-	if parent < 0 {
-		forward(0, n)
-		return
-	}
-
-	// Interior or leaf: consume the incoming stream, storing arrivals into
-	// vec and forwarding complete packets immediately.
-	done := 0
-	for done < n {
-		ep.pollUntil(func() bool {
-			st := c.vec[seq]
-			return st != nil && st.got > done
-		})
-		st := c.vec[seq]
-		got := st.got
-		ep.Mem.WriteRange(vec.Addr(lo+done), (got-done)*vec.ElemBytes)
-		for i := done; i < got; i++ {
-			vec.V[lo+i] = math.Float64frombits(st.words[i])
-		}
-		forward(done, got)
-		done = got
-	}
-	if st := c.vec[seq]; st != nil {
-		delete(c.vec, seq)
-		st.got = 0
-		c.vecFree = append(c.vecFree, st)
-	}
 }

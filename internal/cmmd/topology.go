@@ -12,7 +12,7 @@ type Topology struct {
 	Shape Shape
 
 	scalar tree // reductions and scalar broadcasts
-	vec    tree // BcastVecF's stream; see vecShape
+	vec    tree // StepBcastVecF's stream; see vecShape
 }
 
 // tree is one rooted tree over virtual ranks 0..p-1. The children of v are
