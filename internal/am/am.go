@@ -15,9 +15,10 @@
 // over a caller-held frame (StepPoll — the one poll machine — StepPollUntil,
 // StepRequest, StepSendPacket) that returns "not done" where a coroutine
 // would suspend; a step processor returns sim.StepYield and re-invokes it
-// with the same frame and arguments. The blocking calls of the same names
-// are coroutine drivers, `for !a.StepFoo(frame, ...) { p.Yield() }`, so both
-// processor forms charge every cycle through the same body.
+// with the same frame and arguments. The blocking calls kept for coroutine
+// programs (Request, PollUntil) are drivers, `for !a.StepFoo(frame, ...) {
+// p.Yield() }`, so both processor forms charge every cycle through the same
+// body.
 //
 // Two handler kinds share one table. Register installs a run-to-completion
 // Handler: host state only, except that on a coroutine processor it may call
@@ -39,7 +40,7 @@ import (
 // ErrNoHandler reports a packet whose tag names no registered handler. On
 // the lossless machine this is a programmer error and dispatch panics; on a
 // faulty network (fault plan attached, e.g. a corrupted tag word) it is
-// returned as a typed error through Poll, Drain, and PollUntil.
+// returned as a typed error through StepPoll and PollUntil.
 var ErrNoHandler = errors.New("am: no handler")
 
 // Handler processes a delivered active message on the receiving node and
@@ -169,18 +170,10 @@ func (a *AM) StepRequest(rs *ReqStep, dst, handler int, args [4]uint64, dataByte
 	return true
 }
 
-// SendPacket injects a pre-built packet, through the reliable transport when
-// one is attached (the CMMD channel layer and the collectives stream data
-// packets directly, below the Request call path).
-func (a *AM) SendPacket(pkt *ni.Packet) {
-	var ss SendStep
-	for !a.StepSendPacket(&ss, pkt) {
-		a.P.Yield()
-	}
-}
-
-// StepSendPacket is the one implementation of SendPacket. pkt must live in
-// the caller's frame: re-invocations pass the same packet.
+// StepSendPacket injects a pre-built packet, through the reliable transport
+// when one is attached (the CMMD channel layer and the collectives stream
+// data packets directly, below the Request call path). pkt must live in the
+// caller's frame: re-invocations pass the same packet.
 func (a *AM) StepSendPacket(ss *SendStep, pkt *ni.Packet) bool {
 	if a.rel != nil {
 		return a.rel.stepSend(ss, pkt)
@@ -204,7 +197,6 @@ type PollStep struct {
 	entered bool  // StepPollUntil is past its entry Interact
 	handled bool  // this poll popped a packet
 	inRun   bool  // pkt came out of the transport's in-order release run
-	drained int   // packets StepDrain has dispatched through this frame
 
 	pkt ni.Packet
 	hs  HandlerStep
@@ -229,27 +221,13 @@ const (
 	pDone
 )
 
-// Poll performs one poll: a status-register read and, if a packet is
-// available, a receive plus handler dispatch, then transport progress
-// (retransmissions due). It reports whether a packet was handled. A
-// dispatch failure on a faulty network (e.g. no handler for a corrupted
-// tag) is returned as a typed error; on the lossless machine it panics.
-func (a *AM) Poll() (bool, error) {
-	ps := a.pushFrame()
-	for {
-		if handled, done, err := a.StepPoll(ps); done {
-			a.popFrame()
-			return handled, err
-		}
-		a.P.Yield()
-	}
-}
-
 // StepPoll is the one poll machine: status read, FIFO load, transport
 // filter, dispatch-entry accounting, handler, cumulative ack, retransmit
 // scan. handled and err are valid only when done. The scan runs after the
 // receive so that an acknowledgement already sitting in the input queue
 // cancels a pending timeout instead of triggering a spurious retransmission.
+// A dispatch failure on a faulty network (e.g. no handler for a corrupted
+// tag) is returned as a typed error; on the lossless machine it panics.
 func (a *AM) StepPoll(ps *PollStep) (handled, done bool, err error) {
 	p := a.P
 	r := a.rel
@@ -351,21 +329,9 @@ func (a *AM) enter(ps *PollStep) bool {
 	return true
 }
 
-// Drain handles every currently available packet and returns how many were
-// dispatched, stopping at the first dispatch error.
-func (a *AM) Drain() (n int, err error) {
-	ps := a.pushFrame()
-	ps.drained = 0
-	for !a.StepDrain(ps) {
-		a.P.Yield()
-	}
-	a.popFrame()
-	return ps.drained, ps.err
-}
-
-// StepDrain is the one implementation of Drain: polls through ps until one
-// handles nothing or fails to dispatch. Each poll runs to done before its
-// outcome is tested, so one suspended in an acknowledgement or
+// StepDrain handles every currently available packet: it polls through ps
+// until one handles nothing or fails to dispatch. Each poll runs to done
+// before its outcome is tested, so one suspended in an acknowledgement or
 // retransmission injection is finished, never abandoned.
 func (a *AM) StepDrain(ps *PollStep) bool {
 	for {
@@ -376,7 +342,6 @@ func (a *AM) StepDrain(ps *PollStep) bool {
 		if err != nil || !handled {
 			return true
 		}
-		ps.drained++
 	}
 }
 

@@ -354,19 +354,10 @@ func (r *Reliable) StepService(ps *PollStep) bool {
 	return done
 }
 
-// Flush services the network until every packet this node sent has been
-// acknowledged. CMMD's barrier flushes on entry so that no node can park in
-// the hardware barrier with undelivered data (the message-passing analogue
-// of a memory fence).
-func (r *Reliable) Flush() {
-	ps := r.a.pushFrame()
-	for !r.StepFlush(ps) {
-		r.a.P.Yield()
-	}
-	r.a.popFrame()
-}
-
-// StepFlush is the one implementation of Flush.
+// StepFlush services the network through ps until every packet this node
+// sent has been acknowledged. CMMD's barrier flushes on entry so that no
+// node can park in the hardware barrier with undelivered data (the
+// message-passing analogue of a memory fence).
 func (r *Reliable) StepFlush(ps *PollStep) bool {
 	return r.serviceUntil(ps, func() bool { return r.outstanding == 0 })
 }

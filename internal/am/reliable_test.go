@@ -234,7 +234,10 @@ func TestTotalLossStarvesWithStructuredError(t *testing.T) {
 		func(p *sim.Proc, r *relRig) {
 			h := r.ams[0].Register(func(*ni.Packet) {})
 			r.ams[0].Request(1, h, [4]uint64{1}, 0, nil)
-			r.rels[0].Flush() // can never succeed; must abort, not hang
+			var ps am.PollStep
+			for !r.rels[0].StepFlush(&ps) { // can never succeed; must abort, not hang
+				p.Yield()
+			}
 		},
 		func(p *sim.Proc, r *relRig) {
 			r.ams[1].Register(func(*ni.Packet) {})

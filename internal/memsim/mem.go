@@ -87,16 +87,8 @@ func (m *Mem) translate(addr uint64) {
 // run the same StepInteract checks and charges at the same clocks.
 
 // Read simulates a load from addr.
-func (m *Mem) Read(addr uint64) { m.ReadTrack(addr) }
-
-// ReadTrack simulates a load and reports whether it missed in the cache —
-// staleness-aware data structures use this to refresh their block snapshot
-// exactly when real hardware would observe new values.
-func (m *Mem) ReadTrack(addr uint64) bool {
-	for {
-		if done, missed := m.StepReadTrack(addr); done {
-			return missed
-		}
+func (m *Mem) Read(addr uint64) {
+	for !m.StepRead(addr) {
 		m.P.Yield()
 	}
 }
@@ -154,24 +146,17 @@ func (m *Mem) WriteRange(addr uint64, bytes int) {
 	}
 }
 
-// FlushBlock removes a block containing addr from the cache (the software
-// flush optimization discussed in the paper's EM3D section). Dirty shared
-// victims write back through the coherence handler.
-func (m *Mem) FlushBlock(addr uint64) {
-	for !m.StepFlushBlock(addr) {
-		m.P.Yield()
-	}
-}
-
 // StepRead is the non-suspending Read.
 func (m *Mem) StepRead(addr uint64) bool {
 	done, _ := m.StepReadTrack(addr)
 	return done
 }
 
-// StepReadTrack is the non-suspending ReadTrack: done reports whether the
-// access completed, and missed (valid only when done) whether it missed.
-// A resumed access always reports missed — only a shared miss blocks.
+// StepReadTrack simulates a load: done reports whether the access
+// completed, and missed (valid only when done) whether it missed in the
+// cache — staleness-aware data structures use this to refresh their block
+// snapshot exactly when real hardware would observe new values. A resumed
+// access always reports missed — only a shared miss blocks.
 func (m *Mem) StepReadTrack(addr uint64) (done, missed bool) {
 	p := m.P
 	if p.WakePending() {
@@ -266,8 +251,10 @@ func (m *Mem) stepRangeWalk(addr uint64, bytes int, write bool) bool {
 	return true
 }
 
-// StepFlushBlock is the non-suspending FlushBlock. Flushes never block
-// (dirty writebacks travel as staged events), so the only point it can
+// StepFlushBlock removes a block containing addr from the cache (the
+// software flush optimization discussed in the paper's EM3D section). Dirty
+// shared victims write back through the coherence handler. Flushes never
+// block (dirty writebacks travel as staged events), so the only point it can
 // report "not done" is the entry StepInteract.
 func (m *Mem) StepFlushBlock(addr uint64) bool {
 	if !m.P.StepInteract() {

@@ -302,7 +302,9 @@ func TestFlushBlockForgetsLine(t *testing.T) {
 		space := NewAddrSpace(1, 32)
 		a := space.AllocPrivate(0, 4096)
 		m.Read(a)
-		m.FlushBlock(a)
+		for !m.StepFlushBlock(a) {
+			p.Yield()
+		}
 		m.Read(a) // must miss again
 	})
 	if n := acct.Counts(stats.PhaseDefault, stats.CntLocalMisses); n != 2 {
@@ -320,26 +322,38 @@ func TestStaleVecDeliversCachedValues(t *testing.T) {
 		m := NewMem(p, &cfg, 1)
 		space := NewAddrSpace(1, 32)
 		// Place the vector in private space: no coherence, so the only
-		// refresh trigger is a cache miss, which we force with FlushBlock.
+		// refresh trigger is a cache miss, which we force with a flush.
 		g := NewFVec(space.AllocPrivate(0, 64), 8)
 		sv := NewStaleVec(eng, &g, 1)
+		get := func(i int) float64 {
+			for {
+				if v, done := sv.StepGet(m, i); done {
+					return v
+				}
+				p.Yield()
+			}
+		}
 
-		sv.Set(m, 0, 1.0)
-		if got := sv.Get(m, 0); got != 1.0 {
+		for !sv.StepSet(m, 0, 1.0) {
+			p.Yield()
+		}
+		if got := get(0); got != 1.0 {
 			t.Errorf("own write not visible: %v", got)
 		}
 		// Simulate another party updating the backing without this
 		// processor's cache noticing.
 		g.V[0] = 2.0
-		if got := sv.Get(m, 0); got != 1.0 {
+		if got := get(0); got != 1.0 {
 			t.Errorf("cached read = %v, want the stale 1.0", got)
 		}
 		// Refetches copy from the quantum-boundary image, so burn enough
 		// cycles for a boundary to publish the new backing value first.
 		p.Compute(2 * int64(eng.Quantum))
 		// Drop the line: the next read misses and refreshes the snapshot.
-		m.FlushBlock(g.Addr(0))
-		if got := sv.Get(m, 0); got != 2.0 {
+		for !m.StepFlushBlock(g.Addr(0)) {
+			p.Yield()
+		}
+		if got := get(0); got != 2.0 {
 			t.Errorf("post-miss read = %v, want the fresh 2.0", got)
 		}
 	})

@@ -33,7 +33,7 @@ type StaleVec struct {
 	// base is the backing image captured at the last quantum boundary;
 	// refetches copy from it, never from the live backing.
 	base []float64
-	// wlog[p] holds the indices processor p wrote (via Set) since the last
+	// wlog[p] holds the indices processor p wrote (via StepSet) since the last
 	// boundary, so refetches can overlay the processor's own fresh values.
 	wlog [][]int
 }
@@ -86,29 +86,10 @@ func (s *StaleVec) refreshBlock(m *Mem, i int) {
 	}
 }
 
-// Get simulates a load of element i and returns the value the processor's
-// cache holds (refreshed if the load missed).
-func (s *StaleVec) Get(m *Mem, i int) float64 {
-	if m.ReadTrack(s.G.Addr(i)) {
-		s.refreshBlock(m, i)
-	}
-	return s.snap[m.P.ID][i]
-}
-
-// Set simulates a store of element i: the write goes to the backing (other
-// processors observe it at their next miss) and to the writer's own view.
-func (s *StaleVec) Set(m *Mem, i int, x float64) {
-	m.Write(s.G.Addr(i))
-	s.G.V[i] = x
-	s.wlog[m.P.ID] = append(s.wlog[m.P.ID], i)
-	// Ownership means our snapshot of this block is current (as of the
-	// boundary image plus our own writes — the overlay restores x).
-	s.refreshBlock(m, i)
-}
-
-// StepGet is Get for step processors; the value is valid only when done.
-// A resumed access refreshes from the same boundary image the coroutine
-// form would see — both forms resume in the quantum of the wake.
+// StepGet simulates a load of element i and returns the value the
+// processor's cache holds (refreshed if the load missed); the value is valid
+// only when done. A resumed access refreshes from the boundary image of the
+// quantum of the wake.
 func (s *StaleVec) StepGet(m *Mem, i int) (float64, bool) {
 	done, missed := m.StepReadTrack(s.G.Addr(i))
 	if !done {
@@ -120,20 +101,21 @@ func (s *StaleVec) StepGet(m *Mem, i int) (float64, bool) {
 	return s.snap[m.P.ID][i], true
 }
 
-// StepSet is Set for step processors: backing write, write log, and
-// snapshot refresh all happen exactly once, on the completing call.
+// StepSet simulates a store of element i: the write goes to the backing
+// (other processors observe it at their next miss) and to the writer's own
+// view. Backing write, write log, and snapshot refresh all happen exactly
+// once, on the completing call.
 func (s *StaleVec) StepSet(m *Mem, i int, x float64) bool {
 	if !m.StepWrite(s.G.Addr(i)) {
 		return false
 	}
 	s.G.V[i] = x
 	s.wlog[m.P.ID] = append(s.wlog[m.P.ID], i)
+	// Ownership means our snapshot of this block is current (as of the
+	// boundary image plus our own writes — the overlay restores x).
 	s.refreshBlock(m, i)
 	return true
 }
-
-// Local returns processor p's current view (for norms over owned segments).
-func (s *StaleVec) Local(p int) []float64 { return s.snap[p] }
 
 // MirrorVec is a read-only boundary image of a shared vector for apps that
 // refresh by scheduled bulk copies rather than per-element cached reads

@@ -125,16 +125,6 @@ func (v *IVec) Set(m *Mem, i int, x int64) {
 	v.V[i] = x
 }
 
-// ReadRange simulates streaming loads of elements [lo, hi).
-func (v *IVec) ReadRange(m *Mem, lo, hi int) {
-	m.ReadRange(v.Addr(lo), (hi-lo)*WordBytes)
-}
-
-// WriteRange simulates streaming stores of elements [lo, hi).
-func (v *IVec) WriteRange(m *Mem, lo, hi int) {
-	m.WriteRange(v.Addr(lo), (hi-lo)*WordBytes)
-}
-
 // StepGet is Get for step processors; the value is valid only when done.
 func (v *IVec) StepGet(m *Mem, i int) (int64, bool) {
 	if !m.StepRead(v.Addr(i)) {
@@ -152,12 +142,12 @@ func (v *IVec) StepSet(m *Mem, i int, x int64) bool {
 	return true
 }
 
-// StepReadRange is ReadRange for step processors.
+// StepReadRange simulates streaming loads of elements [lo, hi).
 func (v *IVec) StepReadRange(m *Mem, lo, hi int) bool {
 	return m.StepReadRange(v.Addr(lo), (hi-lo)*WordBytes)
 }
 
-// StepWriteRange is WriteRange for step processors.
+// StepWriteRange simulates streaming stores of elements [lo, hi).
 func (v *IVec) StepWriteRange(m *Mem, lo, hi int) bool {
 	return m.StepWriteRange(v.Addr(lo), (hi-lo)*WordBytes)
 }

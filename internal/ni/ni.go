@@ -29,7 +29,7 @@ import (
 )
 
 // ErrNoPacket is returned by TryRecv when no packet has arrived. On the
-// lossless machine receiving without a prior Status check is a programmer
+// lossless machine receiving without a prior status check is a programmer
 // error (Recv panics, as real hardware would wedge); on a faulty network the
 // typed error lets the transport treat it as a normal race.
 var ErrNoPacket = errors.New("ni: no packet available")
@@ -173,19 +173,10 @@ func (ni *NI) Nodes() int { return len(ni.net.nis) }
 // Faulty reports whether a fault plan is attached to the network.
 func (ni *NI) Faulty() bool { return ni.net.Faults != nil }
 
-// Status reads the NI status word (5 cycles, charged to network access) and
-// reports whether an incoming packet is available at the current clock.
-func (ni *NI) Status() bool {
-	for {
-		if avail, done := ni.StepStatus(); done {
-			return avail
-		}
-		ni.P.Yield()
-	}
-}
-
-// StepStatus is the one implementation of Status: avail is valid only when
-// done. A false done means nothing was charged; re-invoke when redispatched.
+// StepStatus reads the NI status word (5 cycles, charged to network access)
+// and reports whether an incoming packet is available at the current clock;
+// avail is valid only when done. A false done means nothing was charged;
+// re-invoke when redispatched.
 func (ni *NI) StepStatus() (avail, done bool) {
 	p := ni.P
 	if !p.StepInteract() {
@@ -196,7 +187,7 @@ func (ni *NI) StepStatus() (avail, done bool) {
 }
 
 // StepRecv pops the head packet into dst, the caller's resumable frame, on
-// the path where Status already said a packet is available (a poll never
+// the path where StepStatus already said a packet is available (a poll never
 // loads an empty FIFO). False means the quantum must catch up first.
 func (ni *NI) StepRecv(dst *Packet) bool {
 	p := ni.P
@@ -253,7 +244,7 @@ func (ni *NI) StepWaitPacketUntil(cat stats.Category, deadline sim.Time) bool {
 		p.Schedule(deadline, func() {
 			if ni.waiter {
 				ni.waiter = false
-				ni.P.Wake(deadline, nil)
+				ni.P.Wake(deadline)
 			}
 		})
 	}
@@ -345,7 +336,7 @@ func (d *delivery) RunEvent(at sim.Time) {
 	d.origin.net.Delivered++
 	if dst.waiter {
 		dst.waiter = false
-		dst.P.Wake(at, nil)
+		dst.P.Wake(at)
 	}
 	// d.pkt is left in place: it is fully overwritten on pool reuse, and
 	// Packet is pointer-free, so clearing it would only duffzero 128 bytes
@@ -386,7 +377,7 @@ func corrupt(pkt *Packet, bit int) {
 }
 
 // Recv pops the head packet (15 cycles of loads). The caller must have
-// observed Status() true; receiving from an empty or not-yet-arrived queue
+// observed a status read report a packet; receiving from an empty or not-yet-arrived queue
 // panics, as it would wedge real hardware.
 func (ni *NI) Recv() Packet {
 	pkt, err := ni.TryRecv()
@@ -415,16 +406,6 @@ func (ni *NI) TryRecv() (Packet, error) {
 // exactly the idle window, as a polling loop would.
 func (ni *NI) WaitPacket(cat stats.Category) {
 	for !ni.StepWaitPacket(cat) {
-		ni.P.Yield()
-	}
-}
-
-// WaitPacketUntil stalls (charging cat) until a packet is available or the
-// local clock reaches deadline, whichever is first. The reliable transport
-// uses it so a node waiting on a lossy network wakes in time to retransmit
-// instead of blocking forever on a packet that was dropped.
-func (ni *NI) WaitPacketUntil(cat stats.Category, deadline sim.Time) {
-	for !ni.StepWaitPacketUntil(cat, deadline) {
 		ni.P.Yield()
 	}
 }

@@ -137,7 +137,7 @@ func (rt *Runtime) Create(p *sim.Proc) {
 		rt.startWait = nil
 		sort.Slice(ws, func(i, j int) bool { return ws[i].ID < ws[j].ID })
 		for _, w := range ws {
-			w.Wake(at, nil)
+			w.Wake(at)
 		}
 	})
 }

@@ -3,6 +3,7 @@ package parmacs_test
 import (
 	"testing"
 
+	"repro/internal/coherence"
 	"repro/internal/cost"
 	"repro/internal/machine"
 	"repro/internal/memsim"
@@ -238,7 +239,14 @@ func TestSpinWakesOnInvalidation(t *testing.T) {
 			n.Compute(30_000)
 			flag.Set(n.Mem, 0, 1)
 		} else {
-			n.Pr.SpinI(n.Mem, &flag, 0, stats.LockWait, func(v int64) bool { return v == 1 })
+			var ss coherence.SpinStep
+			isSet := func(v int64) bool { return v == 1 }
+			for {
+				if _, done := n.Pr.StepSpinI(&ss, n.Mem, &flag, 0, stats.LockWait, isSet); done {
+					break
+				}
+				n.P.Yield()
+			}
 			waited = n.P.Clock()
 		}
 		n.Barrier()

@@ -57,7 +57,7 @@ func (r *barrierRelease) RunEvent(Time) {
 	b.release = r.at
 	b.epoch++
 	for _, q := range r.waiters {
-		q.Wake(r.at, nil)
+		q.Wake(r.at)
 	}
 	r.waiters = r.waiters[:0]
 	b.mu.Lock()
@@ -119,37 +119,23 @@ func (b *Barrier) StepWait(p *Proc, cat stats.Category) bool {
 	return false
 }
 
-// WaitService enters the barrier like Wait, but keeps the processor runnable
-// while waiting, invoking service once per quantum. Reliable-transport runs
-// use it so acknowledgements and retransmissions progress while a node sits
-// in a barrier — on a lossy network a blocked barrier wait can deadlock the
-// whole machine (a peer may be waiting for this node to re-ack data whose
-// acknowledgement was lost). The stall is charged to cat, as in Wait.
-// WaitService is the coroutine driver over StepWaitService; service runs to
-// completion on the caller's stack.
-func (b *Barrier) WaitService(p *Proc, cat stats.Category, service func()) {
-	var step func() bool
-	if service != nil {
-		step = func() bool { service(); return true }
-	}
-	var sw ServiceWait
-	for !b.StepWaitService(p, &sw, cat, step) {
-		p.Yield()
-	}
-}
-
 // ServiceWait is the resumable state of one StepWaitService.
 type ServiceWait struct {
 	phase uint8
 	epoch int64 // the episode this participant arrived in
 }
 
-// StepWaitService is the one implementation of a polling barrier wait.
-// service is itself resumable: false means it suspended mid-call and must be
-// re-invoked before anything else. After a completed service the rest of
-// the quantum is charged to cat — nothing observable can change until the
-// next one — and the wait returns false; the reentry that finds the episode
-// released returns true with the clock at the release time.
+// StepWaitService enters the barrier like StepWait, but keeps the processor
+// runnable while waiting, invoking service once per quantum. Reliable-
+// transport runs use it so acknowledgements and retransmissions progress
+// while a node sits in a barrier — on a lossy network a blocked barrier wait
+// can deadlock the whole machine (a peer may be waiting for this node to
+// re-ack data whose acknowledgement was lost). service is itself
+// resumable: false means it suspended mid-call and must be re-invoked
+// before anything else. After a completed service the rest of the quantum
+// is charged to cat — nothing observable can change until the next one —
+// and the wait returns false; the reentry that finds the episode released
+// returns true with the clock at the release time.
 func (b *Barrier) StepWaitService(p *Proc, sw *ServiceWait, cat stats.Category, service func() bool) bool {
 	for {
 		switch sw.phase {

@@ -101,25 +101,14 @@ func NewCombiner(eng *Engine, n int, latency Time, combine CombineFunc) *Combine
 // Epochs returns how many combining episodes have completed.
 func (c *Combiner) Epochs() int64 { return c.epoch }
 
-// Wait deposits (val, idx) under operator op and stalls until latency
+// StepWait deposits (val, idx) under operator op and stalls until latency
 // cycles after the last participant's deposit, returning the combined
 // result (delivered to every participant — root-only semantics are the
 // caller's to impose). The stall is charged to cat. Every participant of an
 // episode must pass the same op; re-entering before the episode completes
-// panics. Wait is the coroutine driver over StepWait.
-func (c *Combiner) Wait(p *Proc, cat stats.Category, op uint8, val float64, idx int64) (float64, int64) {
-	for {
-		if v, i, done := c.StepWait(p, cat, op, val, idx); done {
-			return v, i
-		}
-		p.Yield()
-	}
-}
-
-// StepWait is the one implementation of a combining deposit, the mirror of
-// Barrier.StepWait: it returns done=false after recording the deposit and
-// blocking, and the combined result on the reentry that consumes the
-// release wake.
+// panics. The mirror of Barrier.StepWait: it returns done=false after
+// recording the deposit and blocking, and the combined result on the
+// reentry that consumes the release wake.
 func (c *Combiner) StepWait(p *Proc, cat stats.Category, op uint8, val float64, idx int64) (float64, int64, bool) {
 	if p.WakePending() {
 		a, b := p.WakePayloadVals()

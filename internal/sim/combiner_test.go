@@ -21,6 +21,16 @@ func concatCombine(op uint8, v1 float64, i1 int64, v2 float64, i2 int64) (float6
 	return v1*10 + v2, i1*10 + i2
 }
 
+// combWait deposits through StepWait, yielding until the episode releases.
+func combWait(c *Combiner, p *Proc, cat stats.Category, op uint8, val float64, idx int64) (float64, int64) {
+	for {
+		if v, i, done := c.StepWait(p, cat, op, val, idx); done {
+			return v, i
+		}
+		p.Yield()
+	}
+}
+
 // TestCombinerDeliversCombinedResult: every participant gets the combined
 // (value, index), the release lands a fixed latency after the last arrival,
 // and consecutive episodes recycle cleanly through the freelist.
@@ -34,7 +44,7 @@ func TestCombinerDeliversCombinedResult(t *testing.T) {
 		e.AddProc(func(p *Proc) {
 			for ep := 0; ep < episodes; ep++ {
 				p.Compute(int64(10 * (i + 1))) // staggered arrivals
-				v, idx := comb.Wait(p, stats.BarrierWait, 0, float64(i+1), int64(i))
+				v, idx := combWait(comb, p, stats.BarrierWait, 0, float64(i+1), int64(i))
 				if v != 1+2+3+4 {
 					t.Errorf("episode %d proc %d: combined value %g, want 10", ep, i, v)
 				}
@@ -78,7 +88,7 @@ func TestCombinerFoldsInProcessorIDOrder(t *testing.T) {
 			i := i
 			e.AddProc(func(p *Proc) {
 				p.Compute(int64(10 * (n - i))) // proc 3 arrives first, proc 0 last
-				v, idx := comb.Wait(p, stats.BarrierWait, 0, float64(i+1), int64(i+1))
+				v, idx := combWait(comb, p, stats.BarrierWait, 0, float64(i+1), int64(i+1))
 				if v != 1234 || idx != 1234 {
 					bad.Store(int64(v))
 				}
@@ -102,16 +112,16 @@ func TestCombinerOpMismatchPanics(t *testing.T) {
 	e.Workers = 1 // serial dispatch: proc 0 deterministically arrives first
 	comb := NewCombiner(e, 2, 100, sumCombine)
 	e.AddProc(func(p *Proc) {
-		comb.Wait(p, stats.BarrierWait, 7, 1, 0)
+		combWait(comb, p, stats.BarrierWait, 7, 1, 0)
 	})
 	var msg string
 	e.AddProc(func(p *Proc) {
 		func() {
 			defer func() { msg = fmt.Sprint(recover()) }()
-			comb.Wait(p, stats.BarrierWait, 8, 2, 0)
+			combWait(comb, p, stats.BarrierWait, 8, 2, 0)
 			t.Error("mismatched op did not panic")
 		}()
-		comb.Wait(p, stats.BarrierWait, 7, 2, 0)
+		combWait(comb, p, stats.BarrierWait, 7, 2, 0)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatalf("run: %v", err)

@@ -12,7 +12,7 @@ import (
 	"repro/internal/stats"
 )
 
-// --- Wake payload-kind mismatch (the stale-wakeData fix) ---
+// --- Wake-kind mismatch (the stale-payload fix) ---
 
 // TestBlockWakeValsMismatchPanics pins the mismatch fix: a WakePayload
 // after WakeVals used to return nil silently (the typed payload sat unread
@@ -42,50 +42,58 @@ func TestBlockWakeValsMismatchPanics(t *testing.T) {
 }
 
 // TestBlockValsWakeMismatchPanics is the mirror direction: WakePayloadVals
-// after Wake used to return (0, 0) with the payload stranded in wakeData.
+// after Wake used to return (0, 0) silently. The wake itself still resumes
+// the processor at its time.
 func TestBlockValsWakeMismatchPanics(t *testing.T) {
 	e := NewEngine(100)
 	var msg string
+	var woke Time
 	p := e.AddProc(func(p *Proc) {
 		defer func() {
 			if r := recover(); r != nil {
 				msg = fmt.Sprint(r)
 			}
+			woke = p.Clock()
 			panic(procHalt{})
 		}()
 		park(p, stats.SharedMiss, "mismatch test")
 		p.WakePayloadVals()
 		t.Error("WakePayloadVals returned despite mismatched wake")
 	})
-	e.Schedule(150, func() { p.Wake(250, "boxed") })
+	e.Schedule(150, func() { p.Wake(250) })
 	if err := e.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if !strings.Contains(msg, "WakePayloadVals after Wake") {
 		t.Fatalf("panic %q does not name the WakePayloadVals/Wake mismatch", msg)
 	}
+	if woke != 250 {
+		t.Errorf("resumed at %d, want the wake time 250", woke)
+	}
 }
 
 // TestMatchedBlockWakePairsStillWork guards the fix against false
 // positives: correctly paired Wake/WakePayload and WakeVals/WakePayloadVals
-// deliver payloads and stall charges exactly as before.
+// resume at the wake time and deliver payloads and stall charges exactly as
+// before.
 func TestMatchedBlockWakePairsStillWork(t *testing.T) {
 	e := NewEngine(100)
-	var data any
+	var woke Time
 	var a, b int64
 	p := e.AddProc(func(p *Proc) {
-		park(p, stats.SharedMiss, "any wait")
-		data = p.WakePayload()
+		park(p, stats.SharedMiss, "plain wait")
+		p.WakePayload()
+		woke = p.Clock()
 		park(p, stats.SharedMiss, "vals wait")
 		a, b = p.WakePayloadVals()
 	})
-	e.Schedule(150, func() { p.Wake(200, "payload") })
+	e.Schedule(150, func() { p.Wake(200) })
 	e.Schedule(350, func() { p.WakeVals(400, 41, 42) })
 	if err := e.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if data != "payload" || a != 41 || b != 42 {
-		t.Fatalf("payloads = (%v, %d, %d), want (payload, 41, 42)", data, a, b)
+	if woke != 200 || a != 41 || b != 42 {
+		t.Fatalf("woke at %d with payload (%d, %d), want 200 and (41, 42)", woke, a, b)
 	}
 	if c := p.Acct.Cycles(stats.PhaseDefault, stats.SharedMiss); c != 400 {
 		t.Errorf("stall charged %d, want 400 (200 + 200)", c)

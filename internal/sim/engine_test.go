@@ -65,22 +65,18 @@ func TestEventTieBrokenBySchedulingOrder(t *testing.T) {
 func TestBlockWakeChargesStall(t *testing.T) {
 	e := NewEngine(100)
 	var woke Time
-	var data any
 	p := e.AddProc(func(p *Proc) {
 		p.Compute(40)
 		park(p, stats.SharedMiss, "test wait")
-		data = p.WakePayload()
+		p.WakePayload()
 		woke = p.Clock()
 	})
 	// Wakes always arrive at least a quantum after the block in practice
 	// (they are replies to requests issued before blocking).
-	e.Schedule(150, func() { p.Wake(340, "hello") })
+	e.Schedule(150, func() { p.Wake(340) })
 	e.Run()
 	if woke != 340 {
 		t.Errorf("woke at %d, want 340", woke)
-	}
-	if data != "hello" {
-		t.Errorf("wake data = %v, want hello", data)
 	}
 	if c := p.Acct.Cycles(stats.PhaseDefault, stats.SharedMiss); c != 300 {
 		t.Errorf("stall charged %d, want 300", c)
@@ -276,7 +272,7 @@ func TestIdleQuantumSkipping(t *testing.T) {
 		p.WakePayload()
 		woke = p.Clock()
 	})
-	e.Schedule(1_000_000, func() { p.Wake(1_000_000, nil) })
+	e.Schedule(1_000_000, func() { p.Wake(1_000_000) })
 	e.Run()
 	if woke != 1_000_000 {
 		t.Errorf("woke at %d, want 1000000", woke)
@@ -410,7 +406,10 @@ func TestBarrierWaitServicePolls(t *testing.T) {
 	serviced := 0
 	var releaseEarly, releaseLate Time
 	e.AddProc(func(p *Proc) {
-		b.WaitService(p, stats.BarrierWait, func() { serviced++ })
+		var sw ServiceWait
+		for !b.StepWaitService(p, &sw, stats.BarrierWait, func() bool { serviced++; return true }) {
+			p.Yield()
+		}
 		releaseEarly = p.Clock()
 	})
 	e.AddProc(func(p *Proc) {

@@ -141,7 +141,7 @@ func TestProcPhaseGuards(t *testing.T) {
 				// clean halt would trip the deadlock detector instead.
 				p.Fail(fmt.Errorf("guard fired"))
 			}()
-			victim.Wake(p.Clock(), nil)
+			victim.Wake(p.Clock())
 		})
 		_ = e.Run()
 		if recovered == nil {

@@ -60,8 +60,7 @@ type Proc struct {
 	blockStart  Time
 	blockCat    stats.Category
 	wakeAt      Time
-	wakeData    any
-	wakeA       int64 // typed wake payload (WakeVals/WakePayloadVals): no boxing
+	wakeA       int64 // WakeVals payload, consumed by WakePayloadVals
 	wakeB       int64
 	diag        func() string // optional library diagnostic for stall reports
 
@@ -88,14 +87,13 @@ type mode struct {
 	wf     stats.Category
 }
 
-// Wake payload kinds: which of Wake/WakeVals delivered the pending wake.
-// WakePayload and WakePayloadVals check the kind, so mixing typed and
-// untyped payloads on one block/wake pair fails loudly instead of
-// returning stale zeros.
+// Wake kinds: which of Wake/WakeVals delivered the pending wake.
+// WakePayload and WakePayloadVals check the kind, so consuming a wake
+// through the wrong one fails loudly instead of returning stale zeros.
 const (
-	wakeNone uint8 = iota
-	wakeAny        // Wake: payload in wakeData
-	wakeVals       // WakeVals: payload in wakeA/wakeB
+	wakeNone  uint8 = iota
+	wakePlain       // Wake: no payload
+	wakeVals        // WakeVals: payload in wakeA/wakeB
 )
 
 // StepStatus is a step processor's verdict after one dispatch: run again
@@ -283,7 +281,7 @@ func (p *Proc) Interact() {
 // produce bit-identical statistics at every quantum boundary.
 func (p *Proc) StepInteract() bool { return p.clock < p.eng.qEnd }
 
-// WakePending reports whether a wake payload is waiting to be consumed
+// WakePending reports whether a wake is waiting to be consumed
 // (via WakePayload/WakePayloadVals). Step-form operations use it to
 // distinguish a fresh call from a reentry after StepBlock.
 func (p *Proc) WakePending() bool { return p.wakeKind != wakeNone }
@@ -313,17 +311,16 @@ func (p *Proc) StepBlock(cat stats.Category, reason string) {
 	p.blockCat = cat
 }
 
-// WakePayload consumes the wake that resumed the processor after
-// StepBlock: it charges the blocked stall, advances the clock to the wake
-// time, and returns the Wake payload. Panics if no wake is pending or the
-// waker used WakeVals — the typed and untyped payload channels must not be
-// mixed on one block/wake pair (the stale-payload bug this replaces
-// returned nil/zeros silently).
-func (p *Proc) WakePayload() any {
+// WakePayload consumes the Wake that resumed the processor after
+// StepBlock: it charges the blocked stall and advances the clock to the
+// wake time. Panics if no wake is pending or the waker used WakeVals — a
+// wake must be consumed by the call that matches it (the stale-payload bug
+// this replaces returned zeros silently).
+func (p *Proc) WakePayload() {
 	switch p.wakeKind {
-	case wakeAny:
+	case wakePlain:
 	case wakeVals:
-		panic(fmt.Sprintf("sim: proc %d: WakePayload after WakeVals — typed and untyped wake payloads cannot be mixed; pair WakePayload with Wake, or WakePayloadVals with WakeVals", p.ID))
+		panic(fmt.Sprintf("sim: proc %d: WakePayload after WakeVals — pair WakePayload with Wake, or WakePayloadVals with WakeVals", p.ID))
 	default:
 		panic(fmt.Sprintf("sim: proc %d: no wake pending", p.ID))
 	}
@@ -332,19 +329,15 @@ func (p *Proc) WakePayload() any {
 		p.Acct.Charge(p.blockCat, p.wakeAt-p.blockStart)
 		p.clock = p.wakeAt
 	}
-	d := p.wakeData
-	p.wakeData = nil
-	return d
 }
 
-// WakePayloadVals is WakePayload for the two int64 values of WakeVals. The
-// typed channel avoids boxing the payload into an `any` on every wake — one
-// heap allocation per miss on the coherence fast path.
+// WakePayloadVals is WakePayload for WakeVals, returning its two int64
+// values.
 func (p *Proc) WakePayloadVals() (int64, int64) {
 	switch p.wakeKind {
 	case wakeVals:
-	case wakeAny:
-		panic(fmt.Sprintf("sim: proc %d: WakePayloadVals after Wake — typed and untyped wake payloads cannot be mixed; pair WakePayload with Wake, or WakePayloadVals with WakeVals", p.ID))
+	case wakePlain:
+		panic(fmt.Sprintf("sim: proc %d: WakePayloadVals after Wake — pair WakePayload with Wake, or WakePayloadVals with WakeVals", p.ID))
 	default:
 		panic(fmt.Sprintf("sim: proc %d: no wake pending", p.ID))
 	}
@@ -358,12 +351,12 @@ func (p *Proc) WakePayloadVals() (int64, int64) {
 	return a, b
 }
 
-// Wake unblocks a processor at absolute time at, delivering data to its
+// Wake unblocks a processor at absolute time at, to be consumed by its
 // WakePayload call. Must be called from engine context — an event handler,
 // never the processor phase (processor-context code that needs to wake a
 // peer stages an event via Proc.Schedule that performs the wake). Waking
 // an unblocked processor panics.
-func (p *Proc) Wake(at Time, data any) {
+func (p *Proc) Wake(at Time) {
 	if p.eng.inProcPhase {
 		panic(fmt.Sprintf("sim: waking proc %d from processor context; stage the wake via Proc.Schedule", p.ID))
 	}
@@ -376,8 +369,7 @@ func (p *Proc) Wake(at Time, data any) {
 	p.blocked = false
 	p.blockReason = ""
 	p.wakeAt = at
-	p.wakeKind = wakeAny
-	p.wakeData = data
+	p.wakeKind = wakePlain
 	if p.clock < at {
 		p.clock = at
 	}
@@ -385,8 +377,8 @@ func (p *Proc) Wake(at Time, data any) {
 }
 
 // WakeVals unblocks a processor at absolute time at, delivering two int64
-// values to a matching WakePayloadVals call without boxing. Same
-// engine-context restriction and semantics as Wake.
+// values to a matching WakePayloadVals call. Same engine-context
+// restriction and semantics as Wake.
 func (p *Proc) WakeVals(at Time, a, b int64) {
 	if p.eng.inProcPhase {
 		panic(fmt.Sprintf("sim: waking proc %d from processor context; stage the wake via Proc.Schedule", p.ID))
@@ -452,6 +444,3 @@ func (p *Proc) WriteFaultCategory() stats.Category { return p.wfCat }
 func (p *Proc) MissCategory() (stats.Category, stats.Count) {
 	return p.missCat, p.missCnt
 }
-
-// CompCategory returns the category charged by Compute.
-func (p *Proc) CompCategory() stats.Category { return p.compCat }
