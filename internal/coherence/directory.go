@@ -277,7 +277,7 @@ func (pr *Protocol) dirHandle(home int, r request, arrive sim.Time) {
 		pr.check.reqsIn[home]++
 	}
 	if pr.ctrl != nil {
-		d := pr.ctrl.DecideRequest(arrive, r.reqID, home)
+		d := pr.ctrl.DecideRequest()
 		if d.NACK {
 			pr.nack(home, r, arrive)
 			return
@@ -313,8 +313,7 @@ func (pr *Protocol) nack(home int, r request, arrive sim.Time) {
 	}
 	n.busyUntil = start + pr.Cfg.DirBase
 	pr.countMsg(home, r.reqID, false)
-	at := n.busyUntil + pr.Cfg.DirMsgSend + pr.latency(home, r.reqID) +
-		pr.sendDelay(n.busyUntil, home, r.reqID)
+	at := n.busyUntil + pr.Cfg.DirMsgSend + pr.latency(home, r.reqID) + pr.sendDelay()
 	ev := pr.evPool.get(pr)
 	ev.kind, ev.r = evNackWake, r
 	pr.Eng.ScheduleAction(at, ev)
@@ -424,7 +423,7 @@ func (pr *Protocol) dirServe(home int, r request, arrive sim.Time) {
 					pr.check.ctrlOut[home]++
 				}
 				pr.countMsg(home, s, false)
-				at := n.busyUntil + pr.latency(home, s) + pr.sendDelay(n.busyUntil, home, s)
+				at := n.busyUntil + pr.latency(home, s) + pr.sendDelay()
 				ev := pr.evPool.get(pr)
 				ev.kind, ev.id, ev.home, ev.block = evCtrlInval, s, home, r.block
 				pr.Eng.ScheduleAction(at, ev)
@@ -450,7 +449,7 @@ func (pr *Protocol) beginRecall(home int, e *entry, r request, arrive, start sim
 		pr.check.ctrlOut[home]++
 	}
 	pr.countMsg(home, owner, false)
-	at := n.busyUntil + pr.latency(home, owner) + pr.sendDelay(n.busyUntil, home, owner)
+	at := n.busyUntil + pr.latency(home, owner) + pr.sendDelay()
 	block := r.block
 	// A GETS recall downgrades the owner to Shared; GETX/UPGRADE recalls
 	// invalidate it.
@@ -499,7 +498,7 @@ func (pr *Protocol) ctrlInval(id, home int, block uint64, at sim.Time, _ bool) {
 		withData = true
 	}
 	pr.countMsg(id, home, withData)
-	ackAt := at + delay + pr.latency(id, home) + pr.sendDelay(at, id, home)
+	ackAt := at + delay + pr.latency(id, home) + pr.sendDelay()
 	ev := pr.evPool.get(pr)
 	ev.kind, ev.home, ev.block, ev.flag, ev.id = evDirAck, home, block, withData, id
 	pr.Eng.ScheduleAction(ackAt, ev)
@@ -527,7 +526,7 @@ func (pr *Protocol) ctrlRecall(id, home int, block uint64, at sim.Time, downgrad
 			pr.note(id, at, "recall of %#x for home %d: already evicted", block, home)
 		}
 		pr.countMsg(id, home, false)
-		ackAt := at + cfg.InvalidateCycles + pr.latency(id, home) + pr.sendDelay(at, id, home)
+		ackAt := at + cfg.InvalidateCycles + pr.latency(id, home) + pr.sendDelay()
 		ev := pr.evPool.get(pr)
 		ev.kind, ev.home, ev.block, ev.flag, ev.id = evDirAck, home, block, false, id
 		pr.Eng.ScheduleAction(ackAt, ev)
@@ -544,7 +543,7 @@ func (pr *Protocol) ctrlRecall(id, home int, block uint64, at sim.Time, downgrad
 	}
 	delay := cfg.InvalidateCycles + cfg.ReplSharedDirty
 	pr.countMsg(id, home, true)
-	ackAt := at + delay + pr.latency(id, home) + pr.sendDelay(at, id, home)
+	ackAt := at + delay + pr.latency(id, home) + pr.sendDelay()
 	ev := pr.evPool.get(pr)
 	ev.kind, ev.home, ev.block, ev.flag, ev.id = evDirAck, home, block, true, id
 	pr.Eng.ScheduleAction(ackAt, ev)
@@ -698,7 +697,7 @@ func (pr *Protocol) reply(home int, r request, when sim.Time, withData bool) sim
 		// A granted transaction is the watchdog's unit of progress.
 		pr.wd.Progress(when)
 	}
-	arrive := when + pr.latency(home, r.reqID) + pr.sendDelay(when, home, r.reqID)
+	arrive := when + pr.latency(home, r.reqID) + pr.sendDelay()
 	if pr.forensics {
 		pr.record(pr.entryOf(home, r.block), when, "grant %v to %d (data=%v, arrives @%d)",
 			r.kind, r.reqID, withData, arrive)

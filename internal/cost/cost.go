@@ -162,9 +162,8 @@ type Config struct {
 
 // SMFaultsConfig is the shared-memory fault-injection specification: one
 // rate set applied to every coherence-protocol link for the whole run, plus
-// NACK/retry tuning. Richer per-link, per-epoch schedules are built directly
-// with faults.NewCtrlPlan; machine construction converts this spec into a
-// single-epoch wildcard plan.
+// NACK/retry tuning. Machine construction converts it into the control-fault
+// plan (faults.CtrlFromConfig), which holds exactly that one rate set.
 type SMFaultsConfig struct {
 	// Seed drives the control-message fault plan's deterministic RNG.
 	// Identical seeds (and configurations) reproduce identical fault
@@ -221,9 +220,9 @@ func (f SMFaultsConfig) WithDefaults(netLatency int64) SMFaultsConfig {
 
 // FaultsConfig is the uniform fault-injection specification: one rate set
 // applied to every link for the whole run, plus reliable-transport tuning.
-// Richer per-link, per-epoch schedules are built directly with
-// faults.NewPlan; machine construction converts this spec into a
-// single-epoch wildcard plan.
+// Machine construction converts it into a single-epoch wildcard plan
+// (faults.FromConfig); only tests build per-link, per-epoch network
+// schedules, with faults.NewPlan.
 type FaultsConfig struct {
 	// Seed drives the fault plan's deterministic RNG. Identical seeds (and
 	// configurations) reproduce identical fault sequences bit-for-bit.

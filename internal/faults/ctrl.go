@@ -12,15 +12,15 @@ package faults
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cost"
 	"repro/internal/sim"
 )
 
-// CtrlRates holds the per-message fault probabilities of one rule. All are
-// in [0, 1). Faults are decided independently in a fixed order (NACK first:
-// a NACKed request consumes no further draws).
+// CtrlRates holds the per-message fault probabilities, applied to every
+// protocol link for the whole run. All are in [0, 1). Faults are decided
+// independently in a fixed order (NACK first: a NACKed request consumes no
+// further draws).
 type CtrlRates struct {
 	NACK    float64 // home directory refuses an arriving request
 	Reorder float64 // defer a message past at least one latency window
@@ -32,23 +32,9 @@ type CtrlRates struct {
 	MaxDelay int64
 }
 
-// Zero reports whether the rule can never fire.
+// Zero reports whether the rates can never fire.
 func (r CtrlRates) Zero() bool {
 	return r.NACK == 0 && ((r.Reorder == 0 && r.Delay == 0) || r.MaxDelay == 0)
-}
-
-// CtrlRule applies CtrlRates to messages from Src to Dst. A negative Src or
-// Dst is a wildcard. Rules are matched first-to-last; the first match wins.
-type CtrlRule struct {
-	Src, Dst int
-	CtrlRates
-}
-
-// CtrlEpoch is one segment of the control-fault schedule: from Start
-// (inclusive) until the next epoch's Start, the given rules apply.
-type CtrlEpoch struct {
-	Start sim.Time
-	Rules []CtrlRule
 }
 
 // CtrlDecision is the fate of one coherence-protocol message.
@@ -62,11 +48,11 @@ type CtrlDecision struct {
 	Delay sim.Time
 }
 
-// CtrlPlan is a compiled control-fault schedule plus its RNG. It is
-// consulted once per protocol message, in simulation order.
+// CtrlPlan is one rate set plus its RNG. It is consulted once per protocol
+// message, in simulation order.
 type CtrlPlan struct {
 	rng    *sim.RNG
-	epochs []CtrlEpoch
+	rates  CtrlRates
 	window int64 // the reorder deferral unit (the network latency)
 
 	// Decisions, NACKs, Delayed tally consultations and fired faults, for
@@ -74,86 +60,47 @@ type CtrlPlan struct {
 	Decisions, NACKs, Delayed int64
 }
 
-// NewCtrlPlan compiles a schedule. Epochs are sorted by start time; before
-// the first epoch's start the interconnect is perfect. window is the
-// reorder deferral unit, normally the network latency.
-func NewCtrlPlan(seed uint64, window int64, epochs []CtrlEpoch) *CtrlPlan {
-	es := append([]CtrlEpoch(nil), epochs...)
-	sort.SliceStable(es, func(i, j int) bool { return es[i].Start < es[j].Start })
-	if window <= 0 {
-		window = 100
-	}
-	return &CtrlPlan{rng: sim.NewRNG(seed), epochs: es, window: window}
-}
-
-// CtrlUniform builds the common case: one rate set on every link for the
-// whole run.
-func CtrlUniform(seed uint64, window int64, r CtrlRates) *CtrlPlan {
-	return NewCtrlPlan(seed, window,
-		[]CtrlEpoch{{Start: 0, Rules: []CtrlRule{{Src: -1, Dst: -1, CtrlRates: r}}}})
-}
-
 // CtrlFromConfig builds a plan from the flat cost.SMFaultsConfig spec
 // (tuning already defaulted via WithDefaults); window is the network
 // latency.
 func CtrlFromConfig(f cost.SMFaultsConfig, window int64) *CtrlPlan {
-	return CtrlUniform(f.Seed, window, CtrlRates{
+	if window <= 0 {
+		window = 100
+	}
+	return &CtrlPlan{rng: sim.NewRNG(f.Seed), window: window, rates: CtrlRates{
 		NACK: f.NACKRate, Reorder: f.ReorderRate, Delay: f.DelayRate,
 		MaxDelay: f.MaxDelay,
-	})
-}
-
-// rates returns the active rule for a message from src to dst at time now,
-// or false if no rule matches.
-func (p *CtrlPlan) rates(now sim.Time, src, dst int) (CtrlRates, bool) {
-	var ep *CtrlEpoch
-	for i := range p.epochs {
-		if p.epochs[i].Start <= now {
-			ep = &p.epochs[i]
-		} else {
-			break
-		}
-	}
-	if ep == nil {
-		return CtrlRates{}, false
-	}
-	for i := range ep.Rules {
-		r := &ep.Rules[i]
-		if (r.Src < 0 || r.Src == src) && (r.Dst < 0 || r.Dst == dst) {
-			return r.CtrlRates, true
-		}
-	}
-	return CtrlRates{}, false
+	}}
 }
 
 // DecideRequest draws the fate of a coherence request arriving at the home
 // directory: NACK, extra delay, or clean service. Draw order is fixed so
 // identical seeds replay identical sequences.
-func (p *CtrlPlan) DecideRequest(now sim.Time, src, dst int) CtrlDecision {
+func (p *CtrlPlan) DecideRequest() CtrlDecision {
 	p.Decisions++
-	r, ok := p.rates(now, src, dst)
-	if !ok || r.Zero() {
+	r := p.rates
+	if r.Zero() {
 		return CtrlDecision{}
 	}
 	if r.NACK > 0 && p.rng.Float64() < r.NACK {
 		p.NACKs++
 		return CtrlDecision{NACK: true} // a refused request consumes no further draws
 	}
-	return p.delayDraws(r)
+	return p.delayDraws()
 }
 
 // DecideMessage draws the fate of a non-request protocol message (reply,
 // invalidation, recall, acknowledgement): extra delay or on-time delivery.
-func (p *CtrlPlan) DecideMessage(now sim.Time, src, dst int) CtrlDecision {
+func (p *CtrlPlan) DecideMessage() CtrlDecision {
 	p.Decisions++
-	r, ok := p.rates(now, src, dst)
-	if !ok || r.Zero() {
+	if p.rates.Zero() {
 		return CtrlDecision{}
 	}
-	return p.delayDraws(r)
+	return p.delayDraws()
 }
 
-func (p *CtrlPlan) delayDraws(r CtrlRates) CtrlDecision {
+func (p *CtrlPlan) delayDraws() CtrlDecision {
+	r := p.rates
 	var d CtrlDecision
 	if r.MaxDelay <= 0 {
 		return d
