@@ -3,6 +3,8 @@ package stats
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/snapshot"
 )
 
 func TestChargeAndPhases(t *testing.T) {
@@ -109,5 +111,70 @@ func TestSummarizeConservesTotals(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPhaseTableSequence pins when a phase enters the table, against
+// literals recorded before charges went straight into the phase buckets. A
+// phase exists once SetPhase names it or a Charge/Add (even of zero) is made
+// while it is current; a never-charged account encodes no phases. The
+// encoded length is part of every stats fingerprint, so this rule is too.
+func TestPhaseTableSequence(t *testing.T) {
+	var enc snapshot.Enc
+	never := &Acct{}
+	never.EncodeState(&enc)
+
+	early := &Acct{}
+	early.Charge(Comp, 100)
+	early.Add(CntMessages, 2)
+	early.Charge(LibComp, 7)
+	early.EncodeState(&enc)
+
+	zeroCharge, zeroAdd := &Acct{}, &Acct{}
+	zeroCharge.Charge(LocalMiss, 0)
+	zeroAdd.Add(CntTLBMisses, 0)
+	zeroCharge.EncodeState(&enc)
+	zeroAdd.EncodeState(&enc)
+
+	phased := &Acct{}
+	phased.Charge(Comp, 5)
+	phased.SetPhase(3)
+	phased.EncodeState(&enc)
+	phased.Charge(SharedMiss, 40)
+	phased.Add(CntSharedMissRemote, 1)
+	phased.SetPhase(1)
+	phased.Charge(BarrierWait, 9)
+	phased.Add(CntBytesData, 64)
+	phased.Charge(BarrierWait, 0)
+	phased.EncodeState(&enc)
+
+	accts := []*Acct{never, early, zeroCharge, zeroAdd, phased}
+	wantPhases := []int{1, 1, 1, 1, 4}
+	for i, a := range accts {
+		if got := a.NumPhases(); got != wantPhases[i] {
+			t.Errorf("account %d: NumPhases %d, want %d", i, got, wantPhases[i])
+		}
+	}
+	const wantState uint64 = 0x153593ca3a286067
+	if got := snapshot.Hash(enc.Bytes()); got != wantState {
+		t.Errorf("EncodeState hash %#x, want %#x", got, wantState)
+	}
+
+	s := Summarize(accts)
+	if s.NumPhases() != 4 {
+		t.Errorf("summary NumPhases %d, want 4", s.NumPhases())
+	}
+	var sum snapshot.Enc
+	for p := Phase(0); p < Phase(s.NumPhases()); p++ {
+		for c := Category(0); c < NumCategories; c++ {
+			sum.F64(s.Cycles(p, c))
+		}
+		for c := Count(0); c < NumCounts; c++ {
+			sum.F64(s.Counts(p, c))
+		}
+	}
+	const wantSummary uint64 = 0x896eea101399d197
+	if got := snapshot.Hash(sum.Bytes()); got != wantSummary {
+		t.Errorf("Summarize hash %#x, want %#x", got, wantSummary)
 	}
 }
