@@ -168,7 +168,7 @@ func TestAllocBudgetBarrierEpisode(t *testing.T) {
 // TestAllocBudgetStepAppMainLoop gates the step (continuation) dispatch
 // path on a complete application: once EM3D-MP under step dispatch reaches its
 // main loop at P=256, the whole simulator — step dispatch, the cmmd
-// channel/poll machines, the NI packet path, batched accounting — must
+// channel/poll machines, the NI packet path, cost accounting — must
 // allocate nothing. Measured as the host malloc count across the middle
 // ~40% of the run's quantum boundaries; the budget is exactly zero, so a
 // single escaping closure or per-quantum slice growth in the step stack

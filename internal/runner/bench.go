@@ -27,8 +27,8 @@ func TableSpec(app, machine string) Spec {
 
 // EquivalenceMatrix is the replay-equivalence acceptance surface: every app
 // on every machine at test-sized problems, plus one fault-injected
-// configuration per machine. TestReplayEquivalence, the batched-accounting
-// equivalence test, and the parallel-determinism matrix all iterate it.
+// configuration per machine. TestReplayEquivalence and the
+// parallel-determinism matrix iterate it.
 func EquivalenceMatrix() []NamedSpec {
 	return []NamedSpec{
 		{"em3d-mp", Spec{App: "em3d", Machine: "mp", Procs: 4, Size: 40, Iters: 3}},
@@ -45,10 +45,10 @@ func EquivalenceMatrix() []NamedSpec {
 			SMFaults: &cost.SMFaultsConfig{Seed: 7, NACKRate: 0.02, ReorderRate: 0.02}}},
 
 		// P=64 rows: every app/machine pair at twice the paper's machine
-		// size, with per-processor working sets shrunk so replay, parallel
-		// determinism, and batched-accounting equivalence all get exercised
-		// on the scaling dispatcher's wide-machine path (batch chunking,
-		// compacted per-proc state) rather than only at P=4.
+		// size, with per-processor working sets shrunk so replay and
+		// parallel determinism both get exercised on the scaling
+		// dispatcher's wide-machine path (batch chunking, compacted
+		// per-proc state) rather than only at P=4.
 		{"em3d-mp-p64", Spec{App: "em3d", Machine: "mp", Procs: 64, Size: 8, Iters: 2}},
 		{"em3d-sm-p64", Spec{App: "em3d", Machine: "sm", Procs: 64, Size: 8, Iters: 2}},
 		{"gauss-mp-p64", Spec{App: "gauss", Machine: "mp", Procs: 64, Size: 64}},

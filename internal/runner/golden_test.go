@@ -130,9 +130,9 @@ func goldenRun(t *testing.T, name string, spec Spec) goldenEntry {
 // TestGoldenFingerprints pins the fingerprint, elapsed cycles and answer
 // line of every goldenSpecs row to the literals in testdata/golden.json.
 // Every other equivalence suite compares two runs of the same build (serial
-// against parallel, replay against run, batched against per-access), so a
-// change to a body both sides share moves them together; this file is the
-// witness that does not move. After an intended model change regenerate with
+// against parallel, replay against run), so a change to a body both sides
+// share moves them together; this file is the witness that does not move.
+// After an intended model change regenerate with
 //
 //	go test ./internal/runner -run TestGoldenFingerprints -update
 func TestGoldenFingerprints(t *testing.T) {

@@ -201,12 +201,6 @@ type Options struct {
 	// host knob, deliberately not part of Spec: any value yields the same
 	// fingerprint, so it lives beside the other run-local options.
 	Workers int
-	// perAccessStats switches cost accounting to the reference per-access
-	// mode (stats.Acct.PerAccess: every charge posted to the phase buckets
-	// immediately) instead of the batched per-quantum accumulators. The two
-	// modes are fingerprint-identical by contract; only this package's
-	// equivalence tests, which pin that contract, set it.
-	perAccessStats bool
 	// Interrupt, when non-nil, arms cooperative preemption: once Fire is
 	// called (from any goroutine — a wall-clock deadline timer, a drain
 	// signal), the run stops at the next quantum boundary, writes a
@@ -350,12 +344,6 @@ func Run(spec Spec, opts Options) (*Outcome, error) {
 		default:
 			return
 		}
-		if opts.perAccessStats {
-			for _, p := range eng.Procs() {
-				p.Acct.PerAccess = true
-			}
-		}
-
 		capture := func(now sim.Time) *snapshot.Snapshot {
 			var se, te snapshot.Enc
 			me.EncodeState(&se)
