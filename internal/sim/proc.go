@@ -220,7 +220,7 @@ func (p *Proc) Fail(err error) {
 // the quantum's processors. Handlers run in a later quantum's event phase
 // (engine context), where Engine.Schedule and Proc.Wake are legal.
 func (p *Proc) Schedule(at Time, fn func()) {
-	p.staged = append(p.staged, stagedEvent{at: at, fn: fn})
+	p.ScheduleAction(at, funcAction(fn))
 }
 
 // ScheduleAction stages a closure-free Action at absolute time at; identical
