@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/memsim"
 	"repro/internal/sim"
@@ -144,29 +145,16 @@ func (b bitset) reset() {
 func (b bitset) count() int {
 	n := 0
 	for _, w := range b {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
 func (b bitset) forEach(fn func(i int)) {
 	for wi, w := range b {
 		for ; w != 0; w &= w - 1 {
-			bit := w & -w
-			i := wi*64 + trailingZeros(bit)
-			fn(i)
+			fn(wi*64 + bits.TrailingZeros64(w))
 		}
 	}
-}
-
-func trailingZeros(x uint64) int {
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
-	}
-	return n
 }
 
 // entry is one block's directory state at its home.
