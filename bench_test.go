@@ -388,7 +388,7 @@ func BenchmarkAblationEM3DFlush(b *testing.B) {
 }
 
 // BenchmarkScalingGaussSM sweeps processor counts (the simulators support
-// 1-128; the paper ran 32) to show directory queuing growing with scale —
+// 1-4096; the paper ran 32) to show directory queuing growing with scale —
 // "these delays ... will become untenable for larger systems" (§5.2).
 func BenchmarkScalingGaussSM(b *testing.B) {
 	for _, procs := range []int{8, 16, 32, 64} {

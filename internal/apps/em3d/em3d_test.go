@@ -159,7 +159,7 @@ func TestEM3DSMFlushVariantCorrectAndFewerInvalidations(t *testing.T) {
 }
 
 func TestEM3DScalesAcrossProcessorCounts(t *testing.T) {
-	// The simulators support 1-128 processors (paper §4); verify the same
+	// The simulators support 1-4096 processors; verify the same
 	// program runs correctly at several sizes and that per-processor work
 	// shrinks as processors grow.
 	par := Params{NodesPer: 64, Degree: 4, RemotePct: 20, Iters: 4, Seed: 9}

@@ -16,7 +16,7 @@ import "fmt"
 // The zero value is not useful; start from Default.
 type Config struct {
 	// Procs is the number of processor nodes (the paper uses 32 for all
-	// experiments; 1-128 are supported).
+	// experiments; 1-4096 are supported).
 	Procs int
 
 	// --- Table 1: common hardware characteristics ---
