@@ -1,8 +1,10 @@
 package coherence
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/memsim"
 	"repro/internal/sim"
@@ -42,16 +44,16 @@ type request struct {
 type cohEvKind uint8
 
 const (
-	evFree cohEvKind = iota
-	evDirHandle  // request r arrives at home (draws fault decisions)
-	evDirServe   // internal requeue: settle window, ctrl delay, waiter drain
-	evNackWake   // wake the requester with a NACK verdict
-	evCtrlInval  // cache controller on id invalidates block, acks home
-	evCtrlRecall // cache controller on id services a recall; flag=downgrade
-	evDirAck     // acknowledgement at home from id; flag=withData
-	evWriteback  // dirty writeback at home from id
-	evGrant      // reply arrival at requester: install block, wake processor
-	evFlushHint  // advisory replacement hint at home from id
+	evFree       cohEvKind = iota
+	evDirHandle            // request r arrives at home (draws fault decisions)
+	evDirServe             // internal requeue: settle window, ctrl delay, waiter drain
+	evNackWake             // wake the requester with a NACK verdict
+	evCtrlInval            // cache controller on id invalidates block, acks home
+	evCtrlRecall           // cache controller on id services a recall; flag=downgrade
+	evDirAck               // acknowledgement at home from id; flag=withData
+	evWriteback            // dirty writeback at home from id
+	evGrant                // reply arrival at requester: install block, wake processor
+	evFlushHint            // advisory replacement hint at home from id
 )
 
 // cohEvent is a pooled, closure-free protocol event (sim.Action). Which
@@ -91,7 +93,7 @@ func (ev *cohEvent) RunEvent(at sim.Time) {
 	case evFlushHint:
 		e := pr.entryOf(ev.home, ev.block)
 		// Advisory: ignore if a transaction is mid-flight for the block.
-		if !e.busy && e.state == dirShared {
+		if e.pend == nil && e.state == dirShared {
 			e.sharers.clear(ev.id)
 		}
 	default:
@@ -132,8 +134,6 @@ const (
 // bitset is a full-map sharer set (Dir_n: one presence bit per node).
 type bitset []uint64
 
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
-
 func (b bitset) set(i int)      { b[i/64] |= 1 << (i % 64) }
 func (b bitset) clear(i int)    { b[i/64] &^= 1 << (i % 64) }
 func (b bitset) has(i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
@@ -157,16 +157,18 @@ func (b bitset) forEach(fn func(i int)) {
 	}
 }
 
-// entry is one block's directory state at its home.
+// entry is one block's directory state at its home. It lives inline in its
+// home's chunk table (see chunk); its sharer words are carved from the
+// chunk's slab.
 type entry struct {
 	state   dirState
 	sharers bitset
 	owner   int
 
-	busy    bool
-	pend    *txn // points at pendT when a transaction is in flight, else nil
-	pendT   txn  // inline storage: one transaction per block at a time
-	waiters []pendingReq
+	// pend is the block's transaction in flight, nil when the block is not
+	// busy. It holds the requests queued behind it and is recycled through
+	// Protocol.txnFree when it completes.
+	pend *txn
 
 	// settleUntil defers requests for this block until a freshly granted
 	// write has had time to retire at its owner (the transient-state
@@ -233,7 +235,9 @@ type pendingReq struct {
 	arrive sim.Time
 }
 
-// txn is a multi-hop transaction in progress (invalidation round or recall).
+// txn is a multi-hop transaction in progress (invalidation round or recall)
+// and the requests for its block that arrived while it was in flight, in
+// arrival order.
 type txn struct {
 	r          request
 	arrive     sim.Time // original request arrival, for queue-delay stats
@@ -243,16 +247,94 @@ type txn struct {
 	recallFrom int
 	gotData    bool // recall data (or racing writeback) has arrived
 	awaitWB    bool // owner had already evicted; waiting for its writeback
+	waiters    []pendingReq
 }
 
+// beginTxn makes t block e's transaction in flight, in a record taken from
+// the free list. The record keeps the backing array of its last waiter
+// queue, so a hot block's queue stops growing once it has held its peak.
+func (pr *Protocol) beginTxn(e *entry, t txn) {
+	var rec *txn
+	if n := len(pr.txnFree); n > 0 {
+		rec = pr.txnFree[n-1]
+		pr.txnFree = pr.txnFree[:n-1]
+	} else {
+		rec = new(txn)
+	}
+	t.waiters = rec.waiters[:0]
+	*rec = t
+	e.pend = rec
+}
+
+// chunkShift sets the directory's chunk size: a chunk holds the entries of
+// 1<<chunkShift consecutive blocks.
+const (
+	chunkShift  = 4
+	chunkBlocks = 1 << chunkShift
+)
+
+// chunk is one allocation of a home's directory: the entries of chunkBlocks
+// consecutive blocks, inline, with their sharer sets carved from one slab.
+// Only the entries whose bit is set in present exist; the rest are
+// storage. Chunks are keyed sparsely (block>>chunkShift), never indexed
+// densely: one home's blocks lie far apart (its pages of the striped heap
+// and its local arena are 2^40 blocks apart, and arenas are 2^31 blocks
+// wide), and a dense index pays for every gap.
+type chunk struct {
+	key     uint64 // block >> chunkShift
+	present uint16 // bit i: the entry of block key<<chunkShift + i exists
+	ents    [chunkBlocks]entry
+}
+
+// lookup returns block's directory entry at home, or nil if it has none.
+// It never creates one.
+func (pr *Protocol) lookup(home int, block uint64) *entry {
+	c := pr.nodes[home].chunks[block>>chunkShift]
+	if i := block & (chunkBlocks - 1); c != nil && c.present&(1<<i) != 0 {
+		return &c.ents[i]
+	}
+	return nil
+}
+
+// entryOf returns block's directory entry at home, creating it (idle, no
+// sharers, no owner) on first use.
 func (pr *Protocol) entryOf(home int, block uint64) *entry {
 	n := pr.nodes[home]
-	e := n.dir[block]
-	if e == nil {
-		e = &entry{state: dirIdle, sharers: newBitset(pr.Cfg.Procs), owner: -1}
-		n.dir[block] = e
+	key := block >> chunkShift
+	c := n.chunks[key]
+	if c == nil {
+		c = n.newChunk(key, (pr.Cfg.Procs+63)/64)
 	}
-	return e
+	i := block & (chunkBlocks - 1)
+	c.present |= 1 << i
+	return &c.ents[i]
+}
+
+// newChunk allocates the chunk for key, each entry idle with words sharer
+// words, and files it in the map and, in key order, in n.order.
+func (n *node) newChunk(key uint64, words int) *chunk {
+	c := &chunk{key: key}
+	slab := make(bitset, chunkBlocks*words)
+	for i := range c.ents {
+		c.ents[i] = entry{state: dirIdle, owner: -1, sharers: slab[i*words : (i+1)*words : (i+1)*words]}
+	}
+	n.chunks[key] = c
+	at, _ := slices.BinarySearchFunc(n.order, key, func(x *chunk, k uint64) int { return cmp.Compare(x.key, k) })
+	n.order = slices.Insert(n.order, at, c)
+	return c
+}
+
+// walk calls fn on each of n's directory entries in ascending block order
+// until fn returns false.
+func (n *node) walk(fn func(block uint64, e *entry) bool) {
+	for _, c := range n.order {
+		for m := c.present; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros16(m)
+			if !fn(c.key<<chunkShift|uint64(i), &c.ents[i]) {
+				return
+			}
+		}
+	}
 }
 
 // dirHandle is the home's network-facing entry point for a request arriving
@@ -314,13 +396,13 @@ func (pr *Protocol) dirServe(home int, r request, arrive sim.Time) {
 	e := pr.entryOf(home, r.block)
 	if Debug {
 		trace("dir home=%d %v block=%#x from=%d arrive=%d busy=%v state=%d",
-			home, r.kind, r.block, r.reqID, arrive, e.busy, e.state)
+			home, r.kind, r.block, r.reqID, arrive, e.pend != nil, e.state)
 	}
-	if e.busy {
+	if t := e.pend; t != nil {
 		if pr.forensics {
 			pr.record(e, arrive, "queue %v from %d (txn in flight)", r.kind, r.reqID)
 		}
-		e.waiters = append(e.waiters, pendingReq{r: r, arrive: arrive})
+		t.waiters = append(t.waiters, pendingReq{r: r, arrive: arrive})
 		return
 	}
 	if arrive < e.settleUntil {
@@ -393,9 +475,7 @@ func (pr *Protocol) dirServe(home int, r request, arrive sim.Time) {
 				return
 			}
 			// Invalidate every other sharer, collect acknowledgements.
-			e.busy = true
-			e.pendT = txn{r: r, arrive: arrive, acksLeft: len(others), needData: needData}
-			e.pend = &e.pendT
+			pr.beginTxn(e, txn{r: r, arrive: arrive, acksLeft: len(others), needData: needData})
 			if pr.forensics {
 				pr.record(e, arrive, "inval round: %d sharers (%v from %d)",
 					len(others), r.kind, r.reqID)
@@ -424,10 +504,8 @@ func (pr *Protocol) dirServe(home int, r request, arrive sim.Time) {
 func (pr *Protocol) beginRecall(home int, e *entry, r request, arrive, start sim.Time) {
 	n := pr.nodes[home]
 	cfg := pr.Cfg
-	e.busy = true
-	e.pendT = txn{r: r, arrive: arrive, acksLeft: 1, needData: true,
-		recall: true, recallFrom: e.owner}
-	e.pend = &e.pendT
+	pr.beginTxn(e, txn{r: r, arrive: arrive, acksLeft: 1, needData: true,
+		recall: true, recallFrom: e.owner})
 	if pr.forensics {
 		pr.record(e, arrive, "recall owner %d (%v from %d)", e.owner, r.kind, r.reqID)
 	}
@@ -616,27 +694,24 @@ func (pr *Protocol) completeTxn(home int, block uint64, e *entry) {
 	if t.r.kind != reqGETS {
 		pr.settle(e, grantArrive)
 	}
-	e.busy = false
 	e.pend = nil
 
-	if len(e.waiters) > 0 {
-		ws := e.waiters
-		when := n.busyUntil
-		for _, w := range ws {
-			at := when
-			if w.arrive > at {
-				at = w.arrive
-			}
-			// Straight to dirServe: the queued request already drew its
-			// fault decision when it first arrived.
-			ev := pr.evPool.get(pr)
-			ev.kind, ev.home, ev.r = evDirServe, home, w.r
-			pr.Eng.ScheduleAction(at, ev)
+	when := n.busyUntil
+	for _, w := range t.waiters {
+		at := when
+		if w.arrive > at {
+			at = w.arrive
 		}
-		// Reuse the backing array; the scheduled events hold copies of the
-		// requests, so truncating here cannot clobber anything in flight.
-		e.waiters = e.waiters[:0]
+		// Straight to dirServe: the queued request already drew its
+		// fault decision when it first arrived.
+		ev := pr.evPool.get(pr)
+		ev.kind, ev.home, ev.r = evDirServe, home, w.r
+		pr.Eng.ScheduleAction(at, ev)
 	}
+	// Recycle only now: the scheduled events hold copies of the requests,
+	// so the next transaction reusing the queue's backing array cannot
+	// clobber anything in flight.
+	pr.txnFree = append(pr.txnFree, t)
 }
 
 // dirWriteback processes a dirty-block writeback arriving at home.
@@ -652,11 +727,11 @@ func (pr *Protocol) dirWriteback(home int, block uint64, from int, at sim.Time) 
 		pr.record(e, at, "writeback from %d", from)
 	}
 
-	if e.busy && e.pend != nil && e.pend.recall && e.pend.recallFrom == from {
+	if t := e.pend; t != nil && t.recall && t.recallFrom == from {
 		// The writeback raced the recall; it carries the data the
 		// transaction needs.
-		e.pend.gotData = true
-		if e.pend.awaitWB {
+		t.gotData = true
+		if t.awaitWB {
 			pr.completeTxn(home, block, e)
 		}
 		return

@@ -12,7 +12,8 @@ import (
 // in-flight transactions, queued waiters, settle windows, and (when
 // forensics are armed) the transition-history rings — plus in-flight fills,
 // spin-wait watchers, and the invariant checker's conservation tallies.
-// Every map is iterated in sorted key order so the bytes are canonical.
+// Directory entries are walked in ascending block order and every map is
+// iterated in sorted key order, so the bytes are canonical.
 func (pr *Protocol) EncodeState(enc *snapshot.Enc) {
 	enc.Section("coherence", func(enc *snapshot.Enc) {
 		enc.I64(pr.Reads)
@@ -52,16 +53,14 @@ func (pr *Protocol) encodeNode(enc *snapshot.Enc, n *node) {
 	enc.Section("dirnode", func(enc *snapshot.Enc) {
 		enc.I64(n.busyUntil)
 
-		blocks := make([]uint64, 0, len(n.dir))
-		for b := range n.dir {
-			blocks = append(blocks, b)
-		}
-		sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-		enc.U32(uint32(len(blocks)))
-		for _, b := range blocks {
+		var entries uint32
+		n.walk(func(uint64, *entry) bool { entries++; return true })
+		enc.U32(entries)
+		n.walk(func(b uint64, e *entry) bool {
 			enc.U64(b)
-			encodeEntry(enc, n.dir[b], pr.forensics)
-		}
+			encodeEntry(enc, e, pr.forensics)
+			return true
+		})
 
 		fills := make([]uint64, 0, len(n.fills))
 		for b := range n.fills {
@@ -100,10 +99,13 @@ func encodeEntry(enc *snapshot.Enc, e *entry, forensics bool) {
 	enc.U8(uint8(e.state))
 	enc.U64s(e.sharers)
 	enc.I64(int64(e.owner))
-	enc.Bool(e.busy)
+	t := e.pend
+	enc.Bool(t != nil) // busy
 	enc.I64(e.settleUntil)
 
-	if t := e.pend; t != nil {
+	var waiters []pendingReq
+	if t != nil {
+		waiters = t.waiters
 		enc.Bool(true)
 		enc.I64(int64(t.r.kind))
 		enc.I64(int64(t.r.reqID))
@@ -119,8 +121,8 @@ func encodeEntry(enc *snapshot.Enc, e *entry, forensics bool) {
 		enc.Bool(false)
 	}
 
-	enc.U32(uint32(len(e.waiters)))
-	for _, w := range e.waiters {
+	enc.U32(uint32(len(waiters)))
+	for _, w := range waiters {
 		enc.I64(int64(w.r.kind))
 		enc.I64(int64(w.r.reqID))
 		enc.U64(w.r.block)
