@@ -3,10 +3,11 @@ package runner
 import "repro/internal/cost"
 
 // This file is the single source of run configurations shared by the
-// benchmark suite (bench_test.go, bench_parallel_test.go at the repo root)
-// and the golden replay-equivalence tests: both consume the same Spec
-// values, so a benchmark provably simulates the configuration the
-// correctness tests verified, and vice versa.
+// benchmark (bench/), the whole-run allocation budgets
+// (alloc_budget_test.go at the repo root) and the golden replay-equivalence
+// tests: all consume the same Spec values, so a benchmark provably
+// simulates the configuration the correctness tests verified, and vice
+// versa.
 
 // NamedSpec pairs a Spec with a stable name for table-driven harnesses.
 type NamedSpec struct {
@@ -18,9 +19,9 @@ type NamedSpec struct {
 // (Table 1: 32-node machines).
 const TableProcs = 32
 
-// TableSpec returns the full-scale spec behind the paper-table benchmark
-// for app on machine: 32 processors, paper-default problem sizes (Size and
-// Iters zero mean each app's DefaultParams).
+// TableSpec returns the full-scale spec behind the paper tables for app on
+// machine: 32 processors, paper-default problem sizes (Size and Iters zero
+// mean each app's DefaultParams).
 func TableSpec(app, machine string) Spec {
 	return Spec{App: app, Machine: machine, Procs: TableProcs}
 }
