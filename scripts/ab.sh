@@ -19,8 +19,11 @@
 #                       than that bound
 #   ok                  otherwise
 #
-# plus `failed` summed over each side's runs. Ten pairs take roughly five
-# minutes per workload. Needs bash, git, tar, jq and the Go toolchain.
+# plus `failed` summed over each side's runs. The script exits 1 when any
+# verdict is worse-beyond-bound or the change failed more runs than the parent
+# on some workload; unresolved does not fail. A run takes about 30 s on a
+# 2-vCPU host, so ten pairs take about ten minutes per workload. Needs bash,
+# git, tar, jq and the Go toolchain.
 set -euo pipefail
 
 ref=${1:?usage: scripts/ab.sh REF [PAIRS=10] [WORKLOAD...]}
@@ -87,4 +90,9 @@ for w in "${workloads[@]}"; do
 					else "ok" end) as $verdict
 				| "  \($e.name) (\($e.better) is better, bound \($e.bound * 100)%): parent \($pm | r3) [\($q1 | r3)-\($q3 | r3)] change \($cm | r3) (\($worse * 1000 | round / 10 | if . > 0 then "\(.)% worse" else "\(-.)% better" end)) wins \($cmp | map(select(. > 0)) | length) ties \($cmp | map(select(. == 0)) | length) of \($cmp | length): \($verdict)"
 			end)'
-done
+done | tee "$tmp/summary"
+
+if grep -q ': worse-beyond-bound$' "$tmp/summary" ||
+	! awk '/ pairs, failed parent / && $NF > $(NF - 2) { bad = 1 } END { exit bad }' "$tmp/summary"; then
+	exit 1
+fi
