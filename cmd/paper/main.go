@@ -63,7 +63,7 @@ func main() {
 		case "lcp":
 			ts = tables.LCP(sc)
 		case "ablation":
-			ts = []tables.Table{tables.GaussAblation(sc)}
+			ts = tables.Ablations(sc)
 		default:
 			fmt.Fprintf(os.Stderr, "unknown app %q\n", *app)
 			os.Exit(2)

@@ -121,13 +121,37 @@ func GaussAblation(sc Scale) Table {
 	return t
 }
 
+// EM3DFlushAblation regenerates the §5.3.4 software-flush proposal:
+// EM3D-SM consumers flush remote values after use, so a producer's write
+// sends the directory a replacement hint instead of starting an
+// invalidation round. The paper proposes it without measuring it, so no row
+// has a paper value.
+func EM3DFlushAblation(sc Scale) Table {
+	cfg, par := sc.cfg(), em3dParams(sc)
+	base := em3d.RunSM(cfg, parmacs.RoundRobin, par)
+	flush := em3d.RunSMFlush(cfg, parmacs.RoundRobin, par)
+	t := Table{ID: -534, Title: "EM3D-SM main loop with consumer flush (§5.3.4 text)"}
+	t.Rows = append(t.Rows, prefixRows("base: ", smPhaseBreakdownRows(base.Res.Summary, em3d.PhaseMain, nil)...)...)
+	t.Rows = append(t.Rows, prefixRows("flush: ", smPhaseBreakdownRows(flush.Res.Summary, em3d.PhaseMain, nil)...)...)
+	return t
+}
+
+// Ablations regenerates the studies the paper's text reports without a
+// table: the §5.2 broadcast ablation and the §5.3.4 software flush.
+func Ablations(sc Scale) []Table {
+	return []Table{GaussAblation(sc), EM3DFlushAblation(sc)}
+}
+
+func em3dParams(sc Scale) em3d.Params {
+	if sc == Quick {
+		return em3d.Params{NodesPer: 250, Degree: 8, RemotePct: 20, Iters: 12, Seed: 1}
+	}
+	return em3d.DefaultParams()
+}
+
 // EM3D regenerates Tables 12-17.
 func EM3D(sc Scale) []Table {
-	cfg := sc.cfg()
-	par := em3d.DefaultParams()
-	if sc == Quick {
-		par = em3d.Params{NodesPer: 250, Degree: 8, RemotePct: 20, Iters: 12, Seed: 1}
-	}
+	cfg, par := sc.cfg(), em3dParams(sc)
 	noPaper := sc == Quick
 	mp := em3d.RunMP(cfg, cmmd.LopSided, par)
 	sm := em3d.RunSM(cfg, parmacs.RoundRobin, par)
@@ -227,12 +251,12 @@ func LCP(sc Scale) []Table {
 	return []Table{t18, t19, t20, t21, t22, t23}
 }
 
-// All regenerates every results table (4-23) plus the Gauss ablation.
+// All regenerates every results table (4-23) plus the ablations.
 func All(sc Scale) []Table {
 	var out []Table
 	out = append(out, MSE(sc)...)
 	out = append(out, Gauss(sc)...)
-	out = append(out, GaussAblation(sc))
+	out = append(out, Ablations(sc)...)
 	out = append(out, EM3D(sc)...)
 	out = append(out, LCP(sc)...)
 	return out

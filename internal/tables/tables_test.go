@@ -37,6 +37,34 @@ func TestFind(t *testing.T) {
 	}
 }
 
+// TestQuickTables builds the Gauss and ablation groups at Quick scale, where
+// no row may carry a paper value.
+func TestQuickTables(t *testing.T) {
+	ts := append(Gauss(Quick), Ablations(Quick)...)
+	for _, id := range []int{8, 9, 10, 11, -52, -534} {
+		if Find(ts, id) == nil {
+			t.Errorf("table %d missing", id)
+		}
+	}
+	totals := 0
+	for _, tb := range ts {
+		for _, r := range tb.Rows {
+			if strings.HasSuffix(r.Label, "Total") {
+				totals++
+				if !(r.Measured > 0) {
+					t.Errorf("table %d %q measures %v", tb.ID, r.Label, r.Measured)
+				}
+			}
+			if r.Paper != -1 {
+				t.Errorf("table %d %q has paper value %v at Quick scale", tb.ID, r.Label, r.Paper)
+			}
+		}
+	}
+	if totals != 4 { // Tables 8 and 9, and the flush ablation's two runs
+		t.Errorf("%d Total rows, want 4", totals)
+	}
+}
+
 func TestFormatVal(t *testing.T) {
 	cases := []struct {
 		v    float64
