@@ -185,30 +185,45 @@ func TestAllocBudgetHotHomeContention(t *testing.T) {
 
 // TestAllocBudgetBarrierEpisode gates the engine's event machinery —
 // staged scheduling, the pooled event heap, the pooled barrier-release
-// action, and processor wake — via complete barrier episodes. Every node
-// must enter the barrier the same number of times; AllocsPerRun calls its
-// function runs+1 times (one warm-up plus runs measured), so the peer
-// loops warm+1+runs episodes. A count mismatch deadlocks and the engine
-// reports it loudly.
+// action, and processor wake — via complete barrier episodes, plain and
+// combining (a hardware-combining reduction, whose release also folds the
+// deposits and wakes with the result). Every node must enter the barrier
+// the same number of times; AllocsPerRun calls its function runs+1 times
+// (one warm-up plus runs measured), so the peer loops warm+1+runs
+// episodes. A count mismatch deadlocks and the engine reports it loudly.
 func TestAllocBudgetBarrierEpisode(t *testing.T) {
 	const runs = 50
-	cfg := cost.Default(2)
-	var allocs float64
-	res := machine.RunMP(cfg, cmmd.Binary, func(n *machine.MPNode) {
-		n.Barrier() // warm the release-event pool
-		if n.ID == 0 {
-			allocs = testing.AllocsPerRun(runs, func() { n.Barrier() })
-		} else {
-			for i := 0; i < runs+1; i++ {
-				n.Barrier()
+	for _, tc := range []struct {
+		name    string
+		hw      bool
+		episode func(n *machine.MPNode)
+	}{
+		{"plain", false, func(n *machine.MPNode) { n.Barrier() }},
+		{"combining", true, func(n *machine.MPNode) {
+			n.Comm.Reduce(0, float64(n.ID), int64(n.ID), cmmd.OpMaxAbs)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := cost.Default(2)
+			cfg.HWCombining = tc.hw
+			var allocs float64
+			res := machine.RunMP(cfg, cmmd.Binary, func(n *machine.MPNode) {
+				tc.episode(n) // warm the release-event pool
+				if n.ID == 0 {
+					allocs = testing.AllocsPerRun(runs, func() { tc.episode(n) })
+				} else {
+					for i := 0; i < runs+1; i++ {
+						tc.episode(n)
+					}
+				}
+			})
+			if res.Err != nil {
+				t.Fatalf("run: %v", res.Err)
 			}
-		}
-	})
-	if res.Err != nil {
-		t.Fatalf("run: %v", res.Err)
-	}
-	if allocs != 0 {
-		t.Errorf("barrier episode allocates %.1f/op, budget 0", allocs)
+			if allocs != 0 {
+				t.Errorf("%s barrier episode allocates %.1f/op, budget 0", tc.name, allocs)
+			}
+		})
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/cost"
 	"repro/internal/ni"
 	"repro/internal/sim"
 )
@@ -42,44 +41,15 @@ func (s Shape) String() string {
 	return fmt.Sprintf("Shape(%d)", int(s))
 }
 
-// ReduceOp is a combining operator for reductions. Operators combine a
-// (value, index) pair so that pivot selection (max |value| with owning row)
-// needs a single reduction.
-type ReduceOp int
+// ReduceOp is the reduction operator set shared with parmacs and the
+// combining barrier (sim.ReduceOp).
+type ReduceOp = sim.ReduceOp
 
+// The reduction operators.
 const (
-	// OpSum adds values; indexes are ignored.
-	OpSum ReduceOp = iota
-	// OpMax keeps the larger value and its index.
-	OpMax
-	// OpMin keeps the smaller value and its index.
-	OpMin
-	// OpMaxAbs keeps the value of larger magnitude and its index.
-	OpMaxAbs
+	OpSum    = sim.OpSum
+	OpMaxAbs = sim.OpMaxAbs
 )
-
-func combine(op ReduceOp, v1 float64, i1 int64, v2 float64, i2 int64) (float64, int64) {
-	switch op {
-	case OpSum:
-		return v1 + v2, 0
-	case OpMax:
-		if v2 > v1 {
-			return v2, i2
-		}
-		return v1, i1
-	case OpMin:
-		if v2 < v1 {
-			return v2, i2
-		}
-		return v1, i1
-	case OpMaxAbs:
-		if math.Abs(v2) > math.Abs(v1) {
-			return v2, i2
-		}
-		return v1, i1
-	}
-	panic(fmt.Sprintf("cmmd: unknown reduce op %d", op))
-}
 
 // Comm provides software collectives over an endpoint. All nodes must call
 // each collective in the same global order (SPMD discipline); sequence
@@ -87,12 +57,6 @@ func combine(op ReduceOp, v1 float64, i1 int64, v2 float64, i2 int64) (float64, 
 type Comm struct {
 	ep   *Endpoint
 	topo *Topology // the machine's trees, shared by every node, read-only
-
-	// HW, when non-nil, routes reductions through an in-network hardware
-	// combining tree (the cost.Config.HWCombining ablation) instead of the
-	// software tree ascent. Broadcasts still use the software trees — the
-	// ablation isolates reduction cost only.
-	HW *sim.Combiner
 
 	hUp, hDown, hVec int
 
@@ -149,16 +113,6 @@ func take[T any](free *[]*T) *T {
 	return st
 }
 
-// NewCombiner constructs the shared hardware combining tree for the
-// HWCombining ablation, folding contributions with the cmmd operator set.
-// One combiner serves every node; wire it into each Comm's HW field.
-func NewCombiner(eng *sim.Engine, cfg *cost.Config) *sim.Combiner {
-	return sim.NewCombiner(eng, cfg.Procs, cfg.CombiningLatency,
-		func(op uint8, v1 float64, i1 int64, v2 float64, i2 int64) (float64, int64) {
-			return combine(ReduceOp(op), v1, i1, v2, i2)
-		})
-}
-
 // NewComm creates one node's collective layer over the machine's trees. Must
 // be created in the same order on all nodes (it registers AM handlers).
 func NewComm(ep *Endpoint, topo *Topology) *Comm {
@@ -197,7 +151,7 @@ func (c *Comm) onUp(pkt *ni.Packet) {
 	v := math.Float64frombits(pkt.Args[1])
 	i := int64(pkt.Args[2])
 	if st.has {
-		st.val, st.idx = combine(op, st.val, st.idx, v, i)
+		st.val, st.idx = op.Combine(st.val, st.idx, v, i)
 	} else {
 		st.val, st.idx, st.has = v, i, true
 	}

@@ -318,15 +318,18 @@ func (c *Comm) StepReduce(rs *ReduceStep, root int, val float64, idx int64, op R
 	for {
 		switch rs.phase {
 		case 0:
+			op.Check(p)
 			if !p.StepInteract() {
 				return 0, 0, false
 			}
 			rs.val, rs.idx = val, idx
-			if c.HW != nil {
+			if ep.Cfg.HWCombining {
 				// Hardware-combining ablation: deposit the contribution at
 				// the network port and stall until the combined result
 				// returns, a fixed latency after the last depositor. No tree
-				// ascent, no per-hop send/receive overhead.
+				// ascent, no per-hop send/receive overhead; broadcasts still
+				// use the software trees, so the ablation isolates reduction
+				// cost only.
 				p.ChargeStall(stats.NetAccess, ep.Cfg.NIWriteTagDest+ep.Cfg.NISendCycles)
 				rs.phase = 3
 				continue
@@ -338,7 +341,7 @@ func (c *Comm) StepReduce(rs *ReduceStep, root int, val float64, idx int64, op R
 			rs.parent, rs.nch = c.topo.scalar.parent[vr], len(c.topo.scalar.children(vr))
 			st := c.redState(rs.seq)
 			if st.has {
-				st.val, st.idx = combine(op, st.val, st.idx, val, idx)
+				st.val, st.idx = op.Combine(st.val, st.idx, val, idx)
 			} else {
 				st.val, st.idx, st.has = val, idx, true
 			}
@@ -368,7 +371,7 @@ func (c *Comm) StepReduce(rs *ReduceStep, root int, val float64, idx int64, op R
 			rs.phase = 0
 			return 0, 0, true
 		case 3:
-			v, i, done := c.HW.StepWait(p, stats.LibComp, uint8(op), rs.val, rs.idx)
+			v, i, done := ep.Bar.StepCombine(p, stats.LibComp, op, rs.val, rs.idx)
 			if !done {
 				return 0, 0, false
 			}

@@ -84,18 +84,13 @@ type Config struct {
 	// HWCombining, when true, gives both machines an in-network combining
 	// tree (NYU Ultracomputer / CM-5 control-network style): reductions
 	// deposit a contribution at the network port and receive the combined
-	// result CombiningLatency cycles after the last contributor, instead of
-	// ascending the software reduction trees. The ablation measures how
-	// much of the software reduction time (Gauss's "Reductions" row and the
-	// MP library's collective time) hardware combining would reclaim at
-	// large P. Off (the default) leaves runs bit-identical to the seed.
+	// result BarrierLatency cycles after the last contributor — a combining
+	// episode of the hardware barrier — instead of ascending the software
+	// reduction trees. The ablation measures how much of the software
+	// reduction time (Gauss's "Reductions" row and the MP library's
+	// collective time) hardware combining would reclaim at large P. Off (the
+	// default) leaves runs bit-identical to the seed.
 	HWCombining bool
-
-	// CombiningLatency is the combined-result delivery latency from the
-	// last contribution, in cycles. Like the hardware barrier, delivery is
-	// a fixed latency from the last arrival (100 by default, matching
-	// BarrierLatency: the same control-network style mechanism).
-	CombiningLatency int64
 
 	// --- Fault injection and reliable transport (extension; not in the
 	// paper, whose CM-5 network is lossless) ---
@@ -310,8 +305,6 @@ func Default(procs int) Config {
 		CMMDPerPacket:    42,
 		CollectiveEntry:  80,
 
-		CombiningLatency: 100,
-
 		MsgToSelf:         10,
 		SharedMissCycles:  19,
 		InvalidateCycles:  3,
@@ -387,9 +380,6 @@ func (c *Config) Validate() error {
 	}
 	if c.SMWatchdog < 0 {
 		return errf("sm watchdog window must be non-negative")
-	}
-	if c.HWCombining && c.CombiningLatency <= 0 {
-		return errf("hw combining needs a positive combining latency")
 	}
 	return nil
 }

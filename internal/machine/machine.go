@@ -97,9 +97,6 @@ type MPMachine struct {
 	Net   *ni.Network
 	Bar   *sim.Barrier
 	Nodes []*MPNode
-	// Comb is the in-network hardware combining tree, non-nil only under the
-	// cost.Config.HWCombining ablation.
-	Comb *sim.Combiner
 }
 
 // StepProgramMP builds one node's step function: called at the node's first
@@ -146,9 +143,6 @@ func buildMP(cfg cost.Config, shape cmmd.Shape, program func(n *MPNode), stepPro
 	}
 
 	m := &MPMachine{Eng: eng, Net: net, Bar: bar}
-	if c.HWCombining {
-		m.Comb = cmmd.NewCombiner(eng, &c)
-	}
 	topo := cmmd.NewTopology(&c, shape) // one set of collective trees, read by every node
 	nodes := make([]MPNode, c.Procs)    // one block, not an object per node
 	m.Nodes = make([]*MPNode, c.Procs)
@@ -193,7 +187,6 @@ func buildMP(cfg cost.Config, shape cmmd.Shape, program func(n *MPNode), stepPro
 		}
 		ep := cmmd.NewEndpoint(i, c.Procs, a, mem, bar)
 		comm := cmmd.NewComm(ep, topo)
-		comm.HW = m.Comb
 		nodes[i] = MPNode{
 			ID: i, P: p, Mem: mem, NI: nif, AM: a, EP: ep, Comm: comm,
 			Cfg: &c, Space: space, Procs: c.Procs,

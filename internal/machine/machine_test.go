@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"errors"
 	"runtime"
 	"testing"
 
@@ -38,6 +39,33 @@ func TestRunSMBasics(t *testing.T) {
 	})
 	if res.Summary.CountsAll(stats.CntLocalMisses) == 0 {
 		t.Error("no private misses recorded")
+	}
+}
+
+// TestUnknownReduceOpAborts: a reduction with an undefined operator is a
+// typed abort on both machines, software tree or combining barrier alike —
+// every node fails at the entry of its reduction, before the operator can
+// reach a fold (on the message-passing machine that fold runs in a poll
+// handler at the parent, where it could only panic).
+func TestUnknownReduceOpAborts(t *testing.T) {
+	const bad = sim.ReduceOp(99)
+	for _, hw := range []bool{false, true} {
+		cfg := cost.Default(4)
+		cfg.HWCombining = hw
+		mp := RunMP(cfg, cmmd.Binary, func(n *MPNode) {
+			n.Comm.Reduce(0, 1, int64(n.ID), bad)
+		})
+		if !errors.Is(mp.Err, sim.ErrUnknownOp) {
+			t.Errorf("mp hw=%v: run error %v, want sim.ErrUnknownOp", hw, mp.Err)
+		}
+		var red *parmacs.Reduction
+		sm := NewSM(cfg, parmacs.RoundRobin, func(n *SMNode) {
+			red.Reduce(n.Mem, 1, int64(n.ID), bad, parmacs.SyncCats)
+		})
+		red = parmacs.NewReduction(sm.RT) // host-side, before any body runs
+		if res := sm.Run(); !errors.Is(res.Err, sim.ErrUnknownOp) {
+			t.Errorf("sm hw=%v: run error %v, want sim.ErrUnknownOp", hw, res.Err)
+		}
 	}
 }
 

@@ -17,9 +17,6 @@ func (m *MPMachine) EncodeState(enc *snapshot.Enc) {
 		if m.Net.Faults != nil {
 			m.Net.Faults.EncodeState(enc)
 		}
-		if m.Comb != nil {
-			m.Comb.EncodeState(enc)
-		}
 		for _, n := range m.Nodes {
 			enc.Section("node", func(enc *snapshot.Enc) {
 				n.Mem.EncodeState(enc)
@@ -46,9 +43,6 @@ func (m *SMMachine) EncodeState(enc *snapshot.Enc) {
 	enc.Section("sm-machine", func(enc *snapshot.Enc) {
 		m.Eng.EncodeState(enc)
 		m.RT.Bar.EncodeState(enc)
-		if m.RT.Comb != nil {
-			m.RT.Comb.EncodeState(enc)
-		}
 		m.RT.EncodeState(enc)
 		m.Pr.EncodeState(enc)
 		for _, n := range m.Nodes {

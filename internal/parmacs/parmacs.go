@@ -9,7 +9,6 @@ package parmacs
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
@@ -40,11 +39,6 @@ type Runtime struct {
 	Bar    *sim.Barrier
 	Policy Policy
 
-	// Comb is the in-network hardware combining tree, non-nil only under the
-	// cost.Config.HWCombining ablation; reductions then deposit at the
-	// network port instead of ascending the software tree.
-	Comb *sim.Combiner
-
 	// created flips to true in the create event (engine context), so every
 	// processor observes the same quantum-stable value; the mutex guards the
 	// waiter list, which concurrently dispatched processors append to.
@@ -56,17 +50,11 @@ type Runtime struct {
 	lockSerial   int
 }
 
-// NewRuntime wires the parmacs layer to the coherence protocol and barrier,
-// and arms the hardware combining tree when the ablation asks for it.
+// NewRuntime wires the parmacs layer to the coherence protocol and barrier.
+// Under the cost.Config.HWCombining ablation the barrier also carries the
+// reductions.
 func NewRuntime(cfg *cost.Config, pr *coherence.Protocol, space *memsim.AddrSpace, bar *sim.Barrier) *Runtime {
-	rt := &Runtime{Cfg: cfg, Pr: pr, Space: space, Bar: bar}
-	if cfg.HWCombining {
-		rt.Comb = sim.NewCombiner(pr.Eng, cfg.Procs, cfg.CombiningLatency,
-			func(op uint8, v1 float64, i1 int64, v2 float64, i2 int64) (float64, int64) {
-				return combine(Op(op), v1, i1, v2, i2)
-			})
-	}
-	return rt
+	return &Runtime{Cfg: cfg, Pr: pr, Space: space, Bar: bar}
 }
 
 // alloc returns a base address for n bytes under the current policy.
@@ -219,51 +207,21 @@ func (l *Lock) Release(m *memsim.Mem) {
 
 // --- MCS-style software reductions ---
 
-// Op is a reduction combining operator.
-type Op int
+// Op is the reduction operator set shared with cmmd and the combining
+// barrier (sim.ReduceOp). A reduction with an undefined operator fails the
+// run with sim.ErrUnknownOp.
+type Op = sim.ReduceOp
 
+// The reduction operators.
 const (
-	// OpSum adds contributions.
-	OpSum Op = iota
-	// OpMax keeps the maximum value (and its index).
-	OpMax
-	// OpMaxAbs keeps the value of largest magnitude (and its index).
-	OpMaxAbs
+	OpSum    = sim.OpSum
+	OpMaxAbs = sim.OpMaxAbs
 )
 
-func combine(op Op, v1 float64, i1 int64, v2 float64, i2 int64) (float64, int64) {
-	switch op {
-	case OpSum:
-		return v1 + v2, 0
-	case OpMax:
-		if v2 > v1 {
-			return v2, i2
-		}
-		return v1, i1
-	case OpMaxAbs:
-		if math.Abs(v2) > math.Abs(v1) {
-			return v2, i2
-		}
-		return v1, i1
-	}
-	// Unreachable: Reduce validates op (failing the processor with
-	// ErrUnknownOp) before combining.
-	return v1, i1
-}
-
-// valid reports whether op names a defined combining operator.
-func (op Op) valid() bool {
-	return op == OpSum || op == OpMax || op == OpMaxAbs
-}
-
-// Runtime misuse errors, reported through the engine's structured abort path
-// (matching am.ErrNoHandler) instead of panicking the host process.
-var (
-	// ErrBadCreate reports misuse of the create() primitive.
-	ErrBadCreate = errors.New("parmacs: invalid create()")
-	// ErrUnknownOp reports a reduction called with an undefined operator.
-	ErrUnknownOp = errors.New("parmacs: unknown reduction op")
-)
+// ErrBadCreate reports misuse of the create() primitive, through the
+// engine's structured abort path (matching am.ErrNoHandler) instead of
+// panicking the host process.
+var ErrBadCreate = errors.New("parmacs: invalid create()")
 
 // Cats selects the accounting categories for a reduction: Gauss-SM reports
 // reductions as their own row ("Reductions 6%"), while LCP-SM splits them

@@ -1,8 +1,6 @@
 package parmacs
 
 import (
-	"fmt"
-
 	"repro/internal/coherence"
 	"repro/internal/memsim"
 	"repro/internal/sim"
@@ -188,13 +186,11 @@ func (r *Reduction) StepReduce(rs *RedStep, m *memsim.Mem, val float64, idx int6
 	for {
 		switch rs.phase {
 		case 0:
-			if !op.valid() {
-				p.Fail(fmt.Errorf("%w: op %d at node %d", ErrUnknownOp, int(op), p.ID))
-			}
+			op.Check(p)
 			p.PushModeFull(cats.Comp, cats.Miss, stats.CntPrivateMisses, cats.Miss, cats.Miss)
 			rs.val, rs.idx = val, idx
 			p.Compute(reduceOpCycles)
-			if r.rt.Comb != nil {
+			if r.rt.Cfg.HWCombining {
 				rs.phase = 7
 				continue
 			}
@@ -226,7 +222,7 @@ func (r *Reduction) StepReduce(rs *RedStep, m *memsim.Mem, val float64, idx int6
 			if !done {
 				return 0, 0, false
 			}
-			rs.val, rs.idx = combine(op, rs.val, rs.idx, rs.cv, ci)
+			rs.val, rs.idx = op.Combine(rs.val, rs.idx, rs.cv, ci)
 			p.Compute(reduceOpCycles)
 			rs.child++
 			rs.spin = coherence.SpinStep{}
@@ -262,7 +258,7 @@ func (r *Reduction) StepReduce(rs *RedStep, m *memsim.Mem, val float64, idx int6
 			// after the last contributor — no flag spinning, no remote-homed
 			// value traffic, no tree ascent. Result at node 0 only, zeros
 			// elsewhere, preserving the software contract.
-			v, i, done := r.rt.Comb.StepWait(p, cats.Wait, uint8(op), rs.val, rs.idx)
+			v, i, done := r.rt.Bar.StepCombine(p, cats.Wait, op, rs.val, rs.idx)
 			if !done {
 				return 0, 0, false
 			}

@@ -316,39 +316,35 @@ func (p *Proc) StepBlock(cat stats.Category, reason string) {
 // wake time. Panics if no wake is pending or the waker used WakeVals — a
 // wake must be consumed by the call that matches it (the stale-payload bug
 // this replaces returned zeros silently).
-func (p *Proc) WakePayload() {
-	switch p.wakeKind {
-	case wakePlain:
-	case wakeVals:
-		panic(fmt.Sprintf("sim: proc %d: WakePayload after WakeVals — pair WakePayload with Wake, or WakePayloadVals with WakeVals", p.ID))
-	default:
-		panic(fmt.Sprintf("sim: proc %d: no wake pending", p.ID))
-	}
-	p.wakeKind = wakeNone
-	if p.wakeAt > p.blockStart {
-		p.Acct.Charge(p.blockCat, p.wakeAt-p.blockStart)
-		p.clock = p.wakeAt
-	}
-}
+func (p *Proc) WakePayload() { p.consumeWake(wakePlain) }
 
 // WakePayloadVals is WakePayload for WakeVals, returning its two int64
 // values.
 func (p *Proc) WakePayloadVals() (int64, int64) {
-	switch p.wakeKind {
-	case wakeVals:
-	case wakePlain:
-		panic(fmt.Sprintf("sim: proc %d: WakePayloadVals after Wake — pair WakePayload with Wake, or WakePayloadVals with WakeVals", p.ID))
-	default:
-		panic(fmt.Sprintf("sim: proc %d: no wake pending", p.ID))
+	p.consumeWake(wakeVals)
+	a, b := p.wakeA, p.wakeB
+	p.wakeA, p.wakeB = 0, 0
+	return a, b
+}
+
+// consumeWake is the one consumption path: it checks that the pending wake
+// is of the kind the caller pairs with, then charges the blocked stall.
+func (p *Proc) consumeWake(kind uint8) {
+	if p.wakeKind != kind {
+		switch p.wakeKind {
+		case wakeVals:
+			panic(fmt.Sprintf("sim: proc %d: WakePayload after WakeVals — pair WakePayload with Wake, or WakePayloadVals with WakeVals", p.ID))
+		case wakePlain:
+			panic(fmt.Sprintf("sim: proc %d: WakePayloadVals after Wake — pair WakePayload with Wake, or WakePayloadVals with WakeVals", p.ID))
+		default:
+			panic(fmt.Sprintf("sim: proc %d: no wake pending", p.ID))
+		}
 	}
 	p.wakeKind = wakeNone
 	if p.wakeAt > p.blockStart {
 		p.Acct.Charge(p.blockCat, p.wakeAt-p.blockStart)
 		p.clock = p.wakeAt
 	}
-	a, b := p.wakeA, p.wakeB
-	p.wakeA, p.wakeB = 0, 0
-	return a, b
 }
 
 // Wake unblocks a processor at absolute time at, to be consumed by its
@@ -356,30 +352,16 @@ func (p *Proc) WakePayloadVals() (int64, int64) {
 // never the processor phase (processor-context code that needs to wake a
 // peer stages an event via Proc.Schedule that performs the wake). Waking
 // an unblocked processor panics.
-func (p *Proc) Wake(at Time) {
-	if p.eng.inProcPhase {
-		panic(fmt.Sprintf("sim: waking proc %d from processor context; stage the wake via Proc.Schedule", p.ID))
-	}
-	if !p.blocked {
-		panic(fmt.Sprintf("sim: waking proc %d which is not blocked", p.ID))
-	}
-	if at < p.blockStart {
-		at = p.blockStart
-	}
-	p.blocked = false
-	p.blockReason = ""
-	p.wakeAt = at
-	p.wakeKind = wakePlain
-	if p.clock < at {
-		p.clock = at
-	}
-	p.eng.ready = append(p.eng.ready, p)
-}
+func (p *Proc) Wake(at Time) { p.wake(at, wakePlain, 0, 0) }
 
 // WakeVals unblocks a processor at absolute time at, delivering two int64
 // values to a matching WakePayloadVals call. Same engine-context
 // restriction and semantics as Wake.
-func (p *Proc) WakeVals(at Time, a, b int64) {
+func (p *Proc) WakeVals(at Time, a, b int64) { p.wake(at, wakeVals, a, b) }
+
+// wake is the one wake path; kind records which of Wake and WakeVals
+// delivered it, for consumeWake to check.
+func (p *Proc) wake(at Time, kind uint8, a, b int64) {
 	if p.eng.inProcPhase {
 		panic(fmt.Sprintf("sim: waking proc %d from processor context; stage the wake via Proc.Schedule", p.ID))
 	}
@@ -392,7 +374,7 @@ func (p *Proc) WakeVals(at Time, a, b int64) {
 	p.blocked = false
 	p.blockReason = ""
 	p.wakeAt = at
-	p.wakeKind = wakeVals
+	p.wakeKind = kind
 	p.wakeA, p.wakeB = a, b
 	if p.clock < at {
 		p.clock = at

@@ -88,7 +88,9 @@ func (e *Engine) EncodeState(enc *snapshot.Enc) {
 // EncodeState contributes the barrier's image: the waiters present (by
 // processor ID, sorted — arrival order within a quantum is a host-side
 // accident under parallel dispatch), the spin-polling count, the latest
-// arrival time, and the completed-episode counter.
+// arrival time, and the completed-episode counter; then, only while a
+// combining episode is filling, its operator and the waiters' deposits in
+// the same order, so a run that never combines keeps the plain image.
 func (b *Barrier) EncodeState(enc *snapshot.Enc) {
 	enc.Section("barrier", func(enc *snapshot.Enc) {
 		ids := make([]int, len(b.waiting))
@@ -104,25 +106,12 @@ func (b *Barrier) EncodeState(enc *snapshot.Enc) {
 		enc.I64(int64(b.maxArr))
 		enc.I64(b.epoch)
 		enc.I64(int64(b.release))
-	})
-}
-
-// EncodeState contributes the combiner's image to a canonical state
-// snapshot: pending contributions in processor-ID order (value bits and
-// index), the episode's operator, the maximum arrival clock, and the
-// completed-episode count. Mirrors Barrier.EncodeState.
-func (c *Combiner) EncodeState(enc *snapshot.Enc) {
-	enc.Section("combiner", func(enc *snapshot.Enc) {
-		arr := append([]combArrival(nil), c.arrived...)
-		sort.Slice(arr, func(i, j int) bool { return arr[i].p.ID < arr[j].p.ID })
-		enc.U32(uint32(len(arr)))
-		for _, a := range arr {
-			enc.I64(int64(a.p.ID))
-			enc.U64(math.Float64bits(a.val))
-			enc.I64(a.idx)
+		if b.combining {
+			enc.I64(int64(b.op))
+			for _, id := range ids {
+				enc.U64(math.Float64bits(b.contrib[id].val))
+				enc.I64(b.contrib[id].idx)
+			}
 		}
-		enc.U8(c.op)
-		enc.I64(int64(c.maxArr))
-		enc.I64(c.epoch)
 	})
 }
