@@ -71,6 +71,9 @@ func main() {
 		log.Printf("wwtserved: injecting filesystem faults: %s", *fsplan)
 		fsys = vfs.NewFaulty(vfs.OS{}, plan)
 	}
+	if *runWorkers <= 0 {
+		*runWorkers = runtime.GOMAXPROCS(0) // serve.New would read 0 as serial
+	}
 	if err := os.MkdirAll(*dir, 0o755); err != nil {
 		log.Fatalf("wwtserved: %v", err)
 	}

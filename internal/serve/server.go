@@ -27,9 +27,9 @@ type Config struct {
 	WALSegmentBytes int64
 	// Jobs is the worker pool size (concurrent runs). Default 1.
 	Jobs int
-	// RunWorkers is the engine worker count inside each run (0 =
-	// GOMAXPROCS, 1 = serial). Default 1: job-level sharding already fills
-	// the host.
+	// RunWorkers is the engine worker count inside each run (1 = serial).
+	// New turns 0 into 1, the default: job-level sharding already fills
+	// the host. For one engine worker per core, pass runtime.GOMAXPROCS(0).
 	RunWorkers int
 	// MaxQueue bounds pending+running jobs; a batch that would exceed it is
 	// shed with a typed 429. Default 4096.

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# End-to-end crash test for the sweep service: run a matrix locally, run the
+# End-to-end crash test for the sweep service: run a matrix locally (a
+# temporary in-process service), run the
 # same matrix through wwtserved with a kill -9 in the middle, restart the
 # daemon, and require the sweep to complete with every cell present exactly
 # once and fingerprints identical to the local (uninterrupted) run. A final
