@@ -2,8 +2,8 @@
 // daemon that accepts batches of runner specs over HTTP/JSON (the same
 // cells wwtsweep runs one-shot) and executes them with durability
 // guarantees — a WAL-backed job queue that survives kill -9 with no lost or
-// duplicated work, a content-addressed result cache that serves resubmitted
-// cells bit-identically from disk, supervised execution (panic isolation,
+// duplicated work, a content-addressed result cache kept in that same log
+// that serves resubmitted cells bit-identically, supervised execution (panic isolation,
 // wall-clock deadlines that checkpoint-and-resume rather than restart,
 // bounded retries), and graceful SIGTERM drain that parks in-flight jobs as
 // checkpoints.
@@ -16,7 +16,7 @@
 //	          [-wal-segment-bytes N] [-fault-fsplan PLAN]
 //
 // -fault-fsplan installs a seeded, deterministic filesystem fault plan
-// under every durable artifact (WAL, cache, checkpoints) — the disk-level
+// under every durable artifact (WAL and checkpoints) — the disk-level
 // sibling of wwtsim's -faults/-faultseed — e.g.
 // "seed=7,torn=0.02,fsync=0.01,enospc=0.05,crash=123". For testing only.
 //
@@ -44,7 +44,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8723", "listen address")
-	dir := flag.String("dir", "wwtserved-data", "data directory (WAL, result cache, checkpoints)")
+	dir := flag.String("dir", "wwtserved-data", "data directory (WAL with the cached results, checkpoints)")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "worker pool size (concurrent runs)")
 	runWorkers := flag.Int("run-workers", 1, "engine workers inside each run (0 = GOMAXPROCS)")
 	maxQueue := flag.Int("max-queue", 4096, "admission bound on pending+running jobs (excess batches get 429)")

@@ -193,15 +193,35 @@ func TestServerSweepRecordsNoLocalSizing(t *testing.T) {
 	}
 }
 
-// cacheFull is the host filesystem with no room for result cache entries:
-// every cell runs, but the service cannot record its result.
-type cacheFull struct{ vfs.OS }
+// walFull is the host filesystem that fills up once the service's log has
+// taken its first append: the submit is acked and every cell runs, but the
+// service cannot record a result.
+type walFull struct {
+	vfs.OS
+	appends atomic.Int32
+}
 
-func (cacheFull) Create(path string) (vfs.File, error) {
-	if strings.Contains(path, string(filepath.Separator)+"cache"+string(filepath.Separator)) {
-		return nil, &os.PathError{Op: "create", Path: path, Err: syscall.ENOSPC}
+func (w *walFull) Create(path string) (vfs.File, error) {
+	f, err := w.OS.Create(path)
+	if err != nil || !strings.Contains(path, string(filepath.Separator)+"wal"+string(filepath.Separator)) {
+		return f, err
 	}
-	return vfs.OS{}.Create(path)
+	return &walFile{File: f, fs: w, header: true}, nil
+}
+
+// walFile is a log segment; its first write is the segment header.
+type walFile struct {
+	vfs.File
+	fs     *walFull
+	header bool
+}
+
+func (f *walFile) Write(p []byte) (int, error) {
+	if !f.header && f.fs.appends.Add(1) > 1 {
+		return 0, syscall.ENOSPC
+	}
+	f.header = false
+	return f.File.Write(p)
 }
 
 // TestLocalStorageFailureEndsSweep: the service requeues a cell whose
@@ -213,7 +233,7 @@ func TestLocalStorageFailureEndsSweep(t *testing.T) {
 	specs := []runner.Spec{{App: "em3d", Machine: "mp", Procs: 4, Size: 48, Iters: 5}}
 	done := make(chan error, 1)
 	go func() {
-		_, err := inProcessSweep(context.Background(), serve.Config{Jobs: 1, FS: cacheFull{}}, specs, 0, time.Minute, true)
+		_, err := inProcessSweep(context.Background(), serve.Config{Jobs: 1, FS: &walFull{}}, specs, 0, time.Minute, true)
 		done <- err
 	}()
 	select {

@@ -11,9 +11,10 @@
 //   - a write-ahead-logged job queue (wal.go, queue.go): every submitted job
 //     is durable before the client is acked, and kill -9 + restart recovers
 //     exactly the incomplete set — no lost jobs, no duplicated results;
-//   - a content-addressed result cache (cache.go): completed cells are
-//     stored under their spec key, so resubmission is served from disk with
-//     a cache-hit marker and a bit-identical fingerprint;
+//   - a content-addressed result cache (cache.go): each completed cell is a
+//     result record in the same log, indexed in memory under its spec key,
+//     so resubmission is served with a cache-hit marker and a bit-identical
+//     fingerprint;
 //   - supervised execution (supervisor.go): per-job panic isolation,
 //     wall-clock deadlines that preempt a job into a checkpoint and requeue
 //     it to resume (replay-verified) instead of restarting, and bounded
@@ -121,16 +122,15 @@ type StatsResponse struct {
 	UptimeMS    int64   `json:"uptime_ms"`
 	WALRecords  int64   `json:"wal_records"`
 
-	// Storage health: WAL segment count, records quarantined at recovery
-	// (WAL) and at read time (cache), durable-write failures absorbed by
-	// the degraded paths, whether admission is paused on ENOSPC, and — when
-	// the server runs under an injected fault plan — how many faults fired.
-	WALSegments      int   `json:"wal_segments"`
-	WALQuarantined   int64 `json:"wal_quarantined,omitempty"`
-	CacheQuarantined int64 `json:"cache_quarantined,omitempty"`
-	StorageErrs      int64 `json:"storage_errs,omitempty"`
-	StoragePaused    bool  `json:"storage_paused,omitempty"`
-	FSFaults         int64 `json:"fs_faults,omitempty"`
+	// Storage health: WAL segment count, records (result records included)
+	// quarantined at recovery, durable-write failures absorbed by the
+	// degraded paths, whether admission is paused on ENOSPC, and — when the
+	// server runs under an injected fault plan — how many faults fired.
+	WALSegments    int   `json:"wal_segments"`
+	WALQuarantined int64 `json:"wal_quarantined,omitempty"`
+	StorageErrs    int64 `json:"storage_errs,omitempty"`
+	StoragePaused  bool  `json:"storage_paused,omitempty"`
+	FSFaults       int64 `json:"fs_faults,omitempty"`
 }
 
 // Error kinds returned in APIError.Kind.

@@ -1,27 +1,22 @@
 package serve
 
 import (
-	"fmt"
-	"path/filepath"
+	"sort"
+	"sync"
 	"sync/atomic"
 
-	"repro/internal/snapshot"
 	"repro/internal/vfs"
 )
 
-// The result cache is content-addressed: a completed cell is stored in one
-// file named by its canonical spec fingerprint (runner.Spec.CacheKey). The
-// simulator is deterministic, so the key fully identifies the result —
-// resubmitting a spec returns the stored record, bit-identical to a fresh
-// run, marked as a cache hit. Files are checksummed and written atomically;
-// a corrupt or torn entry decodes to a typed error, is quarantined to a
-// sibling *.quarantine file (preserving the evidence for the operator), and
-// is recomputed.
-
-const (
-	resMagic          = "WWTRES\x00"
-	resVersion uint32 = 1
-)
+// The result cache is content-addressed: a completed cell's Result is keyed
+// by its canonical spec fingerprint (runner.Spec.CacheKey). The simulator is
+// deterministic, so the key fully identifies the result — resubmitting a
+// spec returns the stored record, bit-identical to a fresh run, marked as a
+// cache hit. The cache has no files of its own: each result is a recResult
+// record in the write-ahead log, and the cache is the in-memory index that
+// replay builds over those records. A rotten result record is quarantined
+// with the rest of the log, its key reads as a miss, and the cell is
+// recomputed.
 
 // Result is one completed cell's cacheable record: everything the sweep
 // results file reports, minus host-local noise (wall time is tracked on the
@@ -60,153 +55,82 @@ func (r *Result) BreakdownMap() map[string]float64 {
 	return m
 }
 
-// CorruptResultError reports a cache entry that failed to decode; callers
-// treat it as a miss and overwrite the entry.
-type CorruptResultError struct {
-	Path   string
-	Reason string
-}
-
-func (e *CorruptResultError) Error() string {
-	return fmt.Sprintf("serve: corrupt cached result %s: %s", e.Path, e.Reason)
-}
-
-// Cache is the on-disk result store.
+// Cache is the key→result index over a log's result records.
 type Cache struct {
-	fs           vfs.FS
-	dir          string
+	wal          *WAL // where Put appends
+	mu           sync.Mutex
+	results      map[uint64]*Result
 	hits, misses atomic.Int64
-	quarantined  atomic.Int64
 }
 
-// OpenCache opens (creating if needed) a cache directory on fsys.
+// OpenCache opens a result store with a log of its own under dir.
 func OpenCache(fsys vfs.FS, dir string) (*Cache, error) {
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
+	wal, recs, _, err := OpenWAL(fsys, dir, 0)
+	if err != nil {
 		return nil, err
 	}
-	return &Cache{fs: fsys, dir: dir}, nil
+	return newCache(wal, recs), nil
 }
 
-func (c *Cache) path(key uint64) string {
-	return filepath.Join(c.dir, fmt.Sprintf("%016x.wwr", key))
+// newCache indexes the result records among recs, later records winning.
+func newCache(wal *WAL, recs []Record) *Cache {
+	c := &Cache{wal: wal, results: make(map[uint64]*Result)}
+	for _, r := range recs {
+		if r.Type == recResult {
+			c.results[r.Result.Key] = r.Result
+		}
+	}
+	return c
 }
 
-// Encode serializes a result canonically: magic, version, fields, trailing
-// checksum. Equal results produce equal bytes.
-func Encode(r *Result) []byte {
-	var e snapshot.Enc
-	e.Str(resMagic)
-	e.U32(resVersion)
-	e.U64(r.Key)
-	e.U64(r.Fingerprint)
-	e.I64(r.Elapsed)
-	e.Str(r.AppLine)
-	e.Str(r.Err)
-	e.U32(uint32(len(r.Breakdown)))
-	for _, be := range r.Breakdown {
-		e.Str(be.Name)
-		e.F64(be.Cycles)
-	}
-	e.U64(snapshot.Hash(e.Bytes()))
-	return e.Bytes()
-}
-
-// DecodeResult parses an encoded result, returning a *CorruptResultError
-// (with path in the message left to the caller) on any malformed input.
-func DecodeResult(b []byte) (*Result, error) {
-	bad := func(reason string) (*Result, error) {
-		return nil, &CorruptResultError{Reason: reason}
-	}
-	d := snapshot.NewDec(b)
-	if d.Str() != resMagic {
-		return bad("bad magic")
-	}
-	if v := d.U32(); v != resVersion {
-		return bad(fmt.Sprintf("version %d (this build reads %d)", v, resVersion))
-	}
-	r := &Result{}
-	r.Key = d.U64()
-	r.Fingerprint = d.U64()
-	r.Elapsed = d.I64()
-	r.AppLine = d.Str()
-	r.Err = d.Str()
-	n := int(d.U32())
-	if d.Err != nil || n < 0 || n > d.Remaining() {
-		return bad("truncated")
-	}
-	for i := 0; i < n; i++ {
-		r.Breakdown = append(r.Breakdown, BreakdownEntry{Name: d.Str(), Cycles: d.F64()})
-	}
-	body := len(b) - d.Remaining()
-	sum := d.U64()
-	if d.Err != nil {
-		return bad("truncated")
-	}
-	if d.Remaining() != 0 {
-		return bad("trailing bytes")
-	}
-	if got := snapshot.Hash(b[:body]); got != sum {
-		return bad(fmt.Sprintf("checksum mismatch (%#x vs %#x)", got, sum))
-	}
-	return r, nil
-}
-
-// Get returns the cached result for key, counting a hit; (nil, nil) is a
-// clean miss (counted), and a *CorruptResultError is a miss the caller
-// should log and overwrite.
+// Get returns the cached result for key, or nil on a miss, and counts
+// which it was. The error is always nil.
 func (c *Cache) Get(key uint64) (*Result, error) {
-	r, err := c.Peek(key)
+	r := c.peek(key)
 	if r != nil {
 		c.hits.Add(1)
 	} else {
 		c.misses.Add(1)
 	}
-	return r, err
-}
-
-// Peek is Get without touching the hit/miss counters — recovery and status
-// queries use it so introspection doesn't skew the serving hit rate. A
-// corrupt entry is quarantined (renamed to *.quarantine) so the next Put is
-// a clean write and the rotten bytes stay inspectable.
-func (c *Cache) Peek(key uint64) (*Result, error) {
-	p := c.path(key)
-	b, err := c.fs.ReadFile(p)
-	if vfs.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	r, err := DecodeResult(b)
-	if err != nil {
-		if ce, ok := err.(*CorruptResultError); ok {
-			ce.Path = p
-		}
-		c.quarantine(p)
-		return nil, err
-	}
-	if r.Key != key {
-		c.quarantine(p)
-		return nil, &CorruptResultError{Path: p, Reason: "key field does not match file name"}
-	}
 	return r, nil
 }
 
-// quarantine moves a corrupt entry aside. Best-effort: if the rename fails
-// the entry stays in place and the next Put overwrites it anyway.
-func (c *Cache) quarantine(p string) {
-	if c.fs.Rename(p, p+".quarantine") == nil {
-		c.quarantined.Add(1)
-	}
+// peek is Get without touching the hit/miss counters, for recovery.
+func (c *Cache) peek(key uint64) *Result {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.results[key]
 }
 
-// Put atomically stores r under its key.
+// Put durably logs r and indexes it under its key.
 func (c *Cache) Put(r *Result) error {
-	return snapshot.AtomicWriteFileFS(c.fs, c.path(r.Key), Encode(r))
+	if err := c.wal.Append(Record{Type: recResult, Result: r}); err != nil {
+		return err
+	}
+	c.add(r)
+	return nil
 }
 
-// Hits and Misses expose the serving counters; Quarantined counts corrupt
-// entries moved aside.
-func (c *Cache) Hits() int64        { return c.hits.Load() }
-func (c *Cache) Misses() int64      { return c.misses.Load() }
-func (c *Cache) Quarantined() int64 { return c.quarantined.Load() }
+// add indexes a result whose record is already durable.
+func (c *Cache) add(r *Result) {
+	c.mu.Lock()
+	c.results[r.Key] = r
+	c.mu.Unlock()
+}
+
+// records returns one result record per key, in key order: the head of a
+// compacted log.
+func (c *Cache) records() []Record {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	recs := make([]Record, 0, len(c.results))
+	for _, r := range c.results {
+		recs = append(recs, Record{Type: recResult, Result: r})
+	}
+	sort.Slice(recs, func(a, b int) bool { return recs[a].Result.Key < recs[b].Result.Key })
+	return recs
+}
+
+// Hits and Misses expose the serving counters.
+func (c *Cache) Hits() int64   { return c.hits.Load() }
+func (c *Cache) Misses() int64 { return c.misses.Load() }

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"reflect"
 	"testing"
@@ -22,17 +24,45 @@ func sampleResult() *Result {
 	}
 }
 
-// TestCacheRoundTrip: Put then Get returns an identical record and counts a
-// hit; a missing key is a clean miss.
-func TestCacheRoundTrip(t *testing.T) {
-	c, err := OpenCache(vfs.OS{}, t.TempDir())
+func openCache(t *testing.T, dir string) *Cache {
+	t.Helper()
+	c, err := OpenCache(vfs.OS{}, dir)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("open cache %s: %v", dir, err)
 	}
-	want := sampleResult()
+	return c
+}
+
+// cachedSegment stores want in a fresh cache under dir and returns the
+// log's one segment, its bytes, and the offset of want's result record.
+func cachedSegment(t *testing.T, dir string, want *Result) (path string, seg []byte, off int) {
+	t.Helper()
+	c := openCache(t, dir)
 	if err := c.Put(want); err != nil {
 		t.Fatalf("put: %v", err)
 	}
+	c.wal.Close()
+	path = liveSegPath(t, dir)
+	seg, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off = bytes.Index(seg, encodeRecord(&Record{Type: recResult, Result: want}))
+	if off < 0 {
+		t.Fatal("result record not in the segment")
+	}
+	return path, seg, off
+}
+
+// TestCacheRoundTrip: Put then Get, across a reopen that replays the log,
+// returns an identical record and counts a hit; a missing key is a clean
+// miss.
+func TestCacheRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	want := sampleResult()
+	cachedSegment(t, dir, want)
+	c := openCache(t, dir)
+	defer c.wal.Close()
 	got, err := c.Get(want.Key)
 	if err != nil {
 		t.Fatalf("get: %v", err)
@@ -46,127 +76,101 @@ func TestCacheRoundTrip(t *testing.T) {
 	if c.Hits() != 1 || c.Misses() != 1 {
 		t.Fatalf("counters hits=%d misses=%d, want 1/1", c.Hits(), c.Misses())
 	}
-	// Peek must not move the counters.
-	if _, err := c.Peek(want.Key); err != nil {
-		t.Fatal(err)
+	// peek must not move the counters.
+	if c.peek(want.Key) == nil {
+		t.Fatal("peek missed a stored key")
 	}
 	if c.Hits() != 1 || c.Misses() != 1 {
-		t.Fatalf("Peek moved counters: hits=%d misses=%d", c.Hits(), c.Misses())
+		t.Fatalf("peek moved counters: hits=%d misses=%d", c.Hits(), c.Misses())
 	}
 }
 
-// TestCacheEncodingCanonical: equal results encode to equal bytes (the
-// property that makes cached results comparable byte-for-byte).
+// TestCacheEncodingCanonical: equal results encode to equal record bytes
+// (the property that makes cached results comparable byte-for-byte).
 func TestCacheEncodingCanonical(t *testing.T) {
-	a, b := Encode(sampleResult()), Encode(sampleResult())
-	if !reflect.DeepEqual(a, b) {
+	a := encodeRecord(&Record{Type: recResult, Result: sampleResult()})
+	b := encodeRecord(&Record{Type: recResult, Result: sampleResult()})
+	if !bytes.Equal(a, b) {
 		t.Fatal("equal results encoded differently")
 	}
 }
 
-// TestCacheDetectsCorruption: every single-byte corruption of a stored
-// entry decodes to a typed error, never to silently wrong data.
+// TestCacheDetectsCorruption: every single-byte flip and every truncation
+// of a stored result record ends as a quarantined record or a clean miss,
+// never as a wrong result.
 func TestCacheDetectsCorruption(t *testing.T) {
-	c, err := OpenCache(vfs.OS{}, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
 	want := sampleResult()
-	if err := c.Put(want); err != nil {
-		t.Fatal(err)
+	path, seg, off := cachedSegment(t, dir, want)
+	reopen := func(what string, b []byte) (quarantined bool) {
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := OpenCache(vfs.OS{}, dir)
+		if err != nil {
+			t.Fatalf("%s: open: %v", what, err)
+		}
+		defer c.wal.Close()
+		if got, _ := c.Get(want.Key); got != nil {
+			t.Fatalf("%s: read back %+v, want a miss", what, got)
+		}
+		return c.wal.Quarantined() > 0
 	}
-	path := c.path(want.Key)
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < len(blob); i++ {
-		bad := append([]byte(nil), blob...)
+	quarantined := 0
+	for i := off; i < len(seg); i++ {
+		bad := append([]byte(nil), seg...)
 		bad[i] ^= 0x40
-		if err := os.WriteFile(path, bad, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		got, gerr := c.Peek(want.Key)
-		if gerr == nil && got != nil && reflect.DeepEqual(got, want) {
-			continue // flip landed in a spot that decoded back equal — impossible with a checksum
-		}
-		if gerr == nil {
-			t.Fatalf("byte %d corrupted: decoded without error to %+v", i, got)
-		}
-		if _, ok := gerr.(*CorruptResultError); !ok {
-			t.Fatalf("byte %d corrupted: error %T (%v), want *CorruptResultError", i, gerr, gerr)
+		if reopen(fmt.Sprintf("byte %d flipped", i), bad) {
+			quarantined++
 		}
 	}
-	// Truncations too.
-	for _, cut := range []int{0, 1, len(blob) / 2, len(blob) - 1} {
-		if err := os.WriteFile(path, blob[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, gerr := c.Peek(want.Key); gerr == nil {
-			t.Fatalf("truncated to %d bytes: decoded without error", cut)
-		}
+	for _, cut := range []int{off, off + 1, (off + len(seg)) / 2, len(seg) - 1} {
+		reopen(fmt.Sprintf("cut at byte %d", cut), seg[:cut])
 	}
-	if c.Quarantined() == 0 {
-		t.Fatal("corrupt entries were never quarantined")
+	if quarantined == 0 {
+		t.Fatal("no rotten record was ever quarantined")
 	}
 }
 
-// TestCacheQuarantinesCorruptEntry: a corrupt entry is moved to a sibling
-// .quarantine file (the evidence survives) and the slot reads as a clean
-// miss afterwards, so the result is recomputed and re-stored.
+// TestCacheQuarantinesCorruptEntry: a rotten result record is copied to the
+// segment's .quarantine file (the evidence survives) and its key reads as a
+// miss, so the result is recomputed; a second Put restores it durably.
 func TestCacheQuarantinesCorruptEntry(t *testing.T) {
-	c, err := OpenCache(vfs.OS{}, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
 	want := sampleResult()
-	if err := c.Put(want); err != nil {
-		t.Fatal(err)
+	path, _, _ := cachedSegment(t, dir, want)
+	rotRecord(t, dir, Record{Type: recResult, Result: want})
+
+	c := openCache(t, dir)
+	if got, _ := c.Get(want.Key); got != nil {
+		t.Fatalf("rotten record read back as %+v", got)
 	}
-	path := c.path(want.Key)
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob[len(blob)/2] ^= 0x01
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, gerr := c.Peek(want.Key); gerr == nil {
-		t.Fatal("corrupt entry decoded cleanly")
-	}
-	if c.Quarantined() != 1 {
-		t.Fatalf("quarantined = %d, want 1", c.Quarantined())
+	if q := c.wal.Quarantined(); q != 1 {
+		t.Fatalf("quarantined = %d, want 1", q)
 	}
 	if _, err := os.Stat(path + ".quarantine"); err != nil {
 		t.Fatalf("quarantine file missing: %v", err)
 	}
-	// The slot is now a clean miss and a fresh Put restores service.
-	if r, gerr := c.Peek(want.Key); r != nil || gerr != nil {
-		t.Fatalf("after quarantine: got %+v / %v, want clean miss", r, gerr)
-	}
 	if err := c.Put(want); err != nil {
 		t.Fatal(err)
 	}
-	got, gerr := c.Get(want.Key)
-	if gerr != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("after re-put: %+v / %v", got, gerr)
+	c.wal.Close()
+	c = openCache(t, dir)
+	defer c.wal.Close()
+	if got, _ := c.Get(want.Key); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after re-put and reopen: %+v", got)
 	}
 }
 
 // TestCacheErrResult: deterministic aborts are cacheable results.
 func TestCacheErrResult(t *testing.T) {
-	c, err := OpenCache(vfs.OS{}, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
 	want := sampleResult()
 	want.Err = "faults: retry budget exhausted"
-	if err := c.Put(want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Get(want.Key)
-	if err != nil || got.Err != want.Err {
-		t.Fatalf("got %+v / %v", got, err)
+	cachedSegment(t, dir, want)
+	c := openCache(t, dir)
+	defer c.wal.Close()
+	if got, _ := c.Get(want.Key); got == nil || got.Err != want.Err {
+		t.Fatalf("got %+v", got)
 	}
 }

@@ -71,6 +71,7 @@ type job struct {
 type queue struct {
 	mu        sync.Mutex
 	wal       *WAL
+	cache     *Cache // indexes the results complete logs
 	jobs      map[uint64]*job
 	pending   []uint64            // FIFO of pending job ids
 	batches   map[uint64][]uint64 // batch id → job ids in submit order
@@ -81,14 +82,16 @@ type queue struct {
 	failed    int64
 }
 
-// recoverQueue rebuilds the job table from replayed WAL records, restores
-// lost results from the cache where possible, and compacts the log down to
-// the minimal record set a future recovery needs. A failed compaction is
-// reported but not fatal: the uncompacted segments replay to the same job
-// table, so the queue opens degraded rather than refusing to serve.
+// recoverQueue rebuilds the job table from replayed WAL records, attaches
+// each done job's result from the cache, and compacts the log down to the
+// cache's results plus the minimal job records a future recovery needs. A
+// failed compaction is reported but not fatal: the uncompacted segments
+// replay to the same job table, so the queue opens degraded rather than
+// refusing to serve.
 func recoverQueue(wal *WAL, recs []Record, cache *Cache) (q *queue, compactErr error) {
 	q = &queue{
 		wal:     wal,
+		cache:   cache,
 		jobs:    make(map[uint64]*job),
 		batches: make(map[uint64][]uint64),
 	}
@@ -148,8 +151,9 @@ func recoverQueue(wal *WAL, recs []Record, cache *Cache) (q *queue, compactErr e
 	}
 
 	// Materialize done results from the cache. A done record is only ever
-	// written after the cache entry, so a missing or corrupt entry means
-	// the file was deleted or rotted since — self-heal by recomputing.
+	// appended after its result record, so a missing result means that
+	// record was quarantined (or never written, by an older build that kept
+	// results in files) — self-heal by recomputing.
 	ids := make([]uint64, 0, len(q.jobs))
 	for id := range q.jobs {
 		ids = append(ids, id)
@@ -158,11 +162,8 @@ func recoverQueue(wal *WAL, recs []Record, cache *Cache) (q *queue, compactErr e
 	for _, id := range ids {
 		j := q.jobs[id]
 		if j.state == jobDone {
-			res, err := cache.Peek(j.key)
-			if res == nil || err != nil {
+			if j.result = cache.peek(j.key); j.result == nil {
 				j.state, j.cached, j.resumeCycle, j.resumePath = jobPending, false, 0, ""
-			} else {
-				j.result = res
 			}
 		}
 		switch j.state {
@@ -176,7 +177,7 @@ func recoverQueue(wal *WAL, recs []Record, cache *Cache) (q *queue, compactErr e
 		}
 	}
 
-	if err := wal.Compact(q.liveRecords()); err != nil {
+	if err := wal.Compact(append(cache.records(), q.liveRecords()...)); err != nil {
 		compactErr = fmt.Errorf("wal compaction: %w", err)
 	}
 	return q, compactErr
@@ -269,13 +270,21 @@ func (q *queue) claim(now time.Time) *job {
 	return nil
 }
 
-// complete durably finishes a job. The result is already in the cache (its
-// durable home); the WAL records only the transition.
+// complete durably finishes a job. A fresh result is logged in the same
+// append as the done record, ahead of it; a cache hit's result is in the
+// log already.
 func (q *queue) complete(j *job, res *Result, cached bool) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if err := q.wal.Append(Record{Type: recDone, Job: j.id, Key: j.key, Cached: cached}); err != nil {
+	recs := []Record{{Type: recDone, Job: j.id, Key: j.key, Cached: cached}}
+	if !cached {
+		recs = append([]Record{{Type: recResult, Result: res}}, recs...)
+	}
+	if err := q.wal.Append(recs...); err != nil {
 		return err
+	}
+	if !cached {
+		q.cache.add(res) // before the job reads as done, so a resubmit hits
 	}
 	j.state, j.result, j.cached = jobDone, res, cached
 	q.running--

@@ -1,14 +1,18 @@
 package serve
 
 import (
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/runner"
+	"repro/internal/vfs"
 )
 
 // crash simulates kill -9 for in-process tests: workers are cut off (any
@@ -180,9 +184,9 @@ func TestCrashRecoveryMidSweep(t *testing.T) {
 	}
 }
 
-// TestRecoverySelfHealsMissingCacheEntry: a done record whose cache entry
-// has vanished (deleted, rotted) recovers as pending and recomputes —
-// determinism guarantees the same fingerprint.
+// TestRecoverySelfHealsMissingCacheEntry: a done job whose result record
+// has rotted recovers as pending and recomputes — determinism guarantees
+// the same fingerprint.
 func TestRecoverySelfHealsMissingCacheEntry(t *testing.T) {
 	dir := t.TempDir()
 	spec := sweepMatrix()[0]
@@ -196,14 +200,16 @@ func TestRecoverySelfHealsMissingCacheEntry(t *testing.T) {
 	}
 	crash(s1)
 
-	if err := os.Remove(s1.cache.path(jobs1[0].key)); err != nil {
-		t.Fatalf("deleting cache entry: %v", err)
-	}
+	res, _ := s1.cache.Get(jobs1[0].key)
+	rotRecord(t, dir, Record{Type: recResult, Result: res})
 
 	s2 := newTestServer(t, dir, nil)
 	defer s2.Close()
 	if got, _ := s2.q.jobStatus(jobs1[0].id); got.State != StatePending {
-		t.Fatalf("job with lost cache entry recovered as %s, want pending", got.State)
+		t.Fatalf("job with a rotten result record recovered as %s, want pending", got.State)
+	}
+	if q := s2.wal.Quarantined(); q != 1 {
+		t.Fatalf("wal quarantined %d records, want the 1 result record", q)
 	}
 	s2.Start()
 	defer s2.Drain(5 * time.Second)
@@ -359,8 +365,13 @@ func TestPreBumpDataDirMissesNotAliases(t *testing.T) {
 			t.Errorf("job %s still carries the pre-bump key", js.ID)
 		}
 	}
-	if b, err := os.ReadFile(s1.cache.path(preBumpKey)); err != nil || len(b) == 0 {
-		t.Errorf("pre-bump entry was touched (%v): it should simply never be looked up", err)
+	// New compacted the log; the pre-bump result is in the compacted image.
+	survived := false
+	for _, r := range logRecords(t, dir) {
+		survived = survived || r.Type == recResult && r.Result.Key == preBumpKey
+	}
+	if !survived {
+		t.Errorf("the pre-bump result did not survive compaction: it should simply never be looked up")
 	}
 }
 
@@ -387,5 +398,163 @@ func TestRecoveryRunsStoredStepProcsSpec(t *testing.T) {
 	js := waitJobTerminal(t, s1, 0, 30*time.Second)
 	if js.State != StateDone || js.Fingerprint != want || js.Key != plain.KeyString() {
 		t.Fatalf("stored step_procs job: %+v, want done, fingerprint %s, key %s", js, want, plain.KeyString())
+	}
+}
+
+// legacyEntries are cache/KEY.wwr files as a build that kept results in
+// files wrote them for sweepMatrix()[:2]: that build's encoding of each
+// cell's result, keyed by spec.
+var legacyEntries = map[string]string{
+	"6aec257da7aa82de": "070000005757545245530001000000de82aaa77d25ec6a51a7c1d287c0ba062d830700000000000f0000006d61784572723d352e3533652d3133000000000700000008000000426172726965727300000000002072400b000000436f6d7075746174696f6e0000000058111441080000004c696220436f6d7000000000b2d101410a0000004c6962204d69737365730000000000905b400c0000004c6f63616c204d69737365730000000000cf9b400e0000004e6574776f726b204163636573730000000060ffcd400a000000544c42204d69737365730000000000003e4004bc4b5b2519938f",
+	"ce193547cf892bc7": "070000005757545245530001000000c72b89cf473519cea9837cec52497a55ffd20a00000000000f0000006d61784572723d352e3533652d31330000000007000000080000004261727269657273000000006e3804410b000000436f6d7075746174696f6e00000000000314410c0000004c6f63616c204d697373657300000000006062400a000000526564756374696f6e7300000000fc3bf7400d000000536861726564204d697373657300000000e4b9f7400a000000544c42204d697373657300000000006068400c0000005772697465204661756c747300000000509fd640898911927d4ebd42",
+}
+
+// readTree maps every file name under dir to its contents.
+func readTree(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		files[path] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestRecoveryIgnoresLegacyCacheDir: a data dir from a build that kept
+// results in cache/*.wwr files — done records in the log, the results only
+// in those files — opens cleanly. Its done jobs recover as pending and
+// recompute to their baseline fingerprints, and cache/ is left as found.
+func TestRecoveryIgnoresLegacyCacheDir(t *testing.T) {
+	dir := t.TempDir()
+	specs := sweepMatrix()[:2]
+	want := baselineFingerprints(t, specs)
+
+	w, _, _, err := OpenWAL(vfs.OS{}, dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := filepath.Join(dir, "cache")
+	if err := os.Mkdir(legacy, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i, sp := range specs {
+		blob, err := json.Marshal(&sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := uint64(i)
+		if err := w.Append(
+			Record{Type: recSubmit, Job: job, Index: i, Key: sp.CacheKey(), Spec: blob},
+			Record{Type: recDone, Job: job, Key: sp.CacheKey()},
+		); err != nil {
+			t.Fatal(err)
+		}
+		entry, err := hex.DecodeString(legacyEntries[sp.KeyString()])
+		if err != nil || len(entry) == 0 {
+			t.Fatalf("no legacy entry for key %s (%v)", sp.KeyString(), err)
+		}
+		if err := os.WriteFile(filepath.Join(legacy, sp.KeyString()+".wwr"), entry, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+	before := readTree(t, legacy)
+
+	s := newTestServer(t, dir, nil)
+	defer s.Close()
+	for i := range specs {
+		if js, _ := s.q.jobStatus(uint64(i)); js.State != StatePending {
+			t.Fatalf("legacy done job j%d recovered as %s, want pending", i, js.State)
+		}
+	}
+	s.Start()
+	defer s.Drain(5 * time.Second)
+	for i := range specs {
+		js := waitJobTerminal(t, s, uint64(i), 30*time.Second)
+		if js.State != StateDone || js.Cached || js.Fingerprint != want[i] {
+			t.Errorf("legacy job j%d: %s cached=%v fingerprint %s, want a fresh done %s", i, js.State, js.Cached, js.Fingerprint, want[i])
+		}
+	}
+	if after := readTree(t, legacy); !reflect.DeepEqual(after, before) {
+		t.Errorf("cache/ changed: %d files before, %d after", len(before), len(after))
+	}
+}
+
+// TestResultsLiveInTheLog: the data dir holds the log and checkpoints only.
+// A fresh cell's result record is appended just ahead of its done record, a
+// cache hit appends only the done record, and compaction keeps one result
+// record per key, ahead of every job record.
+func TestResultsLiveInTheLog(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, dir, nil)
+	s.runJob = func(spec runner.Spec, opts runner.Options) (*runner.Outcome, error) {
+		return &runner.Outcome{Fingerprint: stubFP(spec.CacheKey()), AppLine: "stub"}, nil
+	}
+	specs := testSpecs()[:2]
+	_, jobs := submitDirect(t, s, append(specs, specs[0]))
+	farFuture := time.Now().Add(time.Hour)
+	for j := s.q.claim(farFuture); j != nil; j = s.q.claim(farFuture) {
+		s.process(j)
+	}
+
+	names, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range names {
+		if n.Name() != walDirName && n.Name() != "ckpt" {
+			t.Errorf("data dir holds %s beside wal/ and ckpt/", n.Name())
+		}
+	}
+	results := map[uint64]int{} // key → index of its result record
+	recs := logRecords(t, dir)
+	for i, r := range recs {
+		switch r.Type {
+		case recResult:
+			results[r.Result.Key] = i
+		case recDone:
+			at, ok := results[r.Key]
+			if !ok || !r.Cached && at != i-1 {
+				t.Errorf("j%d (cached %v): done record at %d, its result record at %d (logged %v)", r.Job, r.Cached, i, at, ok)
+			}
+		}
+	}
+	if len(results) != len(specs) {
+		t.Fatalf("%d result records, want %d", len(results), len(specs))
+	}
+
+	// Log one result twice, then let recovery compact.
+	if err := s.cache.Put(s.cache.peek(jobs[0].key)); err != nil {
+		t.Fatal(err)
+	}
+	crash(s)
+	s2 := newTestServer(t, dir, nil)
+	defer s2.Close()
+	seen := map[uint64]bool{}
+	jobRecords := false
+	for _, r := range logRecords(t, dir) {
+		if r.Type != recResult {
+			jobRecords = true
+			continue
+		}
+		if jobRecords || seen[r.Result.Key] {
+			t.Errorf("compacted log: result record %016x is repeated or follows a job record", r.Result.Key)
+		}
+		seen[r.Result.Key] = true
+	}
+	if len(seen) != len(specs) {
+		t.Errorf("compacted log holds %d result records, want %d", len(seen), len(specs))
+	}
+	for _, j := range jobs {
+		if js, _ := s2.q.jobStatus(j.id); js.State != StateDone || js.Fingerprint != fmt.Sprintf("%#x", stubFP(j.key)) {
+			t.Errorf("j%d after recovery: %s %s", j.id, js.State, js.Fingerprint)
+		}
 	}
 }

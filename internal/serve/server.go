@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,7 +16,7 @@ import (
 
 // Config sizes one Server.
 type Config struct {
-	// Dir is the service's data directory: wal/, cache/, ckpt/.
+	// Dir is the service's data directory: wal/, ckpt/.
 	Dir string
 	// FS is the filesystem every durable artifact goes through. nil means
 	// the host filesystem; tests and the -fault-fsplan flag install a
@@ -115,14 +114,11 @@ func New(cfg Config) (*Server, error) {
 		cfg.WALSegmentBytes = DefaultSegmentBytes
 	}
 
-	cache, err := OpenCache(cfg.FS, filepath.Join(cfg.Dir, "cache"))
-	if err != nil {
-		return nil, err
-	}
 	wal, recs, rep, err := OpenWAL(cfg.FS, cfg.Dir, cfg.WALSegmentBytes)
 	if err != nil {
 		return nil, err
 	}
+	cache := newCache(wal, recs)
 	q, compactErr := recoverQueue(wal, recs, cache)
 	s := &Server{
 		cfg:     cfg,
@@ -355,25 +351,24 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		rate = float64(hits) / float64(hits+misses)
 	}
 	resp := &StatsResponse{
-		Pending:          pending,
-		Running:          running,
-		Done:             done,
-		Failed:           failed,
-		Retries:          s.retries.Load(),
-		Preemptions:      s.preemptions.Load(),
-		Panics:           s.panics.Load(),
-		CacheHits:        hits,
-		CacheMisses:      misses,
-		HitRate:          rate,
-		QueueLimit:       s.cfg.MaxQueue,
-		Draining:         s.draining.Load(),
-		UptimeMS:         time.Since(s.start).Milliseconds(),
-		WALRecords:       s.wal.Records(),
-		WALSegments:      s.wal.Segments(),
-		WALQuarantined:   s.wal.Quarantined(),
-		CacheQuarantined: s.cache.Quarantined(),
-		StorageErrs:      s.storageErrs.Load(),
-		StoragePaused:    s.storagePaused.Load(),
+		Pending:        pending,
+		Running:        running,
+		Done:           done,
+		Failed:         failed,
+		Retries:        s.retries.Load(),
+		Preemptions:    s.preemptions.Load(),
+		Panics:         s.panics.Load(),
+		CacheHits:      hits,
+		CacheMisses:    misses,
+		HitRate:        rate,
+		QueueLimit:     s.cfg.MaxQueue,
+		Draining:       s.draining.Load(),
+		UptimeMS:       time.Since(s.start).Milliseconds(),
+		WALRecords:     s.wal.Records(),
+		WALSegments:    s.wal.Segments(),
+		WALQuarantined: s.wal.Quarantined(),
+		StorageErrs:    s.storageErrs.Load(),
+		StoragePaused:  s.storagePaused.Load(),
 	}
 	if fc, ok := s.cfg.FS.(interface{ FaultCount() int64 }); ok {
 		resp.FSFaults = fc.FaultCount()

@@ -10,7 +10,6 @@ import (
 	"repro/internal/runner"
 	"repro/internal/snapshot"
 	"repro/internal/stats"
-	"repro/internal/vfs"
 )
 
 // The supervisor is the worker pool between the queue and runner.Run, and
@@ -66,7 +65,7 @@ func (s *Server) worker() {
 
 // process drives one claimed job to its next durable state.
 func (s *Server) process(j *job) {
-	if res, err := s.cache.Get(j.key); res != nil {
+	if res, _ := s.cache.Get(j.key); res != nil {
 		if err := s.q.complete(j, res, true); err != nil {
 			s.unrecorded(j, "cache hit", err)
 			return
@@ -75,8 +74,6 @@ func (s *Server) process(j *job) {
 		s.logf("j%d %s/%s done (cache hit, fp %#x)", j.id, j.spec.App, j.spec.Machine, res.Fingerprint)
 		s.cleanCkpts(j)
 		return
-	} else if err != nil {
-		s.logf("j%d: %v (recomputing)", j.id, err)
 	}
 
 	resumeCycle := j.resumeCycle
@@ -130,14 +127,6 @@ func (s *Server) process(j *job) {
 
 	default:
 		res := buildResult(j.key, out)
-		if err := s.cache.Put(res); err != nil {
-			// The cache entry is the result's durable home; without it a
-			// done record would point at nothing. Park the job and let the
-			// next attempt (or the cache fast path, if the entry actually
-			// landed) finish the transition once the disk recovers.
-			s.unrecorded(j, "store result", err)
-			return
-		}
 		if err := s.q.complete(j, res, false); err != nil {
 			s.unrecorded(j, "completion", err)
 			return
@@ -193,7 +182,7 @@ func (s *Server) attempt(j *job) (out *runner.Outcome, err error) {
 		FS:            s.cfg.FS,
 	}
 	if j.resumePath != "" {
-		snap, rerr := readSnapshot(s.cfg.FS, j.resumePath)
+		snap, rerr := snapshot.ReadFileFS(s.cfg.FS, j.resumePath)
 		if rerr == nil {
 			opts.Resume = snap
 		} else {
@@ -201,15 +190,6 @@ func (s *Server) attempt(j *job) (out *runner.Outcome, err error) {
 		}
 	}
 	return s.runJob(j.spec, opts)
-}
-
-// readSnapshot reads and decodes a checkpoint through the configured FS.
-func readSnapshot(fsys vfs.FS, path string) (*snapshot.Snapshot, error) {
-	b, err := fsys.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return snapshot.Decode(b)
 }
 
 // retry applies the bounded-retry policy to a host-level failure.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"path/filepath"
 	"strconv"
@@ -11,13 +12,14 @@ import (
 	"repro/internal/vfs"
 )
 
-// The write-ahead log is the queue's durability layer. Every state change a
-// restart must survive — a job submitted, an attempt failed, a preemption
-// checkpoint taken, a job finished — is appended and fsynced before the
-// change is acknowledged anywhere else. Recovery replays the log: a job
-// with a submit record but no terminal record is pending again (a job that
-// was mid-run when the process died simply reruns — results are
-// deterministic and the cache makes re-completion idempotent).
+// The write-ahead log is the service's one durable store. Every state change
+// a restart must survive — a job submitted, an attempt failed, a preemption
+// checkpoint taken, a result computed, a job finished — is appended and
+// fsynced before the change is acknowledged anywhere else. Recovery replays
+// the log: result records rebuild the cache, and a job with a submit record
+// but no terminal record is pending again (a job that was mid-run when the
+// process died simply reruns — results are deterministic and the cache
+// makes re-completion idempotent).
 //
 // The log is segmented: records append to wal/wal.000001, wal/wal.000002, …
 // with a rotation threshold, so compaction never rewrites unbounded history
@@ -47,14 +49,15 @@ type recType uint8
 
 const (
 	recSubmit  recType = 1 // job accepted: batch, index, key, spec JSON, deadline
-	recDone    recType = 2 // job completed; result lives in the cache under Key
+	recDone    recType = 2 // job completed; its result is the recResult under Key
 	recFail    recType = 3 // job terminally failed: kind + last error
 	recAttempt recType = 4 // one attempt failed; Attempts is the new count
 	recCkpt    recType = 5 // preemption checkpoint taken: cycle + path
+	recResult  recType = 6 // a cell's Result, logged ahead of its recDone
 )
 
-// Record is one durable queue event. Which fields are meaningful depends on
-// Type; encoding is canonical per type.
+// Record is one durable event. Which fields are meaningful depends on Type;
+// encoding is canonical per type, and replay accepts only canonical bytes.
 type Record struct {
 	Type recType
 	Job  uint64
@@ -77,6 +80,9 @@ type Record struct {
 	// recCkpt
 	Cycle int64
 	Path  string
+
+	// recResult
+	Result *Result
 }
 
 func (r *Record) payload() []byte {
@@ -101,6 +107,18 @@ func (r *Record) payload() []byte {
 	case recCkpt:
 		e.I64(r.Cycle)
 		e.Str(r.Path)
+	case recResult:
+		res := r.Result
+		e.U64(res.Key)
+		e.U64(res.Fingerprint)
+		e.I64(res.Elapsed)
+		e.Str(res.AppLine)
+		e.Str(res.Err)
+		e.U32(uint32(len(res.Breakdown)))
+		for _, be := range res.Breakdown {
+			e.Str(be.Name)
+			e.F64(be.Cycles)
+		}
 	}
 	return e.Bytes()
 }
@@ -128,6 +146,18 @@ func decodeRecord(t recType, payload []byte) (Record, error) {
 	case recCkpt:
 		r.Cycle = d.I64()
 		r.Path = d.Str()
+	case recResult:
+		res := &Result{Key: d.U64(), Fingerprint: d.U64(), Elapsed: d.I64(), AppLine: d.Str(), Err: d.Str()}
+		// A row is at least a name length and a float: bound the count by
+		// the bytes left before allocating for it.
+		n := int(d.U32())
+		if n > d.Remaining()/12 {
+			return r, fmt.Errorf("wal: result record: %d breakdown rows overrun the payload", n)
+		}
+		for i := 0; i < n; i++ {
+			res.Breakdown = append(res.Breakdown, BreakdownEntry{Name: d.Str(), Cycles: d.F64()})
+		}
+		r.Result = res
 	default:
 		return r, fmt.Errorf("wal: unknown record type %d", t)
 	}
@@ -217,17 +247,16 @@ func scanSegment(b []byte) (recs []Record, goodLen int, quarantine [][2]int, tor
 	for d.Remaining() > 0 {
 		t := d.U8()
 		payload := d.Blob()
-		sum := d.U64()
+		d.U64() // checksum
 		if d.Err != nil {
 			// Framing ran off the end: a torn tail.
 			return recs, off, quarantine, true, nil
 		}
 		end := hdr + (len(body) - d.Remaining())
-		var ck snapshot.Enc
-		ck.U8(t)
-		ck.Blob(payload)
+		// A record is good when it decodes and re-encodes to exactly the
+		// bytes read, which checks the checksum and canonical form at once.
 		rec, derr := decodeRecord(recType(t), payload)
-		if snapshot.Hash(ck.Bytes()) != sum || derr != nil {
+		if derr != nil || !bytes.Equal(encodeRecord(&rec), b[off:end]) {
 			// The frame is intact but the contents are rotten: quarantine
 			// this record and keep scanning — good records after it must
 			// not be discarded.
@@ -390,9 +419,19 @@ func (w *WAL) createSegment(i int) error {
 // the repair path after a failed or torn append, so a half-written record
 // never precedes a good one on disk.
 func (w *WAL) reset() error {
-	if err := w.fs.Truncate(w.segPath(w.seg), w.segLen); err != nil {
+	path := w.segPath(w.seg)
+	if err := w.fs.Truncate(path, w.segLen); err != nil {
 		return err
 	}
+	// A handle from Create still writes at its old offset, past the cut,
+	// which would leave a hole of zeros that replay misframes; append at
+	// the new end instead.
+	f, err := w.fs.OpenAppend(path)
+	if err != nil {
+		return err
+	}
+	w.f.Close()
+	w.f = f
 	w.broken = false
 	return nil
 }

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 
 	"repro/internal/vfs"
@@ -16,6 +18,7 @@ func sampleRecords() []Record {
 			Spec: []byte(`{"app":"gauss","machine":"mp","procs":4}`), DeadlineMS: 1500},
 		{Type: recAttempt, Job: 1, Attempts: 2},
 		{Type: recCkpt, Job: 1, Cycle: 123456, Path: "/tmp/x/preempt-123456.wws"},
+		{Type: recResult, Result: sampleResult()},
 		{Type: recDone, Job: 1, Key: 0xdeadbeef, Cached: true},
 		{Type: recFail, Job: 2, Attempts: 3, Kind: "panic", Err: "boom"},
 	}
@@ -161,6 +164,43 @@ func TestWALQuarantinesCorruptRecord(t *testing.T) {
 	}
 }
 
+// tornFile lands the first half of its first write, then reports a full
+// disk.
+type tornFile struct {
+	vfs.File
+	tore bool
+}
+
+func (f *tornFile) Write(p []byte) (int, error) {
+	if f.tore {
+		return f.File.Write(p)
+	}
+	f.tore = true
+	n, _ := f.File.Write(p[:len(p)/2])
+	return n, syscall.ENOSPC
+}
+
+// TestWALAppendAfterFailedWrite: an append whose write failed halfway is
+// cut off the segment, and the next append lands at the cut, so replay
+// finds the good record and nothing to quarantine.
+func TestWALAppendAfterFailedWrite(t *testing.T) {
+	dir := t.TempDir()
+	w, _, _ := openWAL(t, dir, 0)
+	w.f = &tornFile{File: w.f}
+	recs := sampleRecords()
+	if err := w.Append(recs...); err == nil {
+		t.Fatal("torn append reported success")
+	}
+	if err := w.Append(recs[0]); err != nil {
+		t.Fatalf("append after the failed write: %v", err)
+	}
+	w.Close()
+	_, got, rep := openWAL(t, dir, 0)
+	if rep.Quarantined != 0 || rep.TornBytes != 0 || !reflect.DeepEqual(got, recs[:1]) {
+		t.Fatalf("replayed %d records, report %+v; want the one good record and no repairs", len(got), rep)
+	}
+}
+
 // TestWALRotation: appends past the threshold rotate into new segments, and
 // a reopen replays across all of them in order.
 func TestWALRotation(t *testing.T) {
@@ -205,7 +245,7 @@ func TestWALCompactDeletesSegments(t *testing.T) {
 	if w.Segments() < 3 {
 		t.Fatalf("setup: only %d segments", w.Segments())
 	}
-	compact := all[3:] // keep just the terminal records
+	compact := all[3:] // keep just the result and terminal records
 	if err := w.Compact(compact); err != nil {
 		t.Fatalf("compact: %v", err)
 	}
@@ -264,11 +304,7 @@ func TestWALRotationRecoveryEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cache, err := OpenCache(vfs.OS{}, filepath.Join(dir, "cache"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		q, cerr := recoverQueue(w, recs, cache)
+		q, cerr := recoverQueue(w, recs, newCache(w, recs))
 		if cerr != nil {
 			t.Fatalf("compaction: %v", cerr)
 		}
@@ -308,5 +344,97 @@ func TestWALRejectsForeignFile(t *testing.T) {
 		t.Fatal("opened a non-WAL segment without error")
 	} else if !strings.Contains(err.Error(), "magic") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// FuzzScanSegment drives arbitrary bytes after a valid segment header
+// through the scanner. It must not panic; the records it returns and the
+// ranges it quarantines must tile the input up to goodLen in order, each
+// record re-encoding to exactly the bytes it was read from.
+func FuzzScanSegment(f *testing.F) {
+	var seg []byte
+	for _, r := range sampleRecords() {
+		seg = append(seg, encodeRecord(&r)...)
+	}
+	f.Add(seg)
+	f.Add(seg[:len(seg)/2])
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xFF}, 64))
+	hdr := len(segHeader())
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		b := append(segHeader(), body...)
+		recs, goodLen, quarantine, torn, err := scanSegment(b)
+		if err != nil {
+			t.Fatalf("valid header rejected: %v", err)
+		}
+		if goodLen < hdr || goodLen > len(b) || (!torn && goodLen != len(b)) {
+			t.Fatalf("goodLen %d outside [%d, %d] (torn %v)", goodLen, hdr, len(b), torn)
+		}
+		off := hdr
+		for off < goodLen {
+			if len(quarantine) > 0 && quarantine[0][0] == off {
+				if q := quarantine[0]; q[1] <= q[0] || q[1] > goodLen {
+					t.Fatalf("quarantine range %v outside [%d, %d]", q, off, goodLen)
+				}
+				off, quarantine = quarantine[0][1], quarantine[1:]
+				continue
+			}
+			if len(recs) == 0 {
+				t.Fatalf("bytes [%d, %d) are neither a record nor quarantined", off, goodLen)
+			}
+			enc := encodeRecord(&recs[0])
+			if !bytes.HasPrefix(b[off:goodLen], enc) {
+				t.Fatalf("record %+v at offset %d does not re-encode to the bytes read", recs[0], off)
+			}
+			off, recs = off+len(enc), recs[1:]
+		}
+		if len(recs) > 0 || len(quarantine) > 0 {
+			t.Fatalf("%d records and %d quarantine ranges lie past goodLen %d", len(recs), len(quarantine), goodLen)
+		}
+	})
+}
+
+// logRecords returns what a recovery of dir's log would replay, read
+// without opening the log.
+func logRecords(t *testing.T, dir string) []Record {
+	t.Helper()
+	var recs []Record
+	for _, name := range segNames(t, dir) {
+		b, err := os.ReadFile(filepath.Join(dir, walDirName, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sr, _, _, _, err := scanSegment(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, sr...)
+	}
+	return recs
+}
+
+// rotRecord flips a byte in the middle of every copy of rec in dir's log:
+// bit rot that leaves the record's framing intact.
+func rotRecord(t *testing.T, dir string, rec Record) {
+	t.Helper()
+	enc := encodeRecord(&rec)
+	found := false
+	for _, name := range segNames(t, dir) {
+		path := filepath.Join(dir, walDirName, name)
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := bytes.Index(b, enc); i >= 0; i = bytes.Index(b, enc) {
+			b[i+len(enc)/2] ^= 0x40
+			found = true
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !found {
+		t.Fatalf("record %+v is not in the log", rec)
 	}
 }

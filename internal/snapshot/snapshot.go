@@ -2,7 +2,6 @@ package snapshot
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"repro/internal/vfs"
@@ -139,9 +138,9 @@ func Decode(b []byte) (*Snapshot, error) {
 
 // AtomicWriteFile writes data to path via a temporary file in the same
 // directory plus a rename, so readers only ever observe the old contents or
-// the complete new contents — never a torn file. Every durable artifact in
-// this repo (checkpoints, cached results, sweep results files) goes through
-// it.
+// the complete new contents — never a torn file. Every durable file in this
+// repo except the WAL's append-only segments (checkpoints, sweep results
+// files) goes through it.
 func AtomicWriteFile(path string, data []byte) error {
 	return AtomicWriteFileFS(vfs.OS{}, path, data)
 }
@@ -180,23 +179,21 @@ func AtomicWriteFileFS(fsys vfs.FS, path string, data []byte) error {
 	return fsys.SyncDir(filepath.Dir(path))
 }
 
-// WriteFile atomically writes the encoded snapshot to path, so a run killed
-// mid-checkpoint never leaves a torn file that a later resume would trip
-// over.
-func WriteFile(path string, s *Snapshot) error {
-	return AtomicWriteFile(path, Encode(s))
-}
-
-// WriteFileFS is WriteFile over an explicit filesystem.
+// WriteFileFS atomically writes the encoded snapshot to path on fsys, so a
+// run killed mid-checkpoint never leaves a torn file that a later resume
+// would trip over.
 func WriteFileFS(fsys vfs.FS, path string, s *Snapshot) error {
 	return AtomicWriteFileFS(fsys, path, Encode(s))
 }
 
-// ReadFile reads and decodes a snapshot file.
-func ReadFile(path string) (*Snapshot, error) {
-	b, err := os.ReadFile(path)
+// ReadFileFS reads and decodes a snapshot file on fsys.
+func ReadFileFS(fsys vfs.FS, path string) (*Snapshot, error) {
+	b, err := fsys.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	return Decode(b)
 }
+
+// ReadFile is ReadFileFS on the host filesystem.
+func ReadFile(path string) (*Snapshot, error) { return ReadFileFS(vfs.OS{}, path) }

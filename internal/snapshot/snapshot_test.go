@@ -5,6 +5,8 @@ import (
 	"errors"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/vfs"
 )
 
 // xorshift is a tiny local generator so the property tests are seeded and
@@ -170,7 +172,7 @@ func TestFileRoundTrip(t *testing.T) {
 	r := xorshift(21)
 	s := randomSnapshot(&r)
 	path := filepath.Join(t.TempDir(), "ckpt-000123.wws")
-	if err := WriteFile(path, s); err != nil {
+	if err := WriteFileFS(vfs.OS{}, path, s); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadFile(path)

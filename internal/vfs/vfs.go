@@ -1,7 +1,7 @@
 // Package vfs is the filesystem seam under every durable artifact in this
-// repo: the serve WAL segments, the content-addressed result cache,
-// checkpoint snapshots, and snapshot.AtomicWriteFile all perform their I/O
-// through the FS interface rather than the os package directly.
+// repo: the serve WAL segments (which also hold the result cache's
+// records), checkpoint snapshots, and snapshot.AtomicWriteFile all perform
+// their I/O through the FS interface rather than the os package directly.
 //
 // Two implementations exist. OS is a passthrough to the host filesystem.
 // Faulty (faulty.go) wraps another FS with a deterministic, seeded fault

@@ -4,7 +4,8 @@
 # same matrix through wwtserved with a kill -9 in the middle, restart the
 # daemon, and require the sweep to complete with every cell present exactly
 # once and fingerprints identical to the local (uninterrupted) run. A final
-# resubmission must be served entirely from the result cache.
+# resubmission must be served entirely from the result cache, and the data
+# dir must hold no cache/ directory: results are WAL records.
 #
 # Usage: scripts/sweep_service_e2e.sh [workdir]
 #
@@ -117,6 +118,12 @@ print(f\"fault plan injected {st['fs_faults']} faults \"
 " "$stats"
 fi
 kill "$daemon"; wait "$daemon" 2>/dev/null || true
+
+# Results live in the WAL as records; the daemon keeps no other store.
+if [ -e "$work/data/cache" ]; then
+  echo "daemon data dir has a cache/ directory; results belong in the WAL" >&2
+  exit 1
+fi
 
 python3 - "$work" <<'EOF'
 import json, sys
