@@ -4,9 +4,9 @@
 // guarantees — a WAL-backed job queue that survives kill -9 with no lost or
 // duplicated work, a content-addressed result cache kept in that same log
 // that serves resubmitted cells bit-identically, supervised execution (panic isolation,
-// wall-clock deadlines that checkpoint-and-resume rather than restart,
-// bounded retries), and graceful SIGTERM drain that parks in-flight jobs as
-// checkpoints.
+// wall-clock deadlines that preempt-and-resume rather than restart,
+// bounded retries), and graceful SIGTERM drain that parks in-flight jobs at
+// resume points kept in the same log.
 //
 // Usage:
 //
@@ -16,7 +16,7 @@
 //	          [-wal-segment-bytes N] [-fault-fsplan PLAN]
 //
 // -fault-fsplan installs a seeded, deterministic filesystem fault plan
-// under every durable artifact (WAL and checkpoints) — the disk-level
+// under the WAL, the service's only durable store — the disk-level
 // sibling of wwtsim's -faults/-faultseed — e.g.
 // "seed=7,torn=0.02,fsync=0.01,enospc=0.05,crash=123". For testing only.
 //
@@ -44,15 +44,15 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8723", "listen address")
-	dir := flag.String("dir", "wwtserved-data", "data directory (WAL with the cached results, checkpoints)")
+	dir := flag.String("dir", "wwtserved-data", "data directory (its wal/ holds the queue, cached results and resume points)")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "worker pool size (concurrent runs)")
-	runWorkers := flag.Int("run-workers", 1, "engine workers inside each run (0 = GOMAXPROCS)")
+	runWorkers := flag.Int("run-workers", 1, "engine workers inside each run (0 or 1 = serial)")
 	maxQueue := flag.Int("max-queue", 4096, "admission bound on pending+running jobs (excess batches get 429)")
 	retries := flag.Int("retries", 3, "bounded retries for host-level job failures")
 	maxPreempts := flag.Int("max-preempts", 8, "deadline preemptions per job before terminal failure")
-	deadline := flag.Duration("deadline", 0, "default per-attempt wall-clock deadline (0 = none); preempts to a checkpoint")
+	deadline := flag.Duration("deadline", 0, "default per-attempt wall-clock deadline (0 = none); preempts to a resume point")
 	backoff := flag.Duration("backoff", 250*time.Millisecond, "base retry backoff (doubles per attempt)")
-	drainTimeout := flag.Duration("drain-timeout", 60*time.Second, "max wait for in-flight jobs to checkpoint on SIGTERM")
+	drainTimeout := flag.Duration("drain-timeout", 60*time.Second, "max wait for in-flight jobs to park at a resume point on SIGTERM")
 	quiet := flag.Bool("quiet", false, "suppress per-job progress logs")
 	segBytes := flag.Int64("wal-segment-bytes", serve.DefaultSegmentBytes, "WAL segment rotation threshold")
 	fsplan := flag.String("fault-fsplan", "", "seeded filesystem fault plan (testing), e.g. seed=7,torn=0.02,fsync=0.01,enospc=0.05,crash=N")
@@ -70,9 +70,6 @@ func main() {
 		}
 		log.Printf("wwtserved: injecting filesystem faults: %s", *fsplan)
 		fsys = vfs.NewFaulty(vfs.OS{}, plan)
-	}
-	if *runWorkers <= 0 {
-		*runWorkers = runtime.GOMAXPROCS(0) // serve.New would read 0 as serial
 	}
 	if err := os.MkdirAll(*dir, 0o755); err != nil {
 		log.Fatalf("wwtserved: %v", err)
@@ -109,7 +106,7 @@ func main() {
 	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case sig := <-sigc:
-		log.Printf("wwtserved: %v: draining in-flight jobs to checkpoints", sig)
+		log.Printf("wwtserved: %v: draining in-flight jobs to resume points", sig)
 		if err := s.Drain(*drainTimeout); err != nil {
 			log.Printf("wwtserved: %v", err)
 		}

@@ -88,7 +88,7 @@ func main() {
 	ckDir := flag.String("checkpoint-dir", ".", "directory for checkpoint files")
 	resume := flag.String("resume", "", "resume (replay + verify) from a snapshot file")
 	runUntil := flag.Int64("run-until", 0, "stop cleanly at the first quantum boundary at or after this cycle (0 = off)")
-	workers := flag.Int("workers", 1, "host worker pool for the processor phase (1 = serial, 0 = GOMAXPROCS); fingerprint-neutral")
+	workers := flag.Int("workers", 1, "host worker pool for the processor phase (0 or 1 = serial); fingerprint-neutral")
 	hwCombining := flag.Bool("hw-combining", false, "ablation: in-network hardware combining tree for reductions")
 	flag.Parse()
 

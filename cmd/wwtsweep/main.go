@@ -28,12 +28,12 @@
 // under $TMPDIR and removes it at exit, also on SIGINT or SIGTERM; a write
 // that fails there ends the sweep (status 2) rather than rerunning a cell
 // it cannot record. Either way a panicking cell is retried and then
-// recorded as a terminal failure, -deadline preempts to a checkpoint, and a
-// repeated cell comes back from the result cache ("cached").
+// recorded as a terminal failure, -deadline preempts to a resume point, and
+// a repeated cell comes back from the result cache ("cached").
 //
 // The local service runs -jobs cells at once (default: all host cores),
-// each with -workers engine workers (sim.Engine.Workers, 0 = GOMAXPROCS;
-// default 1, as run-level sharding already fills the host). A daemon sizes
+// each with -workers engine workers (sim.Engine.Workers; 0 or 1 = serial,
+// the default, as run-level sharding already fills the host). A daemon sizes
 // its own pool, so -server rejects both. Fingerprints do not depend on
 // either: -verify-workers N reruns the matrix with Workers=N on a second
 // local service (the first would answer from its cache) and fails loudly if
@@ -101,7 +101,8 @@ type RunResult struct {
 }
 
 // Output is the results file schema. Jobs and RunWorkers size the local
-// service; they are 0 with -server, where the daemon's flags size it.
+// service (RunWorkers as given: 0 and 1 both run serially); they are 0
+// with -server, where the daemon's flags size it.
 type Output struct {
 	StartedAt  string      `json:"started_at"`
 	WallMS     int64       `json:"wall_ms"`
@@ -126,7 +127,7 @@ func run(args []string) int {
 	nackRates := fs.String("nackrates", "", "comma-separated directory NACK rates (sm machines)")
 	seeds := fs.String("seeds", "1", "comma-separated fault seeds (fault-injected runs only)")
 	jobs := fs.Int("jobs", 0, "concurrent runs of the local service (0 = all host cores)")
-	workers := fs.Int("workers", 1, "engine worker pool inside each local run (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 1, "engine worker pool inside each local run (0 or 1 = serial)")
 	verifyWorkers := fs.Int("verify-workers", 0, "re-run the matrix locally with this many engine workers and require identical fingerprints")
 	out := fs.String("out", "sweep-results.json", "results file")
 	quiet := fs.Bool("quiet", false, "suppress per-run progress lines")
@@ -189,9 +190,6 @@ func run(args []string) int {
 		cfg = serve.Config{Jobs: min(*jobs, len(specs)), RunWorkers: *workers}
 		if *jobs <= 0 {
 			cfg.Jobs = min(runtime.NumCPU(), len(specs))
-		}
-		if *workers <= 0 {
-			cfg.RunWorkers = runtime.GOMAXPROCS(0)
 		}
 		results, err = inProcessSweep(ctx, cfg, specs, *deadline, *patience, *quiet)
 		if err == nil && *verifyWorkers > 0 {

@@ -7,9 +7,9 @@
 // JSON inside every snapshot, so a resume rebuilds the identical machine
 // from the file alone. Resume is replay-based (see package snapshot): the
 // run re-executes from cycle zero and, at the recorded checkpoint cycle,
-// the reconstructed machine state and accounting must be byte-identical to
-// the snapshot — any mismatch aborts with a *ReplayDivergenceError naming
-// what diverged.
+// the reconstructed machine state must hash to the snapshot's state hash
+// and the accounting must be byte-identical to its stats — any mismatch
+// aborts with a *ReplayDivergenceError naming what diverged.
 package runner
 
 import (
@@ -29,7 +29,6 @@ import (
 	"repro/internal/parmacs"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
-	"repro/internal/vfs"
 )
 
 // MaxProcs bounds Spec.Procs. 4096 comfortably covers the scaling studies
@@ -197,29 +196,19 @@ type Options struct {
 	// byte-identical, else the run aborts with a *ReplayDivergenceError.
 	Resume *snapshot.Snapshot
 	// Workers bounds intra-run host parallelism (cost.Config.Workers /
-	// sim.Engine.Workers): 0 uses GOMAXPROCS, 1 forces serial dispatch. A
-	// host knob, deliberately not part of Spec: any value yields the same
-	// fingerprint, so it lives beside the other run-local options.
+	// sim.Engine.Workers): 0 or 1 dispatches serially, N > 1 runs a pool of
+	// N. A host knob, deliberately not part of Spec: any value yields the
+	// same fingerprint, so it lives beside the other run-local options.
 	Workers int
 	// Interrupt, when non-nil, arms cooperative preemption: once Fire is
 	// called (from any goroutine — a wall-clock deadline timer, a drain
-	// signal), the run stops at the next quantum boundary, writes a
-	// preemption checkpoint to CheckpointDir, and aborts with a
-	// *PreemptedError. The checkpoint is an ordinary snapshot, so a later
-	// Run with Resume picks the job up from that cycle (replay-verified)
-	// instead of discarding the work.
+	// signal), the run stops at the next quantum boundary, captures a
+	// snapshot there into Outcome.Preempted, and aborts with a
+	// *PreemptedError. Nothing is written: the snapshot is an ordinary one,
+	// so the caller keeps it wherever it likes, and a later Run with Resume
+	// picks the job up from that cycle (replay-verified) instead of
+	// discarding the work.
 	Interrupt *Interrupt
-	// FS, when non-nil, routes checkpoint writes through an explicit
-	// filesystem (the sweep service passes its fault-injectable one). nil
-	// means the host filesystem.
-	FS vfs.FS
-}
-
-func (o *Options) fs() vfs.FS {
-	if o.FS != nil {
-		return o.FS
-	}
-	return vfs.OS{}
 }
 
 // Interrupt is a one-shot, goroutine-safe preemption request. The zero
@@ -235,15 +224,12 @@ func (i *Interrupt) Fire() { i.fired.Store(true) }
 func (i *Interrupt) Fired() bool { return i.fired.Load() }
 
 // PreemptedError is the planned-abort report of an interrupted run: the
-// quantum boundary it stopped on and the checkpoint written there. It is a
-// cooperative stop, not a failure — the checkpoint resumes the job.
-type PreemptedError struct {
-	Cycle sim.Time
-	Path  string
-}
+// quantum boundary it stopped on. It is a cooperative stop, not a failure —
+// the snapshot taken there (Outcome.Preempted) resumes the job.
+type PreemptedError struct{ Cycle sim.Time }
 
 func (e *PreemptedError) Error() string {
-	return fmt.Sprintf("runner: preempted at cycle %d (checkpoint %s)", e.Cycle, e.Path)
+	return fmt.Sprintf("runner: preempted at cycle %d", e.Cycle)
 }
 
 // Checkpoint records one snapshot written during a run.
@@ -271,12 +257,10 @@ type Outcome struct {
 	// quantum boundary it happened on.
 	Stopped   bool
 	StoppedAt sim.Time
-	// Preempted reports that Options.Interrupt fired and the run stopped at
-	// PreemptedAt with a checkpoint at PreemptPath (also appended to
-	// Checkpoints).
-	Preempted   bool
-	PreemptedAt sim.Time
-	PreemptPath string
+	// Preempted, when non-nil, reports that Options.Interrupt fired: it is
+	// the snapshot of the quantum boundary the run stopped on, ready to
+	// pass back as Options.Resume.
+	Preempted *snapshot.Snapshot
 	// Verified reports that resume verification ran and passed.
 	Verified bool
 }
@@ -344,16 +328,16 @@ func Run(spec Spec, opts Options) (*Outcome, error) {
 		default:
 			return
 		}
+		// A checkpoint carries the state image's hash, not the image:
+		// replay verification compares nothing else.
 		capture := func(now sim.Time) *snapshot.Snapshot {
 			var se, te snapshot.Enc
 			me.EncodeState(&se)
 			me.EncodeStats(&te)
-			state := se.Bytes()
 			return &snapshot.Snapshot{
 				Spec:      specJSON,
 				Cycle:     int64(now),
-				StateHash: snapshot.Hash(state),
-				State:     state,
+				StateHash: snapshot.Hash(se.Bytes()),
 				Stats:     te.Bytes(),
 			}
 		}
@@ -408,7 +392,7 @@ func Run(spec Spec, opts Options) (*Outcome, error) {
 					next += every
 				}
 				path := filepath.Join(opts.CheckpointDir, fmt.Sprintf("ckpt-%d.wws", now))
-				if err := snapshot.WriteFileFS(opts.fs(), path, capture(now)); err != nil {
+				if err := snapshot.AtomicWriteFile(path, snapshot.Encode(capture(now))); err != nil {
 					hookErr = err
 					eng.Abort(err)
 					return
@@ -420,18 +404,11 @@ func Run(spec Spec, opts Options) (*Outcome, error) {
 			eng.AddQuantumHook(func(now sim.Time) {
 				// A cycle-0 checkpoint would resume nothing; defer to the
 				// first boundary with real progress behind it.
-				if now == 0 || hookErr != nil || out.Preempted || !intr.Fired() {
+				if now == 0 || hookErr != nil || out.Preempted != nil || !intr.Fired() {
 					return
 				}
-				path := filepath.Join(opts.CheckpointDir, fmt.Sprintf("preempt-%d.wws", now))
-				if err := snapshot.WriteFileFS(opts.fs(), path, capture(now)); err != nil {
-					hookErr = err
-					eng.Abort(err)
-					return
-				}
-				out.Checkpoints = append(out.Checkpoints, Checkpoint{Cycle: now, Path: path})
-				out.Preempted, out.PreemptedAt, out.PreemptPath = true, now, path
-				eng.Abort(&PreemptedError{Cycle: now, Path: path})
+				out.Preempted = capture(now)
+				eng.Abort(&PreemptedError{Cycle: now})
 			})
 		}
 		if opts.RunUntil > 0 {
@@ -447,7 +424,7 @@ func Run(spec Spec, opts Options) (*Outcome, error) {
 	if hookErr != nil {
 		return out, hookErr
 	}
-	if opts.Resume != nil && !out.Verified && !out.Stopped && !out.Preempted {
+	if opts.Resume != nil && !out.Verified && !out.Stopped && out.Preempted == nil {
 		e := &ReplayDivergenceError{Cycle: sim.Time(opts.Resume.Cycle), What: "end"}
 		return out, e
 	}

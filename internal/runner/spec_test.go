@@ -3,6 +3,7 @@ package runner
 import (
 	"encoding/json"
 	"math/rand"
+	"os"
 	"reflect"
 	"testing"
 
@@ -405,10 +406,10 @@ func TestValidateProcsBoundary(t *testing.T) {
 }
 
 // TestInterruptPreemptsAndResumes exercises the runner-level preemption
-// primitive directly: an interrupt fired mid-run checkpoints at the next
-// quantum boundary and aborts with a typed error; a second run resuming
-// from that checkpoint verifies the replay and matches the uninterrupted
-// fingerprint.
+// primitive directly: an interrupt fired mid-run captures a snapshot of the
+// next quantum boundary in memory and aborts with a typed error, writing no
+// file; a second run resuming from that snapshot verifies the replay and
+// matches the uninterrupted fingerprint.
 func TestInterruptPreemptsAndResumes(t *testing.T) {
 	spec := Spec{App: "gauss", Machine: "mp", Procs: 4, Size: 48}
 	base, err := Run(spec, Options{})
@@ -423,21 +424,25 @@ func TestInterruptPreemptsAndResumes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("preempted run errored at the harness level: %v", err)
 	}
-	if !out.Preempted || out.PreemptPath == "" {
+	snap := out.Preempted
+	if snap == nil {
 		t.Fatalf("run did not preempt: %+v", out)
 	}
 	perr, ok := out.Res.Err.(*PreemptedError)
 	if !ok {
 		t.Fatalf("abort error %T (%v), want *PreemptedError", out.Res.Err, out.Res.Err)
 	}
-	if perr.Cycle != out.PreemptedAt || perr.Cycle <= 0 {
-		t.Fatalf("preempted at cycle %d (outcome says %d), want a positive boundary", perr.Cycle, out.PreemptedAt)
+	if int64(perr.Cycle) != snap.Cycle || perr.Cycle <= 0 {
+		t.Fatalf("preempted at cycle %d (snapshot says %d), want a positive boundary", perr.Cycle, snap.Cycle)
+	}
+	if len(snap.State) != 0 || snap.StateHash == 0 || len(snap.Stats) == 0 {
+		t.Fatalf("preempt snapshot: %d state bytes, hash %#x, %d stats bytes; want the hash and stats only",
+			len(snap.State), snap.StateHash, len(snap.Stats))
+	}
+	if left, err := os.ReadDir(dir); err != nil || len(left) > 0 || len(out.Checkpoints) > 0 {
+		t.Fatalf("preemption wrote files: %v %v, checkpoints %v", left, err, out.Checkpoints)
 	}
 
-	snap, err := snapshot.ReadFile(out.PreemptPath)
-	if err != nil {
-		t.Fatalf("reading preempt checkpoint: %v", err)
-	}
 	res, err := Run(spec, Options{Resume: snap})
 	if err != nil {
 		t.Fatalf("resume: %v", err)

@@ -16,10 +16,10 @@
 //     so resubmission is served with a cache-hit marker and a bit-identical
 //     fingerprint;
 //   - supervised execution (supervisor.go): per-job panic isolation,
-//     wall-clock deadlines that preempt a job into a checkpoint and requeue
-//     it to resume (replay-verified) instead of restarting, and bounded
-//     retries with exponential backoff ending in a typed terminal-failure
-//     record.
+//     wall-clock deadlines that preempt a job to a resume point logged in
+//     the WAL and requeue it to resume (replay-verified) instead of
+//     restarting, and bounded retries with exponential backoff ending in a
+//     typed terminal-failure record.
 //
 // This file defines the HTTP/JSON wire types shared by the server and the
 // wwtsweep -server thin client.
@@ -32,7 +32,7 @@ import "repro/internal/runner"
 type SubmitRequest struct {
 	Runs []runner.Spec `json:"runs"`
 	// DeadlineMS, when positive, bounds each job attempt's wall-clock time;
-	// a job that exceeds it is checkpointed and requeued to resume. Zero
+	// a job that exceeds it is preempted and requeued to resume. Zero
 	// uses the server's default.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
@@ -71,9 +71,9 @@ type JobStatus struct {
 	// than computed by this job.
 	Cached bool `json:"cached,omitempty"`
 	// Attempts counts failed attempts so far; Preemptions counts deadline
-	// preemptions. ResumeCycle is the checkpoint cycle the next attempt
-	// resumes from (0 = from scratch); ResumedFrom is the checkpoint cycle
-	// a finished job verifiably resumed through.
+	// preemptions. ResumeCycle is the cycle of the resume point the next
+	// attempt replays through (0 = from scratch); ResumedFrom is the resume
+	// point a finished job verifiably replayed through.
 	Attempts    int   `json:"attempts,omitempty"`
 	Preemptions int   `json:"preemptions,omitempty"`
 	ResumeCycle int64 `json:"resume_cycle,omitempty"`

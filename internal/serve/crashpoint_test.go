@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/runner"
+	"repro/internal/snapshot"
 	"repro/internal/vfs"
 )
 
@@ -66,11 +67,44 @@ func allJobIDs(s *Server) []uint64 {
 // spec: derived from the cache key alone, so reruns are bit-identical.
 func stubFP(key uint64) uint64 { return key ^ 0x5eed1dea }
 
+// stubResume is the resume point the stubbed executor preempts the
+// workload's second cell to, once: a deadline preemption injected without
+// a wall clock, so the script's VFS operations stay reproducible and every
+// crash point lands before, inside or after a resume record.
+func stubResume(key uint64) *snapshot.Snapshot {
+	return &snapshot.Snapshot{Cycle: 4096, StateHash: key ^ 0xc0ffee, Stats: []byte(fmt.Sprintf("stats of %016x", key))}
+}
+
+// stubRun is the deterministic executor the crash harness installs. The
+// cell with key preempt is preempted to stubResume unless it resumes; a
+// resumed attempt must carry exactly that resume point and verifies it.
+func stubRun(t *testing.T, ran map[string]int, preempt uint64) func(runner.Spec, runner.Options) (*runner.Outcome, error) {
+	return func(spec runner.Spec, opts runner.Options) (*runner.Outcome, error) {
+		key := spec.CacheKey()
+		ran[fmt.Sprintf("%016x", key)]++
+		if opts.Resume != nil {
+			if want := stubResume(key); !reflect.DeepEqual(opts.Resume, want) {
+				t.Fatalf("key %016x resumed through %+v, want %+v", key, opts.Resume, want)
+			}
+			return &runner.Outcome{Fingerprint: stubFP(key), AppLine: "stub", Verified: true}, nil
+		}
+		if key == preempt {
+			return &runner.Outcome{Preempted: stubResume(key)}, nil
+		}
+		return &runner.Outcome{Fingerprint: stubFP(key), AppLine: "stub"}, nil
+	}
+}
+
+// preemptedCell is the crash workload's second cell, which its first attempt
+// preempts.
+var preemptedCell = runner.Spec{App: "gauss", Machine: "mp", Procs: 4, Size: 44}
+
 // crashWorkload drives a fixed, single-threaded workload against a server
-// on fsys: three submits interleaved with direct claim/process calls, then
-// a bounded drain. It returns the acked jobs (job id → expected fingerprint
-// string) and the set of keys the stub actually executed. Every step
-// tolerates injected failure — that is the point.
+// on fsys: three submits interleaved with direct claim/process calls, one
+// of which preempts preemptedCell to a resume point, then a bounded drain.
+// It returns the acked jobs (job id → expected fingerprint string) and the
+// set of keys the stub actually executed. Every step tolerates injected
+// failure — that is the point.
 func crashWorkload(t *testing.T, fsys vfs.FS, dir string) (acked map[string]string, ran map[string]int) {
 	t.Helper()
 	acked = map[string]string{}
@@ -88,11 +122,7 @@ func crashWorkload(t *testing.T, fsys vfs.FS, dir string) (acked map[string]stri
 		return acked, ran // crashed during open; nothing was acked
 	}
 	defer s.wal.Close()
-	s.runJob = func(spec runner.Spec, opts runner.Options) (*runner.Outcome, error) {
-		key := spec.CacheKey()
-		ran[fmt.Sprintf("%016x", key)]++
-		return &runner.Outcome{Fingerprint: stubFP(key), AppLine: "stub"}, nil
-	}
+	s.runJob = stubRun(t, ran, preemptedCell.CacheKey())
 	h := s.Handler()
 
 	specAt := func(size int) runner.Spec {
@@ -148,11 +178,7 @@ func recoverAndFinish(t *testing.T, dir string, context string) (states map[stri
 	}
 	defer s.wal.Close()
 	ran = map[string]int{}
-	s.runJob = func(spec runner.Spec, opts runner.Options) (*runner.Outcome, error) {
-		key := spec.CacheKey()
-		ran[fmt.Sprintf("%016x", key)]++
-		return &runner.Outcome{Fingerprint: stubFP(key), AppLine: "stub"}, nil
-	}
+	s.runJob = stubRun(t, ran, 0) // a cell already preempted resumes; none preempts again
 
 	doneAtOpen = map[string]bool{}
 	states = map[string]JobStatus{}
@@ -194,6 +220,13 @@ func TestCrashPointExploration(t *testing.T) {
 	}
 	if len(baseAcked) != 9 {
 		t.Fatalf("clean workload acked %d jobs, want 9", len(baseAcked))
+	}
+	resumeLogged := false
+	for _, r := range logRecords(t, baseDir) {
+		resumeLogged = resumeLogged || r.Type == recResume && r.Resume != nil
+	}
+	if !resumeLogged {
+		t.Fatal("clean workload logged no resume record")
 	}
 	baseStates, _, _ := recoverAndFinish(t, baseDir, "baseline")
 	for id, wantFP := range baseAcked {

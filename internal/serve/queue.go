@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/runner"
+	"repro/internal/snapshot"
 )
 
 // queue is the in-memory job table, authoritative only as a projection of
@@ -56,11 +57,11 @@ type job struct {
 	notBefore time.Time // retry backoff gate
 	wallMS    int64     // accumulated attempt wall time
 
-	// resume checkpoint from the last preemption, if any
-	resumeCycle int64
-	resumePath  string
+	// resume is the snapshot the last preemption took, if any; the next
+	// attempt replays through it.
+	resume *snapshot.Snapshot
 	// resumedFrom is set when a finished attempt verifiably replayed
-	// through a resume checkpoint (Outcome.Verified at that cycle).
+	// through a resume point (Outcome.Verified at that cycle).
 	resumedFrom int64
 
 	cached             bool
@@ -134,9 +135,9 @@ func recoverQueue(wal *WAL, recs []Record, cache *Cache) (q *queue, compactErr e
 			if j := q.jobs[r.Job]; j != nil {
 				j.attempts = r.Attempts
 			}
-		case recCkpt:
+		case recResume:
 			if j := q.jobs[r.Job]; j != nil {
-				j.resumeCycle, j.resumePath = r.Cycle, r.Path
+				j.resume = r.Resume
 			}
 		case recDone:
 			if j := q.jobs[r.Job]; j != nil && j.state != jobFailed {
@@ -163,7 +164,7 @@ func recoverQueue(wal *WAL, recs []Record, cache *Cache) (q *queue, compactErr e
 		j := q.jobs[id]
 		if j.state == jobDone {
 			if j.result = cache.peek(j.key); j.result == nil {
-				j.state, j.cached, j.resumeCycle, j.resumePath = jobPending, false, 0, ""
+				j.state, j.cached, j.resume = jobPending, false, nil
 			}
 		}
 		switch j.state {
@@ -184,7 +185,7 @@ func recoverQueue(wal *WAL, recs []Record, cache *Cache) (q *queue, compactErr e
 }
 
 // liveRecords flattens the current job table into the minimal WAL image:
-// one submit per job plus its surviving attempt/checkpoint/terminal state.
+// one submit per job plus its surviving attempt/resume/terminal state.
 // Caller holds no lock (only used during single-threaded recovery).
 func (q *queue) liveRecords() []Record {
 	var ids []uint64
@@ -202,8 +203,8 @@ func (q *queue) liveRecords() []Record {
 		if j.attempts > 0 && j.state != jobFailed {
 			recs = append(recs, Record{Type: recAttempt, Job: j.id, Attempts: j.attempts})
 		}
-		if j.resumePath != "" && j.state != jobDone && j.state != jobFailed {
-			recs = append(recs, Record{Type: recCkpt, Job: j.id, Cycle: j.resumeCycle, Path: j.resumePath})
+		if j.resume != nil && j.state != jobDone && j.state != jobFailed {
+			recs = append(recs, Record{Type: recResume, Job: j.id, Resume: j.resume})
 		}
 		switch j.state {
 		case jobDone:
@@ -286,7 +287,9 @@ func (q *queue) complete(j *job, res *Result, cached bool) error {
 	if !cached {
 		q.cache.add(res) // before the job reads as done, so a resubmit hits
 	}
-	j.state, j.result, j.cached = jobDone, res, cached
+	// A finished job's resume point is dead weight: its stats can run to
+	// hundreds of KB.
+	j.state, j.result, j.cached, j.resume = jobDone, res, cached, nil
 	q.running--
 	q.done++
 	return nil
@@ -299,7 +302,7 @@ func (q *queue) fail(j *job, kind, text string) error {
 	if err := q.wal.Append(Record{Type: recFail, Job: j.id, Attempts: j.attempts, Kind: kind, Err: text}); err != nil {
 		return err
 	}
-	j.state, j.failKind, j.failText = jobFailed, kind, text
+	j.state, j.failKind, j.failText, j.resume = jobFailed, kind, text, nil
 	q.running--
 	q.failed++
 	return nil
@@ -307,15 +310,15 @@ func (q *queue) fail(j *job, kind, text string) error {
 
 // requeueRetry returns a failed attempt to the queue with its new attempt
 // count persisted and an exponential-backoff gate. clearResume also
-// persists dropping the job's resume checkpoint (a replay divergence means
-// that checkpoint can never verify again — the job restarts from scratch).
+// persists dropping the job's resume point (a replay divergence means that
+// point can never verify again — the job restarts from scratch).
 func (q *queue) requeueRetry(j *job, backoff time.Duration, clearResume bool) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	att := j.attempts + 1
 	recs := []Record{{Type: recAttempt, Job: j.id, Attempts: att}}
 	if clearResume {
-		recs = append(recs, Record{Type: recCkpt, Job: j.id})
+		recs = append(recs, Record{Type: recResume, Job: j.id})
 	}
 	if err := q.wal.Append(recs...); err != nil {
 		// Nothing durable changed, so nothing in memory may either.
@@ -323,7 +326,7 @@ func (q *queue) requeueRetry(j *job, backoff time.Duration, clearResume bool) er
 	}
 	j.attempts = att
 	if clearResume {
-		j.resumeCycle, j.resumePath = 0, ""
+		j.resume = nil
 	}
 	j.state = jobPending
 	j.notBefore = time.Now().Add(backoff)
@@ -351,7 +354,7 @@ func (q *queue) unclaim(j *job, backoff time.Duration) {
 }
 
 // noteRun accumulates per-attempt wall time and, when the attempt
-// verifiably replayed through a resume checkpoint, records that cycle.
+// verifiably replayed through a resume point, records that cycle.
 func (q *queue) noteRun(j *job, wallMS, resumedFrom int64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -362,15 +365,15 @@ func (q *queue) noteRun(j *job, wallMS, resumedFrom int64) {
 }
 
 // requeuePreempt returns a deadline- or drain-preempted job to the queue
-// with its resume checkpoint persisted, so the next attempt (possibly in a
+// with its resume point persisted, so the next attempt (possibly in a
 // future process) resumes instead of restarting.
-func (q *queue) requeuePreempt(j *job, cycle int64, path string, countPreempt bool) error {
+func (q *queue) requeuePreempt(j *job, snap *snapshot.Snapshot, countPreempt bool) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if err := q.wal.Append(Record{Type: recCkpt, Job: j.id, Cycle: cycle, Path: path}); err != nil {
+	if err := q.wal.Append(Record{Type: recResume, Job: j.id, Resume: snap}); err != nil {
 		return err
 	}
-	j.resumeCycle, j.resumePath = cycle, path
+	j.resume = snap
 	if countPreempt {
 		j.preempts++
 	}
@@ -405,8 +408,8 @@ func (j *job) status() JobStatus {
 		ResumedFrom: j.resumedFrom,
 		WallMS:      j.wallMS,
 	}
-	if j.state == jobPending || j.state == jobRunning {
-		s.ResumeCycle = j.resumeCycle
+	if j.resume != nil && (j.state == jobPending || j.state == jobRunning) {
+		s.ResumeCycle = j.resume.Cycle
 	}
 	if r := j.result; r != nil {
 		s.Fingerprint = fmt.Sprintf("%#x", r.Fingerprint)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/runner"
+	"repro/internal/snapshot"
 	"repro/internal/vfs"
 )
 
@@ -245,9 +247,10 @@ func TestRecoveryPreservesTerminalFailures(t *testing.T) {
 }
 
 // TestDrainParksRunningJobAtCheckpoint: SIGTERM-style drain interrupts a
-// running job so it checkpoints at a quantum boundary and parks as
-// pending-with-resume; a restarted server resumes it through that exact
-// checkpoint (replay-verified) and finishes with the baseline fingerprint.
+// running job so it snapshots a quantum boundary and parks as pending with
+// that resume point in the WAL, and no file beside it; a restarted server
+// resumes it through that exact point (replay-verified) and finishes with
+// the baseline fingerprint.
 func TestDrainParksRunningJobAtCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	// A longer cell (~hundreds of ms) so drain lands mid-run.
@@ -287,6 +290,7 @@ func TestDrainParksRunningJobAtCheckpoint(t *testing.T) {
 	if js.Preemptions != 0 {
 		t.Fatalf("drain preemption counted against the deadline budget: %d", js.Preemptions)
 	}
+	onlyWAL(t, dir)
 
 	s2 := newTestServer(t, dir, nil)
 	defer s2.Close()
@@ -305,6 +309,132 @@ func TestDrainParksRunningJobAtCheckpoint(t *testing.T) {
 	}
 	if want := fmt.Sprintf("%#x", base.Fingerprint); fin.Fingerprint != want {
 		t.Fatalf("fingerprint %s after drain+resume, want %s", fin.Fingerprint, want)
+	}
+}
+
+// onlyWAL fails the test unless the data dir holds wal/ and nothing else.
+func onlyWAL(t *testing.T, dir string) {
+	t.Helper()
+	names, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range names {
+		if n.Name() != walDirName {
+			t.Errorf("data dir holds %s beside wal/", n.Name())
+		}
+	}
+}
+
+// TestResumeRecords: a preempted job's resume point is a WAL record. An
+// intact one survives reopening twice (the second replays the compacted
+// log): the job reopens with resume_cycle set and finishes with
+// resumed_from equal to it. A type-5 record from an older build, which
+// named a checkpoint file, and a resume record with one flipped stats byte
+// are each quarantined, and the job reruns from cycle 0 to the original
+// fingerprint.
+func TestResumeRecords(t *testing.T) {
+	spec := runner.Spec{App: "gauss", Machine: "mp", Procs: 4, Size: 48}
+	want := baselineFingerprints(t, []runner.Spec{spec})[0]
+	intr := &runner.Interrupt{}
+	intr.Fire()
+	pre, err := runner.Run(spec, runner.Options{Interrupt: intr})
+	if err != nil || pre.Preempted == nil {
+		t.Fatalf("preempted run: %v, snapshot %v", err, pre.Preempted)
+	}
+	snap := pre.Preempted
+	resume := Record{Type: recResume, Job: 0, Resume: snap}
+
+	// An older build's type-5 record: job, cycle, checkpoint file path.
+	var payload, legacy snapshot.Enc
+	payload.U64(0)
+	payload.I64(snap.Cycle)
+	payload.Str(fmt.Sprintf("ckpt/j0/preempt-%d.wws", snap.Cycle))
+	legacy.U8(5)
+	legacy.Blob(payload.Bytes())
+	legacy.U64(snapshot.Hash(legacy.Bytes()))
+
+	liveSeg := func(t *testing.T, dir string) string {
+		names := segNames(t, dir)
+		return filepath.Join(dir, walDirName, names[len(names)-1])
+	}
+	for _, tc := range []struct {
+		name   string
+		logged []Record
+		damage func(t *testing.T, dir string)
+		from   int64 // the resume cycle the job reopens with
+	}{
+		{"intact", []Record{resume}, nil, snap.Cycle},
+		{"older-build", nil, func(t *testing.T, dir string) {
+			f, err := os.OpenFile(liveSeg(t, dir), os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if _, err := f.Write(legacy.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+		}, 0},
+		{"flipped-stats-byte", []Record{resume}, func(t *testing.T, dir string) {
+			path := liveSeg(t, dir)
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc := encodeRecord(&resume)
+			i := bytes.Index(b, enc)
+			if i < 0 {
+				t.Fatal("resume record is not in the live segment")
+			}
+			b[i+len(enc)-9] ^= 1 // the last stats byte, just ahead of the checksum
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s0 := newTestServer(t, dir, nil)
+			blob, err := json.Marshal(&spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			submit := Record{Type: recSubmit, Job: 0, Key: spec.CacheKey(), Spec: blob}
+			if err := s0.wal.Append(append([]Record{submit}, tc.logged...)...); err != nil {
+				t.Fatal(err)
+			}
+			crash(s0)
+			if tc.damage != nil {
+				tc.damage(t, dir)
+			}
+
+			quarantined := int64(0)
+			if tc.damage != nil {
+				quarantined = 1
+			}
+			var s *Server
+			for open := 1; open <= 2; open++ {
+				s = newTestServer(t, dir, nil)
+				js, _ := s.q.jobStatus(0)
+				if js.State != StatePending || js.ResumeCycle != tc.from {
+					t.Fatalf("open %d: job %s with resume_cycle %d, want pending at %d", open, js.State, js.ResumeCycle, tc.from)
+				}
+				if open == 1 && s.wal.Quarantined() != quarantined {
+					t.Fatalf("wal quarantined %d records, want %d", s.wal.Quarantined(), quarantined)
+				}
+				if open == 1 {
+					crash(s)
+				}
+			}
+			defer s.Close()
+			s.Start()
+			defer s.Drain(5 * time.Second)
+			fin := waitJobTerminal(t, s, 0, 30*time.Second)
+			if fin.State != StateDone || fin.Fingerprint != want || fin.ResumedFrom != tc.from {
+				t.Fatalf("job %s, fingerprint %s, resumed_from %d; want done, %s, %d",
+					fin.State, fin.Fingerprint, fin.ResumedFrom, want, tc.from)
+			}
+		})
 	}
 }
 
@@ -487,7 +617,7 @@ func TestRecoveryIgnoresLegacyCacheDir(t *testing.T) {
 	}
 }
 
-// TestResultsLiveInTheLog: the data dir holds the log and checkpoints only.
+// TestResultsLiveInTheLog: the data dir holds the log only.
 // A fresh cell's result record is appended just ahead of its done record, a
 // cache hit appends only the done record, and compaction keeps one result
 // record per key, ahead of every job record.
@@ -504,15 +634,7 @@ func TestResultsLiveInTheLog(t *testing.T) {
 		s.process(j)
 	}
 
-	names, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range names {
-		if n.Name() != walDirName && n.Name() != "ckpt" {
-			t.Errorf("data dir holds %s beside wal/ and ckpt/", n.Name())
-		}
-	}
+	onlyWAL(t, dir)
 	results := map[uint64]int{} // key → index of its result record
 	recs := logRecords(t, dir)
 	for i, r := range recs {

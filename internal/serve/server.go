@@ -16,7 +16,8 @@ import (
 
 // Config sizes one Server.
 type Config struct {
-	// Dir is the service's data directory: wal/, ckpt/.
+	// Dir is the service's data directory. It holds only wal/: queue
+	// state, results and preempted jobs' resume points are all log records.
 	Dir string
 	// FS is the filesystem every durable artifact goes through. nil means
 	// the host filesystem; tests and the -fault-fsplan flag install a
@@ -26,9 +27,9 @@ type Config struct {
 	WALSegmentBytes int64
 	// Jobs is the worker pool size (concurrent runs). Default 1.
 	Jobs int
-	// RunWorkers is the engine worker count inside each run (1 = serial).
-	// New turns 0 into 1, the default: job-level sharding already fills
-	// the host. For one engine worker per core, pass runtime.GOMAXPROCS(0).
+	// RunWorkers is the engine worker count inside each run: 0 (the
+	// default) or 1 runs serially, as job-level sharding already fills the
+	// host; N > 1 runs a pool of N.
 	RunWorkers int
 	// MaxQueue bounds pending+running jobs; a batch that would exceed it is
 	// shed with a typed 429. Default 4096.
@@ -91,9 +92,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Jobs <= 0 {
 		cfg.Jobs = 1
-	}
-	if cfg.RunWorkers == 0 {
-		cfg.RunWorkers = 1
 	}
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 4096
@@ -176,8 +174,8 @@ func (s *Server) Start() {
 
 // Drain gracefully stops the service: admission closes (readyz goes 503,
 // submits get a typed 503), every in-flight job is interrupted so it
-// checkpoints at its next quantum boundary and parks as pending-with-resume
-// in the WAL, and workers exit. Safe to call once; returns when the pool
+// snapshots its next quantum boundary and parks as pending with that resume
+// point in the WAL, and workers exit. Safe to call once; returns when the pool
 // has drained or the timeout elapsed.
 func (s *Server) Drain(timeout time.Duration) error {
 	s.draining.Store(true)

@@ -3,12 +3,10 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sort"
 	"time"
 
 	"repro/internal/runner"
-	"repro/internal/snapshot"
 	"repro/internal/stats"
 )
 
@@ -18,11 +16,11 @@ import (
 //   - panic isolation: an attempt runs behind recover(), so one exploding
 //     job becomes that job's typed failure, never the daemon's;
 //   - deadlines: a wall-clock timer fires the attempt's runner.Interrupt;
-//     the run checkpoints at its next quantum boundary and is requeued with
-//     the checkpoint, so the next attempt resumes (replay-verified) instead
-//     of restarting from cycle zero;
-//   - bounded retries: host-level failures (panics, checkpoint I/O errors,
-//     replay divergence) retry with exponential backoff up to MaxRetries,
+//     the run snapshots its next quantum boundary and is requeued with that
+//     resume point logged in the WAL, so the next attempt resumes
+//     (replay-verified) instead of restarting from cycle zero;
+//   - bounded retries: host-level failures (panics, replay divergence)
+//     retry with exponential backoff up to MaxRetries,
 //     then settle into a typed terminal-failure record. Deterministic
 //     application aborts are NOT retried — the simulator would abort
 //     identically every time — they complete as (cacheable) results;
@@ -72,17 +70,16 @@ func (s *Server) process(j *job) {
 		}
 		s.storageOK()
 		s.logf("j%d %s/%s done (cache hit, fp %#x)", j.id, j.spec.App, j.spec.Machine, res.Fingerprint)
-		s.cleanCkpts(j)
 		return
 	}
 
-	resumeCycle := j.resumeCycle
+	resume := j.resume
 	t0 := time.Now()
 	out, runErr := s.attempt(j)
 	wallMS := time.Since(t0).Milliseconds()
 	verified := int64(0)
 	if out != nil && out.Verified {
-		verified = resumeCycle
+		verified = resume.Cycle
 	}
 	s.q.noteRun(j, wallMS, verified)
 
@@ -99,17 +96,18 @@ func (s *Server) process(j *job) {
 		}
 		s.retry(j, kind, runErr)
 
-	case out.Preempted:
+	case out.Preempted != nil:
 		s.preemptions.Add(1)
+		at := out.Preempted.Cycle
 		if s.draining.Load() {
-			// Drain preemption: park the job with its checkpoint for the
+			// Drain preemption: park the job with its resume point for the
 			// next process; doesn't count against the preemption budget.
-			if err := s.q.requeuePreempt(j, int64(out.PreemptedAt), out.PreemptPath, false); err != nil {
-				s.unrecorded(j, "drain checkpoint", err)
+			if err := s.q.requeuePreempt(j, out.Preempted, false); err != nil {
+				s.unrecorded(j, "drain resume point", err)
 				return
 			}
 			s.storageOK()
-			s.logf("j%d %s/%s drained to checkpoint at cycle %d", j.id, j.spec.App, j.spec.Machine, out.PreemptedAt)
+			s.logf("j%d %s/%s drained to a resume point at cycle %d", j.id, j.spec.App, j.spec.Machine, at)
 			return
 		}
 		if j.preempts+1 > s.cfg.MaxPreempts {
@@ -118,12 +116,12 @@ func (s *Server) process(j *job) {
 				j.id, j.preempts+1))
 			return
 		}
-		if err := s.q.requeuePreempt(j, int64(out.PreemptedAt), out.PreemptPath, true); err != nil {
+		if err := s.q.requeuePreempt(j, out.Preempted, true); err != nil {
 			s.unrecorded(j, "preemption", err)
 			return
 		}
 		s.storageOK()
-		s.logf("j%d %s/%s deadline-preempted at cycle %d, requeued to resume", j.id, j.spec.App, j.spec.Machine, out.PreemptedAt)
+		s.logf("j%d %s/%s deadline-preempted at cycle %d, requeued to resume", j.id, j.spec.App, j.spec.Machine, at)
 
 	default:
 		res := buildResult(j.key, out)
@@ -137,7 +135,6 @@ func (s *Server) process(j *job) {
 			status = "aborted: " + res.Err
 		}
 		s.logf("j%d %s/%s done (%s, %d ms)", j.id, j.spec.App, j.spec.Machine, status, wallMS)
-		s.cleanCkpts(j)
 	}
 }
 
@@ -152,7 +149,7 @@ func (s *Server) unrecorded(j *job, what string, err error) {
 }
 
 // attempt executes one supervised try of j: panic-isolated, deadline-armed,
-// resuming from the job's checkpoint when it has one.
+// replaying through the job's resume point when it has one.
 func (s *Server) attempt(j *job) (out *runner.Outcome, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -160,10 +157,6 @@ func (s *Server) attempt(j *job) (out *runner.Outcome, err error) {
 		}
 	}()
 
-	ckdir := s.ckptDir(j)
-	if err := s.cfg.FS.MkdirAll(ckdir, 0o755); err != nil {
-		return nil, err
-	}
 	intr := &runner.Interrupt{}
 	s.trackRunning(j.id, intr)
 	defer s.untrackRunning(j.id)
@@ -175,21 +168,7 @@ func (s *Server) attempt(j *job) (out *runner.Outcome, err error) {
 		defer t.Stop()
 	}
 
-	opts := runner.Options{
-		Workers:       s.cfg.RunWorkers,
-		CheckpointDir: ckdir,
-		Interrupt:     intr,
-		FS:            s.cfg.FS,
-	}
-	if j.resumePath != "" {
-		snap, rerr := snapshot.ReadFileFS(s.cfg.FS, j.resumePath)
-		if rerr == nil {
-			opts.Resume = snap
-		} else {
-			s.logf("j%d: resume checkpoint unreadable (%v), restarting from scratch", j.id, rerr)
-		}
-	}
-	return s.runJob(j.spec, opts)
+	return s.runJob(j.spec, runner.Options{Workers: s.cfg.RunWorkers, Interrupt: intr, Resume: j.resume})
 }
 
 // retry applies the bounded-retry policy to a host-level failure.
@@ -200,7 +179,7 @@ func (s *Server) retry(j *job, kind string, cause error) {
 	}
 	backoff := s.cfg.Backoff << uint(j.attempts)
 	s.retries.Add(1)
-	// A divergence's checkpoint is permanently unverifiable; drop it.
+	// A divergence's resume point is permanently unverifiable; drop it.
 	if err := s.q.requeueRetry(j, backoff, kind == "divergence"); err != nil {
 		s.unrecorded(j, "retry", err)
 		return
@@ -217,17 +196,6 @@ func (s *Server) failTerminal(j *job, kind string, cause error) {
 	}
 	s.storageOK()
 	s.logf("j%d %s/%s FAILED terminally (%s): %v", j.id, j.spec.App, j.spec.Machine, kind, cause)
-	s.cleanCkpts(j)
-}
-
-func (s *Server) ckptDir(j *job) string {
-	return filepath.Join(s.cfg.Dir, "ckpt", fmt.Sprintf("j%d", j.id))
-}
-
-// cleanCkpts removes a finished job's checkpoint directory (best effort —
-// the WAL no longer references it).
-func (s *Server) cleanCkpts(j *job) {
-	s.cfg.FS.RemoveAll(s.ckptDir(j))
 }
 
 func (s *Server) deadlineFor(j *job) time.Duration {

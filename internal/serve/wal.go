@@ -13,8 +13,8 @@ import (
 )
 
 // The write-ahead log is the service's one durable store. Every state change
-// a restart must survive — a job submitted, an attempt failed, a preemption
-// checkpoint taken, a result computed, a job finished — is appended and
+// a restart must survive — a job submitted, an attempt failed, a preempted
+// job's resume point, a result computed, a job finished — is appended and
 // fsynced before the change is acknowledged anywhere else. Recovery replays
 // the log: result records rebuild the cache, and a job with a submit record
 // but no terminal record is pending again (a job that was mid-run when the
@@ -52,8 +52,10 @@ const (
 	recDone    recType = 2 // job completed; its result is the recResult under Key
 	recFail    recType = 3 // job terminally failed: kind + last error
 	recAttempt recType = 4 // one attempt failed; Attempts is the new count
-	recCkpt    recType = 5 // preemption checkpoint taken: cycle + path
-	recResult  recType = 6 // a cell's Result, logged ahead of its recDone
+	// Type 5 held a path to a checkpoint file; it no longer decodes, so an
+	// older log's type-5 records are quarantined and their jobs rerun.
+	recResult recType = 6 // a cell's Result, logged ahead of its recDone
+	recResume recType = 7 // resume point: cycle, state hash, stats; cycle 0 clears it
 )
 
 // Record is one durable event. Which fields are meaningful depends on Type;
@@ -77,12 +79,12 @@ type Record struct {
 	Kind     string
 	Err      string
 
-	// recCkpt
-	Cycle int64
-	Path  string
-
 	// recResult
 	Result *Result
+
+	// recResume: the snapshot a preempted job resumes through (its Spec is
+	// not logged), nil to clear the job's resume point.
+	Resume *snapshot.Snapshot
 }
 
 func (r *Record) payload() []byte {
@@ -104,9 +106,14 @@ func (r *Record) payload() []byte {
 		e.Str(r.Err)
 	case recAttempt:
 		e.I64(int64(r.Attempts))
-	case recCkpt:
-		e.I64(r.Cycle)
-		e.Str(r.Path)
+	case recResume:
+		var snap snapshot.Snapshot
+		if r.Resume != nil {
+			snap = *r.Resume
+		}
+		e.I64(snap.Cycle)
+		e.U64(snap.StateHash)
+		e.Blob(snap.Stats)
 	case recResult:
 		res := r.Result
 		e.U64(res.Key)
@@ -143,9 +150,11 @@ func decodeRecord(t recType, payload []byte) (Record, error) {
 		r.Err = d.Str()
 	case recAttempt:
 		r.Attempts = int(d.I64())
-	case recCkpt:
-		r.Cycle = d.I64()
-		r.Path = d.Str()
+	case recResume:
+		snap := &snapshot.Snapshot{Cycle: d.I64(), StateHash: d.U64(), Stats: d.Blob()}
+		if snap.Cycle != 0 {
+			r.Resume = snap
+		}
 	case recResult:
 		res := &Result{Key: d.U64(), Fingerprint: d.U64(), Elapsed: d.I64(), AppLine: d.Str(), Err: d.Str()}
 		// A row is at least a name length and a float: bound the count by

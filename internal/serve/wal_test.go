@@ -9,6 +9,7 @@ import (
 	"syscall"
 	"testing"
 
+	"repro/internal/snapshot"
 	"repro/internal/vfs"
 )
 
@@ -17,7 +18,9 @@ func sampleRecords() []Record {
 		{Type: recSubmit, Job: 1, Batch: 1, Index: 0, Key: 0xdeadbeef,
 			Spec: []byte(`{"app":"gauss","machine":"mp","procs":4}`), DeadlineMS: 1500},
 		{Type: recAttempt, Job: 1, Attempts: 2},
-		{Type: recCkpt, Job: 1, Cycle: 123456, Path: "/tmp/x/preempt-123456.wws"},
+		{Type: recResume, Job: 1, Resume: &snapshot.Snapshot{
+			Cycle: 123456, StateHash: 0x0123456789abcdef, Stats: []byte("per-processor accounting")}},
+		{Type: recResume, Job: 1},
 		{Type: recResult, Result: sampleResult()},
 		{Type: recDone, Job: 1, Key: 0xdeadbeef, Cached: true},
 		{Type: recFail, Job: 2, Attempts: 3, Kind: "panic", Err: "boom"},

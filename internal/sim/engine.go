@@ -23,7 +23,6 @@ package sim
 import (
 	"container/heap"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync/atomic"
 
@@ -79,8 +78,9 @@ type Engine struct {
 
 	// Workers bounds the worker pool for the processor phase: how many
 	// target processors may execute concurrently on the host. 0 (the
-	// default) uses GOMAXPROCS; 1 forces serial execution. Any value
-	// produces bit-identical simulations — parallelism is a host-side
+	// default) or 1 dispatches serially on the engine's goroutine, with no
+	// pool; N > 1 starts N workers. Any value produces bit-identical
+	// simulations — parallelism is a host-side
 	// throughput knob, never a model parameter, so it is deliberately not
 	// part of runner.Spec or the snapshot format.
 	Workers int
@@ -304,14 +304,6 @@ func (e *Engine) AddStepProc(step func(p *Proc) StepStatus) *Proc {
 // Procs returns the registered processors.
 func (e *Engine) Procs() []*Proc { return e.procs }
 
-// workerCount resolves the effective processor-phase parallelism.
-func (e *Engine) workerCount() int {
-	if e.Workers > 0 {
-		return e.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // Run executes the simulation until every processor's body has returned and
 // no events remain, returning nil. If a processor aborts the run (see
 // Abort), the remaining processors are unwound and Run returns the abort
@@ -444,7 +436,7 @@ func (e *Engine) run() error {
 // within the batch is immaterial.
 func (e *Engine) runBatch(batch []*Proc) {
 	e.inProcPhase = true
-	n := min(e.workerCount(), len(batch))
+	n := min(e.Workers, len(batch))
 	if n > 1 {
 		e.ensureWorkers(n)
 		// Chunk so each worker expects several claims (load balance)

@@ -177,3 +177,31 @@ func TestParallelFailureDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkersZeroStartsNoPool: the zero value of Workers dispatches every
+// quantum on the engine's own goroutine, like Workers=1, however many
+// processors a quantum runs; a pool exists only when asked for.
+func TestWorkersZeroStartsNoPool(t *testing.T) {
+	for _, tc := range []struct{ workers, pool int }{{0, 0}, {1, 0}, {2, 2}} {
+		e := NewEngine(100)
+		e.Workers = tc.workers
+		for i := 0; i < 64; i++ {
+			steps := 0
+			e.AddStepProc(func(p *Proc) StepStatus {
+				if steps++; steps > 10 {
+					return StepDone
+				}
+				p.Compute(100)
+				return StepYield
+			})
+		}
+		pool := 0
+		e.AddQuantumHook(func(Time) { pool = max(pool, len(e.workers)) })
+		if err := e.Run(); err != nil {
+			t.Fatalf("workers=%d: %v", tc.workers, err)
+		}
+		if pool != tc.pool {
+			t.Errorf("workers=%d: %d pool workers started, want %d", tc.workers, pool, tc.pool)
+		}
+	}
+}

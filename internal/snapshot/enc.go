@@ -4,15 +4,21 @@
 //
 // The simulator cannot freeze target-program goroutine stacks, so resume is
 // replay-based: a snapshot records the run specification, the checkpoint
-// cycle, and a canonical byte image of all serializable machine state
-// (engine clocks and event times, NI queues, transport windows, caches,
-// directory entries, fault-RNG positions, application arrays, accounting
-// tables). Resuming re-executes the run deterministically from cycle zero
-// and, on reaching the checkpoint cycle, verifies that the reconstructed
-// state is byte-identical to the snapshot before continuing — so any hidden
+// cycle, the hash of a canonical byte image of all serializable machine
+// state (engine clocks and event times, NI queues, transport windows,
+// caches, directory entries, fault-RNG positions, application arrays), and
+// the accounting tables themselves. Resuming re-executes the run
+// deterministically from cycle zero and, on reaching the checkpoint cycle,
+// verifies that the reconstructed state hashes to the recorded value and
+// the accounting is byte-identical before continuing — so any hidden
 // nondeterminism (map iteration order, wall-clock leakage, unseeded
 // randomness) is detected at the first divergent checkpoint instead of
 // silently corrupting a resumed sweep.
+//
+// A checkpoint carries the hash, not the image: replay never reads the
+// image, which is over 99% of its size. A restore-based resume, which
+// would rebuild the machine at the checkpoint cycle instead of replaying
+// to it, would need the image back (the format keeps a section for it).
 //
 // Everything here is deterministic: fixed little-endian widths, explicit
 // lengths, no map iteration, no floats-as-text. Encoding the same logical

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 
 	"repro/internal/vfs"
@@ -25,15 +26,13 @@ type Snapshot struct {
 	// quantum boundary with no processor executing.
 	Cycle int64
 
-	// StateHash is Hash(State), duplicated in the header so resume can
-	// verify replay cheaply and report a divergence without shipping the
-	// full image around.
+	// StateHash is the hash of the canonical machine-state image at Cycle
+	// (engine, network, transports, caches, directory, fault-RNG positions,
+	// application arrays): all a replay needs to verify the state.
 	StateHash uint64
 
-	// State is the canonical machine-state image at Cycle: engine, network,
-	// transports, caches, directory, fault-RNG positions, application
-	// arrays. See the package comment for why this is verified, not
-	// restored.
+	// State is that image itself. Checkpoints leave it empty; when present
+	// it must hash to StateHash. Only a restore-based resume would read it.
 	State []byte
 
 	// Stats is the canonical accounting image at Cycle (every processor's
@@ -129,7 +128,7 @@ func Decode(b []byte) (*Snapshot, error) {
 	if got := Hash(b[:body]); got != sum {
 		return nil, &ChecksumError{Got: got, Want: sum}
 	}
-	if h := Hash(s.State); h != s.StateHash {
+	if h := Hash(s.State); len(s.State) > 0 && h != s.StateHash {
 		return nil, &FormatError{Reason: fmt.Sprintf(
 			"state hash field %#x does not match state section (%#x)", s.StateHash, h)}
 	}
@@ -138,20 +137,13 @@ func Decode(b []byte) (*Snapshot, error) {
 
 // AtomicWriteFile writes data to path via a temporary file in the same
 // directory plus a rename, so readers only ever observe the old contents or
-// the complete new contents — never a torn file. Every durable file in this
-// repo except the WAL's append-only segments (checkpoints, sweep results
-// files) goes through it.
+// the complete new contents — never a torn file. Checkpoints and sweep
+// results files go through it. The sequence is the full crash-safe dance:
+// write the temp file, fsync it (so the rename never outlives the data),
+// rename into place, then fsync the parent directory (so the rename itself
+// survives a power-loss-style crash).
 func AtomicWriteFile(path string, data []byte) error {
-	return AtomicWriteFileFS(vfs.OS{}, path, data)
-}
-
-// AtomicWriteFileFS is AtomicWriteFile over an explicit filesystem, the
-// form the serve layer uses to run its durability I/O under fault
-// injection. The sequence is the full crash-safe dance: write the temp
-// file, fsync it (so the rename never outlives the data), rename into
-// place, then fsync the parent directory (so the rename itself survives a
-// power-loss-style crash).
-func AtomicWriteFileFS(fsys vfs.FS, path string, data []byte) error {
+	var fsys vfs.OS
 	tmp := path + ".tmp"
 	f, err := fsys.Create(tmp)
 	if err != nil {
@@ -179,21 +171,11 @@ func AtomicWriteFileFS(fsys vfs.FS, path string, data []byte) error {
 	return fsys.SyncDir(filepath.Dir(path))
 }
 
-// WriteFileFS atomically writes the encoded snapshot to path on fsys, so a
-// run killed mid-checkpoint never leaves a torn file that a later resume
-// would trip over.
-func WriteFileFS(fsys vfs.FS, path string, s *Snapshot) error {
-	return AtomicWriteFileFS(fsys, path, Encode(s))
-}
-
-// ReadFileFS reads and decodes a snapshot file on fsys.
-func ReadFileFS(fsys vfs.FS, path string) (*Snapshot, error) {
-	b, err := fsys.ReadFile(path)
+// ReadFile reads and decodes a snapshot file.
+func ReadFile(path string) (*Snapshot, error) {
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	return Decode(b)
 }
-
-// ReadFile is ReadFileFS on the host filesystem.
-func ReadFile(path string) (*Snapshot, error) { return ReadFileFS(vfs.OS{}, path) }

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/vfs"
 )
 
 // xorshift is a tiny local generator so the property tests are seeded and
@@ -172,7 +170,7 @@ func TestFileRoundTrip(t *testing.T) {
 	r := xorshift(21)
 	s := randomSnapshot(&r)
 	path := filepath.Join(t.TempDir(), "ckpt-000123.wws")
-	if err := WriteFileFS(vfs.OS{}, path, s); err != nil {
+	if err := AtomicWriteFile(path, Encode(s)); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadFile(path)
@@ -181,6 +179,29 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(Encode(got), Encode(s)) {
 		t.Error("file round trip not byte-stable")
+	}
+}
+
+// TestDecodeChecksStateOnlyWhenPresent: a checkpoint without a state image
+// decodes with its hash intact; a state image that does not hash to the
+// header's value is rejected.
+func TestDecodeChecksStateOnlyWhenPresent(t *testing.T) {
+	r := xorshift(31)
+	s := randomSnapshot(&r)
+	s.State = nil
+	got, err := Decode(Encode(s))
+	if err != nil {
+		t.Fatalf("image-less snapshot: %v", err)
+	}
+	if got.StateHash != s.StateHash || len(got.State) != 0 {
+		t.Fatalf("image-less snapshot decoded to hash %#x, %d state bytes", got.StateHash, len(got.State))
+	}
+
+	s = randomSnapshot(&r)
+	s.StateHash++
+	var fe *FormatError
+	if _, err := Decode(Encode(s)); !errors.As(err, &fe) {
+		t.Fatalf("mismatched state image: err = %v, want FormatError", err)
 	}
 }
 

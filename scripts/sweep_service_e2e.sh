@@ -5,7 +5,7 @@
 # daemon, and require the sweep to complete with every cell present exactly
 # once and fingerprints identical to the local (uninterrupted) run. A final
 # resubmission must be served entirely from the result cache, and the data
-# dir must hold no cache/ directory: results are WAL records.
+# dir must hold only wal/: results and resume points are WAL records.
 #
 # Usage: scripts/sweep_service_e2e.sh [workdir]
 #
@@ -83,7 +83,16 @@ start_daemon daemon1.log
 "$work/wwtsweep" -server "http://$addr" -matrix "$work/matrix.json" \
   -quiet -out "$work/server1.json" &
 client=$!
-sleep 0.7
+# Kill once some cells are done and some still wait, so the kill lands
+# mid-sweep however fast the host is.
+for _ in $(seq 600); do
+  python3 -c "
+import json, sys
+st = json.loads(sys.argv[1])
+sys.exit(0 if st['done'] >= 1 and st['pending'] >= 1 else 1)
+" "$(curl -sf "http://$addr/stats" || echo '{"done": 0, "pending": 0}')" && break
+  sleep 0.02
+done
 echo "== SIGKILL daemon (pid $daemon)"
 kill -9 "$daemon"
 wait "$daemon" 2>/dev/null || true
@@ -119,9 +128,9 @@ print(f\"fault plan injected {st['fs_faults']} faults \"
 fi
 kill "$daemon"; wait "$daemon" 2>/dev/null || true
 
-# Results live in the WAL as records; the daemon keeps no other store.
-if [ -e "$work/data/cache" ]; then
-  echo "daemon data dir has a cache/ directory; results belong in the WAL" >&2
+# The WAL is the daemon's only store: results and resume points are records.
+if [ "$(ls -A "$work/data")" != "wal" ]; then
+  echo "daemon data dir holds $(ls -A "$work/data" | tr '\n' ' ')beside wal/" >&2
   exit 1
 fi
 
