@@ -100,7 +100,7 @@ func TestAllocBudgetAMRoundTrip(t *testing.T) {
 				n.AM.Request(1, hReq, [4]uint64{1, 2, 3, 4}, 8, nil)
 				n.AM.PollUntil(func() bool { return replies >= want })
 			}
-			roundTrip() // warm the delivery pools on both NIs
+			roundTrip() // warm the network's delivery pool
 			allocs = testing.AllocsPerRun(100, roundTrip)
 			n.AM.Request(1, hStop, [4]uint64{}, 0, nil)
 		} else {
@@ -184,7 +184,7 @@ func TestAllocBudgetHotHomeContention(t *testing.T) {
 }
 
 // TestAllocBudgetBarrierEpisode gates the engine's event machinery —
-// staged scheduling, the pooled event heap, the pooled barrier-release
+// Stager scheduling, the pooled event heap, the pooled barrier-release
 // action, and processor wake — via complete barrier episodes, plain and
 // combining (a hardware-combining reduction, whose release also folds the
 // deposits and wakes with the result). Every node must enter the barrier
@@ -248,7 +248,6 @@ func TestAllocBudgetStepAppMainLoop(t *testing.T) {
 	par.NodesPer, par.Iters = 8, 40
 
 	cfg := cost.Default(256)
-	cfg.Workers = 1
 	base := em3d.RunMP(cfg, cmmd.LopSided, par)
 	if base.Res.Err != nil {
 		t.Fatalf("sizing run: %v", base.Res.Err)
@@ -274,7 +273,6 @@ func TestAllocBudgetStepAppMainLoop(t *testing.T) {
 // times start and end, and the number of quanta between them.
 func mainLoopMallocs(t *testing.T, par em3d.Params, start, end sim.Time) (mallocs, bytes uint64, quanta int64) {
 	cfg := cost.Default(256)
-	cfg.Workers = 1
 	var m0, m1 runtime.MemStats
 	var got0, got1 bool
 	cfg.OnBuild = func(m any) {
@@ -324,7 +322,7 @@ func mallocs(t *testing.T, run func() error) uint64 {
 // reports a harness error or an aborted run.
 func runSpec(spec runner.Spec) func() error {
 	return func() error {
-		out, err := runner.Run(spec, runner.Options{Workers: 1})
+		out, err := runner.Run(spec, runner.Options{})
 		if err == nil {
 			err = out.Res.Err
 		}
@@ -336,7 +334,6 @@ func runSpec(spec runner.Spec) func() error {
 // processors, that each compute one quantum and finish, and returns its Run.
 func engineStartup(procs int, coroutine bool) func() error {
 	e := sim.NewEngine(100)
-	e.Workers = 1
 	for i := 0; i < procs; i++ {
 		if coroutine {
 			e.AddProc(func(p *sim.Proc) {

@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	wwtserved [-addr HOST:PORT] [-dir DIR] [-jobs N] [-run-workers N]
+//	wwtserved [-addr HOST:PORT] [-dir DIR] [-jobs N]
 //	          [-max-queue N] [-retries N] [-max-preempts N]
 //	          [-deadline DUR] [-backoff DUR] [-drain-timeout DUR] [-quiet]
 //	          [-wal-segment-bytes N] [-fault-fsplan PLAN]
@@ -46,7 +46,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8723", "listen address")
 	dir := flag.String("dir", "wwtserved-data", "data directory (its wal/ holds the queue, cached results and resume points)")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "worker pool size (concurrent runs)")
-	runWorkers := flag.Int("run-workers", 1, "engine workers inside each run (0 or 1 = serial)")
 	maxQueue := flag.Int("max-queue", 4096, "admission bound on pending+running jobs (excess batches get 429)")
 	retries := flag.Int("retries", 3, "bounded retries for host-level job failures")
 	maxPreempts := flag.Int("max-preempts", 8, "deadline preemptions per job before terminal failure")
@@ -79,7 +78,6 @@ func main() {
 		FS:              fsys,
 		WALSegmentBytes: *segBytes,
 		Jobs:            *jobs,
-		RunWorkers:      *runWorkers,
 		MaxQueue:        *maxQueue,
 		MaxRetries:      *retries,
 		MaxPreempts:     *maxPreempts,

@@ -13,7 +13,7 @@
 //	       [-smcheck] [-smfaults] [-nackrate P] [-reorderrate P]
 //	       [-watchdog CYCLES]
 //	       [-checkpoint-every CYCLES] [-checkpoint-dir DIR]
-//	       [-resume FILE] [-run-until CYCLE] [-workers N]
+//	       [-resume FILE] [-run-until CYCLE]
 //
 // -faults enables deterministic fault injection on the message-passing
 // machine's network (drops, duplicates, corruption, delay jitter at the
@@ -32,12 +32,6 @@
 // counters; -faultseed seeds it. -watchdog N aborts with a stall report if
 // requests stay outstanding for N cycles with no transaction granting
 // (simulated livelock).
-//
-// -workers N bounds how many simulated processors execute concurrently on
-// host cores within each quantum (1 = serial, the default; 0 = all cores).
-// It is a pure host-throughput knob: the conservative-window engine stages
-// and merges cross-processor events deterministically, so every -workers
-// value prints the identical stats fingerprint.
 //
 // -checkpoint-every N writes a snapshot (ckpt-<cycle>.wws in
 // -checkpoint-dir) at the first quantum boundary at or after every N
@@ -88,7 +82,6 @@ func main() {
 	ckDir := flag.String("checkpoint-dir", ".", "directory for checkpoint files")
 	resume := flag.String("resume", "", "resume (replay + verify) from a snapshot file")
 	runUntil := flag.Int64("run-until", 0, "stop cleanly at the first quantum boundary at or after this cycle (0 = off)")
-	workers := flag.Int("workers", 1, "host worker pool for the processor phase (0 or 1 = serial); fingerprint-neutral")
 	hwCombining := flag.Bool("hw-combining", false, "ablation: in-network hardware combining tree for reductions")
 	flag.Parse()
 
@@ -105,14 +98,10 @@ func main() {
 		fatal("-checkpoint-every and -run-until must be non-negative")
 	}
 
-	if *workers < 0 {
-		fatal("-workers must be non-negative")
-	}
 	opts := runner.Options{
 		CheckpointEvery: sim.Time(*ckEvery),
 		CheckpointDir:   *ckDir,
 		RunUntil:        sim.Time(*runUntil),
-		Workers:         *workers,
 	}
 
 	var spec runner.Spec

@@ -6,8 +6,8 @@
 //
 // Usage:
 //
-//	wwtsweep -matrix FILE.json [-jobs N] [-workers N] [-out FILE]
-//	         [-verify-workers N] [-quiet] [-fail-on-error=false]
+//	wwtsweep -matrix FILE.json [-jobs N] [-out FILE]
+//	         [-quiet] [-fail-on-error=false]
 //	wwtsweep -apps em3d,lcp -machines mp -procs 32
 //	         [-droprates 0,0.01,0.05] [-nackrates ...] [-seeds 1,2,3]
 //	         [-size N] [-iters N] [-jobs N] [-out FILE]
@@ -31,17 +31,12 @@
 // recorded as a terminal failure, -deadline preempts to a resume point, and
 // a repeated cell comes back from the result cache ("cached").
 //
-// The local service runs -jobs cells at once (default: all host cores),
-// each with -workers engine workers (sim.Engine.Workers; 0 or 1 = serial,
-// the default, as run-level sharding already fills the host). A daemon sizes
-// its own pool, so -server rejects both. Fingerprints do not depend on
-// either: -verify-workers N reruns the matrix with Workers=N on a second
-// local service (the first would answer from its cache) and fails loudly if
-// any fingerprint differs; it doubles the sweep's work.
+// The local service runs -jobs cells at once (default: all host cores), each
+// on one host thread; fingerprints do not depend on -jobs. A daemon sizes
+// its own pool, so -server rejects -jobs.
 //
 // Exit status: 0 on a clean sweep, 1 when -fail-on-error (default on) and
-// any run aborted, 2 on bad flags, harness failures, interrupts or
-// fingerprint mismatches.
+// any run aborted, 2 on bad flags, harness failures or interrupts.
 package main
 
 import (
@@ -94,21 +89,15 @@ type RunResult struct {
 	// invariant violation, watchdog stall). Failed runs are data too — the
 	// degradation sweeps chart exactly where configurations fall over.
 	Error string `json:"error,omitempty"`
-
-	// VerifyFingerprint is the re-run's fingerprint when -verify-workers is
-	// set; it must equal Fingerprint.
-	VerifyFingerprint string `json:"verify_fingerprint,omitempty"`
 }
 
-// Output is the results file schema. Jobs and RunWorkers size the local
-// service (RunWorkers as given: 0 and 1 both run serially); they are 0
+// Output is the results file schema. Jobs sizes the local service; it is 0
 // with -server, where the daemon's flags size it.
 type Output struct {
-	StartedAt  string      `json:"started_at"`
-	WallMS     int64       `json:"wall_ms"`
-	Jobs       int         `json:"jobs"`
-	RunWorkers int         `json:"run_workers"`
-	Runs       []RunResult `json:"runs"`
+	StartedAt string      `json:"started_at"`
+	WallMS    int64       `json:"wall_ms"`
+	Jobs      int         `json:"jobs"`
+	Runs      []RunResult `json:"runs"`
 }
 
 func main() { os.Exit(run(os.Args[1:])) }
@@ -127,8 +116,6 @@ func run(args []string) int {
 	nackRates := fs.String("nackrates", "", "comma-separated directory NACK rates (sm machines)")
 	seeds := fs.String("seeds", "1", "comma-separated fault seeds (fault-injected runs only)")
 	jobs := fs.Int("jobs", 0, "concurrent runs of the local service (0 = all host cores)")
-	workers := fs.Int("workers", 1, "engine worker pool inside each local run (0 or 1 = serial)")
-	verifyWorkers := fs.Int("verify-workers", 0, "re-run the matrix locally with this many engine workers and require identical fingerprints")
 	out := fs.String("out", "sweep-results.json", "results file")
 	quiet := fs.Bool("quiet", false, "suppress per-run progress lines")
 	failOnError := fs.Bool("fail-on-error", true, "exit nonzero when any run aborts")
@@ -142,15 +129,10 @@ func run(args []string) int {
 		return 2
 	}
 	if *server != "" {
-		var localOnly []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "jobs", "workers", "verify-workers":
-				localOnly = append(localOnly, "-"+f.Name)
-			}
-		})
-		if len(localOnly) > 0 {
-			return fail("%s: local sweeps only; with -server the daemon sizes its own pool", strings.Join(localOnly, ", "))
+		jobsSet := false
+		fs.Visit(func(f *flag.Flag) { jobsSet = jobsSet || f.Name == "jobs" })
+		if jobsSet {
+			return fail("-jobs: local sweeps only; with -server the daemon sizes its own pool")
 		}
 	}
 
@@ -182,34 +164,15 @@ func run(args []string) int {
 	start := time.Now()
 	var cfg serve.Config // sizes the local service; zero with -server
 	var results []RunResult
-	mismatches := 0
 	if *server != "" {
 		c := &client{base: *server, patience: *patience, quiet: *quiet}
 		results, err = c.sweep(ctx, specs, *deadline)
 	} else {
-		cfg = serve.Config{Jobs: min(*jobs, len(specs)), RunWorkers: *workers}
+		cfg = serve.Config{Jobs: min(*jobs, len(specs))}
 		if *jobs <= 0 {
 			cfg.Jobs = min(runtime.NumCPU(), len(specs))
 		}
 		results, err = inProcessSweep(ctx, cfg, specs, *deadline, *patience, *quiet)
-		if err == nil && *verifyWorkers > 0 {
-			var verify []RunResult
-			vcfg := cfg
-			vcfg.RunWorkers = *verifyWorkers
-			verify, err = inProcessSweep(ctx, vcfg, specs, *deadline, *patience, *quiet)
-			for i, v := range verify {
-				r := &results[i]
-				r.VerifyFingerprint = v.Fingerprint
-				if v.Fingerprint == "" && r.Fingerprint != "" {
-					r.VerifyFingerprint = "error: " + v.Error // failed only on re-run
-				}
-				if r.VerifyFingerprint != r.Fingerprint {
-					mismatches++
-					fmt.Fprintf(os.Stderr, "FINGERPRINT MISMATCH run %d (%s/%s): workers=%d → %s, workers=%d → %s\n",
-						i, r.Spec.App, r.Spec.Machine, cfg.RunWorkers, r.Fingerprint, *verifyWorkers, r.VerifyFingerprint)
-				}
-			}
-		}
 	}
 	if ctx.Err() != nil {
 		return fail("sweep interrupted")
@@ -219,11 +182,10 @@ func run(args []string) int {
 	}
 
 	output := Output{
-		StartedAt:  start.UTC().Format(time.RFC3339),
-		WallMS:     time.Since(start).Milliseconds(),
-		Jobs:       cfg.Jobs,
-		RunWorkers: cfg.RunWorkers,
-		Runs:       results,
+		StartedAt: start.UTC().Format(time.RFC3339),
+		WallMS:    time.Since(start).Milliseconds(),
+		Jobs:      cfg.Jobs,
+		Runs:      results,
 	}
 	blob, err := json.MarshalIndent(&output, "", "  ")
 	if err != nil {
@@ -243,9 +205,6 @@ func run(args []string) int {
 	}
 	fmt.Printf("%d runs in %v wall, %d with errors -> %s\n",
 		len(specs), time.Since(start).Round(time.Millisecond), errored, *out)
-	if mismatches > 0 {
-		return fail("%d fingerprint mismatches between worker counts", mismatches)
-	}
 	if errored > 0 && *failOnError {
 		fmt.Fprintf(os.Stderr, "%d of %d runs aborted (rerun with -fail-on-error=false to treat aborts as data)\n",
 			errored, len(specs))

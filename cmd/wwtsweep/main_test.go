@@ -78,8 +78,8 @@ func sweep(t *testing.T, args ...string) (int, Output) {
 
 // TestLocalSweepRunsThroughService: a local sweep is a temporary in-process
 // service. Its fingerprints are runner.Run's, a repeated cell is a cache
-// hit, a deterministic abort is a result with an error, the verify pass on
-// a second service agrees, and the data directory is removed.
+// hit, a deterministic abort is a result with an error, and the data
+// directory is removed.
 func TestLocalSweepRunsThroughService(t *testing.T) {
 	em3d := runner.Spec{App: "em3d", Machine: "mp", Procs: 4, Size: 48, Iters: 5}
 	specs := []runner.Spec{
@@ -99,7 +99,7 @@ func TestLocalSweepRunsThroughService(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp) // where the service's data directory goes
 
-	code, res := sweep(t, "-matrix", matrix, "-jobs", "1", "-verify-workers", "2")
+	code, res := sweep(t, "-matrix", matrix, "-jobs", "1")
 	if code != 1 {
 		t.Errorf("exit status %d, want 1 (one cell aborted, -fail-on-error)", code)
 	}
@@ -107,15 +107,12 @@ func TestLocalSweepRunsThroughService(t *testing.T) {
 		t.Fatalf("%d results, want %d", len(res.Runs), len(specs))
 	}
 	for i, r := range res.Runs {
-		want, err := runner.Run(specs[i], runner.Options{Workers: 1})
+		want, err := runner.Run(specs[i], runner.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fp := fmt.Sprintf("%#x", want.Fingerprint); r.Fingerprint != fp {
 			t.Errorf("cell %d: fingerprint %s, runner.Run gives %s", i, r.Fingerprint, fp)
-		}
-		if r.VerifyFingerprint != r.Fingerprint {
-			t.Errorf("cell %d: verify_fingerprint %q != fingerprint %q", i, r.VerifyFingerprint, r.Fingerprint)
 		}
 		if r.JobID == "" {
 			t.Errorf("cell %d: no job_id", i)
@@ -132,21 +129,24 @@ func TestLocalSweepRunsThroughService(t *testing.T) {
 	}
 }
 
-// TestWorkersZeroIsSerial: -workers 0 reaches the service as 0, which the
-// engine runs serially like 1, not as one worker per core.
-func TestWorkersZeroIsSerial(t *testing.T) {
-	code, res := sweep(t, "-apps", "em3d", "-machines", "mp", "-procs", "4", "-size", "48", "-iters", "5", "-workers", "0")
-	if code != 0 {
-		t.Fatalf("exit status %d", code)
-	}
-	if res.RunWorkers != 0 || res.Jobs != 1 {
-		t.Errorf("run_workers %d, jobs %d; want 0, 1", res.RunWorkers, res.Jobs)
+// TestWorkerFlagsRejected: the engine dispatches serially, so the old
+// worker-pool flags are undefined and fail loudly — any value, before any
+// cell runs — instead of being silently ignored.
+func TestWorkerFlagsRejected(t *testing.T) {
+	for _, flags := range [][]string{
+		{"-workers", "0"},
+		{"-workers", "1"},
+		{"-verify-workers", "4"},
+	} {
+		args := append([]string{"-apps", "em3d", "-machines", "mp", "-procs", "4", "-size", "48", "-iters", "5"}, flags...)
+		if code, res := sweep(t, args...); code != 2 || res.Runs != nil {
+			t.Errorf("%v: exit status %d, %d results; want 2 and no results file", flags, code, len(res.Runs))
+		}
 	}
 }
 
 // TestServerRejectsLocalFlags: the daemon sizes its own pool, so -server
-// with -jobs, -workers or -verify-workers is a usage error, reported before
-// the daemon is contacted.
+// with -jobs is a usage error, reported before the daemon is contacted.
 func TestServerRejectsLocalFlags(t *testing.T) {
 	var hits atomic.Int64
 	daemon := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -155,9 +155,8 @@ func TestServerRejectsLocalFlags(t *testing.T) {
 	}))
 	defer daemon.Close()
 	for _, flags := range [][]string{
-		{"-verify-workers", "4"},
 		{"-jobs", "2"},
-		{"-workers", "1"}, // explicitly set, even to the default
+		{"-jobs", "0"}, // explicitly set, even to the default
 	} {
 		args := append([]string{"-server", daemon.URL, "-apps", "em3d", "-machines", "mp"}, flags...)
 		if code, res := sweep(t, args...); code != 2 || res.Runs != nil {
@@ -170,7 +169,7 @@ func TestServerRejectsLocalFlags(t *testing.T) {
 }
 
 // TestServerSweepRecordsNoLocalSizing: against a daemon, the results file
-// records 0 jobs and 0 run workers instead of flag values nobody used.
+// records 0 jobs instead of a flag value nobody used.
 func TestServerSweepRecordsNoLocalSizing(t *testing.T) {
 	s, err := serve.New(serve.Config{Dir: t.TempDir()})
 	if err != nil {
@@ -187,8 +186,8 @@ func TestServerSweepRecordsNoLocalSizing(t *testing.T) {
 	if code != 0 || len(res.Runs) != 1 {
 		t.Fatalf("exit status %d, %d results", code, len(res.Runs))
 	}
-	if res.Jobs != 0 || res.RunWorkers != 0 {
-		t.Errorf("jobs %d, run_workers %d; want 0, 0", res.Jobs, res.RunWorkers)
+	if res.Jobs != 0 {
+		t.Errorf("jobs %d; want 0", res.Jobs)
 	}
 }
 

@@ -51,8 +51,8 @@ import (
 //
 // Quiet reads the members' counts as published at the last quantum boundary
 // rather than live: a shutting-down node polls Quiet from processor context
-// while its peers are still executing, and the published snapshot is both
-// race-free and identical however the host interleaved the quantum.
+// in the same quantum as its peers, and the conservative window leaves open
+// which of them ran first, so only the boundary value is part of the model.
 type Group struct {
 	members []*Reliable
 }

@@ -144,7 +144,7 @@ func (g *graph) reference(iters int) (e, h [][]float64) {
 				s := 0.0
 				for k := 0; k < g.deg; k++ {
 					ed := g.eIn[p][i*g.deg+k]
-					s += ed.w * h[ed.srcProc][ed.srcIdx]
+					s += float64(ed.w * h[ed.srcProc][ed.srcIdx])
 				}
 				e[p][i] = s
 			}
@@ -154,7 +154,7 @@ func (g *graph) reference(iters int) (e, h [][]float64) {
 				s := 0.0
 				for k := 0; k < g.deg; k++ {
 					ed := g.hIn[p][i*g.deg+k]
-					s += ed.w * e[ed.srcProc][ed.srcIdx]
+					s += float64(ed.w * e[ed.srcProc][ed.srcIdx])
 				}
 				h[p][i] = s
 			}

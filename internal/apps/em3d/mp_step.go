@@ -510,7 +510,7 @@ func (s *mpStep) stepHalf(idx *memsim.IVec, w *memsim.FVec, src, ghost, dst *mem
 			if !ok {
 				return false
 			}
-			hf.acc += w.V[hf.i*deg+hf.k] * v
+			hf.acc += float64(w.V[hf.i*deg+hf.k] * v)
 			hf.k++
 		case 3:
 			if !dst.StepSet(m, hf.i, hf.acc) {

@@ -350,7 +350,7 @@ func (s *smStep) stepSMHalf(idx *memsim.IVec, w *memsim.FVec, srcVals []memsim.F
 			if !ok {
 				return false
 			}
-			hf.acc += w.V[hf.i*deg+hf.k] * v
+			hf.acc += float64(w.V[hf.i*deg+hf.k] * v)
 			hf.k++
 		case 3:
 			if !dst.StepSet(m, hf.i, hf.acc) {

@@ -60,7 +60,7 @@ type Output struct {
 }
 
 // trueX returns the known solution the right-hand side is built from.
-func trueX(i int) float64 { return 1 + float64(i%7)*0.5 }
+func trueX(i int) float64 { return 1 + float64(float64(i%7)*0.5) }
 
 // genRow deterministically generates global row i of the augmented matrix
 // (N coefficients plus the right-hand side) for an N-variable system. The
@@ -76,7 +76,7 @@ func genRow(seed uint64, i, n int) []float64 {
 	}
 	rhs := 0.0
 	for j := 0; j < n; j++ {
-		rhs += row[j] * trueX(j)
+		rhs += float64(row[j] * trueX(j))
 	}
 	row[n] = rhs
 	return row
@@ -219,7 +219,7 @@ func (w *myRows) elim(k int, piv float64, pv *memsim.FVec, pbase int) bool {
 				return false
 			}
 			for j := k; j < w.width; j++ {
-				w.a.V[row+j] -= w.f * pv.V[pbase+j]
+				w.a.V[row+j] -= float64(w.f * pv.V[pbase+j])
 			}
 			w.sub = 4
 		}
@@ -270,7 +270,7 @@ func (w *myRows) fold(k int, xk float64) bool {
 			if !ok {
 				return false
 			}
-			w.rhs = w.rhs - v*xk
+			w.rhs = w.rhs - float64(v*xk)
 			w.sub = 3
 		}
 		if !w.a.StepSet(w.m, row+w.n, w.rhs) {

@@ -140,7 +140,7 @@ func genProblem(p Params) *problem {
 		// paper (43 steps): per-step contraction is bounded by the
 		// off-diagonal/diagonal ratio because cross-processor values are a
 		// step stale.
-		pr.diag[i] = p.DiagFactor*sum + 0.5
+		pr.diag[i] = float64(p.DiagFactor*sum) + 0.5
 		if rng.Float64() < 0.7 {
 			pr.q[i] = -rng.Float64() // active constraint: z_i > 0
 		} else {
@@ -153,10 +153,10 @@ func genProblem(p Params) *problem {
 // sweepRow performs the projected SOR update for row i against z (read) and
 // returns the new z_i.
 func (pr *problem) sweepRow(i int, zi float64, z []float64, omega float64) float64 {
-	s := pr.q[i] + pr.diag[i]*zi
+	s := pr.q[i] + float64(pr.diag[i]*zi)
 	cols, vals := pr.cols[i], pr.vals[i]
 	for k := range cols {
-		s += vals[k] * z[cols[k]]
+		s += float64(vals[k] * z[cols[k]])
 	}
 	nz := zi - omega*s/pr.diag[i]
 	if nz < 0 {
@@ -169,9 +169,9 @@ func (pr *problem) sweepRow(i int, zi float64, z []float64, omega float64) float
 func (pr *problem) validate(z []float64) float64 {
 	worst := 0.0
 	for i := 0; i < pr.n; i++ {
-		w := pr.q[i] + pr.diag[i]*z[i]
+		w := pr.q[i] + float64(pr.diag[i]*z[i])
 		for k := range pr.cols[i] {
-			w += pr.vals[i][k] * z[pr.cols[i][k]]
+			w += float64(pr.vals[i][k] * z[pr.cols[i][k]])
 		}
 		// Complementarity: min(z_i, w_i) should be 0.
 		v := math.Min(z[i], w)

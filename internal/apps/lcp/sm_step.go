@@ -338,7 +338,7 @@ func (s *smStep) stepSweeps() bool {
 			} else {
 				s.zi = s.zloc.V[gi]
 			}
-			s.acc = s.pr.q[gi] + s.pr.diag[gi]*s.zi
+			s.acc = s.pr.q[gi] + float64(s.pr.diag[gi]*s.zi)
 			s.k = 0
 			s.sub = 3
 		case 3:
@@ -347,7 +347,7 @@ func (s *smStep) stepSweeps() bool {
 			for s.k < len(cols) {
 				ci := int(cols[s.k])
 				if !s.async && ci >= lo && ci < lo+s.rpp {
-					s.acc += vals[s.k] * s.zloc.V[ci]
+					s.acc += float64(vals[s.k] * s.zloc.V[ci])
 					s.k++
 					continue
 				}
@@ -355,7 +355,7 @@ func (s *smStep) stepSweeps() bool {
 				if !ok {
 					return false
 				}
-				s.acc += vals[s.k] * v
+				s.acc += float64(vals[s.k] * v)
 				s.k++
 			}
 			s.sub = 4

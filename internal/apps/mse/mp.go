@@ -149,7 +149,7 @@ func RunMP(cfg cost.Config, shape cmmd.Shape, par Params) *Output {
 				s := pr.b[i]
 				for j := 0; j < nm; j++ {
 					if j != i {
-						s -= pr.kernel(i, j) * xsnap.V[j]
+						s -= float64(pr.kernel(i, j) * xsnap.V[j])
 					}
 				}
 				next[li] = s / pr.diag[i]

@@ -93,7 +93,7 @@ func (pr *problem) kernel(i, j int) float64 {
 	dx := pr.pos[i][0] - pr.pos[j][0]
 	dy := pr.pos[i][1] - pr.pos[j][1]
 	dz := pr.pos[i][2] - pr.pos[j][2]
-	return 1 / (4 * math.Pi * math.Sqrt(dx*dx+dy*dy+dz*dz))
+	return 1 / (4 * math.Pi * math.Sqrt(float64(dx*dx)+float64(dy*dy)+float64(dz*dz)))
 }
 
 func genProblem(par Params, procs int) *problem {
@@ -116,9 +116,9 @@ func genProblem(par Params, procs int) *problem {
 		site := sites[rng.Intn(nClusters)]
 		spread := side / 12
 		centers[b] = [3]float64{
-			site[0] + (rng.Float64()-0.5)*spread,
-			site[1] + (rng.Float64()-0.5)*spread,
-			site[2] + (rng.Float64()-0.5)*spread,
+			site[0] + float64((rng.Float64()-0.5)*spread),
+			site[1] + float64((rng.Float64()-0.5)*spread),
+			site[2] + float64((rng.Float64()-0.5)*spread),
 		}
 	}
 	pr.centers = centers
@@ -144,14 +144,14 @@ func genProblem(par Params, procs int) *problem {
 				sum += math.Abs(pr.kernel(i, j))
 			}
 		}
-		pr.diag[i] = 2.5*sum + 0.1
-		pr.xtrue[i] = 1 + 0.5*float64(i%9)
+		pr.diag[i] = float64(2.5*sum) + 0.1
+		pr.xtrue[i] = 1 + float64(0.5*float64(i%9))
 	}
 	for i := 0; i < pr.nm; i++ {
 		s := pr.diag[i] * pr.xtrue[i]
 		for j := 0; j < pr.nm; j++ {
 			if j != i {
-				s += pr.kernel(i, j) * pr.xtrue[j]
+				s += float64(pr.kernel(i, j) * pr.xtrue[j])
 			}
 		}
 		pr.b[i] = s
@@ -174,7 +174,7 @@ func genProblem(par Params, procs int) *problem {
 					dx := centers[bi][0] - centers[bj][0]
 					dy := centers[bi][1] - centers[bj][1]
 					dz := centers[bi][2] - centers[bj][2]
-					if d := math.Sqrt(dx*dx + dy*dy + dz*dz); d < min {
+					if d := math.Sqrt(float64(dx*dx) + float64(dy*dy) + float64(dz*dz)); d < min {
 						min = d
 					}
 				}
@@ -199,10 +199,11 @@ func (pr *problem) near(b, c int) bool {
 	if b == c {
 		return true
 	}
-	dx := pr.centers[b][0] - pr.centers[c][0]
-	dy := pr.centers[b][1] - pr.centers[c][1]
-	dz := pr.centers[b][2] - pr.centers[c][2]
-	return math.Sqrt(dx*dx+dy*dy+dz*dz) < pr.nearCut
+	// One assignment keeps near within the inlining budget.
+	dx, dy, dz := pr.centers[b][0]-pr.centers[c][0],
+		pr.centers[b][1]-pr.centers[c][1],
+		pr.centers[b][2]-pr.centers[c][2]
+	return math.Sqrt(float64(dx*dx)+float64(dy*dy)+float64(dz*dz)) < pr.nearCut
 }
 
 // due reports whether p refreshes its snapshot of q's values at iteration t
@@ -240,7 +241,7 @@ func (pr *problem) reference(procs, iters int) []float64 {
 					if j == i {
 						continue
 					}
-					s -= pr.kernel(i, j) * snap[p][j]
+					s -= float64(pr.kernel(i, j) * snap[p][j])
 				}
 				next[i] = s / pr.diag[i]
 			}
@@ -261,7 +262,7 @@ func (o *Output) validate(pr *problem, ref []float64) {
 		s := pr.diag[i] * v
 		for j := 0; j < pr.nm; j++ {
 			if j != i {
-				s += pr.kernel(i, j) * o.X[j]
+				s += float64(pr.kernel(i, j) * o.X[j])
 			}
 		}
 		if r := math.Abs(s-pr.b[i]) / pr.diag[i]; r > o.Residual {

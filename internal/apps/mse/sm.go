@@ -68,7 +68,7 @@ func RunSM(cfg cost.Config, par Params) *Output {
 				xsnap.WriteRange(mem, q*epp, (q+1)*epp)
 				// Copy the quantum-boundary image, not the live backing:
 				// q may be mid-publish this quantum, and which of its
-				// writes have landed must not depend on worker schedule.
+				// writes have landed must not depend on dispatch order.
 				copy(xsnap.V[q*epp:(q+1)*epp], xmir.V[q*epp:(q+1)*epp])
 				nd.Compute(cSchedule)
 			}
@@ -97,7 +97,7 @@ func RunSM(cfg cost.Config, par Params) *Output {
 				s := pr.b[i]
 				for j := 0; j < nm; j++ {
 					if j != i {
-						s -= pr.kernel(i, j) * xsnap.V[j]
+						s -= float64(pr.kernel(i, j) * xsnap.V[j])
 					}
 				}
 				next[li] = s / pr.diag[i]

@@ -7,7 +7,7 @@ import "repro/internal/cost"
 // collective's root; Comm.vrank and Comm.actual rotate a real root onto it,
 // so one tree serves every root). The machine builds it once, before any
 // processor runs, and hands the same value to every node's Comm; nothing
-// writes it afterwards, so pool workers read it without synchronisation.
+// writes it afterwards, so every node reads the same immutable value.
 type Topology struct {
 	Shape Shape
 

@@ -61,7 +61,6 @@ const (
 // request-carrying kinds (handle/serve/grant/nack).
 type cohEvent struct {
 	pr    *Protocol
-	pool  *cohPool
 	kind  cohEvKind
 	home  int
 	id    int
@@ -101,27 +100,20 @@ func (ev *cohEvent) RunEvent(at sim.Time) {
 	}
 	ev.kind = evFree
 	ev.r = request{}
-	ev.pool.put(ev)
+	pr.evFree = append(pr.evFree, ev)
 }
 
-// cohPool recycles cohEvents. The Protocol owns one pool popped only from
-// engine context (directory and controller events scheduling follow-ups),
-// and each node owns one popped only by its own processor during the
-// processor phase (request issue, evictions). Events are always recycled in
-// engine context; the engine's phase-separation invariant (processor and
-// event phases never overlap) is what lets both pools go lockless.
-type cohPool struct{ free []*cohEvent }
-
-func (pl *cohPool) get(pr *Protocol) *cohEvent {
-	if n := len(pl.free); n > 0 {
-		ev := pl.free[n-1]
-		pl.free = pl.free[:n-1]
+// getEv returns a recycled (or fresh) protocol event. Directory events
+// scheduling follow-ups and processors issuing requests both draw from it;
+// RunEvent returns every event once it has run.
+func (pr *Protocol) getEv() *cohEvent {
+	if n := len(pr.evFree); n > 0 {
+		ev := pr.evFree[n-1]
+		pr.evFree = pr.evFree[:n-1]
 		return ev
 	}
-	return &cohEvent{pr: pr, pool: pl}
+	return &cohEvent{pr: pr}
 }
-
-func (pl *cohPool) put(ev *cohEvent) { pl.free = append(pl.free, ev) }
 
 type dirState uint8
 
@@ -353,7 +345,7 @@ func (pr *Protocol) dirHandle(home int, r request, arrive sim.Time) {
 			return
 		}
 		if d.Delay > 0 {
-			ev := pr.evPool.get(pr)
+			ev := pr.getEv()
 			ev.kind, ev.home, ev.r = evDirServe, home, r
 			pr.Eng.ScheduleAction(arrive+d.Delay, ev)
 			return
@@ -384,7 +376,7 @@ func (pr *Protocol) nack(home int, r request, arrive sim.Time) {
 	n.busyUntil = start + pr.Cfg.DirBase
 	pr.countMsg(home, r.reqID, false)
 	at := n.busyUntil + pr.Cfg.DirMsgSend + pr.latency(home, r.reqID) + pr.sendDelay()
-	ev := pr.evPool.get(pr)
+	ev := pr.getEv()
 	ev.kind, ev.r = evNackWake, r
 	pr.Eng.ScheduleAction(at, ev)
 }
@@ -410,7 +402,7 @@ func (pr *Protocol) dirServe(home int, r request, arrive sim.Time) {
 		if pr.forensics {
 			pr.record(e, arrive, "defer %v from %d until @%d (settle)", r.kind, r.reqID, at)
 		}
-		ev := pr.evPool.get(pr)
+		ev := pr.getEv()
 		ev.kind, ev.home, ev.r = evDirServe, home, r
 		pr.Eng.ScheduleAction(at, ev)
 		return
@@ -492,7 +484,7 @@ func (pr *Protocol) dirServe(home int, r request, arrive sim.Time) {
 				}
 				pr.countMsg(home, s, false)
 				at := n.busyUntil + pr.latency(home, s) + pr.sendDelay()
-				ev := pr.evPool.get(pr)
+				ev := pr.getEv()
 				ev.kind, ev.id, ev.home, ev.block = evCtrlInval, s, home, r.block
 				pr.Eng.ScheduleAction(at, ev)
 			}
@@ -520,7 +512,7 @@ func (pr *Protocol) beginRecall(home int, e *entry, r request, arrive, start sim
 	// A GETS recall downgrades the owner to Shared; GETX/UPGRADE recalls
 	// invalidate it.
 	downgrade := r.kind == reqGETS
-	ev := pr.evPool.get(pr)
+	ev := pr.getEv()
 	ev.kind, ev.id, ev.home, ev.block, ev.flag = evCtrlRecall, owner, home, block, downgrade
 	pr.Eng.ScheduleAction(at, ev)
 }
@@ -533,7 +525,7 @@ func (pr *Protocol) ctrlInval(id, home int, block uint64, at sim.Time, _ bool) {
 		trace("ctrlInval node=%d block=%#x at=%d", id, block, at)
 	}
 	if fa, ok := pr.fillDeferral(id, block, at); ok {
-		ev := pr.evPool.get(pr)
+		ev := pr.getEv()
 		ev.kind, ev.id, ev.home, ev.block = evCtrlInval, id, home, block
 		pr.Eng.ScheduleAction(fa, ev)
 		return
@@ -565,7 +557,7 @@ func (pr *Protocol) ctrlInval(id, home int, block uint64, at sim.Time, _ bool) {
 	}
 	pr.countMsg(id, home, withData)
 	ackAt := at + delay + pr.latency(id, home) + pr.sendDelay()
-	ev := pr.evPool.get(pr)
+	ev := pr.getEv()
 	ev.kind, ev.home, ev.block, ev.flag, ev.id = evDirAck, home, block, withData, id
 	pr.Eng.ScheduleAction(ackAt, ev)
 }
@@ -577,7 +569,7 @@ func (pr *Protocol) ctrlRecall(id, home int, block uint64, at sim.Time, downgrad
 		trace("ctrlRecall node=%d block=%#x at=%d downgrade=%v", id, block, at, downgrade)
 	}
 	if fa, ok := pr.fillDeferral(id, block, at); ok {
-		ev := pr.evPool.get(pr)
+		ev := pr.getEv()
 		ev.kind, ev.id, ev.home, ev.block, ev.flag = evCtrlRecall, id, home, block, downgrade
 		pr.Eng.ScheduleAction(fa, ev)
 		return
@@ -593,7 +585,7 @@ func (pr *Protocol) ctrlRecall(id, home int, block uint64, at sim.Time, downgrad
 		}
 		pr.countMsg(id, home, false)
 		ackAt := at + cfg.InvalidateCycles + pr.latency(id, home) + pr.sendDelay()
-		ev := pr.evPool.get(pr)
+		ev := pr.getEv()
 		ev.kind, ev.home, ev.block, ev.flag, ev.id = evDirAck, home, block, false, id
 		pr.Eng.ScheduleAction(ackAt, ev)
 		return
@@ -610,7 +602,7 @@ func (pr *Protocol) ctrlRecall(id, home int, block uint64, at sim.Time, downgrad
 	delay := cfg.InvalidateCycles + cfg.ReplSharedDirty
 	pr.countMsg(id, home, true)
 	ackAt := at + delay + pr.latency(id, home) + pr.sendDelay()
-	ev := pr.evPool.get(pr)
+	ev := pr.getEv()
 	ev.kind, ev.home, ev.block, ev.flag, ev.id = evDirAck, home, block, true, id
 	pr.Eng.ScheduleAction(ackAt, ev)
 }
@@ -704,7 +696,7 @@ func (pr *Protocol) completeTxn(home int, block uint64, e *entry) {
 		}
 		// Straight to dirServe: the queued request already drew its
 		// fault decision when it first arrived.
-		ev := pr.evPool.get(pr)
+		ev := pr.getEv()
 		ev.kind, ev.home, ev.r = evDirServe, home, w.r
 		pr.Eng.ScheduleAction(at, ev)
 	}
@@ -770,7 +762,7 @@ func (pr *Protocol) reply(home int, r request, when sim.Time, withData bool) sim
 		// overtake it are deferred (see fillDeferral).
 		pr.nodes[r.reqID].fills[r.block] = arrive
 	}
-	ev := pr.evPool.get(pr)
+	ev := pr.getEv()
 	ev.kind, ev.home, ev.r = evGrant, home, r
 	pr.Eng.ScheduleAction(arrive, ev)
 	return arrive

@@ -18,7 +18,6 @@ package coherence
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/cost"
 	"repro/internal/faults"
@@ -37,9 +36,8 @@ type Protocol struct {
 	pshift uint
 
 	// Aggregate transaction counters, for tests and reports. Reads, Writes,
-	// Upgrades, and Writebacks are bumped from processor context (atomically
-	// — requesters on different nodes run concurrently within a quantum);
-	// the rest are only touched by directory events (engine context).
+	// Upgrades, and Writebacks are bumped from processor context; the rest
+	// are only touched by directory events (engine context).
 	Reads, Writes, Upgrades, Writebacks, Invals int64
 	QueueDelay, QueueEvents                     int64
 	NACKsSent                                   int64
@@ -58,14 +56,11 @@ type Protocol struct {
 	forensics bool
 
 	// outstanding counts requests issued but not yet granted, so the
-	// watchdog knows whether quiet means idle or stalled. Accessed
-	// atomically: requesters increment concurrently, the engine's watchdog
-	// gate reads at quantum boundaries.
+	// watchdog knows whether quiet means idle or stalled.
 	outstanding int64
 
-	// evPool recycles protocol events scheduled from engine context;
-	// per-node pools cover processor-context scheduling (see cohPool).
-	evPool cohPool
+	// evFree recycles protocol events (see getEv).
+	evFree []*cohEvent
 
 	// txnFree recycles completed transactions, with their waiter queues'
 	// backing arrays (engine context only; see beginTxn).
@@ -102,10 +97,6 @@ type node struct {
 	// stall reports (forensics only).
 	lastAct   string
 	lastActAt sim.Time
-
-	// evPool recycles events this node's processor schedules from processor
-	// context (request issue, evictions, flush hints).
-	evPool cohPool
 
 	// pend is the node's in-flight requester transaction (see step.go).
 	pend stepPend
@@ -206,7 +197,7 @@ func (pr *Protocol) CtrlPlan() *faults.CtrlPlan { return pr.ctrl }
 // be called before the simulation starts.
 func (pr *Protocol) EnableWatchdog(window sim.Time) *sim.Watchdog {
 	pr.wd = pr.Eng.AddWatchdog("coherence", window,
-		func() bool { return atomic.LoadInt64(&pr.outstanding) > 0 }, pr.stallReport)
+		func() bool { return pr.outstanding > 0 }, pr.stallReport)
 	pr.forensics = true
 	return pr.wd
 }
@@ -285,9 +276,9 @@ func (pr *Protocol) installAt(m *memsim.Mem, block uint64, state uint8, at sim.T
 		return pr.Cfg.ReplSharedClean
 	default: // dirty shared victim: write back from event context
 		home := pr.homeOf(victim.Tag)
-		atomic.AddInt64(&pr.Writebacks, 1)
+		pr.Writebacks++
 		pr.countMsg(m.P.ID, home, true)
-		ev := pr.evPool.get(pr)
+		ev := pr.getEv()
 		ev.kind, ev.home, ev.block, ev.id = evWriteback, home, victim.Tag, m.P.ID
 		pr.Eng.ScheduleAction(at+pr.latency(m.P.ID, home), ev)
 		return pr.Cfg.ReplSharedDirty
@@ -305,9 +296,9 @@ func (pr *Protocol) Evict(m *memsim.Mem, victim memsim.Line, cat stats.Category)
 	}
 	p.ChargeStall(cat, pr.Cfg.ReplSharedDirty)
 	home := pr.homeOf(victim.Tag)
-	atomic.AddInt64(&pr.Writebacks, 1)
+	pr.Writebacks++
 	pr.countMsg(p.ID, home, true)
-	ev := pr.nodes[p.ID].evPool.get(pr)
+	ev := pr.getEv()
 	ev.kind, ev.home, ev.block, ev.id = evWriteback, home, victim.Tag, p.ID
 	p.ScheduleAction(p.Clock()+pr.latency(p.ID, home), ev)
 }
@@ -326,7 +317,7 @@ func (pr *Protocol) Flush(m *memsim.Mem, victim memsim.Line, cat stats.Category)
 	p.ChargeStall(cat, pr.Cfg.ReplSharedClean)
 	home := pr.homeOf(victim.Tag)
 	pr.countMsg(p.ID, home, false)
-	ev := pr.nodes[p.ID].evPool.get(pr)
+	ev := pr.getEv()
 	ev.kind, ev.home, ev.block, ev.id = evFlushHint, home, victim.Tag, p.ID
 	p.ScheduleAction(p.Clock()+pr.latency(p.ID, home), ev)
 }

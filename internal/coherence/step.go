@@ -1,8 +1,6 @@
 package coherence
 
 import (
-	"sync/atomic"
-
 	"repro/internal/faults"
 	"repro/internal/memsim"
 	"repro/internal/sim"
@@ -49,7 +47,7 @@ func (pr *Protocol) StepReadMiss(m *memsim.Mem, block uint64) bool {
 	} else {
 		p.Acct.Add(stats.CntSharedMissRemote, 1)
 	}
-	atomic.AddInt64(&pr.Reads, 1)
+	pr.Reads++
 	p.ChargeStall(cat, pr.Cfg.SharedMissCycles)
 	pr.stepIssue(m, home, reqGETS, block, cat, "shared read miss")
 	return false
@@ -71,7 +69,7 @@ func (pr *Protocol) StepWriteAccess(m *memsim.Mem, block uint64, resident uint8)
 		cat = p.WriteFaultCategory()
 		p.Acct.Add(stats.CntWriteFaults, 1)
 		kind = reqUPGRADE
-		atomic.AddInt64(&pr.Upgrades, 1)
+		pr.Upgrades++
 	} else {
 		cat = p.SharedMissCategory()
 		if home == p.ID {
@@ -80,7 +78,7 @@ func (pr *Protocol) StepWriteAccess(m *memsim.Mem, block uint64, resident uint8)
 			p.Acct.Add(stats.CntSharedMissRemote, 1)
 		}
 		kind = reqGETX
-		atomic.AddInt64(&pr.Writes, 1)
+		pr.Writes++
 	}
 	p.ChargeStall(cat, pr.Cfg.SharedMissCycles)
 	pr.stepIssue(m, home, kind, block, cat, "shared write access")
@@ -99,7 +97,7 @@ func (pr *Protocol) stepIssue(m *memsim.Mem, home int, kind reqKind, block uint6
 		// The engine restarts the watchdog window itself when it observes
 		// the quiet→active transition at a quantum boundary; the requester
 		// only maintains the outstanding count the activity gate reads.
-		atomic.AddInt64(&pr.outstanding, 1)
+		pr.outstanding++
 	}
 	pr.stepSend(m)
 	p.StepBlock(cat, why)
@@ -115,7 +113,7 @@ func (pr *Protocol) stepSend(m *memsim.Mem) {
 	}
 	pr.countMsg(p.ID, n.pend.home, false)
 	arrive := p.Clock() + pr.latency(p.ID, n.pend.home)
-	ev := n.evPool.get(pr)
+	ev := pr.getEv()
 	ev.kind, ev.home = evDirHandle, n.pend.home
 	ev.r = request{kind: n.pend.kind, block: n.pend.block, reqID: p.ID, m: m}
 	p.ScheduleAction(arrive, ev)
@@ -137,7 +135,7 @@ func (pr *Protocol) stepResume(m *memsim.Mem) bool {
 	if nacked == 0 {
 		p.ChargeStall(pd.cat, repl)
 		if pr.wd != nil {
-			atomic.AddInt64(&pr.outstanding, -1)
+			pr.outstanding--
 		}
 		return true
 	}
@@ -145,7 +143,7 @@ func (pr *Protocol) stepResume(m *memsim.Mem) bool {
 	p.Acct.Add(stats.CntNACKs, 1)
 	if pd.retries > pr.smf.RetryBudget {
 		if pr.wd != nil {
-			atomic.AddInt64(&pr.outstanding, -1)
+			pr.outstanding--
 		}
 		p.Fail(&faults.RetryStarvationError{
 			Node: p.ID, Home: pd.home, Block: pd.block, Kind: pd.kind.String(),

@@ -136,14 +136,6 @@ type Config struct {
 	// backoff wait. Only incurred when SMFaults is non-nil.
 	NACKRetryCycles int64
 
-	// Workers bounds how many target processors the engine may execute
-	// concurrently on host cores within each quantum (sim.Engine.Workers):
-	// 0 or 1 dispatches serially, N > 1 runs a pool of N. A host-side
-	// throughput knob, never a model parameter — every value produces
-	// bit-identical simulations, which is why it is excluded from JSON run
-	// specs and snapshots (see the serial/parallel determinism tests).
-	Workers int `json:"-"`
-
 	// OnBuild, when non-nil, is invoked once at the end of machine
 	// construction with the assembled machine (*machine.MPMachine or
 	// *machine.SMMachine), before any simulated cycle runs. It exists so

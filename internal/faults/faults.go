@@ -9,15 +9,14 @@
 // comes from seeded sim.RNG streams, one per source node, each drawn in that
 // node's injection order: a run with the same configuration and seed
 // reproduces the identical fault sequence bit-for-bit (which the determinism
-// tests rely on) even when the engine dispatches the sending processors
-// concurrently, because no stream is shared between processors.
+// tests rely on), and a node's draws never depend on how its sends
+// interleave with other nodes' sends, because no stream is shared between
+// processors.
 package faults
 
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cost"
 	"repro/internal/sim"
@@ -72,19 +71,16 @@ type Decision struct {
 }
 
 // Plan is a compiled fault schedule plus its randomness. Each source node
-// draws from its own seeded stream (created on first use), so concurrently
-// executing senders never contend for — or nondeterministically interleave
-// on — a shared RNG. The mutex only guards the stream map; a stream itself
-// is drawn from exclusively by its source node's processor.
+// draws from its own seeded stream (created on first use), so a node's
+// draws do not depend on how its sends interleave with other nodes' sends
+// inside a quantum — an order the conservative window leaves open.
 type Plan struct {
 	seed   uint64
 	epochs []Epoch
 
-	mu      sync.Mutex
 	streams map[int]*sim.RNG
 
-	// Decisions tallies consultations, for tests and reports. Updated
-	// atomically: injections on different nodes race otherwise.
+	// Decisions tallies consultations, for tests and reports.
 	Decisions int64
 }
 
@@ -100,13 +96,11 @@ func NewPlan(seed uint64, epochs []Epoch) *Plan {
 // plan seed on first use. Stream contents depend only on (seed, src), never
 // on creation order.
 func (p *Plan) stream(src int) *sim.RNG {
-	p.mu.Lock()
 	r := p.streams[src]
 	if r == nil {
 		r = sim.NewRNG(p.seed + uint64(int64(src)+1)*0x9E3779B97F4A7C15)
 		p.streams[src] = r
 	}
-	p.mu.Unlock()
 	return r
 }
 
@@ -152,7 +146,7 @@ func (p *Plan) rates(now sim.Time, src, dst int) (Rates, bool) {
 // Draw order within a source's stream is fixed, so identical seeds replay
 // identical sequences regardless of how sends on different nodes interleave.
 func (p *Plan) Decide(now sim.Time, src, dst int) Decision {
-	atomic.AddInt64(&p.Decisions, 1)
+	p.Decisions++
 	r, ok := p.rates(now, src, dst)
 	if !ok || r.Zero() {
 		return Decision{}

@@ -13,7 +13,6 @@ import (
 // spec, so only the cursors into the random streams need to be pinned.
 func (p *Plan) EncodeState(enc *snapshot.Enc) {
 	enc.Section("faultplan", func(enc *snapshot.Enc) {
-		p.mu.Lock()
 		srcs := make([]int, 0, len(p.streams))
 		for src := range p.streams {
 			srcs = append(srcs, src)
@@ -24,7 +23,6 @@ func (p *Plan) EncodeState(enc *snapshot.Enc) {
 			enc.I64(int64(src))
 			enc.U64(p.streams[src].State())
 		}
-		p.mu.Unlock()
 		enc.I64(p.Decisions)
 	})
 }

@@ -125,7 +125,6 @@ func buildMP(cfg cost.Config, shape cmmd.Shape, program func(n *MPNode), stepPro
 	}
 	c := cfg // one copy shared by all nodes
 	eng := sim.NewEngine(c.NetLatency)
-	eng.Workers = c.Workers
 	net := ni.NewNetwork(eng, &c)
 	bar := sim.NewBarrier(eng, c.Procs, c.BarrierLatency)
 	space := memsim.NewAddrSpace(c.Procs, c.BlockBytes)
@@ -290,7 +289,6 @@ func buildSM(cfg cost.Config, policy parmacs.Policy, program func(n *SMNode), st
 	}
 	c := cfg
 	eng := sim.NewEngine(c.NetLatency)
-	eng.Workers = c.Workers
 	bar := sim.NewBarrier(eng, c.Procs, c.BarrierLatency)
 	space := memsim.NewAddrSpace(c.Procs, c.BlockBytes)
 	pr := coherence.New(eng, &c)

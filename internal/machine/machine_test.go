@@ -114,7 +114,6 @@ func TestPhaseBucketsSeparate(t *testing.T) {
 func TestStepProgramStartsNoCoroutine(t *testing.T) {
 	const procs, quanta = 32, 20
 	cfg := cost.Default(procs)
-	cfg.Workers = 1
 	step := func() func(*sim.Proc) sim.StepStatus {
 		k := 0
 		return func(p *sim.Proc) sim.StepStatus {

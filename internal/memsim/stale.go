@@ -20,11 +20,11 @@ import "repro/internal/sim"
 // boundary, with the reading processor's own later writes overlaid. The
 // conservative window already declares intra-quantum cross-processor
 // interactions unordered, so a refetch that sampled the live backing would
-// make the copied values depend on which processors happened to run first
-// inside the quantum — under a worker pool, on host scheduling. Snapshotting
-// at the boundary (an Engine publisher) keeps values identical for any
-// Workers setting. Writes to disjoint elements of a shared block remain the
-// writers' responsibility, as on real hardware.
+// make the copied values depend on which processors the dispatcher happened
+// to run first inside the quantum — an order the model leaves open.
+// Snapshotting at the boundary (an Engine publisher) makes the values a
+// function of the boundary state alone. Writes to disjoint elements of a
+// shared block remain the writers' responsibility, as on real hardware.
 type StaleVec struct {
 	// G is the underlying shared vector (the authoritative backing).
 	G *FVec
@@ -69,7 +69,7 @@ func (s *StaleVec) elemsPerBlock(m *Mem) int {
 // i from the boundary image, then overlays p's own writes from this quantum
 // (which the boundary image cannot hold yet). Only the owning processor
 // touches its wlog entries' backing slots within a quantum, so reading them
-// from the live backing is race-free.
+// from the live backing returns its own writes.
 func (s *StaleVec) refreshBlock(m *Mem, i int) {
 	per := s.elemsPerBlock(m)
 	lo := (i / per) * per
@@ -124,7 +124,7 @@ func (s *StaleVec) StepSet(m *Mem, i int, x float64) bool {
 // remote partitions from V while owners write the live backing — the same
 // one-quantum visibility floor the conservative window already imposes on
 // every cross-processor interaction, so results cannot depend on which
-// processors the worker pool happened to run first.
+// processors the dispatcher happened to run first.
 type MirrorVec struct {
 	// V is the boundary image. Read-only outside the publisher.
 	V []float64

@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/cost"
 	"repro/internal/faults"
@@ -100,11 +99,11 @@ type Network struct {
 	// Injected == Delivered; with faults the invariant generalizes to
 	// Injected + Duplicated == Delivered + Dropped (every copy the network
 	// created or destroyed is accounted). Corrupted counts packets
-	// delivered with a flipped bit (they are also Delivered). Injection-side
-	// counters are bumped atomically — senders on different nodes run
-	// concurrently within a quantum; Delivered is only touched by delivery
-	// events (engine context).
+	// delivered with a flipped bit (they are also Delivered).
 	Injected, Delivered, Dropped, Duplicated, Corrupted int64
+
+	// freeDel recycles delivery events: senders pop, RunEvent pushes back.
+	freeDel []*delivery
 }
 
 // NewNetwork creates the interconnect.
@@ -133,12 +132,6 @@ type NI struct {
 	inq     []Packet // ordered by arrival: deliveries happen in event-time order
 	inqHead int      // consumed prefix (amortized O(1) pops)
 	waiter  bool     // the processor is blocked awaiting a delivery
-
-	// freeDel recycles this interface's outbound delivery events. Owned by
-	// the sender side: the owning processor pops during its processor phase,
-	// the engine pushes back after RunEvent during the serial event phase —
-	// the engine's phase-separation invariant means no lock is needed.
-	freeDel []*delivery
 }
 
 func (ni *NI) qlen() int { return len(ni.inq) - ni.inqHead }
@@ -292,24 +285,24 @@ func (ni *NI) sendBody(pkt *Packet) {
 
 	pkt.Src = ni.Node
 	pkt.Arrive = p.Clock() + ni.Cfg.NetLatency
-	atomic.AddInt64(&ni.net.Injected, 1)
+	ni.net.Injected++
 	dstNI := ni.net.nis[dst]
 
 	if plan := ni.net.Faults; plan != nil {
 		d := plan.Decide(p.Clock(), ni.Node, dst)
 		if d.Drop {
-			atomic.AddInt64(&ni.net.Dropped, 1)
+			ni.net.Dropped++
 			p.Acct.Add(stats.CntDropped, 1)
 			return
 		}
 		if d.Corrupt {
-			atomic.AddInt64(&ni.net.Corrupted, 1)
+			ni.net.Corrupted++
 			pkt.Corrupt = true
 			corrupt(pkt, d.CorruptBit)
 		}
 		pkt.Arrive += d.Delay
 		if d.Dup {
-			atomic.AddInt64(&ni.net.Duplicated, 1)
+			ni.net.Duplicated++
 			dup := *pkt
 			dup.Arrive = p.Clock() + ni.Cfg.NetLatency + d.DupDelay
 			ni.deliver(dstNI, &dup)
@@ -320,12 +313,10 @@ func (ni *NI) sendBody(pkt *Packet) {
 
 // delivery is a pooled, closure-free packet-arrival event (sim.Action). It
 // was the single hottest allocation site in message-passing runs — one
-// closure per packet — before pooling; see NI.freeDel for the ownership
-// discipline that lets the pool go lockless.
+// closure per packet — before pooling (see Network.freeDel).
 type delivery struct {
-	origin *NI // the sender, whose pool this event returns to
-	dst    *NI
-	pkt    Packet
+	dst *NI
+	pkt Packet
 }
 
 // RunEvent appends the packet to the destination queue, wakes a blocked
@@ -333,7 +324,8 @@ type delivery struct {
 func (d *delivery) RunEvent(at sim.Time) {
 	dst := d.dst
 	dst.inq = append(dst.inq, d.pkt)
-	d.origin.net.Delivered++
+	net := dst.net
+	net.Delivered++
 	if dst.waiter {
 		dst.waiter = false
 		dst.P.Wake(at)
@@ -342,7 +334,7 @@ func (d *delivery) RunEvent(at sim.Time) {
 	// Packet is pointer-free, so clearing it would only duffzero 128 bytes
 	// per delivery.
 	d.dst = nil
-	d.origin.freeDel = append(d.origin.freeDel, d)
+	net.freeDel = append(net.freeDel, d)
 }
 
 // deliver stages pkt's arrival at dst on behalf of the sending processor;
@@ -350,12 +342,12 @@ func (d *delivery) RunEvent(at sim.Time) {
 // to touch the destination's queue and wake its processor.
 func (ni *NI) deliver(dst *NI, pkt *Packet) {
 	var d *delivery
-	if n := len(ni.freeDel); n > 0 {
-		d = ni.freeDel[n-1]
-		ni.freeDel = ni.freeDel[:n-1]
+	if free := ni.net.freeDel; len(free) > 0 {
+		d = free[len(free)-1]
+		ni.net.freeDel = free[:len(free)-1]
 		d.dst, d.pkt = dst, *pkt
 	} else {
-		d = &delivery{origin: ni, dst: dst, pkt: *pkt}
+		d = &delivery{dst: dst, pkt: *pkt}
 	}
 	ni.P.ScheduleAction(pkt.Arrive, d)
 }

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/coherence"
 	"repro/internal/cost"
@@ -40,12 +39,10 @@ type Runtime struct {
 	Policy Policy
 
 	// created flips to true in the create event (engine context), so every
-	// processor observes the same quantum-stable value; the mutex guards the
-	// waiter list, which concurrently dispatched processors append to.
+	// processor observes the same quantum-stable value.
 	created      bool
 	createTime   sim.Time
 	createCalled bool // set synchronously by node 0, for double-call detection
-	mu           sync.Mutex
 	startWait    []*sim.Proc
 	lockSerial   int
 }
@@ -116,7 +113,7 @@ func (rt *Runtime) Create(p *sim.Proc) {
 	rt.createCalled = true
 	// Publish through an event: waiters are woken — and created becomes
 	// observable — in the event phase, in processor-ID order, so the outcome
-	// is identical however the host interleaved this quantum's processors.
+	// does not depend on the order this quantum's processors ran in.
 	at := p.Clock()
 	p.Schedule(at, func() {
 		rt.created = true

@@ -29,9 +29,7 @@ func (rt *Runtime) StepWaitCreate(p *sim.Proc) bool {
 		p.WaitUntil(rt.createTime, stats.StartupWait)
 		return true
 	}
-	rt.mu.Lock()
 	rt.startWait = append(rt.startWait, p)
-	rt.mu.Unlock()
 	p.StepBlock(stats.StartupWait, "waiting for create()")
 	return false
 }

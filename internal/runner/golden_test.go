@@ -116,7 +116,7 @@ func loadGolden(t *testing.T) map[string]goldenEntry {
 
 func goldenRun(t *testing.T, name string, spec Spec) goldenEntry {
 	t.Helper()
-	out, err := Run(spec, Options{Workers: 1})
+	out, err := Run(spec, Options{})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

@@ -2,11 +2,10 @@ package runner
 
 import (
 	"bytes"
-	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/cost"
-	"repro/internal/snapshot"
 )
 
 // mustRun runs spec and fails the test on a harness error or an aborted run.
@@ -40,6 +39,34 @@ func sameRun(t *testing.T, what string, got, want *Outcome) {
 	}
 }
 
+// runTogether starts n runs of spec at once, each on its own goroutine, as
+// a sweep service with n workers executes them, and returns their outcomes
+// once all have finished. It fails the test on a harness error or an
+// aborted run.
+func runTogether(t *testing.T, spec Spec, n int) []*Outcome {
+	t.Helper()
+	outs := make([]*Outcome, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i], errs[i] = Run(spec, Options{})
+		}()
+	}
+	wg.Wait()
+	for i := range n {
+		if errs[i] != nil {
+			t.Fatalf("run %d of %d: %v", i+1, n, errs[i])
+		}
+		if outs[i].Res.Err != nil {
+			t.Fatalf("run %d of %d aborted: %v", i+1, n, outs[i].Res.Err)
+		}
+	}
+	return outs
+}
+
 // named returns the row called name.
 func named(rows []NamedSpec, name string) NamedSpec {
 	for _, ns := range rows {
@@ -60,8 +87,7 @@ type parallelRow struct {
 // parallelRows is the shared matrix plus what it lacks of the step
 // programs: ALCP, LCP and ALCP on a lossy network (EM3D is a matrix row),
 // the three shared-memory step programs under coherence control faults,
-// LCP with hardware combining on both machines, and — at P=256, wide enough
-// that every pool worker's chunk holds interior nodes of the tree — the two
+// LCP with hardware combining on both machines, and at P=256 the two
 // programs that read the machine-wide state all nodes share: LCP-MP the
 // collective Topology, EM3D-SM one flat-celled MCS lock per node.
 func parallelRows() []parallelRow {
@@ -94,81 +120,23 @@ func parallelRows() []parallelRow {
 	return rows
 }
 
-// TestParallelDeterminismMatrix is the serial≡parallel contract at the
-// system level: every configuration in the replay-equivalence matrix and
-// every step program — under both machines' fault plans and with hardware
-// combining — must produce the same stats fingerprint, the same canonical
-// stats bytes, and the same application answer whether the engine
-// dispatches processors serially or across a worker pool. Run it under
-// -race to also catch any cross-processor access the staging discipline
-// missed.
+// TestParallelDeterminismMatrix is the determinism contract for the host
+// parallelism that remains: runs executing at the same time (wwtsweep -jobs,
+// wwtserved) share no simulation state. For every configuration in the
+// replay-equivalence matrix and every step program — under both machines'
+// fault plans and with hardware combining — two runs started together on
+// separate goroutines must agree on the stats fingerprint, the canonical
+// stats bytes and the application answer. Run it under -race to also catch
+// any package-level state two runs would share.
 func TestParallelDeterminismMatrix(t *testing.T) {
 	for _, row := range parallelRows() {
 		t.Run(row.Name, func(t *testing.T) {
 			t.Parallel()
-			serial := mustRun(t, "serial", row.Spec, Options{Workers: 1})
+			outs := runTogether(t, row.Spec, 2)
 			if row.fired != nil {
-				row.fired(t, serial)
+				row.fired(t, outs[0])
 			}
-			for _, workers := range []int{2, 4} {
-				what := fmt.Sprintf("workers=%d", workers)
-				sameRun(t, what, mustRun(t, what, row.Spec, Options{Workers: workers}), serial)
-			}
-		})
-	}
-}
-
-// TestParallelCheckpointEquivalence checks that the checkpoint layer's
-// quantum hooks observe serial-equivalent quiescent state under parallel
-// dispatch: a parallel run's snapshots must replay-verify in a serial
-// resume, and vice versa, landing on the serial run's fingerprint.
-func TestParallelCheckpointEquivalence(t *testing.T) {
-	for _, name := range []string{"em3d-mp-faults", "gauss-sm-faults"} {
-		spec := named(matrix, name).Spec
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			serial, err := Run(spec, Options{Workers: 1})
-			if err != nil || serial.Res.Err != nil {
-				t.Fatalf("serial run: %v / %v", err, serial.Res.Err)
-			}
-			dir := t.TempDir()
-			par, err := Run(spec, Options{
-				Workers: 4, CheckpointEvery: serial.Res.Elapsed / 3, CheckpointDir: dir,
-			})
-			if err != nil {
-				t.Fatalf("parallel checkpointed run: %v", err)
-			}
-			if par.Fingerprint != serial.Fingerprint {
-				t.Fatalf("parallel checkpointed fingerprint %#x, want %#x",
-					par.Fingerprint, serial.Fingerprint)
-			}
-			if len(par.Checkpoints) == 0 {
-				t.Fatal("parallel run wrote no checkpoints")
-			}
-			cp := par.Checkpoints[len(par.Checkpoints)-1]
-			snap, err := snapshot.ReadFile(cp.Path)
-			if err != nil {
-				t.Fatalf("read %s: %v", cp.Path, err)
-			}
-			sp, err := SpecFromSnapshot(snap)
-			if err != nil {
-				t.Fatalf("spec from snapshot: %v", err)
-			}
-			// Cross-resume: serial replay must byte-match the state image a
-			// parallel run captured, and parallel replay the serial image.
-			for _, workers := range []int{1, 4} {
-				re, err := Run(*sp, Options{Resume: snap, Workers: workers})
-				if err != nil {
-					t.Fatalf("resume (workers=%d) from parallel snapshot: %v", workers, err)
-				}
-				if !re.Verified {
-					t.Fatalf("resume (workers=%d) never verified", workers)
-				}
-				if re.Fingerprint != serial.Fingerprint {
-					t.Fatalf("resume (workers=%d) fingerprint %#x, want %#x",
-						workers, re.Fingerprint, serial.Fingerprint)
-				}
-			}
+			sameRun(t, "concurrent run", outs[1], outs[0])
 		})
 	}
 }

@@ -195,10 +195,7 @@ type Options struct {
 	// at the snapshot's cycle the replayed state and stats must be
 	// byte-identical, else the run aborts with a *ReplayDivergenceError.
 	Resume *snapshot.Snapshot
-	// Workers bounds intra-run host parallelism (cost.Config.Workers /
-	// sim.Engine.Workers): 0 or 1 dispatches serially, N > 1 runs a pool of
-	// N. A host knob, deliberately not part of Spec: any value yields the
-	// same fingerprint, so it lives beside the other run-local options.
+	// Deprecated: ignored; dispatch is serial.
 	Workers int
 	// Interrupt, when non-nil, arms cooperative preemption: once Fire is
 	// called (from any goroutine — a wall-clock deadline timer, a drain
@@ -313,7 +310,6 @@ func Run(spec Spec, opts Options) (*Outcome, error) {
 	finalize := func() {}
 
 	cfg := spec.Config()
-	cfg.Workers = opts.Workers
 	cfg.OnBuild = func(m any) {
 		var eng *sim.Engine
 		var me interface {

@@ -178,7 +178,7 @@ func TestEqualKeysEqualFingerprints(t *testing.T) {
 	fps := make([]uint64, len(corpus))
 	byKey := map[uint64]uint64{}
 	for i, s := range corpus {
-		out, err := Run(s, Options{Workers: 1})
+		out, err := Run(s, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,7 +380,7 @@ func TestValidateShapes(t *testing.T) {
 			continue
 		}
 		c.spec.Iters = 1
-		if out, err := Run(c.spec, Options{Workers: 1}); err != nil {
+		if out, err := Run(c.spec, Options{}); err != nil {
 			t.Errorf("%+v: validated but did not run: %v", c.spec, err)
 		} else if out.Res.Err != nil {
 			t.Errorf("%+v: validated but aborted: %v", c.spec, out.Res.Err)

@@ -11,22 +11,23 @@ import (
 // The suites in this file were the cross-form matrix: every row ran once as
 // coroutines and once as step processors and the two had to agree. The
 // processor form is no longer a choice — a step program runs as step
-// processors — so there is no second form, and each row now runs the
-// program once per worker count. The test names, which the recorded test
-// floor lists row by row, stay; what a row checks is what it checked besides
-// the option:
+// processors — so there is no second form. Nor is there a worker pool
+// inside a run any more: the wN subtests, which the recorded test floor
+// lists row by row, now start N runs at once, as a sweep service with N
+// workers executes them. What a row checks:
 //
-//   - Workers=w reproduces the serial run bit for bit, for the step programs
-//     at P=16..256, under both fault plans and with hardware combining
-//     (TestParallelDeterminismMatrix holds the same kinds of row at P=4);
+//   - runs executing together reproduce the reference run bit for bit, for
+//     the step programs at P=16..256, under both fault plans and with
+//     hardware combining (TestParallelDeterminismMatrix holds the same kinds
+//     of row at P=4);
 //   - a spec that still carries the decode-only "step_procs" field, as
 //     stored sweep matrices, WAL records and snapshots do, runs the program
-//     it names: the serial reference omits the field, every compared run
+//     it names: the reference run omits the field, every compared run
 //     sets it.
 
 // stepPairs are the app/machine pairs written as step programs. Sizes are
 // kept small: the matrix below multiplies them by three processor counts
-// and two worker counts, under the race detector.
+// and six runs, under the race detector.
 var stepPairs = []NamedSpec{
 	{"em3d-mp", Spec{App: "em3d", Machine: "mp", Size: 8, Iters: 2}},
 	{"em3d-sm", Spec{App: "em3d", Machine: "sm", Size: 8, Iters: 2}},
@@ -36,25 +37,26 @@ var stepPairs = []NamedSpec{
 	{"alcp-sm", Spec{App: "alcp", Machine: "sm", Size: 1024, Iters: 2}},
 }
 
-// runSpelled is the body of every row: spec runs serially as written, then
-// with "step_procs" set at each worker count (subtests w1, w4, ...), and
-// each of those must reproduce the serial run. It returns the serial
+// runSpelled is the body of every row: spec runs as written, then with
+// "step_procs" set as n runs at once for each n (subtests w1, w4, ...), and
+// each of those must reproduce the reference run. It returns the reference
 // outcome for the row's own assertions.
-func runSpelled(t *testing.T, spec Spec, workers ...int) *Outcome {
+func runSpelled(t *testing.T, spec Spec, together ...int) *Outcome {
 	t.Helper()
-	serial := mustRun(t, "serial", spec, Options{Workers: 1})
+	ref := mustRun(t, "reference", spec, Options{})
 	spec.StepProcs = true
-	for _, w := range workers {
-		t.Run(fmt.Sprintf("w%d", w), func(t *testing.T) {
-			what := fmt.Sprintf("step_procs, workers=%d", w)
-			sameRun(t, what, mustRun(t, what, spec, Options{Workers: w}), serial)
+	for _, n := range together {
+		t.Run(fmt.Sprintf("w%d", n), func(t *testing.T) {
+			for i, out := range runTogether(t, spec, n) {
+				sameRun(t, fmt.Sprintf("step_procs, run %d of %d", i+1, n), out, ref)
+			}
 		})
 	}
-	return serial
+	return ref
 }
 
 // TestStepFormEquivalence: every step program at several processor counts,
-// serial and parallel.
+// alone and four runs at once.
 func TestStepFormEquivalence(t *testing.T) {
 	for _, pair := range stepPairs {
 		for _, procs := range []int{16, 64, 256} {

@@ -379,17 +379,16 @@ func TestPanicIsolation(t *testing.T) {
 }
 
 // TestProcessorPanicIsolation: a panic inside a simulated processor's body
-// — which runs on a coroutine of its own and, with RunWorkers > 1, on a pool
-// worker's thread — reaches the supervisor's recover like any other panic:
-// the job fails as a JobPanicError and the daemon keeps answering.
+// — which runs on a coroutine of its own — reaches the supervisor's recover
+// like any other panic, with one service worker or several: the job fails
+// as a JobPanicError and the daemon keeps answering.
 func TestProcessorPanicIsolation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			s := newTestServer(t, t.TempDir(), func(c *Config) { c.Jobs = 1; c.MaxRetries = 1; c.RunWorkers = workers })
+			s := newTestServer(t, t.TempDir(), func(c *Config) { c.Jobs = workers; c.MaxRetries = 1 })
 			defer s.Close()
 			s.runJob = func(spec runner.Spec, opts runner.Options) (*runner.Outcome, error) {
 				e := sim.NewEngine(100)
-				e.Workers = opts.Workers
 				for i := 0; i < 8; i++ {
 					i := i
 					e.AddProc(func(p *sim.Proc) {

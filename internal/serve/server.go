@@ -27,9 +27,7 @@ type Config struct {
 	WALSegmentBytes int64
 	// Jobs is the worker pool size (concurrent runs). Default 1.
 	Jobs int
-	// RunWorkers is the engine worker count inside each run: 0 (the
-	// default) or 1 runs serially, as job-level sharding already fills the
-	// host; N > 1 runs a pool of N.
+	// Deprecated: ignored; dispatch is serial.
 	RunWorkers int
 	// MaxQueue bounds pending+running jobs; a batch that would exceed it is
 	// shed with a typed 429. Default 4096.
@@ -85,7 +83,7 @@ type Server struct {
 // New opens (or creates) the service state under cfg.Dir, recovering the
 // queue from the WAL: jobs that were pending or mid-run when the previous
 // process died are pending again, completed jobs keep their results, and
-// the log is compacted. Workers do not run until Start.
+// the log is compacted. No job runs until Start.
 func New(cfg Config) (*Server, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("serve: Config.Dir is required")

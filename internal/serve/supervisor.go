@@ -168,7 +168,7 @@ func (s *Server) attempt(j *job) (out *runner.Outcome, err error) {
 		defer t.Stop()
 	}
 
-	return s.runJob(j.spec, runner.Options{Workers: s.cfg.RunWorkers, Interrupt: intr, Resume: j.resume})
+	return s.runJob(j.spec, runner.Options{Interrupt: intr, Resume: j.resume})
 }
 
 // retry applies the bounded-retry policy to a host-level failure.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/stats"
 )
@@ -21,21 +20,19 @@ import (
 // trees (cmmd.Comm.Reduce, parmacs.Reduction) it isolates how much of their
 // time is the software structure rather than the data dependence itself.
 //
-// Arrivals may come from concurrently executing processors during a
-// parallel processor phase, so the arrival bookkeeping is mutex-protected.
-// Everything order-dependent is kept deterministic regardless of host
-// arrival order: the release time is max(arrival clocks) + latency
-// (commutative), the release itself is an event staged through a
-// barrier-owned Stager (fixed sequence-number position however arrives
-// last), contributions are folded and waiters woken in processor-ID order.
-// Floating-point combining is therefore bit-reproducible.
+// Within a quantum the conservative window leaves arrival order open, so
+// nothing order-dependent follows it: the release time is max(arrival
+// clocks) + latency (commutative), the release itself is an event staged
+// through a barrier-owned Stager (fixed sequence-number position however
+// arrives last), contributions are folded and waiters woken in
+// processor-ID order. Floating-point combining is therefore
+// bit-reproducible.
 type Barrier struct {
 	eng     *Engine
 	n       int
 	latency Time
 	stager  *Stager
 
-	mu        sync.Mutex
 	waiting   []*Proc
 	polling   int // participants spin-waiting instead of blocking
 	maxArr    Time
@@ -48,15 +45,13 @@ type Barrier struct {
 	contrib []contribution
 
 	// epoch and release are written only by the release event (engine
-	// context) and read by processors; quantum-boundary ordering makes the
-	// reads race-free without taking mu.
+	// context) and read by processors.
 	epoch   int64 // completed episodes, for tests and sanity checks
 	release Time  // release time of the most recently completed episode
 
 	// freeRel recycles release events (and their waiter buffers) so a
-	// steady state of episodes allocates nothing. Pops happen under mu in
-	// stageRelease; pushes happen in the release event (engine context),
-	// also under mu for visibility.
+	// steady state of episodes allocates nothing. Pops happen in
+	// stageRelease; pushes happen in the release event.
 	freeRel []*barrierRelease
 }
 
@@ -98,9 +93,7 @@ func (r *barrierRelease) RunEvent(Time) {
 		}
 	}
 	r.waiters = r.waiters[:0]
-	b.mu.Lock()
 	b.freeRel = append(b.freeRel, r)
-	b.mu.Unlock()
 }
 
 // NewBarrier creates a barrier for n participants with the given release
@@ -228,8 +221,6 @@ const (
 // already in an episode is blocked until its release.
 func (b *Barrier) arrive(p *Proc, kind arrival, op ReduceOp, c contribution) {
 	combining := kind == arriveCombine
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	switch {
 	case p.blocked:
 		panic(fmt.Sprintf("sim: proc %d re-entered barrier (still blocked on %s)", p.ID, p.blockReason))
@@ -268,12 +259,11 @@ func arrivalKind(combining bool) string {
 	return "wait"
 }
 
-// stageRelease, called with mu held by the episode's last arrival, stages
-// the release event and resets the arrival state for the next episode. The
-// event — not the arriving processor — folds the contributions, wakes the
-// waiters and publishes the new epoch, so completion behaves identically
-// whichever processor's arrival, in whichever host order, turned out to be
-// last.
+// stageRelease, called by the episode's last arrival, stages the release
+// event and resets the arrival state for the next episode. The event — not
+// the arriving processor — folds the contributions, wakes the waiters and
+// publishes the new epoch, so completion behaves identically whichever
+// processor's arrival turned out to be last.
 //
 // Plain and combining episodes share this one Stager. That cannot reorder
 // sequence numbers against separate Stagers per kind: an episode stages

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/stats"
@@ -63,33 +62,30 @@ func TestCombinerDeliversCombinedResult(t *testing.T) {
 }
 
 // TestCombinerFoldsInProcessorIDOrder inverts the arrival order (the
-// highest-ID processor deposits first) and runs under a worker pool. Every
-// contribution has magnitude 1 and OpMaxAbs keeps the earlier one on a tie,
-// so only a fold in processor-ID order delivers proc 0's (+1, 0).
+// highest-ID processor deposits first in virtual time). Every contribution
+// has magnitude 1 and OpMaxAbs keeps the earlier one on a tie, so only a
+// fold in processor-ID order delivers proc 0's (+1, 0).
 func TestCombinerFoldsInProcessorIDOrder(t *testing.T) {
 	const n = 4
-	for _, workers := range []int{1, 4} {
-		e := NewEngine(100)
-		e.Workers = workers
-		b := NewBarrier(e, n, 100)
-		var bad atomic.Int64
-		for i := 0; i < n; i++ {
-			i := i
-			e.AddProc(func(p *Proc) {
-				p.Compute(int64(10 * (n - i))) // proc 3 arrives first, proc 0 last
-				val := float64(1 - 2*(i%2))    // +1, -1, +1, -1
-				v, idx := combWait(b, p, stats.BarrierWait, OpMaxAbs, val, int64(i))
-				if v != 1 || idx != 0 {
-					bad.Store(idx + 1)
-				}
-			})
-		}
-		if err := e.Run(); err != nil {
-			t.Fatalf("workers=%d run: %v", workers, err)
-		}
-		if got := bad.Load(); got != 0 {
-			t.Errorf("workers=%d: fold kept index %d, want 0 (processor-ID order)", workers, got-1)
-		}
+	e := NewEngine(100)
+	b := NewBarrier(e, n, 100)
+	bad := int64(-1)
+	for i := 0; i < n; i++ {
+		i := i
+		e.AddProc(func(p *Proc) {
+			p.Compute(int64(10 * (n - i))) // proc 3 arrives first, proc 0 last
+			val := float64(1 - 2*(i%2))    // +1, -1, +1, -1
+			v, idx := combWait(b, p, stats.BarrierWait, OpMaxAbs, val, int64(i))
+			if v != 1 || idx != 0 {
+				bad = idx
+			}
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if bad >= 0 {
+		t.Errorf("fold kept index %d, want 0 (processor-ID order)", bad)
 	}
 }
 
@@ -114,8 +110,7 @@ func TestCombinerOpMismatchPanics(t *testing.T) {
 		{"combine-in-plain-episode", wait, combine(OpSum), []string{"wait episode", "combine arrival"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := NewEngine(100)
-			e.Workers = 1 // serial dispatch: proc 0 deterministically arrives first
+			e := NewEngine(100) // proc 0 arrives first: dispatch is in ID order
 			b := NewBarrier(e, 2, 100)
 			e.AddProc(func(p *Proc) { tc.first(b, p) })
 			var msg string

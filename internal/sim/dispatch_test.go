@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -276,58 +275,52 @@ func TestStepProcFailAborts(t *testing.T) {
 }
 
 // TestStepProcStagedMergeDeterministic mixes step and coroutine processors
-// and checks the staged-event merge order is (procID, staging order) at
-// every worker count — step procs run on whichever goroutine dispatches
-// their chunk, which must not leak into event ordering.
+// and checks that same-time events raised in one quantum run in processor-ID
+// order whichever form raised them.
 func TestStepProcStagedMergeDeterministic(t *testing.T) {
-	run := func(workers int) []string {
-		e := NewEngine(100)
-		e.Workers = workers
-		var trace []string
-		const rounds = 5
-		for i := 0; i < 8; i++ {
-			i := i
-			if i%2 == 0 {
-				k := 0
-				e.AddStepProc(func(p *Proc) StepStatus {
-					if k >= rounds {
-						return StepDone
-					}
-					k++
-					kk := k
+	e := NewEngine(100)
+	var trace []string
+	const procs, rounds = 8, 5
+	for i := 0; i < procs; i++ {
+		i := i
+		if i%2 == 0 {
+			k := 0
+			e.AddStepProc(func(p *Proc) StepStatus {
+				if k >= rounds {
+					return StepDone
+				}
+				k++
+				kk := k
+				p.Schedule(p.Clock()+10, func() {
+					trace = append(trace, fmt.Sprintf("p%d.r%d", i, kk))
+				})
+				p.Compute(100)
+				return StepYield
+			})
+		} else {
+			e.AddProc(func(p *Proc) {
+				for k := 1; k <= rounds; k++ {
+					k := k
 					p.Schedule(p.Clock()+10, func() {
-						trace = append(trace, fmt.Sprintf("p%d.r%d", i, kk))
+						trace = append(trace, fmt.Sprintf("p%d.r%d", i, k))
 					})
 					p.Compute(100)
-					return StepYield
-				})
-			} else {
-				e.AddProc(func(p *Proc) {
-					for k := 1; k <= rounds; k++ {
-						k := k
-						p.Schedule(p.Clock()+10, func() {
-							trace = append(trace, fmt.Sprintf("p%d.r%d", i, k))
-						})
-						p.Compute(100)
-						p.Interact()
-					}
-				})
-			}
+					p.Interact()
+				}
+			})
 		}
-		if err := e.Run(); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return trace
 	}
-	want := run(1)
-	if len(want) != 8*5 {
-		t.Fatalf("serial trace has %d events, want 40", len(want))
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4} {
-		got := run(workers)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("workers=%d trace diverged:\n got %v\nwant %v", workers, got, want)
+	var want []string
+	for k := 1; k <= rounds; k++ {
+		for i := 0; i < procs; i++ {
+			want = append(want, fmt.Sprintf("p%d.r%d", i, k))
 		}
+	}
+	if fmt.Sprint(trace) != fmt.Sprint(want) {
+		t.Fatalf("trace\n got %v\nwant %v", trace, want)
 	}
 }
 
@@ -354,7 +347,7 @@ func TestStepProcUnwindOnAbort(t *testing.T) {
 	}
 }
 
-// --- Goroutine bounds of the pooled dispatcher ---
+// --- Goroutine bounds of the dispatcher ---
 
 // TestStepProcsNoGoroutines: a machine of step processors runs with a flat
 // goroutine count — the dispatcher owns zero goroutines per step proc, at
@@ -363,7 +356,6 @@ func TestStepProcsNoGoroutines(t *testing.T) {
 	const procs = 1024
 	base := runtime.NumGoroutine()
 	e := NewEngine(100)
-	e.Workers = 1
 	high := 0
 	e.AddQuantumHook(func(Time) {
 		if n := runtime.NumGoroutine(); n > high {
@@ -390,15 +382,14 @@ func TestStepProcsNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestWorkerPoolGoroutinesBounded: under parallel dispatch the engine's own
-// goroutine overhead is the persistent worker pool — high-water stays within
-// procs + workers + a small constant (no per-quantum spawning), and every
-// engine goroutine is gone once Run returns.
-func TestWorkerPoolGoroutinesBounded(t *testing.T) {
-	const procs, workers = 256, 4
+// TestCoroutineGoroutinesBounded: the engine's goroutine overhead is one
+// coroutine per coroutine proc — high-water stays within procs + a small
+// constant (no per-quantum spawning), and every one is gone once Run
+// returns.
+func TestCoroutineGoroutinesBounded(t *testing.T) {
+	const procs = 256
 	base := runtime.NumGoroutine()
 	e := NewEngine(100)
-	e.Workers = workers
 	high := 0
 	e.AddQuantumHook(func(Time) {
 		if n := runtime.NumGoroutine(); n > high {
@@ -416,19 +407,18 @@ func TestWorkerPoolGoroutinesBounded(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if limit := base + procs + workers + 4; high > limit {
-		t.Errorf("goroutine high-water %d > %d (base %d + procs %d + workers %d + slack): dispatcher is spawning per quantum",
-			high, limit, base, procs, workers)
+	if limit := base + procs + 4; high > limit {
+		t.Errorf("goroutine high-water %d > %d (base %d + procs %d + slack): dispatcher is spawning per quantum",
+			high, limit, base, procs)
 	}
-	// Retired procs and stopped workers must not linger.
+	// Retired procs must not linger.
 	if n := settledGoroutines(base); n > base+2 {
 		t.Errorf("%d goroutines outlive Run (baseline %d)", n, base)
 	}
 }
 
 // settledGoroutines returns the goroutine count once it is back at base, or
-// what it is stuck at. Coroutines are gone the moment Run returns; the
-// workers' exits race with it, so poll briefly.
+// what it is stuck at, polling briefly in case an exit is still in flight.
 func settledGoroutines(base int) int {
 	for i := 0; i < 200 && runtime.NumGoroutine() > base; i++ {
 		runtime.Gosched()
@@ -447,69 +437,66 @@ func runCatching(e *Engine) (err error, panicked any) {
 }
 
 // TestProcPanicSurfacesFromRun: a body that panics at quantum k — coroutine
-// or step, on the engine's goroutine or a worker's — comes out of Run on the
-// caller's goroutine as a *ProcPanicError naming the lowest-ID panicking
-// processor and carrying the body's stack, with every other processor
-// unwound: blocked, runnable, and finished ones alike leave no goroutine.
+// or step — comes out of Run on the caller's goroutine as a *ProcPanicError
+// naming the lowest-ID panicking processor and carrying the body's stack,
+// with every other processor unwound: blocked, runnable, and finished ones
+// alike leave no goroutine.
 func TestProcPanicSurfacesFromRun(t *testing.T) {
 	const procs, k = 8, 3
 	for _, step := range []bool{false, true} {
-		for _, workers := range []int{1, 4} {
-			base := runtime.NumGoroutine()
-			e := NewEngine(100)
-			e.Workers = workers
-			for i := 0; i < procs; i++ {
-				i := i
-				bad := i == 2 || i == 5 // same quantum: the lower ID must win
-				switch {
-				case bad && step:
-					q := 0
-					e.AddStepProc(func(p *Proc) StepStatus {
-						if q == k {
-							panic(fmt.Sprintf("boom %d", i))
-						}
-						q++
-						p.Compute(100)
-						return StepYield
-					})
-				case bad:
-					e.AddProc(func(p *Proc) {
-						for q := 0; q < k; q++ {
-							p.Compute(100)
-							p.Interact()
-						}
+		base := runtime.NumGoroutine()
+		e := NewEngine(100)
+		for i := 0; i < procs; i++ {
+			i := i
+			bad := i == 2 || i == 5 // same quantum: the lower ID must win
+			switch {
+			case bad && step:
+				q := 0
+				e.AddStepProc(func(p *Proc) StepStatus {
+					if q == k {
 						panic(fmt.Sprintf("boom %d", i))
-					})
-				case i == 0:
-					e.AddProc(func(p *Proc) {}) // finished long before the panic
-				case i == 1:
-					e.AddProc(func(p *Proc) { park(p, stats.LibComp, "never woken") })
-				default:
-					e.AddProc(func(p *Proc) {
-						for {
-							p.Compute(100)
-							p.Interact()
-						}
-					})
-				}
+					}
+					q++
+					p.Compute(100)
+					return StepYield
+				})
+			case bad:
+				e.AddProc(func(p *Proc) {
+					for q := 0; q < k; q++ {
+						p.Compute(100)
+						p.Interact()
+					}
+					panic(fmt.Sprintf("boom %d", i))
+				})
+			case i == 0:
+				e.AddProc(func(p *Proc) {}) // finished long before the panic
+			case i == 1:
+				e.AddProc(func(p *Proc) { park(p, stats.LibComp, "never woken") })
+			default:
+				e.AddProc(func(p *Proc) {
+					for {
+						p.Compute(100)
+						p.Interact()
+					}
+				})
 			}
-			err, r := runCatching(e)
-			pe, ok := r.(*ProcPanicError)
-			if !ok {
-				t.Fatalf("step=%v workers=%d: Run returned %v / panicked with %v, want *ProcPanicError", step, workers, err, r)
-			}
-			if pe.Proc != 2 || pe.Value != "boom 2" {
-				t.Errorf("step=%v workers=%d: got proc %d value %v, want proc 2 \"boom 2\"", step, workers, pe.Proc, pe.Value)
-			}
-			if !strings.Contains(string(pe.Stack), "TestProcPanicSurfacesFromRun") {
-				t.Errorf("step=%v workers=%d: Stack is not the body's:\n%s", step, workers, pe.Stack)
-			}
-			if e.Procs()[2].Clock() != k*100 {
-				t.Errorf("step=%v workers=%d: proc 2 panicked at clock %d, want quantum %d", step, workers, e.Procs()[2].Clock(), k)
-			}
-			if n := settledGoroutines(base); n > base {
-				t.Errorf("step=%v workers=%d: %d goroutines after the panic, baseline %d", step, workers, n, base)
-			}
+		}
+		err, r := runCatching(e)
+		pe, ok := r.(*ProcPanicError)
+		if !ok {
+			t.Fatalf("step=%v: Run returned %v / panicked with %v, want *ProcPanicError", step, err, r)
+		}
+		if pe.Proc != 2 || pe.Value != "boom 2" {
+			t.Errorf("step=%v: got proc %d value %v, want proc 2 \"boom 2\"", step, pe.Proc, pe.Value)
+		}
+		if !strings.Contains(string(pe.Stack), "TestProcPanicSurfacesFromRun") {
+			t.Errorf("step=%v: Stack is not the body's:\n%s", step, pe.Stack)
+		}
+		if e.Procs()[2].Clock() != k*100 {
+			t.Errorf("step=%v: proc 2 panicked at clock %d, want quantum %d", step, e.Procs()[2].Clock(), k)
+		}
+		if n := settledGoroutines(base); n > base {
+			t.Errorf("step=%v: %d goroutines after the panic, baseline %d", step, n, base)
 		}
 	}
 }
@@ -519,62 +506,55 @@ func TestProcPanicSurfacesFromRun(t *testing.T) {
 // coroutines exist but were never entered; shutdown must discard them
 // without running a line of any body.
 func TestAbortBeforeFirstDispatchLeavesNoGoroutines(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		base := runtime.NumGoroutine()
-		e := NewEngine(100)
-		e.Workers = workers
-		sentinel := errors.New("stopped at cycle 0")
-		e.AddQuantumHook(func(Time) { e.Abort(sentinel) })
-		var ran atomic.Int32
-		for i := 0; i < 64; i++ {
-			e.AddProc(func(p *Proc) { ran.Add(1) })
-		}
-		if err := e.Run(); !errors.Is(err, sentinel) {
-			t.Fatalf("workers=%d: Run returned %v, want the hook's abort", workers, err)
-		}
-		if ran.Load() != 0 {
-			t.Errorf("workers=%d: %d bodies ran after an abort that preceded every dispatch", workers, ran.Load())
-		}
-		if n := settledGoroutines(base); n > base {
-			t.Errorf("workers=%d: %d goroutines after the abort, baseline %d", workers, n, base)
-		}
+	base := runtime.NumGoroutine()
+	e := NewEngine(100)
+	sentinel := errors.New("stopped at cycle 0")
+	e.AddQuantumHook(func(Time) { e.Abort(sentinel) })
+	ran := 0
+	for i := 0; i < 64; i++ {
+		e.AddProc(func(p *Proc) { ran++ })
+	}
+	if err := e.Run(); !errors.Is(err, sentinel) {
+		t.Fatalf("Run returned %v, want the hook's abort", err)
+	}
+	if ran != 0 {
+		t.Errorf("%d bodies ran after an abort that preceded every dispatch", ran)
+	}
+	if n := settledGoroutines(base); n > base {
+		t.Errorf("%d goroutines after the abort, baseline %d", n, base)
 	}
 }
 
 // TestFailMidRunLeavesNoGoroutines: Proc.Fail in the middle of a run unwinds
-// every other processor — each body's deferred calls run — and retires the
-// workers.
+// every other processor — each body's deferred calls run.
 func TestFailMidRunLeavesNoGoroutines(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		base := runtime.NumGoroutine()
-		e := NewEngine(100)
-		e.Workers = workers
-		sentinel := errors.New("proc 3 gave up")
-		var unwound atomic.Int32
-		for i := 0; i < 64; i++ {
-			i := i
-			e.AddProc(func(p *Proc) {
-				defer unwound.Add(1)
-				for q := 0; ; q++ {
-					if i == 3 && q == 5 {
-						p.Fail(sentinel)
-					}
-					if i%2 == 0 && q == 2 {
-						park(p, stats.LibComp, "never woken")
-					}
-					p.Compute(100)
-					p.Interact()
+	base := runtime.NumGoroutine()
+	e := NewEngine(100)
+	sentinel := errors.New("proc 3 gave up")
+	unwound := 0
+	for i := 0; i < 64; i++ {
+		i := i
+		e.AddProc(func(p *Proc) {
+			defer func() { unwound++ }()
+			for q := 0; ; q++ {
+				if i == 3 && q == 5 {
+					p.Fail(sentinel)
 				}
-			})
-		}
-		if err := e.Run(); !errors.Is(err, sentinel) {
-			t.Fatalf("workers=%d: Run returned %v, want proc 3's failure", workers, err)
-		}
-		if unwound.Load() != 64 {
-			t.Errorf("workers=%d: %d of 64 bodies unwound", workers, unwound.Load())
-		}
-		if n := settledGoroutines(base); n > base {
-			t.Errorf("workers=%d: %d goroutines after Fail, baseline %d", workers, n, base)
-		}
+				if i%2 == 0 && q == 2 {
+					park(p, stats.LibComp, "never woken")
+				}
+				p.Compute(100)
+				p.Interact()
+			}
+		})
+	}
+	if err := e.Run(); !errors.Is(err, sentinel) {
+		t.Fatalf("Run returned %v, want proc 3's failure", err)
+	}
+	if unwound != 64 {
+		t.Errorf("%d of 64 bodies unwound", unwound)
+	}
+	if n := settledGoroutines(base); n > base {
+		t.Errorf("%d goroutines after Fail, baseline %d", n, base)
 	}
 }

@@ -11,11 +11,11 @@
 // latency (100 cycles): any event one processor causes at another is
 // delayed by at least the network latency, so intra-quantum execution order
 // cannot affect the simulation's outcome — the same lookahead argument WWT
-// uses. The same argument makes the processor phase of each quantum safe to
-// run on multiple host cores (Workers): processors never touch each other's
-// state within a quantum, events they raise are staged per-processor and
-// merged in deterministic (procID, staging order) at the quantum boundary,
-// so a parallel run is bit-identical to a serial one. All time is virtual
+// uses. The dispatcher is one loop on the engine's goroutine: each quantum
+// it runs the event phase, then dispatches the quantum's processors in ID
+// order. An event a processor raises is pushed as it is raised, so sequence
+// numbers — and every same-time tie-break — follow (procID, raise order);
+// events staged through a Stager follow all of them. All time is virtual
 // (cycles); wall-clock effects such as Go's garbage collector cannot
 // perturb measurements.
 package sim
@@ -24,7 +24,6 @@ import (
 	"container/heap"
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/stats"
 )
@@ -62,27 +61,11 @@ type funcAction func()
 // RunEvent implements Action.
 func (f funcAction) RunEvent(Time) { f() }
 
-// stagedEvent is an event a processor raised during the processor phase,
-// held in a per-processor buffer until the quantum boundary. Buffers are
-// merged into the global heap in (procID, staging order), so sequence
-// numbers — and therefore same-time tie-breaks — do not depend on how the
-// host scheduled the workers.
-type stagedEvent struct {
-	at  Time
-	act Action
-}
-
 // Engine coordinates processors and events.
 type Engine struct {
 	Quantum Time // conservative lookahead; events cross processors no faster
 
-	// Workers bounds the worker pool for the processor phase: how many
-	// target processors may execute concurrently on the host. 0 (the
-	// default) or 1 dispatches serially on the engine's goroutine, with no
-	// pool; N > 1 starts N workers. Any value produces bit-identical
-	// simulations — parallelism is a host-side
-	// throughput knob, never a model parameter, so it is deliberately not
-	// part of runner.Spec or the snapshot format.
+	// Deprecated: ignored; dispatch is serial.
 	Workers int
 
 	now    Time // start of the current quantum
@@ -102,20 +85,6 @@ type Engine struct {
 	ready []*Proc
 	ahead procHeap
 	batch []*Proc // scratch: the procs dispatched this quantum, ID-sorted
-
-	// engGate is the engine's own park gate (cap 1): the last worker of a
-	// parallel phase posts it to return control. Serial mode never uses it.
-	engGate chan struct{}
-
-	// Persistent processor-phase workers (parallel mode only). Workers
-	// park on their own gates between quanta — dispatching a quantum
-	// reuses them instead of spawning goroutines, so the engine's
-	// goroutine count is flat across the whole run. cursor hands out
-	// batch chunks; pending counts workers still draining the batch.
-	workers []*worker
-	chunk   int
-	cursor  atomic.Int64
-	pending atomic.Int32
 
 	finished    int  // processors that have retired
 	inProcPhase bool // processor phase in flight: Schedule/Wake are off-limits
@@ -142,9 +111,9 @@ type Engine struct {
 	// publishers run at the top of every scheduling iteration, before the
 	// watchdog check and the hooks: they copy values that processors read
 	// across node boundaries (e.g. the transport group's outstanding
-	// counts) into quantum-stable snapshots. Publishing at the boundary is
-	// what keeps such cross-processor reads deterministic under parallel
-	// dispatch — mid-quantum the live values may be changing concurrently.
+	// counts) into quantum-stable snapshots. A read across nodes inside a
+	// quantum then sees the boundary value whichever order the quantum's
+	// processors ran in: the conservative window leaves that order open.
 	publishers []func(now Time)
 
 	// hooks run at the top of every scheduling iteration, when e.now is a
@@ -160,22 +129,13 @@ type Engine struct {
 	Trace func(format string, args ...any)
 }
 
-// worker is one persistent processor-phase worker: a goroutine that parks
-// on its gate between quanta, and during a phase claims chunks of the
-// batch and dispatches each chunk's processors in order.
-type worker struct {
-	eng  *Engine
-	gate chan struct{} // cap 1: phase start (or stop) from the engine
-	stop bool
-}
-
 // NewEngine returns an engine with the given quantum (use the network
 // latency; 100 in the paper's machines).
 func NewEngine(quantum Time) *Engine {
 	if quantum <= 0 {
 		panic("sim: quantum must be positive")
 	}
-	e := &Engine{Quantum: quantum, engGate: make(chan struct{}, 1)}
+	e := &Engine{Quantum: quantum}
 	e.events.initBuckets(quantum)
 	return e
 }
@@ -215,8 +175,7 @@ func (ev *Event) run() { ev.act.RunEvent(ev.At) }
 //
 // Schedule may only be called from engine context — event handlers, quantum
 // hooks, or before Run. Processor-context code must use Proc.Schedule (or a
-// Stager), which stages the event for a deterministic quantum-boundary
-// merge; calling Schedule from the processor phase panics.
+// Stager); calling Schedule from the processor phase panics.
 func (e *Engine) Schedule(at Time, fn func()) {
 	e.ScheduleAction(at, funcAction(fn))
 }
@@ -227,20 +186,25 @@ func (e *Engine) ScheduleAction(at Time, act Action) {
 	if e.inProcPhase {
 		panic("sim: Engine.ScheduleAction from processor context; use Proc.ScheduleAction")
 	}
+	e.push(at, act)
+}
+
+// push enqueues an event under the next sequence number.
+func (e *Engine) push(at Time, act Action) {
 	e.seq++
 	e.events.push(e.alloc(at, act, e.seq))
 }
 
 // Stager is an auxiliary event-staging context for objects shared by many
 // processors (the barrier): whichever processor stages through it, the
-// staged events merge at a fixed position — after every processor's own
-// buffer, in Stager creation order — so sequence numbering never depends on
-// which processor happened to act. At most one processor may stage through
-// a given Stager per quantum (the barrier's completer; episodes cannot
-// overlap).
+// staged events are enqueued at a fixed position — at the quantum boundary,
+// after every event the quantum's processors raised, in Stager creation
+// order — so sequence numbering never depends on which processor happened
+// to act. At most one processor may stage through a given Stager per
+// quantum (the barrier's completer; episodes cannot overlap).
 type Stager struct {
 	eng    *Engine
-	staged []stagedEvent
+	staged []*Event // sequence numbers assigned at the boundary
 }
 
 // NewStager registers an auxiliary staging context.
@@ -250,14 +214,14 @@ func (e *Engine) NewStager() *Stager {
 	return s
 }
 
-// Schedule stages an event for the quantum-boundary merge.
+// Schedule stages an event for the quantum boundary.
 func (s *Stager) Schedule(at Time, fn func()) {
 	s.ScheduleAction(at, funcAction(fn))
 }
 
-// ScheduleAction stages a closure-free Action for the quantum-boundary merge.
+// ScheduleAction stages a closure-free Action for the quantum boundary.
 func (s *Stager) ScheduleAction(at Time, act Action) {
-	s.staged = append(s.staged, stagedEvent{at: at, act: act})
+	s.staged = append(s.staged, s.eng.alloc(at, act, 0))
 }
 
 // newProc builds the registration-shared part of a processor.
@@ -280,8 +244,8 @@ func (e *Engine) newProc() *Proc {
 // AddProc registers a new coroutine processor whose body is fn. Must be
 // called before Run. Processors are created with ID = registration order.
 // A body ends by returning, Fail, or a panic; runtime.Goexit (and with it
-// testing's FailNow) from inside one is not supported — under a worker pool
-// it takes the worker with it.
+// testing's FailNow) from inside one is not supported — it ends the
+// coroutine without returning control to the dispatcher.
 func (e *Engine) AddProc(fn func(p *Proc)) *Proc {
 	p := e.newProc()
 	p.body = fn
@@ -311,9 +275,9 @@ func (e *Engine) Procs() []*Proc { return e.procs }
 // panics on true deadlock (all processors blocked with no pending events and
 // no abort raised) with a description and diagnostics of each processor's
 // state, a programmer error on a perfect network. A panic in a processor
-// body — whichever goroutine it ran on — is re-raised here, on the caller's
-// goroutine, as a *ProcPanicError. However Run ends, every processor has
-// been unwound and every worker retired first: no goroutine outlives it.
+// body is re-raised here, on the caller's goroutine, as a *ProcPanicError.
+// However Run ends, every processor has been unwound first: no goroutine
+// outlives it.
 func (e *Engine) Run() error {
 	err := e.run()
 	if pp, ok := err.(*ProcPanicError); ok {
@@ -384,8 +348,7 @@ func (e *Engine) run() error {
 			e.batch = append(e.batch, heap.Pop(&e.ahead).(*Proc))
 		}
 		if len(e.batch) > 0 {
-			// Sort by ID once: dispatch, the staged-event merge, and
-			// failure collection all walk this order, so every
+			// Sort by ID once: dispatch walks this order, so every
 			// deterministic tie-break reduces to processor ID.
 			sortBatchByID(e.batch)
 			e.runBatch(e.batch)
@@ -427,55 +390,23 @@ func (e *Engine) run() error {
 	return nil
 }
 
-// runBatch executes every processor in the batch for one quantum. Serially
-// that is a loop on the engine's own goroutine: each coroutine proc costs one
-// runtime coroutine switch in and one back, each step proc one function
-// call. In parallel mode the persistent workers claim chunks of the batch
-// and run the same loop over each chunk. All shared mutation (event staging,
-// accounting) is per-processor and merged afterwards, so execution order
-// within the batch is immaterial.
+// runBatch executes every processor in the batch for one quantum, in the
+// batch's ID order on the engine's own goroutine: each coroutine proc costs
+// one runtime coroutine switch in and one back, each step proc one function
+// call.
 func (e *Engine) runBatch(batch []*Proc) {
 	e.inProcPhase = true
-	n := min(e.Workers, len(batch))
-	if n > 1 {
-		e.ensureWorkers(n)
-		// Chunk so each worker expects several claims (load balance)
-		// without contending on the cursor per proc.
-		e.chunk = min(max(len(batch)/(4*n), 1), 64)
-		e.cursor.Store(0)
-		e.pending.Store(int32(n))
-		for _, w := range e.workers[:n] {
-			w.gate <- struct{}{}
-		}
-		<-e.engGate
-	} else {
-		for _, p := range batch {
-			p.dispatch()
-		}
+	for _, p := range batch {
+		p.dispatch()
 	}
 	e.inProcPhase = false
 }
 
-// ensureWorkers grows the persistent worker pool to at least n.
-func (e *Engine) ensureWorkers(n int) {
-	for len(e.workers) < n {
-		w := &worker{eng: e, gate: make(chan struct{}, 1)}
-		e.workers = append(e.workers, w)
-		go w.loop()
-	}
-}
-
-// shutdown runs however Run ends, a panic included. The workers are all
-// parked on their gates (a phase never outlives runBatch), so a flagged
-// unpark retires them. Halting a live coroutine makes its pending yield
-// report false, which unwinds the body through the procHalt panic; one that
-// was never dispatched is discarded without running.
+// shutdown runs however Run ends, a panic included. Halting a live
+// coroutine makes its pending yield report false, which unwinds the body
+// through the procHalt panic; one that was never dispatched is discarded
+// without running.
 func (e *Engine) shutdown() {
-	for _, w := range e.workers {
-		w.stop = true
-		w.gate <- struct{}{}
-	}
-	e.workers = e.workers[:0]
 	for _, p := range e.procs {
 		if !p.done && p.halt != nil {
 			p.halt()
@@ -483,63 +414,19 @@ func (e *Engine) shutdown() {
 	}
 }
 
-// loop is the persistent worker body: park until a phase starts, then claim
-// and dispatch chunks of the batch until the cursor runs out. The last
-// worker to finish posts the engine's gate. The two gates order every
-// write: the engine's batch/chunk writes precede the phase start, and the
-// pending counter hands each worker's proc state to the engine.
-func (w *worker) loop() {
-	for {
-		<-w.gate
-		if w.stop {
-			return
-		}
-		e := w.eng
-		sz := e.chunk
-		for {
-			i := int(e.cursor.Add(int64(sz))) - sz
-			if i >= len(e.batch) {
-				break
-			}
-			for _, p := range e.batch[i:min(i+sz, len(e.batch))] {
-				p.dispatch()
-			}
-		}
-		if e.pending.Add(-1) == 0 {
-			e.engGate <- struct{}{}
-		}
-	}
-}
-
-// settleBatch runs at the quantum boundary after the batch: it merges every
-// staged event into the global heap in deterministic order, surfaces the
-// first (lowest-ID) processor failure, counts finished processors, and
-// requeues the still-runnable ones. The batch is already ID-sorted (Run
-// sorts it before dispatch), so iteration order is processor-ID order.
+// settleBatch runs at the quantum boundary after the batch: it enqueues the
+// Stagers' events after everything the processors raised, counts finished
+// processors, and requeues the still-runnable ones in processor-ID order
+// (Run sorts the batch before dispatch).
 func (e *Engine) settleBatch(batch []*Proc) {
-	for _, p := range batch {
-		for i := range p.staged {
-			se := &p.staged[i]
-			e.seq++
-			e.events.push(e.alloc(se.at, se.act, e.seq))
-			se.act = nil
-		}
-		p.staged = p.staged[:0]
-	}
 	for _, s := range e.stagers {
-		for i := range s.staged {
-			se := &s.staged[i]
+		for i, ev := range s.staged {
 			e.seq++
-			e.events.push(e.alloc(se.at, se.act, e.seq))
-			se.act = nil
+			ev.seq = e.seq
+			e.events.push(ev)
+			s.staged[i] = nil
 		}
 		s.staged = s.staged[:0]
-	}
-	for _, p := range batch {
-		if p.failErr != nil {
-			e.Abort(p.failErr)
-			p.failErr = nil
-		}
 	}
 	for _, p := range batch {
 		switch {
@@ -602,9 +489,7 @@ func (e *Engine) AddQuantumHook(fn func(now Time)) {
 // Abort requests that the run stop with err: at its next scheduling point
 // Run unwinds every live processor and returns err. The first
 // abort wins; later calls are ignored. Callable from an event handler or a
-// quantum hook; processor bodies use Proc.Fail, which stages the error so
-// concurrent failures resolve to the lowest processor ID, exactly as serial
-// dispatch order would.
+// quantum hook; processor bodies use Proc.Fail.
 func (e *Engine) Abort(err error) {
 	if e.aborted == nil {
 		e.aborted = err

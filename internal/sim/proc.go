@@ -17,24 +17,22 @@ import (
 // Proc is a simulated processor. Its body runs either as a coroutine under
 // engine control (AddProc) or as a step function the dispatcher invokes as
 // a direct continuation call (AddStepProc). Within a quantum, processors
-// only touch their own state (or explicitly synchronized shared
-// structures), which is what lets the engine dispatch a quantum's batch
-// across host cores; cross-processor effects travel as events staged
-// through Proc.Schedule and merged deterministically at the quantum
-// boundary.
+// only touch their own state (or shared structures whose outcome does not
+// depend on arrival order, like the barrier); cross-processor effects
+// travel as events raised through Proc.Schedule, which run no earlier than
+// the next quantum's event phase.
 //
 // A processor has a local virtual clock. Pure computation (Compute) may run
 // ahead of the engine's quantum; any operation with cross-processor
 // visibility (memory-system access, network-interface access,
 // synchronization) first synchronizes with the quantum via Interact.
 //
-// Dispatch is a loop on the dispatcher's goroutine (the engine's, or a pool
-// worker's) over the quantum's ID-sorted batch. A coroutine proc's body
-// lives behind iter.Pull: dispatching it is a runtime coroutine switch that
-// hands the dispatcher's thread straight to the body, and the body's yield
-// is the same switch back — no channel, no run queue, no wakeup of another
-// host thread. A step proc has no goroutine at all: the dispatcher simply
-// calls its step function.
+// Dispatch is a loop on the engine's goroutine over the quantum's ID-sorted
+// batch. A coroutine proc's body lives behind iter.Pull: dispatching it is
+// a runtime coroutine switch that hands the dispatcher's thread straight to
+// the body, and the body's yield is the same switch back — no channel, no
+// run queue, no wakeup of another host thread. A step proc has no
+// goroutine at all: the dispatcher simply calls its step function.
 type Proc struct {
 	ID   int
 	Acct *stats.Acct
@@ -63,9 +61,6 @@ type Proc struct {
 	wakeA       int64 // WakeVals payload, consumed by WakePayloadVals
 	wakeB       int64
 	diag        func() string // optional library diagnostic for stall reports
-
-	staged  []stagedEvent // events raised this quantum, merged at the boundary
-	failErr error         // error staged by Fail, collected by the engine
 
 	// Accounting modes. Library and synchronization code switch these so
 	// that computation and cache misses are charged to the right category
@@ -146,15 +141,14 @@ func (p *Proc) start() {
 }
 
 // retire is deferred around every processor body, coroutine or step. It
-// absorbs the procHalt sentinel, and stages any other panic as the
-// processor's failure: a body may be running on a pool worker's thread,
-// where letting the panic escape would kill the process, so it travels to
-// the engine the way a Fail error does and Run re-raises it from there.
+// absorbs the procHalt sentinel, and aborts the run with any other panic,
+// the body's stack captured before it unwinds: Run re-raises it once every
+// other processor has been unwound.
 func (p *Proc) retire() {
 	if r := recover(); r != nil {
 		p.done = true
 		if _, halt := r.(procHalt); !halt {
-			p.failErr = &ProcPanicError{Proc: p.ID, Value: r, Stack: debug.Stack()}
+			p.eng.Abort(&ProcPanicError{Proc: p.ID, Value: r, Stack: debug.Stack()})
 		}
 	}
 }
@@ -166,10 +160,9 @@ func (p *Proc) dispatch() {
 	if p.step != nil {
 		p.runStep()
 	} else if _, live := p.resume(); !live {
-		// The engine counts finished processors when it settles the batch:
-		// this may be a worker goroutine, where touching engine state
-		// would race. The coroutine is gone, so a retired processor pins
-		// no stack.
+		// The engine counts finished processors when it settles the
+		// batch. The coroutine is gone, so a retired processor pins no
+		// stack.
 		p.done = true
 	}
 }
@@ -203,31 +196,28 @@ func (p *Proc) Yield() {
 // stops scheduling, unwinds every processor, and Run returns err. Fail does
 // not return. Libraries use it to surface structured failures (e.g. a
 // transport retry budget exhausted) instead of panicking or deadlocking.
-// The error is staged, not applied immediately: the engine collects staged
-// failures at the quantum boundary in processor-ID order, so when several
-// processors fail in the same quantum the winner does not depend on host
-// scheduling.
+// The run stops at the next quantum boundary, and the first abort wins: the
+// dispatcher runs a quantum's processors in ID order, so when several fail
+// in the same quantum the lowest ID wins.
 func (p *Proc) Fail(err error) {
-	p.failErr = err
+	p.eng.Abort(err)
 	panic(procHalt{})
 }
 
-// Schedule stages an event at absolute time at, to be merged into the
-// engine's event heap at the end of the current quantum. This is the only
-// way processor-context code may raise events: staging per processor and
-// merging in processor-ID order keeps event sequence numbers — and with
-// them every same-time tie-break — independent of how the host interleaved
-// the quantum's processors. Handlers run in a later quantum's event phase
-// (engine context), where Engine.Schedule and Proc.Wake are legal.
+// Schedule raises an event at absolute time at. This is the only way
+// processor-context code may raise events. The event is enqueued at once;
+// the dispatcher runs a quantum's processors in ID order, so sequence
+// numbers — and with them every same-time tie-break — follow (processor
+// ID, raise order). Handlers run in a later quantum's event phase (engine
+// context), where Engine.Schedule and Proc.Wake are legal.
 func (p *Proc) Schedule(at Time, fn func()) {
 	p.ScheduleAction(at, funcAction(fn))
 }
 
-// ScheduleAction stages a closure-free Action at absolute time at; identical
-// merge semantics to Schedule. Hot paths pair this with subsystem freelists
-// so raising an event allocates nothing.
+// ScheduleAction is Schedule for a closure-free Action. Hot paths pair this
+// with subsystem freelists so raising an event allocates nothing.
 func (p *Proc) ScheduleAction(at Time, act Action) {
-	p.staged = append(p.staged, stagedEvent{at: at, act: act})
+	p.eng.push(at, act)
 }
 
 // SetDiagnostic registers fn to render this processor's library-level state

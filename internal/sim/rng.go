@@ -53,5 +53,5 @@ func (r *RNG) Intn(n int) int {
 
 // Float64 returns a value in [0, 1).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }

@@ -86,8 +86,8 @@ func (e *Engine) EncodeState(enc *snapshot.Enc) {
 }
 
 // EncodeState contributes the barrier's image: the waiters present (by
-// processor ID, sorted — arrival order within a quantum is a host-side
-// accident under parallel dispatch), the spin-polling count, the latest
+// processor ID, sorted — arrival order is not part of the model), the
+// spin-polling count, the latest
 // arrival time, and the completed-episode counter; then, only while a
 // combining episode is filling, its operator and the waiters' deposits in
 // the same order, so a run that never combines keeps the plain image.

@@ -62,9 +62,9 @@ func (e *Engine) AddWatchdog(source string, window Time, active func() bool, rep
 }
 
 // Progress records that the watched subsystem completed work at time at.
-// Must be called from engine context (an event handler): progress marks from
-// concurrent processors would race, and their max would depend on which
-// processor's notion of "now" won — completion events are where protocol
+// Must be called from engine context (an event handler): a processor's
+// clock may run ahead of the quantum, so a mark from processor context
+// would record that run-ahead clock — completion events are where protocol
 // work actually finishes anyway.
 func (w *Watchdog) Progress(at Time) {
 	if at > w.last {
