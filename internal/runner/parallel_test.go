@@ -2,10 +2,13 @@ package runner
 
 import (
 	"bytes"
+	"fmt"
+	"os"
 	"sync"
 	"testing"
 
 	"repro/internal/cost"
+	"repro/internal/snapshot"
 )
 
 // mustRun runs spec and fails the test on a harness error or an aborted run.
@@ -45,26 +48,11 @@ func sameRun(t *testing.T, what string, got, want *Outcome) {
 // aborted run.
 func runTogether(t *testing.T, spec Spec, n int) []*Outcome {
 	t.Helper()
-	outs := make([]*Outcome, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := range n {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			outs[i], errs[i] = Run(spec, Options{})
-		}()
+	specs := make([]Spec, n)
+	for i := range specs {
+		specs[i] = spec
 	}
-	wg.Wait()
-	for i := range n {
-		if errs[i] != nil {
-			t.Fatalf("run %d of %d: %v", i+1, n, errs[i])
-		}
-		if outs[i].Res.Err != nil {
-			t.Fatalf("run %d of %d aborted: %v", i+1, n, outs[i].Res.Err)
-		}
-	}
-	return outs
+	return runEach(t, specs, make([]Options, n))
 }
 
 // named returns the row called name.
@@ -137,6 +125,96 @@ func TestParallelDeterminismMatrix(t *testing.T) {
 				row.fired(t, outs[0])
 			}
 			sameRun(t, "concurrent run", outs[1], outs[0])
+		})
+	}
+}
+
+// runEach runs every spec/options pair at once, each on its own goroutine,
+// and returns the outcomes in order once all have finished. It fails the
+// test on a harness error or an aborted run.
+func runEach(t *testing.T, specs []Spec, opts []Options) []*Outcome {
+	t.Helper()
+	outs := make([]*Outcome, len(specs))
+	errs := make([]error, len(specs))
+	var wg sync.WaitGroup
+	for i := range specs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i], errs[i] = Run(specs[i], opts[i])
+		}()
+	}
+	wg.Wait()
+	for i := range specs {
+		if errs[i] != nil {
+			t.Fatalf("run %d of %d: %v", i+1, len(specs), errs[i])
+		}
+		if outs[i].Res.Err != nil {
+			t.Fatalf("run %d of %d aborted: %v", i+1, len(specs), outs[i].Res.Err)
+		}
+	}
+	return outs
+}
+
+// TestParallelCheckpointEquivalence checks that checkpointing stays private
+// to a run when runs share a process, as wwtsweep -jobs and wwtserved run
+// them: two runs that checkpoint at the same time, each into its own
+// directory, must write byte-identical checkpoint files, and resuming from
+// each one's last checkpoint, again both at once, must replay-verify and
+// land on the uninterrupted run's fingerprint.
+func TestParallelCheckpointEquivalence(t *testing.T) {
+	for _, name := range []string{"em3d-mp-faults", "gauss-sm-faults"} {
+		spec := named(matrix, name).Spec
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			base := mustRun(t, "base", spec, Options{})
+			every := base.Res.Elapsed / 3
+			specs := []Spec{spec, spec}
+			cks := runEach(t, specs, []Options{
+				{CheckpointEvery: every, CheckpointDir: t.TempDir()},
+				{CheckpointEvery: every, CheckpointDir: t.TempDir()},
+			})
+			for i, ck := range cks {
+				sameRun(t, fmt.Sprintf("checkpointed run %d", i+1), ck, base)
+			}
+			a, b := cks[0].Checkpoints, cks[1].Checkpoints
+			if len(a) == 0 || len(a) != len(b) {
+				t.Fatalf("checkpoint counts %d and %d, want equal and nonzero", len(a), len(b))
+			}
+			for i := range a {
+				ab, err := os.ReadFile(a[i].Path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bb, err := os.ReadFile(b[i].Path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if a[i].Cycle != b[i].Cycle || !bytes.Equal(ab, bb) {
+					t.Fatalf("checkpoint %d differs between concurrent runs (cycles %d, %d)", i, a[i].Cycle, b[i].Cycle)
+				}
+			}
+
+			resumes := make([]Options, len(cks))
+			for i, ck := range cks {
+				cp := ck.Checkpoints[len(ck.Checkpoints)-1]
+				snap, err := snapshot.ReadFile(cp.Path)
+				if err != nil {
+					t.Fatalf("read %s: %v", cp.Path, err)
+				}
+				sp, err := SpecFromSnapshot(snap)
+				if err != nil {
+					t.Fatalf("spec from snapshot: %v", err)
+				}
+				specs[i], resumes[i] = *sp, Options{Resume: snap}
+			}
+			for i, re := range runEach(t, specs, resumes) {
+				what := fmt.Sprintf("resume %d", i+1)
+				if !re.Verified {
+					t.Fatalf("%s never verified", what)
+				}
+				sameRun(t, what, re, base)
+			}
 		})
 	}
 }
