@@ -13,7 +13,7 @@
 //	wwtserved [-addr HOST:PORT] [-dir DIR] [-jobs N]
 //	          [-max-queue N] [-retries N] [-max-preempts N]
 //	          [-deadline DUR] [-backoff DUR] [-drain-timeout DUR] [-quiet]
-//	          [-wal-segment-bytes N] [-fault-fsplan PLAN]
+//	          [-fault-fsplan PLAN]
 //
 // -fault-fsplan installs a seeded, deterministic filesystem fault plan
 // under the WAL, the service's only durable store — the disk-level
@@ -53,7 +53,6 @@ func main() {
 	backoff := flag.Duration("backoff", 250*time.Millisecond, "base retry backoff (doubles per attempt)")
 	drainTimeout := flag.Duration("drain-timeout", 60*time.Second, "max wait for in-flight jobs to park at a resume point on SIGTERM")
 	quiet := flag.Bool("quiet", false, "suppress per-job progress logs")
-	segBytes := flag.Int64("wal-segment-bytes", serve.DefaultSegmentBytes, "WAL segment rotation threshold")
 	fsplan := flag.String("fault-fsplan", "", "seeded filesystem fault plan (testing), e.g. seed=7,torn=0.02,fsync=0.01,enospc=0.05,crash=N")
 	flag.Parse()
 
@@ -74,16 +73,15 @@ func main() {
 		log.Fatalf("wwtserved: %v", err)
 	}
 	s, err := serve.New(serve.Config{
-		Dir:             *dir,
-		FS:              fsys,
-		WALSegmentBytes: *segBytes,
-		Jobs:            *jobs,
-		MaxQueue:        *maxQueue,
-		MaxRetries:      *retries,
-		MaxPreempts:     *maxPreempts,
-		Deadline:        *deadline,
-		Backoff:         *backoff,
-		Logf:            logf,
+		Dir:         *dir,
+		FS:          fsys,
+		Jobs:        *jobs,
+		MaxQueue:    *maxQueue,
+		MaxRetries:  *retries,
+		MaxPreempts: *maxPreempts,
+		Deadline:    *deadline,
+		Backoff:     *backoff,
+		Logf:        logf,
 	})
 	if err != nil {
 		log.Fatalf("wwtserved: %v", err)

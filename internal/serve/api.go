@@ -122,11 +122,10 @@ type StatsResponse struct {
 	UptimeMS    int64   `json:"uptime_ms"`
 	WALRecords  int64   `json:"wal_records"`
 
-	// Storage health: WAL segment count, records (result records included)
-	// quarantined at recovery, durable-write failures absorbed by the
-	// degraded paths, whether admission is paused on ENOSPC, and — when the
-	// server runs under an injected fault plan — how many faults fired.
-	WALSegments    int   `json:"wal_segments"`
+	// Storage health: WAL records (result records included) quarantined at
+	// recovery, durable-write failures absorbed by the degraded paths,
+	// whether admission is paused on ENOSPC, and — when the server runs
+	// under an injected fault plan — how many faults fired.
 	WALQuarantined int64 `json:"wal_quarantined,omitempty"`
 	StorageErrs    int64 `json:"storage_errs,omitempty"`
 	StoragePaused  bool  `json:"storage_paused,omitempty"`

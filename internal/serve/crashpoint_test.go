@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sort"
@@ -101,7 +102,8 @@ var preemptedCell = runner.Spec{App: "gauss", Machine: "mp", Procs: 4, Size: 44}
 
 // crashWorkload drives a fixed, single-threaded workload against a server
 // on fsys: three submits interleaved with direct claim/process calls, one
-// of which preempts preemptedCell to a resume point, then a bounded drain.
+// of which preempts preemptedCell to a resume point, a restart after the
+// first, then a bounded drain.
 // It returns the acked jobs (job id → expected fingerprint string) and the
 // set of keys the stub actually executed. Every step tolerates injected
 // failure — that is the point.
@@ -111,19 +113,25 @@ func crashWorkload(t *testing.T, fsys vfs.FS, dir string) (acked map[string]stri
 	ran = map[string]int{}
 
 	cfg := Config{
-		Dir:             dir,
-		FS:              fsys,
-		WALSegmentBytes: 600, // tiny: the workload crosses several rotations
-		Jobs:            1,
-		Backoff:         time.Millisecond,
+		Dir:     dir,
+		FS:      fsys,
+		Jobs:    1,
+		Backoff: time.Millisecond,
 	}
-	s, err := New(cfg)
-	if err != nil {
-		return acked, ran // crashed during open; nothing was acked
+	var s *Server
+	var h http.Handler
+	open := func() bool {
+		var err error
+		if s, err = New(cfg); err != nil {
+			return false // crashed during open; nothing more is acked
+		}
+		s.runJob = stubRun(t, ran, preemptedCell.CacheKey())
+		h = s.Handler()
+		return true
 	}
-	defer s.wal.Close()
-	s.runJob = stubRun(t, ran, preemptedCell.CacheKey())
-	h := s.Handler()
+	if !open() {
+		return acked, ran
+	}
 
 	specAt := func(size int) runner.Spec {
 		return runner.Spec{App: "gauss", Machine: "mp", Procs: 4, Size: 4 * size}
@@ -159,10 +167,18 @@ func crashWorkload(t *testing.T, fsys vfs.FS, dir string) (acked map[string]stri
 
 	submit(10, 11, 12) // batch A
 	processN(2)
+	// Restart: recovery compacts the log, the preempted cell's resume point
+	// included, through fsys, so crash points also land inside compaction —
+	// the one step that starts a new segment.
+	s.wal.Close()
+	if !open() {
+		return acked, ran
+	}
 	submit(13, 10, 14, 15) // batch B; size 10 duplicates A → cache-hit path
 	processN(4)
 	submit(16, 17) // batch C
 	processN(12)   // bounded drain: crashed-mode failures just unclaim
+	s.wal.Close()
 	return acked, ran
 }
 
@@ -172,7 +188,7 @@ func crashWorkload(t *testing.T, fsys vfs.FS, dir string) (acked map[string]stri
 // executed post-recovery and the set of jobs already done at reopen.
 func recoverAndFinish(t *testing.T, dir string, context string) (states map[string]JobStatus, ran map[string]int, doneAtOpen map[string]bool) {
 	t.Helper()
-	s, err := New(Config{Dir: dir, WALSegmentBytes: 600, Jobs: 1, Backoff: time.Millisecond})
+	s, err := New(Config{Dir: dir, Jobs: 1, Backoff: time.Millisecond})
 	if err != nil {
 		t.Fatalf("%s: recovery failed: %v", context, err)
 	}

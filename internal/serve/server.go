@@ -23,8 +23,6 @@ type Config struct {
 	// the host filesystem; tests and the -fault-fsplan flag install a
 	// vfs.Faulty here.
 	FS vfs.FS
-	// WALSegmentBytes is the log rotation threshold (default 1 MiB).
-	WALSegmentBytes int64
 	// Jobs is the worker pool size (concurrent runs). Default 1.
 	Jobs int
 	// Deprecated: ignored; dispatch is serial.
@@ -106,11 +104,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.FS == nil {
 		cfg.FS = vfs.OS{}
 	}
-	if cfg.WALSegmentBytes <= 0 {
-		cfg.WALSegmentBytes = DefaultSegmentBytes
-	}
 
-	wal, recs, rep, err := OpenWAL(cfg.FS, cfg.Dir, cfg.WALSegmentBytes)
+	wal, recs, rep, err := OpenWAL(cfg.FS, cfg.Dir, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -361,7 +356,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Draining:       s.draining.Load(),
 		UptimeMS:       time.Since(s.start).Milliseconds(),
 		WALRecords:     s.wal.Records(),
-		WALSegments:    s.wal.Segments(),
 		WALQuarantined: s.wal.Quarantined(),
 		StorageErrs:    s.storageErrs.Load(),
 		StoragePaused:  s.storagePaused.Load(),

@@ -21,16 +21,18 @@ import (
 // process died simply reruns — results are deterministic and the cache
 // makes re-completion idempotent).
 //
-// The log is segmented: records append to wal/wal.000001, wal/wal.000002, …
-// with a rotation threshold, so compaction never rewrites unbounded history
-// in place. Each segment is independently recoverable: a fixed header, then
-// self-checksummed records. A torn tail on the live (last) segment — the
-// one corruption a kill -9 can produce, since records are synced in order —
-// is truncated away on open. A corrupt record anywhere else (bit rot, a
+// The log is a sequence of segment files wal/wal.000001, wal/wal.000002, …
+// whose last (live) one takes the appends. A new segment starts only when
+// compaction writes its fresh image, or when an append abandons a live
+// segment it cannot repair; a crash in either can leave several segments,
+// so recovery reads them all in order. Each segment is independently
+// recoverable: a fixed header, then self-checksummed records. A torn tail on
+// the live (last) segment — the one corruption a kill -9 can produce, since
+// records are synced in order — is truncated away on open. A corrupt record anywhere else (bit rot, a
 // torn tail on a non-live segment, a failed fsync whose partial bytes
 // landed) is quarantined to a <segment>.quarantine file and skipped, so
-// good records after it are never silently discarded. Compaction
-// (recovery's Compact) writes the minimal live record set into a fresh
+// good records after it are never silently discarded. Compaction, which
+// runs at every open, writes the minimal live record set into a fresh
 // segment and deletes every fully-compacted predecessor.
 
 const (
@@ -39,9 +41,8 @@ const (
 	walDirName          = "wal"
 	walSegPrefix        = "wal."
 
-	// DefaultSegmentBytes is the rotation threshold when Config leaves it
-	// unset: big enough that short sweeps stay in one segment, small enough
-	// that long ones never rewrite unbounded history on recovery.
+	// Deprecated: ignored; the log does not rotate. OpenWAL still takes
+	// a segment size for its existing callers.
 	DefaultSegmentBytes = 1 << 20
 )
 
@@ -203,19 +204,17 @@ type RecoveryReport struct {
 	Quarantined int // corrupt records/regions moved to *.quarantine files
 }
 
-// WAL is an append-only, fsynced, segment-rotated record log.
+// WAL is an append-only, fsynced record log.
 type WAL struct {
-	mu       sync.Mutex
-	fs       vfs.FS
-	dir      string // data dir; segments live in dir/wal
-	segBytes int64  // rotation threshold
-	seg      int    // current (live) segment index
-	f        vfs.File
-	segLen   int64 // known-durable byte length of the live segment
-	broken   bool  // last write/sync failed; reset before the next append
+	mu     sync.Mutex
+	fs     vfs.FS
+	dir    string // data dir; segments live in dir/wal
+	seg    int    // current (live) segment index
+	f      vfs.File
+	segLen int64 // known-durable byte length of the live segment
+	broken bool  // last write/sync failed; reset before the next append
 
 	records     int64
-	segCount    int
 	quarantined int64
 }
 
@@ -281,12 +280,10 @@ func scanSegment(b []byte) (recs []Record, goodLen int, quarantine [][2]int, tor
 // OpenWAL opens (or creates) the segmented log under dir/wal, replays every
 // intact record across all segments in order, quarantines corrupt records,
 // and truncates a torn tail off the live segment. It returns the replayed
-// records in append order plus a report of repairs.
-func OpenWAL(fsys vfs.FS, dir string, segBytes int64) (w *WAL, recs []Record, rep RecoveryReport, err error) {
-	if segBytes <= 0 {
-		segBytes = DefaultSegmentBytes
-	}
-	w = &WAL{fs: fsys, dir: dir, segBytes: segBytes}
+// records in append order plus a report of repairs. The segment size is
+// ignored: the log does not rotate.
+func OpenWAL(fsys vfs.FS, dir string, _ int64) (w *WAL, recs []Record, rep RecoveryReport, err error) {
+	w = &WAL{fs: fsys, dir: dir}
 	if err := fsys.MkdirAll(w.walDir(), 0o755); err != nil {
 		return nil, nil, rep, err
 	}
@@ -302,10 +299,11 @@ func OpenWAL(fsys vfs.FS, dir string, segBytes int64) (w *WAL, recs []Record, re
 		}
 	}
 
-	// A crash during segment creation (rotation or compaction) can leave a
-	// trailing segment holding only a partial header. It contains no records
-	// by construction — the header is synced before any record is written —
-	// so drop it rather than mistaking it for a foreign file.
+	// A crash during segment creation (compaction, or an abandoned live
+	// segment) can leave a trailing segment holding only a partial header.
+	// It contains no records by construction — the header is synced before
+	// any record is written — so drop it rather than mistaking it for a
+	// foreign file.
 	for len(segs) > 0 {
 		n := segs[len(segs)-1]
 		b, rerr := fsys.ReadFile(w.segPath(n))
@@ -355,7 +353,6 @@ func OpenWAL(fsys vfs.FS, dir string, segBytes int64) (w *WAL, recs []Record, re
 		}
 	}
 	rep.Segments = len(segs)
-	w.segCount = len(segs)
 
 	if len(segs) == 0 {
 		if err := w.createSegment(1); err != nil {
@@ -419,7 +416,6 @@ func (w *WAL) createSegment(i int) error {
 	w.f = f
 	w.seg = i
 	w.segLen = int64(len(hdr))
-	w.segCount++
 	w.broken = false
 	return nil
 }
@@ -461,15 +457,6 @@ func (w *WAL) Append(recs ...Record) error {
 			}
 		}
 	}
-	if w.segLen >= w.segBytes {
-		if err := w.rotate(); err != nil {
-			// Rotation failure degrades to appending past the threshold on
-			// the current segment rather than losing the record.
-			if w.broken {
-				return err
-			}
-		}
-	}
 	var buf []byte
 	for i := range recs {
 		buf = append(buf, encodeRecord(&recs[i])...)
@@ -485,19 +472,6 @@ func (w *WAL) Append(recs ...Record) error {
 	w.segLen += int64(len(buf))
 	w.records += int64(len(recs))
 	return nil
-}
-
-// rotate seals the live segment and opens the next one. The new segment is
-// durable (file and directory synced) before the old handle is released, so
-// a crash between the two leaves both readable.
-func (w *WAL) rotate() error {
-	if w.f != nil {
-		if err := w.f.Sync(); err != nil {
-			w.broken = true
-			return err
-		}
-	}
-	return w.createSegment(w.seg + 1)
 }
 
 // Probe checks whether durable writes work again — the admission-unpause
@@ -522,13 +496,6 @@ func (w *WAL) Records() int64 {
 	return w.records
 }
 
-// Segments returns the number of live segment files.
-func (w *WAL) Segments() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.segCount
-}
-
 // Quarantined returns the number of corrupt records quarantined at open.
 func (w *WAL) Quarantined() int64 {
 	w.mu.Lock()
@@ -546,14 +513,10 @@ func (w *WAL) Compact(recs []Record) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	oldSeg := w.seg
-	oldLen := w.segLen
-	oldCount := w.segCount
 	if err := w.createSegment(oldSeg + 1); err != nil {
 		// The live segment is untouched; keep appending to it.
-		w.seg, w.segLen, w.segCount = oldSeg, oldLen, oldCount
 		return err
 	}
-	w.segCount = 1 // predecessors are deleted below
 	var buf []byte
 	for i := range recs {
 		buf = append(buf, encodeRecord(&recs[i])...)

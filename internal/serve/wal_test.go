@@ -27,9 +27,9 @@ func sampleRecords() []Record {
 	}
 }
 
-func openWAL(t *testing.T, dir string, segBytes int64) (*WAL, []Record, RecoveryReport) {
+func openWAL(t *testing.T, dir string) (*WAL, []Record, RecoveryReport) {
 	t.Helper()
-	w, recs, rep, err := OpenWAL(vfs.OS{}, dir, segBytes)
+	w, recs, rep, err := OpenWAL(vfs.OS{}, dir, 0)
 	if err != nil {
 		t.Fatalf("open %s: %v", dir, err)
 	}
@@ -64,7 +64,7 @@ func segNames(t *testing.T, dir string) []string {
 // TestWALRoundTrip: append every record type, reopen, get them back intact.
 func TestWALRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	w, recs, rep := openWAL(t, dir, 0)
+	w, recs, rep := openWAL(t, dir)
 	if len(recs) != 0 || rep.TornBytes != 0 || rep.Quarantined != 0 {
 		t.Fatalf("fresh log replayed %d records, report %+v", len(recs), rep)
 	}
@@ -76,7 +76,7 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	w2, got, rep := openWAL(t, dir, 0)
+	w2, got, rep := openWAL(t, dir)
 	defer w2.Close()
 	if rep.TornBytes != 0 || rep.Quarantined != 0 {
 		t.Fatalf("clean log reported repairs: %+v", rep)
@@ -93,7 +93,7 @@ func TestWALRoundTrip(t *testing.T) {
 // replays every complete record, truncates the tail, and accepts appends.
 func TestWALTornTail(t *testing.T) {
 	dir := t.TempDir()
-	w, _, _ := openWAL(t, dir, 0)
+	w, _, _ := openWAL(t, dir)
 	want := sampleRecords()
 	if err := w.Append(want...); err != nil {
 		t.Fatalf("append: %v", err)
@@ -111,7 +111,7 @@ func TestWALTornTail(t *testing.T) {
 		if err := os.WriteFile(seg, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		w, got, rep := openWAL(t, dir, 0)
+		w, got, rep := openWAL(t, dir)
 		if len(got) != len(want)-1 {
 			t.Fatalf("cut %d: replayed %d records, want %d", cut, len(got), len(want)-1)
 		}
@@ -123,7 +123,7 @@ func TestWALTornTail(t *testing.T) {
 			t.Fatalf("cut %d: append after truncate: %v", cut, err)
 		}
 		w.Close()
-		_, got2, _ := openWAL(t, dir, 0)
+		_, got2, _ := openWAL(t, dir)
 		if !reflect.DeepEqual(got2, want) {
 			t.Fatalf("cut %d: after repair+append got %d records, want %d", cut, len(got2), len(want))
 		}
@@ -131,11 +131,11 @@ func TestWALTornTail(t *testing.T) {
 }
 
 // TestWALQuarantinesCorruptRecord: a bit-rotted record in the middle of a
-// segment is quarantined and skipped; records after it still replay. The
-// pre-rotation model would have truncated them away.
+// segment is quarantined and skipped; records after it still replay, where
+// truncating at the first bad record would have lost them.
 func TestWALQuarantinesCorruptRecord(t *testing.T) {
 	dir := t.TempDir()
-	w, _, _ := openWAL(t, dir, 0)
+	w, _, _ := openWAL(t, dir)
 	want := sampleRecords()
 	if err := w.Append(want...); err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestWALQuarantinesCorruptRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, got, rep := openWAL(t, dir, 0)
+	_, got, rep := openWAL(t, dir)
 	if rep.Quarantined != 1 {
 		t.Fatalf("quarantined %d records, want 1", rep.Quarantined)
 	}
@@ -188,7 +188,7 @@ func (f *tornFile) Write(p []byte) (int, error) {
 // finds the good record and nothing to quarantine.
 func TestWALAppendAfterFailedWrite(t *testing.T) {
 	dir := t.TempDir()
-	w, _, _ := openWAL(t, dir, 0)
+	w, _, _ := openWAL(t, dir)
 	w.f = &tornFile{File: w.f}
 	recs := sampleRecords()
 	if err := w.Append(recs...); err == nil {
@@ -198,19 +198,23 @@ func TestWALAppendAfterFailedWrite(t *testing.T) {
 		t.Fatalf("append after the failed write: %v", err)
 	}
 	w.Close()
-	_, got, rep := openWAL(t, dir, 0)
+	_, got, rep := openWAL(t, dir)
 	if rep.Quarantined != 0 || rep.TornBytes != 0 || !reflect.DeepEqual(got, recs[:1]) {
 		t.Fatalf("replayed %d records, report %+v; want the one good record and no repairs", len(got), rep)
 	}
 }
 
-// TestWALRotation: appends past the threshold rotate into new segments, and
-// a reopen replays across all of them in order.
+// TestWALRotation: appends never rotate — however small the segment size
+// OpenWAL is given and however many records go in, the log stays one
+// segment, and a reopen replays every record in order.
 func TestWALRotation(t *testing.T) {
 	dir := t.TempDir()
-	w, _, _ := openWAL(t, dir, 200) // tiny threshold to force rotations
+	w, _, _, err := OpenWAL(vfs.OS{}, dir, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var want []Record
-	for i := uint64(1); i <= 20; i++ {
+	for i := uint64(1); i <= 200; i++ {
 		r := Record{Type: recSubmit, Job: i, Batch: 1, Index: int(i), Key: i,
 			Spec: []byte(`{"app":"gauss","machine":"mp","procs":4}`)}
 		if err := w.Append(r); err != nil {
@@ -218,18 +222,18 @@ func TestWALRotation(t *testing.T) {
 		}
 		want = append(want, r)
 	}
-	if w.Segments() < 3 {
-		t.Fatalf("only %d segments after 20 appends at a 200-byte threshold", w.Segments())
-	}
 	w.Close()
+	if names := segNames(t, dir); len(names) != 1 {
+		t.Fatalf("segment files after 200 appends: %v, want one", names)
+	}
 
-	w2, got, rep := openWAL(t, dir, 200)
+	w2, got, rep := openWAL(t, dir)
 	defer w2.Close()
-	if rep.TornBytes != 0 || rep.Quarantined != 0 {
-		t.Fatalf("rotated log reported repairs: %+v", rep)
+	if rep.Segments != 1 || rep.TornBytes != 0 || rep.Quarantined != 0 {
+		t.Fatalf("reopen report %+v, want one segment and no repairs", rep)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("replay across segments: got %d records, want %d", len(got), len(want))
+		t.Fatalf("replay: got %d records, want %d", len(got), len(want))
 	}
 }
 
@@ -238,22 +242,24 @@ func TestWALRotation(t *testing.T) {
 // sees exactly the compacted set.
 func TestWALCompactDeletesSegments(t *testing.T) {
 	dir := t.TempDir()
-	w, _, _ := openWAL(t, dir, 200)
+	w, _, _ := openWAL(t, dir)
 	all := sampleRecords()
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 3; i++ {
 		if err := w.Append(all...); err != nil {
 			t.Fatal(err)
 		}
+		// Start a new segment, as Append does when it abandons a live
+		// segment it cannot repair.
+		if err := w.createSegment(w.seg + 1); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if w.Segments() < 3 {
-		t.Fatalf("setup: only %d segments", w.Segments())
+	if names := segNames(t, dir); len(names) < 3 {
+		t.Fatalf("setup: segments %v", names)
 	}
 	compact := all[3:] // keep just the result and terminal records
 	if err := w.Compact(compact); err != nil {
 		t.Fatalf("compact: %v", err)
-	}
-	if got := w.Segments(); got != 1 {
-		t.Fatalf("%d segments after compact, want 1", got)
 	}
 	if names := segNames(t, dir); len(names) != 1 {
 		t.Fatalf("segment files on disk after compact: %v", names)
@@ -262,7 +268,7 @@ func TestWALCompactDeletesSegments(t *testing.T) {
 		t.Fatalf("append after compact: %v", err)
 	}
 	w.Close()
-	_, got, _ := openWAL(t, dir, 200)
+	_, got, _ := openWAL(t, dir)
 	if len(got) != len(compact)+1 {
 		t.Fatalf("got %d records, want %d", len(got), len(compact)+1)
 	}
@@ -271,10 +277,11 @@ func TestWALCompactDeletesSegments(t *testing.T) {
 	}
 }
 
-// TestWALRotationRecoveryEquivalence is the acceptance criterion for the
-// segmented model: the same record stream recovered through ≥3 rotations
-// must produce the same job table as when it fits one segment, and
-// compaction must leave one segment.
+// TestWALRotationRecoveryEquivalence: a log left as two segments by a
+// compaction interrupted after its fresh segment was durable but before it
+// deleted the predecessor — the full record stream in segment 1, the
+// compacted image in segment 2 — recovers the same job table as the
+// one-segment log, and its own compaction leaves one segment.
 func TestWALRotationRecoveryEquivalence(t *testing.T) {
 	spec := []byte(`{"app":"gauss","machine":"mp","procs":4}`)
 	var stream []Record
@@ -286,33 +293,19 @@ func TestWALRotationRecoveryEquivalence(t *testing.T) {
 	}
 	stream = append(stream, Record{Type: recAttempt, Job: 7, Attempts: 1})
 
-	recover := func(dir string, segBytes int64, minSegs int) map[uint64]string {
-		w, recs, _, err := OpenWAL(vfs.OS{}, dir, segBytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range recs {
-			t.Fatalf("unexpected replay in fresh dir: %+v", recs[i])
-		}
-		for i := range stream {
-			if err := w.Append(stream[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if w.Segments() < minSegs {
-			t.Fatalf("only %d segments at segBytes=%d, want >= %d", w.Segments(), segBytes, minSegs)
-		}
-		w.Close()
-		w, recs, _, err = OpenWAL(vfs.OS{}, dir, segBytes)
-		if err != nil {
-			t.Fatal(err)
+	// recover opens dir, rebuilds the job table (compacting the log) and
+	// checks that one segment is left.
+	recover := func(dir string, wantSegs int) map[uint64]string {
+		w, recs, rep := openWAL(t, dir)
+		if rep.Segments != wantSegs {
+			t.Fatalf("opened %d segments, want %d", rep.Segments, wantSegs)
 		}
 		q, cerr := recoverQueue(w, recs, newCache(w, recs))
 		if cerr != nil {
 			t.Fatalf("compaction: %v", cerr)
 		}
-		if got := w.Segments(); got != 1 {
-			t.Fatalf("%d segments after recovery compaction, want 1", got)
+		if names := segNames(t, dir); len(names) != 1 {
+			t.Fatalf("segments after recovery compaction: %v, want one", names)
 		}
 		states := make(map[uint64]string)
 		for id, j := range q.jobs {
@@ -322,13 +315,32 @@ func TestWALRotationRecoveryEquivalence(t *testing.T) {
 		return states
 	}
 
-	single := recover(t.TempDir(), 0, 1)
-	rotated := recover(t.TempDir(), 200, 3)
-	if !reflect.DeepEqual(single, rotated) {
-		t.Fatalf("recovery divergence:\none segment %v\nrotated     %v", single, rotated)
+	dir := t.TempDir()
+	w, recs, _ := openWAL(t, dir)
+	if len(recs) != 0 {
+		t.Fatalf("unexpected replay in fresh dir: %+v", recs)
 	}
-	if len(rotated) != 12 {
-		t.Fatalf("recovered %d jobs, want 12", len(rotated))
+	if err := w.Append(stream...); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	seg1 := liveSegPath(t, dir)
+	full, err := os.ReadFile(seg1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := recover(dir, 1)
+
+	// Put segment 1 back beside the compacted segment 2.
+	if err := os.WriteFile(seg1, full, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	interrupted := recover(dir, 2)
+	if !reflect.DeepEqual(single, interrupted) {
+		t.Fatalf("recovery divergence:\none segment %v\ntwo segments %v", single, interrupted)
+	}
+	if len(interrupted) != 12 {
+		t.Fatalf("recovered %d jobs, want 12", len(interrupted))
 	}
 }
 

@@ -1,49 +1,39 @@
 package sim
 
-import "container/heap"
-
 // maxTime is an upper bound on event times, used to drain unconditionally.
 const maxTime = Time(1)<<62 - 1
 
 // bucketQueue is the engine's pending-event structure: a calendar queue
-// tuned for the conservative-quantum access pattern, where almost every
-// event lands within a few quanta of now and the event phase drains the
-// whole window in (At, seq) order anyway. A ring of per-cycle FIFO buckets
-// covers [base, base+window); the old binary heap survives only as the far
-// queue for the rare event outside the window. Ring pushes and pops are
-// O(1) — the heap's O(log n) sift, ~19% of host time at P=1024, is off the
-// hot path.
-//
-// Ordering contract (must match the plain (At, seq) min-heap bit for bit):
-//
-//   - Sequence numbers increase monotonically across all pushes, so a
-//     bucket's FIFO order IS seq order for that cycle.
-//   - base only advances (advance is called after the event phase has
-//     drained everything below the new base), so a far event for cycle t
-//     was pushed before the window ever covered t — before every ring
-//     event at t. On an At tie between the far queue and the ring, the far
-//     event therefore always has the smaller seq, and popping far-first on
-//     ties preserves the global order without comparing seq at all.
+// (Brown, CACM 31(10), 1988) tuned for the conservative-quantum access
+// pattern, where almost every event lands within a few quanta of now and the
+// event phase drains the whole window in (At, seq) order anyway. Every event
+// goes to bucket At&mask, however far it lies from now: events a "year" (one
+// lap of the ring) or more apart share a "day" bucket, and each bucket is
+// kept sorted by (At, seq). Sequence numbers rise with every push, so the
+// common push is an O(1) append at the bucket's tail; only an event raised
+// for the past, or one landing behind an event a later lap away, walks the
+// bucket to its insert point. As a bucket's head is its earliest event, the
+// earliest pending event is the first head, scanning up from a lower bound,
+// whose At equals the cycle scanned.
 type bucketQueue struct {
 	ring []evBucket
 	mask int  // len(ring)-1; len is a power of two
-	n    int  // events currently in the ring
-	base Time // ring covers cycles [base, base+len(ring))
-	next Time // lower bound on the earliest ring event's time
-	far  eventHeap
+	n    int  // events currently queued
+	next Time // lower bound on the earliest queued event's time
 }
 
-// evBucket is one cycle's FIFO, linked intrusively through Event.qnext.
-// Events are pooled by the engine, so the list borrows storage the events
-// already own — a bucket can never allocate, no matter how many events pile
-// onto one cycle (quantum-boundary merges put O(P) events on the same At).
+// evBucket is one day's events in (At, seq) order, linked intrusively
+// through Event.qnext. Events are pooled by the engine, so the list borrows
+// storage the events already own — a bucket can never allocate, no matter
+// how many events pile onto one cycle (quantum-boundary merges put O(P)
+// events on the same At).
 type evBucket struct {
 	head, tail *Event
 }
 
 // initBuckets sizes the ring to cover several quanta: wide enough that
 // cross-processor latencies (network hops, directory transactions) land in
-// the ring, small enough to stay cache-resident.
+// the current lap, small enough to stay cache-resident.
 func (q *bucketQueue) initBuckets(quantum Time) {
 	w := 256
 	for Time(w) < 4*quantum {
@@ -51,74 +41,90 @@ func (q *bucketQueue) initBuckets(quantum Time) {
 	}
 	q.ring = make([]evBucket, w)
 	q.mask = w - 1
-	// The far heap sees only out-of-window events, but heap.Push still
-	// appends; seed enough capacity that its high-water mark is a warmup
-	// phenomenon, not a mid-run allocation.
-	q.far = make(eventHeap, 0, 64)
 }
 
-func (q *bucketQueue) len() int { return q.n + len(q.far) }
+func (q *bucketQueue) len() int { return q.n }
 
-// push enqueues ev, routing by time: in-window to its cycle bucket,
-// anything else (past or beyond the horizon) to the far heap.
+// evBefore is the queue's order: (At, seq).
+func evBefore(a, b *Event) bool {
+	return a.At < b.At || a.At == b.At && a.seq < b.seq
+}
+
+// push enqueues ev into bucket At&mask at its (At, seq) position.
 func (q *bucketQueue) push(ev *Event) {
-	if ev.At >= q.base && ev.At < q.base+Time(len(q.ring)) {
-		b := &q.ring[int(ev.At)&q.mask]
+	b := &q.ring[int(ev.At)&q.mask]
+	switch {
+	case b.tail == nil:
 		ev.qnext = nil
-		if b.tail == nil {
-			b.head = ev
-		} else {
-			b.tail.qnext = ev
-		}
+		b.head, b.tail = ev, ev
+	case evBefore(b.tail, ev):
+		ev.qnext = nil
+		b.tail.qnext = ev
 		b.tail = ev
-		q.n++
-		if ev.At < q.next {
-			q.next = ev.At
+	case evBefore(ev, b.head):
+		ev.qnext = b.head
+		b.head = ev
+	default: // ev sorts before the tail, so the walk stops short of it
+		prev := b.head
+		for !evBefore(ev, prev.qnext) {
+			prev = prev.qnext
 		}
-		return
+		ev.qnext = prev.qnext
+		prev.qnext = ev
 	}
-	heap.Push(&q.far, ev)
+	// Into an empty queue the event itself is the bound, however far it
+	// lies from the old one.
+	if q.n == 0 || ev.At < q.next {
+		q.next = ev.At
+	}
+	q.n++
 }
 
-// ringMin returns the earliest ring event's cycle, or -1 if the ring is
-// empty. The scan from the cached lower bound is amortized O(1): it only
-// crosses a cycle once per window pass, and pushes can only lower the bound.
-func (q *bucketQueue) ringMin() Time {
-	if q.n == 0 {
+// minAt returns the earliest pending event time, or -1 if no events are
+// pending.
+func (q *bucketQueue) minAt() Time { return q.earliest(maxTime) }
+
+// earliest returns the earliest pending event time if it is below limit,
+// or -1. It scans up from the cached lower bound for a bucket whose head is
+// due at the cycle scanned, and stops at limit, which becomes the bound — so
+// the event phase crosses each cycle once and only a push for the past
+// lowers the bound. A lap without a match means every event is at least a
+// lap ahead of the bound; the scan has then seen every bucket head, and the
+// earliest is the answer.
+func (q *bucketQueue) earliest(limit Time) Time {
+	if q.n == 0 || q.next >= limit {
 		return -1
 	}
-	t := q.next
-	for q.ring[int(t)&q.mask].head == nil {
-		t++
+	lap := q.next + Time(len(q.ring))
+	end := min(limit, lap)
+	lo := maxTime
+	for t := q.next; t < end; t++ {
+		if h := q.ring[int(t)&q.mask].head; h != nil {
+			if h.At == t {
+				q.next = t
+				return t
+			}
+			lo = min(lo, h.At)
+		}
 	}
-	q.next = t
-	return t
-}
-
-// minAt returns the earliest pending event time across both queues, or -1
-// if no events are pending.
-func (q *bucketQueue) minAt() Time {
-	at := q.ringMin()
-	if len(q.far) > 0 && (at < 0 || q.far[0].At < at) {
-		at = q.far[0].At
+	if end < lap {
+		q.next = limit
+		return -1
 	}
-	return at
+	q.next = lo
+	if lo >= limit {
+		return -1
+	}
+	return lo
 }
 
 // popBelow removes and returns the earliest event with At < limit, or nil.
-// On an At tie the far queue wins — see the ordering contract above.
 func (q *bucketQueue) popBelow(limit Time) *Event {
-	ringAt := q.ringMin()
-	if len(q.far) > 0 && (ringAt < 0 || q.far[0].At <= ringAt) {
-		if q.far[0].At < limit {
-			return heap.Pop(&q.far).(*Event)
-		}
+	at := q.earliest(limit)
+	if at < 0 {
 		return nil
 	}
-	if ringAt < 0 || ringAt >= limit {
-		return nil
-	}
-	b := &q.ring[int(ringAt)&q.mask]
+	b := &q.ring[int(at)&q.mask]
 	ev := b.head
 	b.head = ev.qnext
 	if b.head == nil {
@@ -135,21 +141,6 @@ func (q *bucketQueue) each(fn func(*Event)) {
 	for i := range q.ring {
 		for ev := q.ring[i].head; ev != nil; ev = ev.qnext {
 			fn(ev)
-		}
-	}
-	for _, ev := range q.far {
-		fn(ev)
-	}
-}
-
-// advance moves the window start to 'to', exposing [oldBase+len, to+len) to
-// ring pushes. Callers must have drained every event below 'to' first; the
-// event phase does, right before advancing to the new quantum end.
-func (q *bucketQueue) advance(to Time) {
-	if to > q.base {
-		q.base = to
-		if q.next < to {
-			q.next = to
 		}
 	}
 }

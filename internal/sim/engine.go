@@ -41,7 +41,7 @@ type Event struct {
 	act Action
 
 	seq   uint64
-	qnext *Event // intrusive FIFO link while queued in a ring bucket
+	qnext *Event // intrusive link while queued in a calendar bucket
 }
 
 // Action is a closure-free event body: a reusable, typically pooled object
@@ -319,8 +319,8 @@ func (e *Engine) run() error {
 		}
 		e.qEnd = e.now + e.Quantum
 
-		// Event phase: handle everything due before the quantum ends, then
-		// slide the calendar window up to the drained boundary.
+		// Event phase: handle everything due before the quantum ends, in
+		// (At, seq) order.
 		for {
 			ev := e.events.popBelow(e.qEnd)
 			if ev == nil {
@@ -329,7 +329,6 @@ func (e *Engine) run() error {
 			ev.run()
 			e.release(ev)
 		}
-		e.events.advance(e.qEnd)
 
 		// Processor phase: run each processor that has work this quantum.
 		// ready is consumed wholesale — procs past the horizon spill into
@@ -542,27 +541,6 @@ func (e *Engine) procStates() string {
 		}
 	}
 	return msg
-}
-
-// eventHeap is a min-heap on (At, seq).
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*Event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
 }
 
 // procHeap is a min-heap of run-ahead processors on (clock, ID): the heap

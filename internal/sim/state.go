@@ -49,8 +49,8 @@ func (e *Engine) EncodeState(enc *snapshot.Enc) {
 		enc.U64(e.seq)
 		enc.I64(int64(e.finished))
 
-		// Pending events, sorted by (At, seq) — the heap's internal layout
-		// is insertion-history-dependent, its ordered content is not.
+		// Pending events, sorted by (At, seq) — the queue's bucket layout
+		// depends on the ring size, its ordered content does not.
 		evs := make([]Event, 0, e.events.len())
 		e.events.each(func(ev *Event) {
 			evs = append(evs, Event{At: ev.At, seq: ev.seq})

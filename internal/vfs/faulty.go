@@ -289,13 +289,6 @@ func (f *Faulty) Remove(path string) error {
 	return f.inner.Remove(path)
 }
 
-func (f *Faulty) RemoveAll(path string) error {
-	if _, err := f.decide("remove", path, 0); err != nil {
-		return err
-	}
-	return f.inner.RemoveAll(path)
-}
-
 func (f *Faulty) Truncate(path string, size int64) error {
 	if _, err := f.decide("truncate", path, 0); err != nil {
 		return err

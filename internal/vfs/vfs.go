@@ -1,7 +1,9 @@
-// Package vfs is the filesystem seam under every durable artifact in this
-// repo: the serve WAL segments (which also hold the result cache's
-// records), checkpoint snapshots, and snapshot.AtomicWriteFile all perform
-// their I/O through the FS interface rather than the os package directly.
+// Package vfs is the filesystem seam under the sweep service's durable
+// store: the serve WAL segments, which also hold the result cache's records
+// and preempted jobs' resume points, perform their I/O through the FS
+// interface rather than the os package directly. snapshot.AtomicWriteFile
+// (checkpoint files, sweep results files) calls OS directly, so no fault
+// plan reaches it.
 //
 // Two implementations exist. OS is a passthrough to the host filesystem.
 // Faulty (faulty.go) wraps another FS with a deterministic, seeded fault
@@ -36,7 +38,7 @@ type FS interface {
 	// missing file reports iofs.ErrNotExist via errors.Is).
 	ReadFile(path string) ([]byte, error)
 	// WriteFile writes data in one call without an fsync — callers that
-	// need durability use Create+Sync or snapshot.AtomicWriteFileFS.
+	// need durability use Create+Sync.
 	WriteFile(path string, data []byte, perm os.FileMode) error
 	// Create opens path for writing, truncating any existing contents.
 	Create(path string) (File, error)
@@ -44,7 +46,6 @@ type FS interface {
 	OpenAppend(path string) (File, error)
 	Rename(oldpath, newpath string) error
 	Remove(path string) error
-	RemoveAll(path string) error
 	Truncate(path string, size int64) error
 	MkdirAll(path string, perm os.FileMode) error
 	// ReadDir returns the names (not full paths) of dir's entries, sorted.
@@ -74,7 +75,6 @@ func (OS) OpenAppend(path string) (File, error) {
 
 func (OS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
 func (OS) Remove(path string) error             { return os.Remove(path) }
-func (OS) RemoveAll(path string) error          { return os.RemoveAll(path) }
 func (OS) Truncate(path string, size int64) error {
 	return os.Truncate(path, size)
 }

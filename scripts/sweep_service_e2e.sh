@@ -15,7 +15,7 @@
 # out 507/500 refusals exactly like an outage. The script supplies the seed
 # (WWTSERVED_FSSEED, default 7), advancing it each time a startup draws a
 # fault fatal enough to kill the daemon — an operator restarting until the
-# disk behaves. Set WWTSERVED_SEGBYTES to force WAL rotation mid-sweep.
+# disk behaves.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -56,7 +56,6 @@ start_daemon() { # $1 = log file
   : >"$work/$1"
   for attempt in $(seq 0 19); do
     args=()
-    [ -n "${WWTSERVED_SEGBYTES:-}" ] && args+=(-wal-segment-bytes "$WWTSERVED_SEGBYTES")
     [ -n "${WWTSERVED_FSPLAN:-}" ] && \
       args+=(-fault-fsplan "seed=$((${WWTSERVED_FSSEED:-7} + attempt)),$WWTSERVED_FSPLAN")
     "$work/wwtserved" -addr "$addr" -dir "$work/data" -jobs 1 \
