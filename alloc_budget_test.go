@@ -303,10 +303,10 @@ func mainLoopMallocs(t *testing.T, par em3d.Params, start, end sim.Time) (malloc
 	return m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc, quanta
 }
 
-// mallocs returns the host mallocs one call of run makes. runtime.MemStats
-// is process-wide: no test here runs in parallel, and each budget's headroom
-// covers the handful the runtime makes.
-func mallocs(t *testing.T, run func() error) uint64 {
+// hostAllocs returns the host mallocs and bytes one call of run makes.
+// runtime.MemStats is process-wide: no test here runs in parallel, and each
+// budget's headroom covers the handful the runtime makes.
+func hostAllocs(t *testing.T, run func() error) (mallocs, bytes uint64) {
 	t.Helper()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -315,7 +315,7 @@ func mallocs(t *testing.T, run func() error) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m1.Mallocs - m0.Mallocs
+	return m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
 }
 
 // runSpec runs spec serially, as every tool and the benchmark do, and
@@ -396,7 +396,7 @@ func TestAllocBudgetTables(t *testing.T) {
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
-			got := mallocs(t, r.run)
+			got, _ := hostAllocs(t, r.run)
 			t.Logf("%d mallocs, budget %d", got, r.budget)
 			if got > r.budget {
 				t.Error("over budget")
@@ -425,40 +425,62 @@ func scalingSpec(app, mach string, procs int) runner.Spec {
 }
 
 // scalingPairs are the app/machine pairs scalingSpec can size, each with its
-// ceiling on mallocs per simulated node at P=1024, about 1.25x measured.
+// ceilings per simulated node at P=1024 on mallocs and on bytes allocated,
+// about 1.25x measured, and the most its bytes per node may grow from P=256.
+// That growth is 1.5x, as for mallocs, except for lcp-mp: the last stage of
+// its butterfly sends N/2 values to every node at once, so the packets the
+// simulated network holds per node grow linearly in P at this scaling, and
+// the host must hold each one until it is received (measured 1.70x). Its
+// bytes ceiling is 1.2x measured: each NI's append-grown 128-byte packet
+// queue read 228.7 KB per node and 1.94x, and must not fit under either.
 var scalingPairs = []struct {
-	app, mach string
-	perNode   float64
+	app, mach    string
+	perNode      float64
+	bytesPerNode float64
+	bytesGrowth  float64
 }{
-	{"em3d", "mp", 170},
-	{"em3d", "sm", 110},
-	{"lcp", "mp", 127},
-	{"lcp", "sm", 84},
+	{"em3d", "mp", 170, 116_000, 1.5},
+	{"em3d", "sm", 110, 174_000, 1.5},
+	{"lcp", "mp", 127, 215_000, 1.8},
+	{"lcp", "sm", 84, 160_000, 1.5},
 }
 
 // TestHostAllocsLinearInP holds whole runs to host state linear in the
-// machine size: for every scaling pair, the mallocs of one complete run
-// divided by P may grow at most 1.5x from P=256 to P=1024 and stay under the
-// pair's ceiling. A structure that is O(P) per node — every node's own
-// copy of the collective tree, a lock with an object per node when there is a
-// lock per node — quadruples that ratio and used to reach 2,300-3,200 per
-// node, so the next one is a test failure, not a profile finding. lcp-sm's
-// growth from 69 to 162 per node was the coherence directory's per-block
-// entries, sharer sets and waiter queues; with entries in pooled chunks and
-// transactions recycled it is 64 -> 67, and em3d-sm fell from 264 to 87.
+// machine size: for every scaling pair, the mallocs and the bytes allocated
+// by one complete run, each divided by P, may grow at most 1.5x (bytes: the
+// pair's bytesGrowth) from P=256 to P=1024 and stay under the pair's
+// ceilings. A structure that is O(P) per node — every node's own copy of the
+// collective tree, a lock with an object per node when there is a lock per
+// node — quadruples the malloc ratio and used to reach 2,300-3,200 per node,
+// so the next one is a test failure, not a profile finding. lcp-sm's growth from 69 to 162 per node was the
+// coherence directory's per-block entries, sharer sets and waiter queues;
+// with entries in pooled chunks and transactions recycled it is 64 -> 67, and
+// em3d-sm fell from 264 to 87. The bytes bounds catch what the malloc count
+// cannot see: a structure grown by doubling makes few mallocs but many bytes,
+// as each NI's append-grown packet queue did.
 func TestHostAllocsLinearInP(t *testing.T) {
-	perNode := func(app, mach string, procs int) float64 {
-		return float64(mallocs(t, runSpec(scalingSpec(app, mach, procs)))) / float64(procs)
+	perNode := func(app, mach string, procs int) (mallocs, bytes float64) {
+		m, b := hostAllocs(t, runSpec(scalingSpec(app, mach, procs)))
+		return float64(m) / float64(procs), float64(b) / float64(procs)
 	}
 	for _, pair := range scalingPairs {
-		small, large := perNode(pair.app, pair.mach, 256), perNode(pair.app, pair.mach, 1024)
-		t.Logf("%s-%s: %.0f mallocs per node at P=256, %.0f at P=1024", pair.app, pair.mach, small, large)
+		small, smallBytes := perNode(pair.app, pair.mach, 256)
+		large, largeBytes := perNode(pair.app, pair.mach, 1024)
+		t.Logf("%s-%s: %.0f mallocs and %.0f bytes per node at P=256, %.0f and %.0f at P=1024",
+			pair.app, pair.mach, small, smallBytes, large, largeBytes)
 		if large > 1.5*small {
 			t.Errorf("%s-%s: mallocs per node grow %.0f -> %.0f from P=256 to P=1024 (%.1fx, bound 1.5x): some host structure is quadratic in P",
 				pair.app, pair.mach, small, large, large/small)
 		}
 		if large > pair.perNode {
 			t.Errorf("%s-%s: %.0f mallocs per node at P=1024, bound %.0f", pair.app, pair.mach, large, pair.perNode)
+		}
+		if largeBytes > pair.bytesGrowth*smallBytes {
+			t.Errorf("%s-%s: bytes per node grow %.0f -> %.0f from P=256 to P=1024 (%.2fx, bound %.1fx): some host structure is quadratic in P",
+				pair.app, pair.mach, smallBytes, largeBytes, largeBytes/smallBytes, pair.bytesGrowth)
+		}
+		if largeBytes > pair.bytesPerNode {
+			t.Errorf("%s-%s: %.0f bytes per node at P=1024, bound %.0f", pair.app, pair.mach, largeBytes, pair.bytesPerNode)
 		}
 	}
 }

@@ -47,10 +47,10 @@ type Packet struct {
 
 	// Words carries the payload's application words inline for delivery to
 	// the receiver's handler (at most PacketPayload bytes' worth; NWords are
-	// valid). Inline rather than a slice so a Packet is a pure value: it can
-	// sit in delivery pools and receive queues with no heap payload buffer
-	// and no aliasing of sender memory. Use SetPayload/Payload. On the wire
-	// the packet is still 20 bytes.
+	// valid). Inline rather than a slice so a Packet is a pure value: it
+	// rides in its delivery event from send to receive with no heap payload
+	// buffer and no aliasing of sender memory. Use SetPayload/Payload. On the
+	// wire the packet is still 20 bytes.
 	Words  [MaxDataWords]uint64
 	NWords int
 
@@ -102,8 +102,10 @@ type Network struct {
 	// delivered with a flipped bit (they are also Delivered).
 	Injected, Delivered, Dropped, Duplicated, Corrupted int64
 
-	// freeDel recycles delivery events: senders pop, RunEvent pushes back.
-	freeDel []*delivery
+	// free is the delivery pool, a stack threaded through delivery.next:
+	// deliver pops, qpop pushes back, and an empty pool is refilled with one
+	// slab of delSlab events.
+	free *delivery
 }
 
 // NewNetwork creates the interconnect.
@@ -128,32 +130,33 @@ type NI struct {
 	P    *sim.Proc
 	Cfg  *cost.Config
 
-	net     *Network
-	inq     []Packet // ordered by arrival: deliveries happen in event-time order
-	inqHead int      // consumed prefix (amortized O(1) pops)
-	waiter  bool     // the processor is blocked awaiting a delivery
+	net    *Network
+	waiter bool // the processor is blocked awaiting a delivery
+
+	// The incoming FIFO: arrived deliveries linked through next, oldest at
+	// head. Deliveries happen in event-time order, so this is arrival order.
+	head, tail *delivery
+	n          int
 }
 
-func (ni *NI) qlen() int { return len(ni.inq) - ni.inqHead }
+func (ni *NI) qlen() int { return ni.n }
 
-func (ni *NI) qhead() *Packet { return &ni.inq[ni.inqHead] }
+func (ni *NI) qhead() *Packet { return &ni.head.pkt }
 
-// qpop moves the head packet into dst: one 128-byte move into the caller's
-// frame instead of a pop-return-assign chain.
+// qpop copies the head packet into dst, the receive side's one 128-byte
+// copy, and returns its delivery event to the pool. The event's fields are
+// left in place: deliver overwrites all of them on reuse, and Packet is
+// pointer-free, so clearing it would only duffzero 128 bytes per receive.
 func (ni *NI) qpop(dst *Packet) {
-	// The consumed slot is left as-is: Packet is pointer-free, so stale
-	// slots retain nothing, and skipping the clear avoids a 128-byte
-	// duffzero per receive on the hottest message path.
-	*dst = ni.inq[ni.inqHead]
-	ni.inqHead++
-	if ni.inqHead == len(ni.inq) {
-		ni.inq = ni.inq[:0]
-		ni.inqHead = 0
-	} else if ni.inqHead > 1024 && ni.inqHead*2 > len(ni.inq) {
-		n := copy(ni.inq, ni.inq[ni.inqHead:])
-		ni.inq = ni.inq[:n]
-		ni.inqHead = 0
+	d := ni.head
+	*dst = d.pkt
+	ni.head = d.next
+	if ni.head == nil {
+		ni.tail = nil
 	}
+	ni.n--
+	d.next = ni.net.free
+	ni.net.free = d
 }
 
 // Pending returns the number of queued incoming packets (for tests).
@@ -311,44 +314,51 @@ func (ni *NI) sendBody(pkt *Packet) {
 	ni.deliver(dstNI, pkt)
 }
 
-// delivery is a pooled, closure-free packet-arrival event (sim.Action). It
-// was the single hottest allocation site in message-passing runs — one
-// closure per packet — before pooling (see Network.freeDel).
+// delivery is a pooled, closure-free packet-arrival event (sim.Action).
+// From send to receive the packet lives only here: RunEvent links the event
+// itself into the destination's FIFO and qpop returns it to the pool.
 type delivery struct {
-	dst *NI
-	pkt Packet
+	dst  *NI
+	next *delivery // the FIFO's or the pool's next event
+	pkt  Packet
 }
 
-// RunEvent appends the packet to the destination queue, wakes a blocked
-// receiver, and recycles the event. Engine context.
+// delSlab is how many deliveries one pool refill allocates, as one slab.
+const delSlab = 256
+
+// RunEvent links the packet's event at the tail of the destination queue and
+// wakes a blocked receiver. Engine context.
 func (d *delivery) RunEvent(at sim.Time) {
 	dst := d.dst
-	dst.inq = append(dst.inq, d.pkt)
-	net := dst.net
-	net.Delivered++
+	if dst.tail == nil {
+		dst.head = d
+	} else {
+		dst.tail.next = d
+	}
+	dst.tail = d
+	dst.n++
+	dst.net.Delivered++
 	if dst.waiter {
 		dst.waiter = false
 		dst.P.Wake(at)
 	}
-	// d.pkt is left in place: it is fully overwritten on pool reuse, and
-	// Packet is pointer-free, so clearing it would only duffzero 128 bytes
-	// per delivery.
-	d.dst = nil
-	net.freeDel = append(net.freeDel, d)
 }
 
 // deliver stages pkt's arrival at dst on behalf of the sending processor;
 // the delivery itself runs in a later event phase, the only context allowed
 // to touch the destination's queue and wake its processor.
 func (ni *NI) deliver(dst *NI, pkt *Packet) {
-	var d *delivery
-	if free := ni.net.freeDel; len(free) > 0 {
-		d = free[len(free)-1]
-		ni.net.freeDel = free[:len(free)-1]
-		d.dst, d.pkt = dst, *pkt
-	} else {
-		d = &delivery{dst: dst, pkt: *pkt}
+	net := ni.net
+	if net.free == nil {
+		slab := make([]delivery, delSlab)
+		for i := range slab[:len(slab)-1] {
+			slab[i].next = &slab[i+1]
+		}
+		net.free = &slab[0]
 	}
+	d := net.free
+	net.free = d.next
+	d.dst, d.next, d.pkt = dst, nil, *pkt
 	ni.P.ScheduleAction(pkt.Arrive, d)
 }
 

@@ -222,40 +222,43 @@ func TestFaultConservationInvariant(t *testing.T) {
 	}
 }
 
+// poolLen counts the deliveries in the network's free list.
+func poolLen(net *Network) int {
+	n := 0
+	for d := net.free; d != nil; d = d.next {
+		n++
+	}
+	return n
+}
+
 func TestInputQueueCompactionUnderJitteredBacklog(t *testing.T) {
-	// Drive the input queue through its head-shift compaction branch
-	// (inqHead > 1024 with a still-half-full tail) under delayed, reordered
-	// arrivals: a large backlog accumulates while the receiver sleeps, then
-	// is consumed while stragglers keep arriving.
+	// A large backlog accumulates under delayed, reordered arrivals while
+	// the receiver sleeps, then drains while stragglers keep arriving. The
+	// FIFO must hand packets out in arrival order, each exactly once, and
+	// afterwards every delivery event must be back in the pool.
 	cfg := cost.Default(2)
 	eng := sim.NewEngine(cfg.NetLatency)
 	net := NewNetwork(eng, &cfg)
 	net.Faults = faults.Uniform(4, faults.Rates{Delay: 0.5, MaxDelay: 40000})
 	const n = 4000
-	var compacted bool
-	var got []int
+	var got []Packet
+	peak := 0 // most deliveries ever outstanding: in flight or queued
 	procs := make([]*sim.Proc, 2)
 	nis := make([]*NI, 2)
 	procs[0] = eng.AddProc(func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
 			nis[0].Send(&Packet{Dst: 1, Tag: i})
+			peak = max(peak, int(net.Injected)-len(got))
 		}
 	})
 	procs[1] = eng.AddProc(func(p *sim.Proc) {
-		// Sleep until most of the stream has queued up, so draining walks
-		// inqHead deep into the buffer while stragglers keep appending.
 		p.Interact()
 		for nis[1].Pending() < n-n/8 {
 			spinQuantum(p)
 		}
 		for len(got) < n {
 			nis[1].WaitPacket(stats.LibComp)
-			got = append(got, nis[1].Recv().Tag)
-			// The compaction branch resets inqHead while the queue still
-			// holds packets; observing head < pops proves it fired.
-			if nis[1].inqHead == 0 && nis[1].qlen() > 0 && len(got) > 1024 {
-				compacted = true
-			}
+			got = append(got, nis[1].Recv())
 		}
 	})
 	nis[0] = net.Attach(procs[0])
@@ -268,20 +271,29 @@ func TestInputQueueCompactionUnderJitteredBacklog(t *testing.T) {
 	// queue must deliver every tag exactly once with no corruption.
 	seen := make([]bool, n)
 	reordered := false
-	for i, tag := range got {
-		if tag < 0 || tag >= n || seen[tag] {
-			t.Fatalf("corrupt or duplicated tag %d at pop %d", tag, i)
+	for i, pkt := range got {
+		if pkt.Tag < 0 || pkt.Tag >= n || seen[pkt.Tag] {
+			t.Fatalf("corrupt or duplicated tag %d at pop %d", pkt.Tag, i)
 		}
-		seen[tag] = true
-		if tag != i {
+		seen[pkt.Tag] = true
+		if pkt.Tag != i {
 			reordered = true
+		}
+		if i > 0 && pkt.Arrive < got[i-1].Arrive {
+			t.Fatalf("pop %d arrived at %d, before pop %d at %d", i, pkt.Arrive, i-1, got[i-1].Arrive)
 		}
 	}
 	if !reordered {
 		t.Error("jitter plan produced no reordering; test is not exercising the path")
 	}
-	if !compacted {
-		t.Error("compaction branch never fired; raise the backlog")
+	if peak < n-n/8 {
+		t.Errorf("peak backlog %d, want at least %d", peak, n-n/8)
+	}
+	// The pool refills one slab at a time, only when empty, so the peak
+	// backlog fixes the number of slabs; none may be lost or duplicated.
+	slabs := (peak + delSlab - 1) / delSlab
+	if pooled, want := poolLen(net), slabs*delSlab; pooled != want {
+		t.Errorf("free list holds %d deliveries, want %d slabs x %d = %d", pooled, slabs, delSlab, want)
 	}
 	if net.Injected != n || net.Delivered != int64(n) {
 		t.Errorf("conservation: injected %d delivered %d, want %d", net.Injected, net.Delivered, n)

@@ -18,8 +18,9 @@ func encodePacket(enc *snapshot.Enc, pkt *Packet) {
 }
 
 // EncodeState contributes the interconnect image to a canonical state
-// snapshot: the conservation counters and, per interface, the queued
-// incoming packets in arrival order plus the blocked-waiter flag.
+// snapshot: the conservation counters and, per interface, the blocked-waiter
+// flag, the queue length and the queued packets, walked from the FIFO's head
+// so they are written in arrival order.
 func (n *Network) EncodeState(enc *snapshot.Enc) {
 	enc.Section("network", func(enc *snapshot.Enc) {
 		enc.I64(n.Injected)
@@ -32,8 +33,8 @@ func (n *Network) EncodeState(enc *snapshot.Enc) {
 			enc.Section("ni", func(enc *snapshot.Enc) {
 				enc.Bool(ni.waiter)
 				enc.U32(uint32(ni.qlen()))
-				for i := ni.inqHead; i < len(ni.inq); i++ {
-					encodePacket(enc, &ni.inq[i])
+				for d := ni.head; d != nil; d = d.next {
+					encodePacket(enc, &d.pkt)
 				}
 			})
 		}
