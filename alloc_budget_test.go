@@ -304,18 +304,25 @@ func mainLoopMallocs(t *testing.T, par em3d.Params, start, end sim.Time) (malloc
 }
 
 // hostAllocs returns the host mallocs and bytes one call of run makes.
-// runtime.MemStats is process-wide: no test here runs in parallel, and each
-// budget's headroom covers the handful the runtime makes.
-func hostAllocs(t *testing.T, run func() error) (mallocs, bytes uint64) {
+// bytes counts the Go heap's bytes and the cache tag tables memsim maps
+// outside it (memsim.TagBytesMapped), so that moving the tables off the
+// heap does not read as the rest of the run's bytes shrinking; heapBytes is
+// the heap's share alone. runtime.MemStats is process-wide: no test here
+// runs in parallel, and each budget's headroom covers the handful the
+// runtime makes.
+func hostAllocs(t *testing.T, run func() error) (mallocs, bytes, heapBytes uint64) {
 	t.Helper()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
+	tags0 := memsim.TagBytesMapped()
 	err := run()
+	tags1 := memsim.TagBytesMapped()
 	runtime.ReadMemStats(&m1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
+	heapBytes = m1.TotalAlloc - m0.TotalAlloc
+	return m1.Mallocs - m0.Mallocs, heapBytes + uint64(tags1-tags0), heapBytes
 }
 
 // runSpec runs spec serially, as every tool and the benchmark do, and
@@ -396,7 +403,7 @@ func TestAllocBudgetTables(t *testing.T) {
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
-			got, _ := hostAllocs(t, r.run)
+			got, _, _ := hostAllocs(t, r.run)
 			t.Logf("%d mallocs, budget %d", got, r.budget)
 			if got > r.budget {
 				t.Error("over budget")
@@ -459,15 +466,15 @@ var scalingPairs = []struct {
 // cannot see: a structure grown by doubling makes few mallocs but many bytes,
 // as each NI's append-grown packet queue did.
 func TestHostAllocsLinearInP(t *testing.T) {
-	perNode := func(app, mach string, procs int) (mallocs, bytes float64) {
-		m, b := hostAllocs(t, runSpec(scalingSpec(app, mach, procs)))
-		return float64(m) / float64(procs), float64(b) / float64(procs)
+	perNode := func(app, mach string, procs int) (mallocs, bytes, heapBytes float64) {
+		m, b, h := hostAllocs(t, runSpec(scalingSpec(app, mach, procs)))
+		return float64(m) / float64(procs), float64(b) / float64(procs), float64(h) / float64(procs)
 	}
 	for _, pair := range scalingPairs {
-		small, smallBytes := perNode(pair.app, pair.mach, 256)
-		large, largeBytes := perNode(pair.app, pair.mach, 1024)
-		t.Logf("%s-%s: %.0f mallocs and %.0f bytes per node at P=256, %.0f and %.0f at P=1024",
-			pair.app, pair.mach, small, smallBytes, large, largeBytes)
+		small, smallBytes, smallHeap := perNode(pair.app, pair.mach, 256)
+		large, largeBytes, largeHeap := perNode(pair.app, pair.mach, 1024)
+		t.Logf("%s-%s: %.0f mallocs and %.0f bytes per node at P=256, %.0f and %.0f at P=1024 (Go heap alone: %.0f and %.0f bytes)",
+			pair.app, pair.mach, small, smallBytes, large, largeBytes, smallHeap, largeHeap)
 		if large > 1.5*small {
 			t.Errorf("%s-%s: mallocs per node grow %.0f -> %.0f from P=256 to P=1024 (%.1fx, bound 1.5x): some host structure is quadratic in P",
 				pair.app, pair.mach, small, large, large/small)

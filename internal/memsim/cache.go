@@ -2,6 +2,8 @@ package memsim
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 
 	"repro/internal/sim"
 )
@@ -38,9 +40,13 @@ type Line struct {
 
 // A line is stored packed in one word: block number plus one in the upper
 // 62 bits, state in the low 2. Padding made the two-field Line struct 16
-// bytes, so packing halves every tag table — 64 KB per simulated processor
-// at the paper's 256 KB/4-way/32 B geometry, which at P=1024 is the
-// difference between the tag state fitting in cache-friendly memory or not.
+// bytes, so packing halves every tag table, to 64 KB per simulated
+// processor at the paper's 256 KB/4-way/32 B geometry. The table is
+// anonymous memory mapped from the kernel (newTagTable), not Go heap: a
+// P=1024 node touches a few hundred blocks, so most of its table is never
+// written and never takes a resident page, and the zero word below is what
+// a page the kernel has not yet backed reads as.
+//
 // A packed word of 0 is exactly an Invalid line, and the +1 tag bias keeps
 // that true for block 0 as well: a zero word can never equal any valid
 // line's tag bits, so the tag-match loops in Lookup and friends need no
@@ -69,6 +75,14 @@ func (l packedLine) unpack() Line {
 // Cache is an n-way set-associative cache with random replacement (Table 1:
 // 256 KB, 4-way, 32-byte blocks, random replacement). Victim selection draws
 // from a deterministic per-cache RNG.
+//
+// Only NewCache builds a Cache, and a Cache must never be copied by value:
+// on unix systems its tag table is kernel-mapped memory that a finalizer on
+// the *Cache gives back, so a copy would outlive its table. The garbage
+// collector does not see the mapping, so a slice of c.lines does not keep c
+// alive; every method that reads or writes through one calls
+// runtime.KeepAlive(c) after its last access. The race detector does not
+// instrument the mapped table either.
 type Cache struct {
 	assoc      int
 	sets       int
@@ -95,15 +109,26 @@ func NewCache(capacityBytes, assoc, blockBytes int, rng *sim.RNG) *Cache {
 	for 1<<bs < blockBytes {
 		bs++
 	}
-	return &Cache{
+	c := &Cache{
 		assoc:      assoc,
 		sets:       sets,
 		blockShift: bs,
 		setMask:    uint64(sets - 1),
-		lines:      make([]packedLine, sets*assoc),
 		rng:        rng,
 	}
+	c.lines = newTagTable(c, sets*assoc)
+	return c
 }
+
+// tagBytesMapped counts the bytes of every tag table newTagTable has mapped
+// from the kernel in this process.
+var tagBytesMapped atomic.Int64
+
+// TagBytesMapped returns the bytes of tag table mapped outside the Go heap
+// since the process started, cumulatively like runtime.MemStats.TotalAlloc,
+// so that a measurement of a run's host allocations can count the tables
+// the heap no longer holds.
+func TagBytesMapped() int64 { return tagBytesMapped.Load() }
 
 // BlockShift returns log2(block size).
 func (c *Cache) BlockShift() uint { return c.blockShift }
@@ -111,6 +136,7 @@ func (c *Cache) BlockShift() uint { return c.blockShift }
 // BlockOf returns the block number containing addr.
 func (c *Cache) BlockOf(addr uint64) uint64 { return addr >> c.blockShift }
 
+// set returns block's set. The slice does not keep c alive (see Cache).
 func (c *Cache) set(block uint64) []packedLine {
 	s := int(block & c.setMask)
 	return c.lines[s*c.assoc : (s+1)*c.assoc]
@@ -124,6 +150,7 @@ func (c *Cache) Lookup(block uint64) uint8 {
 			return l.state()
 		}
 	}
+	runtime.KeepAlive(c) // through the loop: a hit has made its last load
 	return Invalid
 }
 
@@ -139,6 +166,7 @@ func (c *Cache) SetState(block uint64, state uint8) {
 			} else {
 				ws[i] = packLine(block, state)
 			}
+			runtime.KeepAlive(c)
 			return
 		}
 	}
@@ -155,6 +183,7 @@ func (c *Cache) Invalidate(block uint64) uint8 {
 		if uint64(ws[i])&^3 == want {
 			st := ws[i].state()
 			ws[i] = 0
+			runtime.KeepAlive(c)
 			return st
 		}
 	}
@@ -174,12 +203,14 @@ func (c *Cache) Insert(block uint64, state uint8) Line {
 	for i := range ws {
 		if !ws[i].valid() {
 			ws[i] = packLine(block, state)
+			runtime.KeepAlive(c)
 			return Line{}
 		}
 	}
 	v := c.rng.Intn(c.assoc)
 	victim := ws[v].unpack()
 	ws[v] = packLine(block, state)
+	runtime.KeepAlive(c)
 	return victim
 }
 
@@ -191,6 +222,7 @@ func (c *Cache) Resident() int {
 			n++
 		}
 	}
+	runtime.KeepAlive(c)
 	return n
 }
 
@@ -204,5 +236,6 @@ func (c *Cache) Flush() []Line {
 		}
 		c.lines[i] = 0
 	}
+	runtime.KeepAlive(c)
 	return dirty
 }

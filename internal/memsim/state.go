@@ -1,6 +1,10 @@
 package memsim
 
-import "repro/internal/snapshot"
+import (
+	"runtime"
+
+	"repro/internal/snapshot"
+)
 
 // EncodeState contributes the cache image to a canonical state snapshot:
 // every line's tag and state in set/way order, plus the replacement RNG's
@@ -18,6 +22,7 @@ func (c *Cache) EncodeState(enc *snapshot.Enc) {
 		}
 		enc.U64(c.rng.State())
 	})
+	runtime.KeepAlive(c)
 }
 
 // EncodeState contributes the TLB image: resident pages in FIFO order

@@ -17,7 +17,7 @@ type TLB struct {
 	// Open-addressed residency table with linear probing. Slots store
 	// page+1 so the zero value means empty (page numbers start at 0).
 	// Sized at 4x capacity (≤25% load) so probe chains stay short.
-	slots   []uint64
+	slots    []uint64
 	slotMask uint64
 	// Small MRU filter: simulated code commonly alternates between a few
 	// streams (metadata, values, a buffer), so a handful of recent pages
