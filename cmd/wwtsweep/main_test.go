@@ -193,32 +193,31 @@ func TestServerSweepRecordsNoLocalSizing(t *testing.T) {
 
 // walFull is the host filesystem that fills up once the service's log has
 // taken its first append: the submit is acked and every cell runs, but the
-// service cannot record a result.
+// service cannot record a result. Appends go through OpenAppend handles;
+// the whole log images written through Create (compaction) always fit.
 type walFull struct {
 	vfs.OS
 	appends atomic.Int32
 }
 
-func (w *walFull) Create(path string) (vfs.File, error) {
-	f, err := w.OS.Create(path)
-	if err != nil || !strings.Contains(path, string(filepath.Separator)+"wal"+string(filepath.Separator)) {
+func (w *walFull) OpenAppend(path string) (vfs.File, error) {
+	f, err := w.OS.OpenAppend(path)
+	if err != nil {
 		return f, err
 	}
-	return &walFile{File: f, fs: w, header: true}, nil
+	return &walFile{File: f, fs: w}, nil
 }
 
-// walFile is a log segment; its first write is the segment header.
+// walFile is an append handle on the log.
 type walFile struct {
 	vfs.File
-	fs     *walFull
-	header bool
+	fs *walFull
 }
 
 func (f *walFile) Write(p []byte) (int, error) {
-	if !f.header && f.fs.appends.Add(1) > 1 {
+	if f.fs.appends.Add(1) > 1 {
 		return 0, syscall.ENOSPC
 	}
-	f.header = false
 	return f.File.Write(p)
 }
 
@@ -248,11 +247,11 @@ func TestLocalStorageFailureEndsSweep(t *testing.T) {
 }
 
 // submitted reports whether a local service under tmp has logged a submit:
-// some WAL segment holds more than its 11-byte header.
+// its log holds more than its 11-byte header.
 func submitted(tmp string) bool {
-	segs, _ := filepath.Glob(filepath.Join(tmp, "wwtsweep-*", "wal", "wal.[0-9]*"))
-	for _, seg := range segs {
-		if fi, err := os.Stat(seg); err == nil && fi.Size() > 11 {
+	logs, _ := filepath.Glob(filepath.Join(tmp, "wwtsweep-*", "wal", "log"))
+	for _, log := range logs {
+		if fi, err := os.Stat(log); err == nil && fi.Size() > 11 {
 			return true
 		}
 	}
@@ -271,7 +270,7 @@ func TestInterruptRemovesDataDir(t *testing.T) {
 		done <- run([]string{"-apps", "em3d", "-machines", "mp", "-procs", "32", "-quiet", "-out", out})
 	}()
 	// The signal handler was installed before the service's directory, and
-	// the batch is in the service's log once a segment outgrows its header;
+	// the batch is in the service's log once the log outgrows its header;
 	// a worker claims the cell within its 10 ms idle poll.
 	for wait := time.Now(); !submitted(tmp); time.Sleep(10 * time.Millisecond) {
 		if time.Since(wait) > 30*time.Second {

@@ -33,23 +33,23 @@ func openCache(t *testing.T, dir string) *Cache {
 	return c
 }
 
-// cachedSegment stores want in a fresh cache under dir and returns the
-// log's one segment, its bytes, and the offset of want's result record.
-func cachedSegment(t *testing.T, dir string, want *Result) (path string, seg []byte, off int) {
+// cachedLog stores want in a fresh cache under dir and returns the log's
+// path, its bytes, and the offset of want's result record.
+func cachedLog(t *testing.T, dir string, want *Result) (path string, seg []byte, off int) {
 	t.Helper()
 	c := openCache(t, dir)
 	if err := c.Put(want); err != nil {
 		t.Fatalf("put: %v", err)
 	}
 	c.wal.Close()
-	path = liveSegPath(t, dir)
+	path = logPath(dir)
 	seg, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	off = bytes.Index(seg, encodeRecord(&Record{Type: recResult, Result: want}))
 	if off < 0 {
-		t.Fatal("result record not in the segment")
+		t.Fatal("result record not in the log")
 	}
 	return path, seg, off
 }
@@ -60,7 +60,7 @@ func cachedSegment(t *testing.T, dir string, want *Result) (path string, seg []b
 func TestCacheRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	want := sampleResult()
-	cachedSegment(t, dir, want)
+	cachedLog(t, dir, want)
 	c := openCache(t, dir)
 	defer c.wal.Close()
 	got, err := c.Get(want.Key)
@@ -101,7 +101,7 @@ func TestCacheEncodingCanonical(t *testing.T) {
 func TestCacheDetectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	want := sampleResult()
-	path, seg, off := cachedSegment(t, dir, want)
+	path, seg, off := cachedLog(t, dir, want)
 	reopen := func(what string, b []byte) (quarantined bool) {
 		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
@@ -132,13 +132,13 @@ func TestCacheDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestCacheQuarantinesCorruptEntry: a rotten result record is copied to the
-// segment's .quarantine file (the evidence survives) and its key reads as a
+// TestCacheQuarantinesCorruptEntry: a rotten result record is copied to
+// log.quarantine (the evidence survives) and its key reads as a
 // miss, so the result is recomputed; a second Put restores it durably.
 func TestCacheQuarantinesCorruptEntry(t *testing.T) {
 	dir := t.TempDir()
 	want := sampleResult()
-	path, _, _ := cachedSegment(t, dir, want)
+	path, _, _ := cachedLog(t, dir, want)
 	rotRecord(t, dir, Record{Type: recResult, Result: want})
 
 	c := openCache(t, dir)
@@ -167,7 +167,7 @@ func TestCacheErrResult(t *testing.T) {
 	dir := t.TempDir()
 	want := sampleResult()
 	want.Err = "faults: retry budget exhausted"
-	cachedSegment(t, dir, want)
+	cachedLog(t, dir, want)
 	c := openCache(t, dir)
 	defer c.wal.Close()
 	if got, _ := c.Get(want.Key); got == nil || got.Err != want.Err {

@@ -169,7 +169,7 @@ func crashWorkload(t *testing.T, fsys vfs.FS, dir string) (acked map[string]stri
 	processN(2)
 	// Restart: recovery compacts the log, the preempted cell's resume point
 	// included, through fsys, so crash points also land inside compaction —
-	// the one step that starts a new segment.
+	// the one step that renames the log.
 	s.wal.Close()
 	if !open() {
 		return acked, ran

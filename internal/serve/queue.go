@@ -86,8 +86,8 @@ type queue struct {
 // recoverQueue rebuilds the job table from replayed WAL records, attaches
 // each done job's result from the cache, and compacts the log down to the
 // cache's results plus the minimal job records a future recovery needs. A
-// failed compaction is reported but not fatal: the uncompacted segments
-// replay to the same job table, so the queue opens degraded rather than
+// failed compaction is reported but not fatal: the uncompacted log replays
+// to the same job table, so the queue opens degraded rather than
 // refusing to serve.
 func recoverQueue(wal *WAL, recs []Record, cache *Cache) (q *queue, compactErr error) {
 	q = &queue{
@@ -118,9 +118,10 @@ func recoverQueue(wal *WAL, recs []Record, cache *Cache) (q *queue, compactErr e
 				// recomputed), not find whatever its old key aliased.
 				j.key = j.spec.CacheKey()
 			}
-			// A crash mid-compaction can replay the same submit from both an
-			// old segment and the partial compacted one; the fresh record
-			// wins, but the job must not be listed in its batch twice.
+			// An older build's compaction, interrupted, left the same submit
+			// in two segments, and migrating them replays it twice; the
+			// later record wins, but the job must not be listed in its batch
+			// twice.
 			if _, dup := q.jobs[r.Job]; !dup {
 				q.batches[r.Batch] = append(q.batches[r.Batch], r.Job)
 			}

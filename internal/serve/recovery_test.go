@@ -186,6 +186,26 @@ func TestCrashRecoveryMidSweep(t *testing.T) {
 	}
 }
 
+// TestQuarantineSurvivesCompaction: the evidence of a rotten record outlives
+// the compaction every server open runs — after New, wal/log.quarantine
+// holds the rotten record's bytes.
+func TestQuarantineSurvivesCompaction(t *testing.T) {
+	dir := t.TempDir()
+	res := sampleResult()
+	cachedLog(t, dir, res)
+	rotten := rotRecord(t, dir, Record{Type: recResult, Result: res})
+
+	s := newTestServer(t, dir, nil)
+	defer s.Close()
+	if q := s.wal.Quarantined(); q != 1 {
+		t.Fatalf("wal quarantined %d records, want the 1 result record", q)
+	}
+	if got, err := os.ReadFile(logPath(dir) + ".quarantine"); err != nil || !bytes.Equal(got, rotten) {
+		t.Fatalf("after the open's compaction, wal/log.quarantine holds %d bytes (%v), want the %d rotten record bytes",
+			len(got), err, len(rotten))
+	}
+}
+
 // TestRecoverySelfHealsMissingCacheEntry: a done job whose result record
 // has rotted recovers as pending and recomputes — determinism guarantees
 // the same fingerprint.
@@ -354,10 +374,6 @@ func TestResumeRecords(t *testing.T) {
 	legacy.Blob(payload.Bytes())
 	legacy.U64(snapshot.Hash(legacy.Bytes()))
 
-	liveSeg := func(t *testing.T, dir string) string {
-		names := segNames(t, dir)
-		return filepath.Join(dir, walDirName, names[len(names)-1])
-	}
 	for _, tc := range []struct {
 		name   string
 		logged []Record
@@ -366,7 +382,7 @@ func TestResumeRecords(t *testing.T) {
 	}{
 		{"intact", []Record{resume}, nil, snap.Cycle},
 		{"older-build", nil, func(t *testing.T, dir string) {
-			f, err := os.OpenFile(liveSeg(t, dir), os.O_APPEND|os.O_WRONLY, 0)
+			f, err := os.OpenFile(logPath(dir), os.O_APPEND|os.O_WRONLY, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -376,7 +392,7 @@ func TestResumeRecords(t *testing.T) {
 			}
 		}, 0},
 		{"flipped-stats-byte", []Record{resume}, func(t *testing.T, dir string) {
-			path := liveSeg(t, dir)
+			path := logPath(dir)
 			b, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -384,7 +400,7 @@ func TestResumeRecords(t *testing.T) {
 			enc := encodeRecord(&resume)
 			i := bytes.Index(b, enc)
 			if i < 0 {
-				t.Fatal("resume record is not in the live segment")
+				t.Fatal("resume record is not in the log")
 			}
 			b[i+len(enc)-9] ^= 1 // the last stats byte, just ahead of the checksum
 			if err := os.WriteFile(path, b, 0o644); err != nil {

@@ -125,10 +125,11 @@ func New(cfg Config) (*Server, error) {
 		s.logf("wal: discarded %d-byte torn tail (crash mid-append)", rep.TornBytes)
 	}
 	if rep.Quarantined > 0 {
-		s.logf("wal: quarantined %d corrupt records (see *.quarantine)", rep.Quarantined)
+		s.logf("wal: quarantined %d corrupt records (see %s.quarantine)", rep.Quarantined, wal.path)
 	}
 	if compactErr != nil {
-		// Uncompacted segments replay identically; serve degraded.
+		// Whichever log survived replays to the same job table; serve
+		// degraded.
 		s.logf("wal: %v (continuing uncompacted)", compactErr)
 		s.noteStorage(compactErr)
 	}

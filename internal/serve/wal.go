@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/snapshot"
@@ -21,25 +19,23 @@ import (
 // process died simply reruns — results are deterministic and the cache
 // makes re-completion idempotent).
 //
-// The log is a sequence of segment files wal/wal.000001, wal/wal.000002, …
-// whose last (live) one takes the appends. A new segment starts only when
-// compaction writes its fresh image, or when an append abandons a live
-// segment it cannot repair; a crash in either can leave several segments,
-// so recovery reads them all in order. Each segment is independently
-// recoverable: a fixed header, then self-checksummed records. A torn tail on
-// the live (last) segment — the one corruption a kill -9 can produce, since
-// records are synced in order — is truncated away on open. A corrupt record anywhere else (bit rot, a
-// torn tail on a non-live segment, a failed fsync whose partial bytes
-// landed) is quarantined to a <segment>.quarantine file and skipped, so
+// The log is one file, wal/log: a fixed header, then self-checksummed
+// records. A torn tail — the one corruption a kill -9 can produce, since
+// records are synced in order — is truncated away on open. A corrupt record
+// anywhere else (bit rot, a failed fsync whose partial bytes landed) is
+// copied to wal/log.quarantine, which every open appends to, and skipped, so
 // good records after it are never silently discarded. Compaction, which
-// runs at every open, writes the minimal live record set into a fresh
-// segment and deletes every fully-compacted predecessor.
+// runs at every open, writes the minimal live record set to wal/log.tmp and
+// renames it over wal/log (vfs.WriteAtomic): a crash leaves the old log or
+// the new one, and a stray log.tmp is ignored. A data dir written by an
+// older build holds numbered segments wal/wal.000001, … instead; the first
+// open migrates them into wal/log.
 
 const (
-	walMagic            = "WWTWAL\x00"
-	walVersion   uint32 = 1
-	walDirName          = "wal"
-	walSegPrefix        = "wal."
+	walMagic          = "WWTWAL\x00"
+	walVersion uint32 = 1
+	walDirName        = "wal"
+	walLogName        = "log"
 
 	// Deprecated: ignored; the log does not rotate. OpenWAL still takes
 	// a segment size for its existing callers.
@@ -193,65 +189,39 @@ func encodeRecord(r *Record) []byte {
 
 func segHeader() []byte {
 	var e snapshot.Enc
-	e.U32(walVersion)
-	return append([]byte(walMagic), e.Bytes()...)
+	e.Preamble(walMagic, walVersion)
+	return e.Bytes()
 }
 
 // RecoveryReport summarizes what OpenWAL found and repaired.
 type RecoveryReport struct {
-	Segments    int // segment files scanned
-	TornBytes   int // bytes truncated off the live segment's tail
-	Quarantined int // corrupt records/regions moved to *.quarantine files
+	TornBytes   int // bytes truncated off the log's tail
+	Quarantined int // corrupt records/regions copied to wal/log.quarantine
 }
 
 // WAL is an append-only, fsynced record log.
 type WAL struct {
 	mu     sync.Mutex
 	fs     vfs.FS
-	dir    string // data dir; segments live in dir/wal
-	seg    int    // current (live) segment index
+	path   string // dir/wal/log
 	f      vfs.File
-	segLen int64 // known-durable byte length of the live segment
+	size   int64 // known-durable byte length of the log
 	broken bool  // last write/sync failed; reset before the next append
 
 	records     int64
 	quarantined int64
 }
 
-func (w *WAL) walDir() string { return filepath.Join(w.dir, walDirName) }
-
-func (w *WAL) segPath(i int) string {
-	return filepath.Join(w.walDir(), fmt.Sprintf("%s%06d", walSegPrefix, i))
-}
-
-// parseSegName returns the index of a wal.NNNNNN segment file name, or -1.
-func parseSegName(name string) int {
-	if !strings.HasPrefix(name, walSegPrefix) || len(name) != len(walSegPrefix)+6 {
-		return -1
-	}
-	n, err := strconv.Atoi(name[len(walSegPrefix):])
-	if err != nil || n <= 0 {
-		return -1
-	}
-	return n
-}
-
-// scanSegment replays one segment image. Corrupt records with intact
-// framing are reported as quarantine ranges and skipped; a tail whose
-// framing runs off the end is reported in torn (offset where it starts).
-// goodLen is the end of the last fully-framed record.
+// scanSegment replays one log image. Corrupt records with intact framing
+// are reported as quarantine ranges and skipped; a tail whose framing runs
+// off the end is reported in torn (offset where it starts). goodLen is the
+// end of the last fully-framed record.
 func scanSegment(b []byte) (recs []Record, goodLen int, quarantine [][2]int, torn bool, err error) {
-	hdr := len(segHeader())
-	if len(b) < hdr || string(b[:len(walMagic)]) != walMagic {
-		return nil, 0, nil, false, fmt.Errorf("wal: bad segment magic")
+	d := snapshot.NewDec(b)
+	if err := d.Preamble(walMagic, walVersion); err != nil {
+		return nil, 0, nil, false, err
 	}
-	hd := snapshot.NewDec(b[len(walMagic):])
-	if v := hd.U32(); v != walVersion {
-		return nil, 0, nil, false, fmt.Errorf("wal: segment format version %d (this build reads %d)", v, walVersion)
-	}
-	body := b[hdr:]
-	d := snapshot.NewDec(body)
-	off := hdr
+	off := len(b) - d.Remaining()
 	for d.Remaining() > 0 {
 		t := d.U8()
 		payload := d.Blob()
@@ -260,7 +230,7 @@ func scanSegment(b []byte) (recs []Record, goodLen int, quarantine [][2]int, tor
 			// Framing ran off the end: a torn tail.
 			return recs, off, quarantine, true, nil
 		}
-		end := hdr + (len(body) - d.Remaining())
+		end := len(b) - d.Remaining()
 		// A record is good when it decodes and re-encodes to exactly the
 		// bytes read, which checks the checksum and canonical form at once.
 		rec, derr := decodeRecord(recType(t), payload)
@@ -277,184 +247,141 @@ func scanSegment(b []byte) (recs []Record, goodLen int, quarantine [][2]int, tor
 	return recs, off, quarantine, false, nil
 }
 
-// OpenWAL opens (or creates) the segmented log under dir/wal, replays every
-// intact record across all segments in order, quarantines corrupt records,
-// and truncates a torn tail off the live segment. It returns the replayed
-// records in append order plus a report of repairs. The segment size is
-// ignored: the log does not rotate.
+// OpenWAL opens (or creates) the log dir/wal/log, replays every intact
+// record in order, quarantines corrupt records, and truncates a torn tail.
+// It returns the replayed records in append order plus a report of repairs.
+// The segment size is ignored: the log does not rotate.
 func OpenWAL(fsys vfs.FS, dir string, _ int64) (w *WAL, recs []Record, rep RecoveryReport, err error) {
-	w = &WAL{fs: fsys, dir: dir}
-	if err := fsys.MkdirAll(w.walDir(), 0o755); err != nil {
+	w = &WAL{fs: fsys, path: filepath.Join(dir, walDirName, walLogName)}
+	if err := fsys.MkdirAll(filepath.Dir(w.path), 0o755); err != nil {
 		return nil, nil, rep, err
 	}
-
-	names, err := fsys.ReadDir(w.walDir())
+	b, err := fsys.ReadFile(w.path)
+	if vfs.IsNotExist(err) {
+		recs, rep, err = w.migrate()
+	} else if err == nil {
+		var goodLen int
+		var quarantine [][2]int
+		if recs, goodLen, quarantine, _, err = scanSegment(b); err != nil {
+			err = fmt.Errorf("wal: %s: %w", w.path, err)
+		} else {
+			// Past goodLen lies a torn tail (kill -9 mid-append), if any:
+			// reset truncates it so appends continue from a clean tail.
+			rep.TornBytes = len(b) - goodLen
+			rep.Quarantined = w.quarantineRanges(b, quarantine)
+			w.size = int64(goodLen)
+			err = w.reset()
+		}
+	}
 	if err != nil {
 		return nil, nil, rep, err
-	}
-	var segs []int
-	for _, name := range names {
-		if n := parseSegName(name); n > 0 {
-			segs = append(segs, n)
-		}
-	}
-
-	// A crash during segment creation (compaction, or an abandoned live
-	// segment) can leave a trailing segment holding only a partial header.
-	// It contains no records by construction — the header is synced before
-	// any record is written — so drop it rather than mistaking it for a
-	// foreign file.
-	for len(segs) > 0 {
-		n := segs[len(segs)-1]
-		b, rerr := fsys.ReadFile(w.segPath(n))
-		if rerr != nil {
-			return nil, nil, rep, rerr
-		}
-		hdr := segHeader()
-		if len(b) < len(hdr) && string(b) == string(hdr[:len(b)]) {
-			if rerr := fsys.Remove(w.segPath(n)); rerr != nil {
-				return nil, nil, rep, rerr
-			}
-			segs = segs[:len(segs)-1]
-			continue
-		}
-		break
-	}
-
-	for i, n := range segs {
-		path := w.segPath(n)
-		b, rerr := fsys.ReadFile(path)
-		if rerr != nil {
-			return nil, nil, rep, rerr
-		}
-		sr, goodLen, quarantine, torn, serr := scanSegment(b)
-		if serr != nil {
-			return nil, nil, rep, fmt.Errorf("wal: %s: %w", path, serr)
-		}
-		live := i == len(segs)-1
-		if torn {
-			if live {
-				// A kill -9 mid-append on the live segment: truncate the
-				// torn bytes so appends continue from a clean tail.
-				if terr := fsys.Truncate(path, int64(goodLen)); terr != nil {
-					return nil, nil, rep, terr
-				}
-				rep.TornBytes += len(b) - goodLen
-				b = b[:goodLen]
-			} else {
-				quarantine = append(quarantine, [2]int{goodLen, len(b)})
-			}
-		}
-		rep.Quarantined += w.quarantineRanges(path, b, quarantine)
-		recs = append(recs, sr...)
-		if live {
-			w.seg = n
-			w.segLen = int64(goodLen)
-		}
-	}
-	rep.Segments = len(segs)
-
-	if len(segs) == 0 {
-		if err := w.createSegment(1); err != nil {
-			return nil, nil, rep, err
-		}
-	} else {
-		f, oerr := fsys.OpenAppend(w.segPath(w.seg))
-		if oerr != nil {
-			return nil, nil, rep, oerr
-		}
-		w.f = f
 	}
 	w.records = int64(len(recs))
 	w.quarantined = int64(rep.Quarantined)
 	return w, recs, rep, nil
 }
 
-// quarantineRanges copies corrupt byte ranges of a segment to a sibling
-// .quarantine file (evidence for the operator, out of the replay path) and
-// returns how many ranges there were. Best-effort: quarantine must never
-// turn a readable log into an open error.
-func (w *WAL) quarantineRanges(path string, b []byte, ranges [][2]int) int {
+// migrate creates the log when none exists. An older build kept numbered
+// segments wal/wal.000001, … beside it; their records, read in name order,
+// become the first log, and the segments are deleted only once it is
+// durable, so a crash at any point leaves the segments or the log (a
+// segment left beside the log is never read again).
+// Segments are never written here: a partial header (a segment whose
+// creation crashed, which holds no records) is skipped, and a torn tail is
+// quarantined rather than truncated. In a fresh dir this writes an empty
+// log.
+func (w *WAL) migrate() (recs []Record, rep RecoveryReport, err error) {
+	dir := filepath.Dir(w.path)
+	names, err := w.fs.ReadDir(dir)
+	if err != nil {
+		return nil, rep, err
+	}
+	var segs []string
+	for _, name := range names {
+		if ok, _ := filepath.Match("wal.[0-9][0-9][0-9][0-9][0-9][0-9]", name); !ok {
+			continue
+		}
+		path := filepath.Join(dir, name)
+		segs = append(segs, path)
+		b, err := w.fs.ReadFile(path)
+		if err != nil {
+			return nil, rep, err
+		}
+		if hdr := segHeader(); len(b) < len(hdr) && string(b) == string(hdr[:len(b)]) {
+			continue
+		}
+		sr, goodLen, quarantine, torn, err := scanSegment(b)
+		if err != nil {
+			return nil, rep, fmt.Errorf("wal: %s: %w", path, err)
+		}
+		if torn {
+			quarantine = append(quarantine, [2]int{goodLen, len(b)})
+		}
+		rep.Quarantined += w.quarantineRanges(b, quarantine)
+		recs = append(recs, sr...)
+	}
+	if err := w.replace(recs); err != nil {
+		return nil, rep, err
+	}
+	for _, path := range segs {
+		w.fs.Remove(path)
+	}
+	return recs, rep, nil
+}
+
+// quarantineRanges appends corrupt byte ranges of a log image to
+// wal/log.quarantine (evidence for the operator, out of the replay path,
+// kept across compactions) and returns how many ranges there were.
+// Best-effort: quarantine must never turn a readable log into an open error.
+func (w *WAL) quarantineRanges(b []byte, ranges [][2]int) int {
 	if len(ranges) == 0 {
 		return 0
 	}
-	var blob []byte
+	path := w.path + ".quarantine"
+	blob, err := w.fs.ReadFile(path)
+	if err != nil && !vfs.IsNotExist(err) {
+		return len(ranges) // never overwrite evidence that could not be read
+	}
 	for _, r := range ranges {
 		if r[0] < r[1] && r[1] <= len(b) {
 			blob = append(blob, b[r[0]:r[1]]...)
 		}
 	}
-	w.fs.WriteFile(path+".quarantine", blob, 0o644)
+	w.fs.WriteFile(path, blob, 0o644)
 	return len(ranges)
 }
 
-// createSegment makes segment i the live segment: header written and
-// synced, directory synced so the file itself survives a crash, handle kept
-// open for appends.
-func (w *WAL) createSegment(i int) error {
-	path := w.segPath(i)
-	f, err := w.fs.Create(path)
+// reset drops any bytes past the known-durable length of the log and
+// reopens the append handle at the new end — the repair path after a failed
+// or torn append, so a half-written record never precedes a good one on
+// disk, and the step that moves appends onto a freshly renamed log.
+func (w *WAL) reset() error {
+	if err := w.fs.Truncate(w.path, w.size); err != nil {
+		return err
+	}
+	f, err := w.fs.OpenAppend(w.path)
 	if err != nil {
-		return err
-	}
-	hdr := segHeader()
-	if _, err := f.Write(hdr); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := w.fs.SyncDir(w.walDir()); err != nil {
-		f.Close()
 		return err
 	}
 	if w.f != nil {
 		w.f.Close()
 	}
 	w.f = f
-	w.seg = i
-	w.segLen = int64(len(hdr))
 	w.broken = false
 	return nil
 }
 
-// reset drops any bytes past the known-durable length of the live segment —
-// the repair path after a failed or torn append, so a half-written record
-// never precedes a good one on disk.
-func (w *WAL) reset() error {
-	path := w.segPath(w.seg)
-	if err := w.fs.Truncate(path, w.segLen); err != nil {
-		return err
-	}
-	// A handle from Create still writes at its old offset, past the cut,
-	// which would leave a hole of zeros that replay misframes; append at
-	// the new end instead.
-	f, err := w.fs.OpenAppend(path)
-	if err != nil {
-		return err
-	}
-	w.f.Close()
-	w.f = f
-	w.broken = false
-	return nil
-}
-
-// Append durably writes recs as one unit: all records hit the live segment
-// in order and a single fsync covers them. On return the records survive
-// kill -9. On error nothing is considered durable: the segment is repaired
-// (truncated back, or abandoned for a fresh one) before the next append.
+// Append durably writes recs as one unit: all records hit the log in order
+// and a single fsync covers them. On return the records survive kill -9. On
+// error nothing is considered durable: the log's tail is truncated back
+// before the next append, and an append whose repair fails returns that
+// error.
 func (w *WAL) Append(recs ...Record) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.broken {
 		if err := w.reset(); err != nil {
-			// Cannot repair in place (the truncate itself failed): abandon
-			// the segment; its garbage tail is checksummed away on recovery.
-			if cerr := w.createSegment(w.seg + 1); cerr != nil {
-				return cerr
-			}
+			return err
 		}
 	}
 	var buf []byte
@@ -469,14 +396,14 @@ func (w *WAL) Append(recs ...Record) error {
 		w.broken = true
 		return err
 	}
-	w.segLen += int64(len(buf))
+	w.size += int64(len(buf))
 	w.records += int64(len(recs))
 	return nil
 }
 
 // Probe checks whether durable writes work again — the admission-unpause
 // test after an ENOSPC. It repairs a broken tail if needed and fsyncs the
-// live segment without adding records.
+// log without adding records.
 func (w *WAL) Probe() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -503,44 +430,36 @@ func (w *WAL) Quarantined() int64 {
 	return w.quarantined
 }
 
-// Compact writes recs — the minimal state a future recovery needs — into a
-// fresh segment and deletes every fully-compacted predecessor. The new
-// segment is durable before anything is
-// deleted, so a crash at any point leaves a replayable set: old segments
-// plus a partial new one replay to the same job table, because a compacted
-// segment's records supersede record-for-record what the old ones held.
+// Compact replaces the log with recs — the minimal state a future recovery
+// needs. On error the old log is still the log and takes the next appends.
 func (w *WAL) Compact(recs []Record) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	oldSeg := w.seg
-	if err := w.createSegment(oldSeg + 1); err != nil {
-		// The live segment is untouched; keep appending to it.
-		return err
-	}
-	var buf []byte
-	for i := range recs {
-		buf = append(buf, encodeRecord(&recs[i])...)
-	}
-	if len(buf) > 0 {
-		if _, err := w.f.Write(buf); err != nil {
-			w.broken = true
-			return err
-		}
-		if err := w.f.Sync(); err != nil {
-			w.broken = true
-			return err
-		}
-		w.segLen += int64(len(buf))
-	}
-	w.records = int64(len(recs))
+	return w.replace(recs)
+}
 
-	// The compacted image is durable; everything older is now dead weight.
-	for i := 1; i <= oldSeg; i++ {
-		w.fs.Remove(w.segPath(i))
-		w.fs.Remove(w.segPath(i) + ".quarantine")
+// replace atomically swaps a log image of recs in for the log, then moves
+// the append handle onto it.
+func (w *WAL) replace(recs []Record) error {
+	img := segHeader()
+	for i := range recs {
+		img = append(img, encodeRecord(&recs[i])...)
 	}
-	w.fs.SyncDir(w.walDir())
-	return nil
+	err := vfs.WriteAtomic(w.fs, w.path, img)
+	if err != nil {
+		// Only the directory sync fails after the rename, and then the new
+		// image is the log: appends to the old, unlinked file would be lost.
+		if b, rerr := w.fs.ReadFile(w.path); rerr != nil || !bytes.Equal(b, img) {
+			return err
+		}
+	}
+	w.size = int64(len(img))
+	w.records = int64(len(recs))
+	if rerr := w.reset(); rerr != nil {
+		w.broken = true // the next Append retries the reopen
+		return rerr
+	}
+	return err
 }
 
 // Close syncs and closes the log.

@@ -2,10 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"syscall"
 	"testing"
 
@@ -36,29 +37,25 @@ func openWAL(t *testing.T, dir string) (*WAL, []Record, RecoveryReport) {
 	return w, recs, rep
 }
 
-// liveSegPath returns the path of the single live segment of a fresh log.
-func liveSegPath(t *testing.T, dir string) string {
-	t.Helper()
-	names := segNames(t, dir)
-	if len(names) != 1 {
-		t.Fatalf("expected exactly one segment, found %v", names)
-	}
-	return filepath.Join(dir, walDirName, names[0])
-}
+// logPath returns the path of dir's log.
+func logPath(dir string) string { return filepath.Join(dir, walDirName, walLogName) }
 
-func segNames(t *testing.T, dir string) []string {
+// walFiles returns the names of the files in dir's wal directory.
+func walFiles(t *testing.T, dir string) []string {
 	t.Helper()
 	names, err := vfs.OS{}.ReadDir(filepath.Join(dir, walDirName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var segs []string
-	for _, n := range names {
-		if parseSegName(n) > 0 {
-			segs = append(segs, n)
-		}
+	return names
+}
+
+// onlyLog fails the test unless dir's wal directory holds the log alone.
+func onlyLog(t *testing.T, dir string) {
+	t.Helper()
+	if names := walFiles(t, dir); !reflect.DeepEqual(names, []string{walLogName}) {
+		t.Fatalf("wal directory holds %v, want only %s", names, walLogName)
 	}
-	return segs
 }
 
 // TestWALRoundTrip: append every record type, reopen, get them back intact.
@@ -89,7 +86,7 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWALTornTail: a live segment cut mid-record (kill -9 during append)
+// TestWALTornTail: a log cut mid-record (kill -9 during append)
 // replays every complete record, truncates the tail, and accepts appends.
 func TestWALTornTail(t *testing.T) {
 	dir := t.TempDir()
@@ -99,12 +96,12 @@ func TestWALTornTail(t *testing.T) {
 		t.Fatalf("append: %v", err)
 	}
 	w.Close()
-	seg := liveSegPath(t, dir)
+	seg := logPath(dir)
 	full, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cut the segment at every possible torn point inside the final record
+	// Cut the log at every possible torn point inside the final record
 	// and check recovery each time.
 	lastLen := len(encodeRecord(&want[len(want)-1]))
 	for cut := len(full) - 1; cut > len(full)-lastLen; cut-- {
@@ -130,9 +127,9 @@ func TestWALTornTail(t *testing.T) {
 	}
 }
 
-// TestWALQuarantinesCorruptRecord: a bit-rotted record in the middle of a
-// segment is quarantined and skipped; records after it still replay, where
-// truncating at the first bad record would have lost them.
+// TestWALQuarantinesCorruptRecord: a bit-rotted record in the middle of the
+// log is copied to log.quarantine and skipped; records after it still
+// replay, where truncating at the first bad record would have lost them.
 func TestWALQuarantinesCorruptRecord(t *testing.T) {
 	dir := t.TempDir()
 	w, _, _ := openWAL(t, dir)
@@ -141,15 +138,17 @@ func TestWALQuarantinesCorruptRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Close()
-	seg := liveSegPath(t, dir)
+	seg := logPath(dir)
 	full, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Flip one byte inside the SECOND record's payload (past its type byte
 	// and length prefix, so the framing stays intact).
-	off := len(segHeader()) + len(encodeRecord(&want[0])) + 6
+	start := len(segHeader()) + len(encodeRecord(&want[0]))
+	off := start + 6
 	full[off] ^= 0x40
+	rotten := append([]byte(nil), full[start:start+len(encodeRecord(&want[1]))]...)
 	if err := os.WriteFile(seg, full, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +161,8 @@ func TestWALQuarantinesCorruptRecord(t *testing.T) {
 	if !reflect.DeepEqual(got, expect) {
 		t.Fatalf("replay after corruption:\n got %+v\nwant %+v", got, expect)
 	}
-	if _, err := os.Stat(seg + ".quarantine"); err != nil {
-		t.Fatalf("no quarantine file: %v", err)
+	if q, err := os.ReadFile(seg + ".quarantine"); err != nil || !bytes.Equal(q, rotten) {
+		t.Fatalf("quarantine file holds %d bytes (%v), want the %d rotten record bytes", len(q), err, len(rotten))
 	}
 }
 
@@ -184,7 +183,7 @@ func (f *tornFile) Write(p []byte) (int, error) {
 }
 
 // TestWALAppendAfterFailedWrite: an append whose write failed halfway is
-// cut off the segment, and the next append lands at the cut, so replay
+// cut off the log, and the next append lands at the cut, so replay
 // finds the good record and nothing to quarantine.
 func TestWALAppendAfterFailedWrite(t *testing.T) {
 	dir := t.TempDir()
@@ -205,8 +204,8 @@ func TestWALAppendAfterFailedWrite(t *testing.T) {
 }
 
 // TestWALRotation: appends never rotate — however small the segment size
-// OpenWAL is given and however many records go in, the log stays one
-// segment, and a reopen replays every record in order.
+// OpenWAL is given and however many records go in, the log stays one file,
+// and a reopen replays every record in order.
 func TestWALRotation(t *testing.T) {
 	dir := t.TempDir()
 	w, _, _, err := OpenWAL(vfs.OS{}, dir, 200)
@@ -223,24 +222,23 @@ func TestWALRotation(t *testing.T) {
 		want = append(want, r)
 	}
 	w.Close()
-	if names := segNames(t, dir); len(names) != 1 {
-		t.Fatalf("segment files after 200 appends: %v, want one", names)
-	}
+	onlyLog(t, dir)
 
 	w2, got, rep := openWAL(t, dir)
 	defer w2.Close()
-	if rep.Segments != 1 || rep.TornBytes != 0 || rep.Quarantined != 0 {
-		t.Fatalf("reopen report %+v, want one segment and no repairs", rep)
+	if rep.TornBytes != 0 || rep.Quarantined != 0 {
+		t.Fatalf("reopen report %+v, want no repairs", rep)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("replay: got %d records, want %d", len(got), len(want))
 	}
 }
 
-// TestWALCompactDeletesSegments: compaction collapses a multi-segment log
-// into one fresh segment, deletes the predecessors, and recovery afterwards
-// sees exactly the compacted set.
-func TestWALCompactDeletesSegments(t *testing.T) {
+// TestWALCompactReplacesLog: compaction replaces the log with the compacted
+// set, truncating a stray log.tmp a crashed compaction left, appends
+// continue after it, and recovery afterwards sees exactly the compacted set
+// plus the appends.
+func TestWALCompactReplacesLog(t *testing.T) {
 	dir := t.TempDir()
 	w, _, _ := openWAL(t, dir)
 	all := sampleRecords()
@@ -248,41 +246,127 @@ func TestWALCompactDeletesSegments(t *testing.T) {
 		if err := w.Append(all...); err != nil {
 			t.Fatal(err)
 		}
-		// Start a new segment, as Append does when it abandons a live
-		// segment it cannot repair.
-		if err := w.createSegment(w.seg + 1); err != nil {
-			t.Fatal(err)
-		}
 	}
-	if names := segNames(t, dir); len(names) < 3 {
-		t.Fatalf("setup: segments %v", names)
+	if err := os.WriteFile(logPath(dir)+".tmp", bytes.Repeat([]byte{0xEE}, 4096), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	compact := all[3:] // keep just the result and terminal records
 	if err := w.Compact(compact); err != nil {
 		t.Fatalf("compact: %v", err)
 	}
-	if names := segNames(t, dir); len(names) != 1 {
-		t.Fatalf("segment files on disk after compact: %v", names)
+	onlyLog(t, dir)
+	if got := logRecords(t, dir); !reflect.DeepEqual(got, compact) {
+		t.Fatalf("log after compact holds %d records, want the %d compacted", len(got), len(compact))
 	}
-	if err := w.Append(Record{Type: recAttempt, Job: 9, Attempts: 1}); err != nil {
+	extra := Record{Type: recAttempt, Job: 9, Attempts: 1}
+	if err := w.Append(extra); err != nil {
 		t.Fatalf("append after compact: %v", err)
 	}
 	w.Close()
 	_, got, _ := openWAL(t, dir)
-	if len(got) != len(compact)+1 {
-		t.Fatalf("got %d records, want %d", len(got), len(compact)+1)
-	}
-	if !reflect.DeepEqual(got[:len(compact)], compact) {
-		t.Fatalf("compacted records differ")
+	if want := append(append([]Record{}, compact...), extra); !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %d records, want the %d compacted plus the append", len(got), len(compact))
 	}
 }
 
-// TestWALRotationRecoveryEquivalence: a log left as two segments by a
-// compaction interrupted after its fresh segment was durable but before it
-// deleted the predecessor — the full record stream in segment 1, the
-// compacted image in segment 2 — recovers the same job table as the
-// one-segment log, and its own compaction leaves one segment.
-func TestWALRotationRecoveryEquivalence(t *testing.T) {
+// TestWALCompactRenameFails: a compaction whose rename fails returns the
+// error and leaves the old log byte-identical and still the log: the next
+// append lands in it, and a reopen replays the old records plus that one.
+func TestWALCompactRenameFails(t *testing.T) {
+	dir := t.TempDir()
+	w, _, _ := openWAL(t, dir)
+	old := sampleRecords()
+	if err := w.Append(old...); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	before, err := os.ReadFile(logPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	faulty := vfs.NewFaulty(vfs.OS{}, vfs.Plan{RenameRate: 1, CrashAt: -1})
+	w, _, _, err = OpenWAL(faulty, dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Compact(old[4:]); !errors.Is(err, vfs.ErrInjected) {
+		t.Fatalf("compact with a failing rename: %v, want the injected fault", err)
+	}
+	if after, err := os.ReadFile(logPath(dir)); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("failed compaction changed the log (%d → %d bytes, %v)", len(before), len(after), err)
+	}
+	onlyLog(t, dir)
+	extra := Record{Type: recAttempt, Job: 9, Attempts: 1}
+	if err := w.Append(extra); err != nil {
+		t.Fatalf("append after the failed compaction: %v", err)
+	}
+	w.Close()
+	_, got, _ := openWAL(t, dir)
+	if want := append(append([]Record{}, old...), extra); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopen replayed %d records, want the %d old ones plus the append", len(got), len(old))
+	}
+}
+
+// dirSyncFails is the host filesystem with every directory sync failing.
+type dirSyncFails struct{ vfs.OS }
+
+func (dirSyncFails) SyncDir(string) error { return vfs.ErrInjected }
+
+// TestWALCompactDirSyncFails: a compaction whose directory sync fails has
+// already renamed the new image over the log, so it returns the error but
+// the next append must land in the new log, not the old, unlinked one.
+func TestWALCompactDirSyncFails(t *testing.T) {
+	dir := t.TempDir()
+	w, _, _ := openWAL(t, dir)
+	all := sampleRecords()
+	if err := w.Append(all...); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	w, _, _, err := OpenWAL(dirSyncFails{}, dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compact := all[4:]
+	if err := w.Compact(compact); !errors.Is(err, vfs.ErrInjected) {
+		t.Fatalf("compact with a failing directory sync: %v, want the injected fault", err)
+	}
+	extra := Record{Type: recAttempt, Job: 9, Attempts: 1}
+	if err := w.Append(extra); err != nil {
+		t.Fatalf("append after the compaction: %v", err)
+	}
+	w.Close()
+	_, got, _ := openWAL(t, dir)
+	if want := append(append([]Record{}, compact...), extra); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopen replayed %d records, want the %d compacted plus the append", len(got), len(compact))
+	}
+}
+
+// legacySegments builds the wal directory an older build leaves after a
+// compaction interrupted before it deleted its predecessor: wal.000001 with
+// the full record stream, wal.000002 with the compacted image, and
+// wal.000003 holding only part of a header (its creation crashed).
+func legacySegments(t *testing.T, dir string, stream, compacted []byte) {
+	t.Helper()
+	wd := filepath.Join(dir, walDirName)
+	if err := os.MkdirAll(wd, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range [][]byte{stream, compacted, segHeader()[:5]} {
+		if err := os.WriteFile(filepath.Join(wd, fmt.Sprintf("wal.%06d", i+1)), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestWALLegacyMigration: a data dir left as numbered segments by an older
+// build migrates at first open into one log that recovers the same job
+// table as the one-file log, and afterwards the wal directory holds only
+// the log. A torn tail on a segment ends up in log.quarantine. A crash at
+// every operation of a migrating open leaves a dir whose reopen replays the
+// same records: the segments go only once the log replaced them.
+func TestWALLegacyMigration(t *testing.T) {
 	spec := []byte(`{"app":"gauss","machine":"mp","procs":4}`)
 	var stream []Record
 	for i := uint64(1); i <= 12; i++ {
@@ -294,24 +378,19 @@ func TestWALRotationRecoveryEquivalence(t *testing.T) {
 	stream = append(stream, Record{Type: recAttempt, Job: 7, Attempts: 1})
 
 	// recover opens dir, rebuilds the job table (compacting the log) and
-	// checks that one segment is left.
-	recover := func(dir string, wantSegs int) map[uint64]string {
-		w, recs, rep := openWAL(t, dir)
-		if rep.Segments != wantSegs {
-			t.Fatalf("opened %d segments, want %d", rep.Segments, wantSegs)
-		}
+	// checks that the log alone is left.
+	recover := func(dir string) map[uint64]string {
+		w, recs, _ := openWAL(t, dir)
 		q, cerr := recoverQueue(w, recs, newCache(w, recs))
 		if cerr != nil {
 			t.Fatalf("compaction: %v", cerr)
 		}
-		if names := segNames(t, dir); len(names) != 1 {
-			t.Fatalf("segments after recovery compaction: %v, want one", names)
-		}
+		w.Close()
+		onlyLog(t, dir)
 		states := make(map[uint64]string)
 		for id, j := range q.jobs {
 			states[id] = j.state.String()
 		}
-		w.Close()
 		return states
 	}
 
@@ -324,45 +403,96 @@ func TestWALRotationRecoveryEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Close()
-	seg1 := liveSegPath(t, dir)
-	full, err := os.ReadFile(seg1)
+	full, err := os.ReadFile(logPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	single := recover(dir, 1)
-
-	// Put segment 1 back beside the compacted segment 2.
-	if err := os.WriteFile(seg1, full, 0o644); err != nil {
+	single := recover(dir)
+	if len(single) != 12 {
+		t.Fatalf("recovered %d jobs, want 12", len(single))
+	}
+	compacted, err := os.ReadFile(logPath(dir))
+	if err != nil {
 		t.Fatal(err)
 	}
-	interrupted := recover(dir, 2)
-	if !reflect.DeepEqual(single, interrupted) {
-		t.Fatalf("recovery divergence:\none segment %v\ntwo segments %v", single, interrupted)
+
+	legacy := t.TempDir()
+	legacySegments(t, legacy, full, compacted)
+	if migrated := recover(legacy); !reflect.DeepEqual(single, migrated) {
+		t.Fatalf("recovery divergence:\none-file log %v\nlegacy segments %v", single, migrated)
 	}
-	if len(interrupted) != 12 {
-		t.Fatalf("recovered %d jobs, want 12", len(interrupted))
+
+	// A torn tail on a segment that is not the last is quarantined.
+	torn := t.TempDir()
+	cut := len(full) - 5
+	legacySegments(t, torn, full[:cut], compacted)
+	_, _, rep := openWAL(t, torn)
+	last := encodeRecord(&stream[len(stream)-1])
+	q, err := os.ReadFile(logPath(torn) + ".quarantine")
+	if err != nil || rep.Quarantined != 1 || !bytes.Equal(q, last[:len(last)-5]) {
+		t.Fatalf("torn segment tail: quarantined %d, log.quarantine %q (%v), want the torn record's %d bytes",
+			rep.Quarantined, q, err, len(last)-5)
+	}
+
+	// Crash at every operation index of one migrating open.
+	var want []Record
+	for _, b := range [][]byte{full, compacted} {
+		sr, _, _, _, err := scanSegment(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, sr...)
+	}
+	for n := int64(0); ; n++ {
+		dir := t.TempDir()
+		legacySegments(t, dir, full, compacted)
+		faulty := vfs.NewFaulty(vfs.OS{}, vfs.Plan{CrashAt: n})
+		w, _, _, err := OpenWAL(faulty, dir, 0)
+		if !faulty.Crashed() {
+			if err != nil || n < 8 {
+				t.Fatalf("migrating open finished after %d operations: %v", n, err)
+			}
+			w.Close()
+			break
+		}
+		if err == nil {
+			w.Close()
+		}
+		w, got, _ := openWAL(t, dir)
+		w.Close()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("crash at op %d: reopen replayed %d records, want %d", n, len(got), len(want))
+		}
 	}
 }
 
-// TestWALRejectsForeignFile: not-a-WAL inputs produce errors, not garbage
-// replays.
+// TestWALRejectsForeignFile: not-a-WAL inputs produce typed errors, not
+// garbage replays.
 func TestWALRejectsForeignFile(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(dir, walDirName), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	foreign := filepath.Join(dir, walDirName, walSegPrefix+"000001")
-	if err := os.WriteFile(foreign, []byte("definitely not a wal"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := OpenWAL(vfs.OS{}, dir, 0); err == nil {
-		t.Fatal("opened a non-WAL segment without error")
-	} else if !strings.Contains(err.Error(), "magic") {
-		t.Fatalf("unexpected error: %v", err)
+	var v2 snapshot.Enc
+	v2.Preamble(walMagic, walVersion+1)
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want any
+	}{
+		{"foreign", []byte("definitely not a wal"), new(*snapshot.FormatError)},
+		{"version-2", v2.Bytes(), new(*snapshot.VersionError)},
+	} {
+		dir := t.TempDir()
+		if err := os.MkdirAll(filepath.Join(dir, walDirName), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(logPath(dir), tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := OpenWAL(vfs.OS{}, dir, 0); !errors.As(err, tc.want) {
+			t.Fatalf("%s: open returned %v, want %T", tc.name, err, tc.want)
+		}
 	}
 }
 
-// FuzzScanSegment drives arbitrary bytes after a valid segment header
+// FuzzScanSegment drives arbitrary bytes after a valid log header
 // through the scanner. It must not panic; the records it returns and the
 // ranges it quarantines must tile the input up to goodLen in order, each
 // record re-encoding to exactly the bytes it was read from.
@@ -414,42 +544,37 @@ func FuzzScanSegment(f *testing.F) {
 // without opening the log.
 func logRecords(t *testing.T, dir string) []Record {
 	t.Helper()
-	var recs []Record
-	for _, name := range segNames(t, dir) {
-		b, err := os.ReadFile(filepath.Join(dir, walDirName, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sr, _, _, _, err := scanSegment(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs = append(recs, sr...)
+	b, err := os.ReadFile(logPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, _, _, err := scanSegment(b)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return recs
 }
 
 // rotRecord flips a byte in the middle of every copy of rec in dir's log:
-// bit rot that leaves the record's framing intact.
-func rotRecord(t *testing.T, dir string, rec Record) {
+// bit rot that leaves the record's framing intact. It returns the rotten
+// bytes.
+func rotRecord(t *testing.T, dir string, rec Record) []byte {
 	t.Helper()
 	enc := encodeRecord(&rec)
-	found := false
-	for _, name := range segNames(t, dir) {
-		path := filepath.Join(dir, walDirName, name)
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := bytes.Index(b, enc); i >= 0; i = bytes.Index(b, enc) {
-			b[i+len(enc)/2] ^= 0x40
-			found = true
-		}
-		if err := os.WriteFile(path, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	b, err := os.ReadFile(logPath(dir))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !found {
+	i := bytes.Index(b, enc)
+	if i < 0 {
 		t.Fatalf("record %+v is not in the log", rec)
 	}
+	for ; i >= 0; i = bytes.Index(b, enc) {
+		b[i+len(enc)/2] ^= 0x40
+	}
+	if err := os.WriteFile(logPath(dir), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	enc[len(enc)/2] ^= 0x40
+	return enc
 }

@@ -39,6 +39,13 @@ func (e *Enc) Bytes() []byte { return e.b }
 // Len returns the number of bytes encoded so far.
 func (e *Enc) Len() int { return len(e.b) }
 
+// Preamble appends a file preamble: the magic bytes, then a u32 format
+// version.
+func (e *Enc) Preamble(magic string, version uint32) {
+	e.b = append(e.b, magic...)
+	e.U32(version)
+}
+
 // U8 appends one byte.
 func (e *Enc) U8(v uint8) { e.b = append(e.b, v) }
 
@@ -169,6 +176,19 @@ func (d *Dec) take(n int, what string) []byte {
 	b := d.b[d.off : d.off+n]
 	d.off += n
 	return b
+}
+
+// Preamble reads a preamble written by Enc.Preamble. Input that ends
+// inside it is a *TruncatedError, a different magic a *FormatError and a
+// different version a *VersionError; the error is also left in Err.
+func (d *Dec) Preamble(magic string, version uint32) error {
+	if m := d.take(len(magic), "magic"); d.Err == nil && string(m) != magic {
+		d.Err = &FormatError{Reason: "bad magic"}
+	}
+	if v := d.U32(); d.Err == nil && v != version {
+		d.Err = &VersionError{Got: v, Want: version}
+	}
+	return d.Err
 }
 
 // U8 reads one byte.

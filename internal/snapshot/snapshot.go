@@ -3,7 +3,6 @@ package snapshot
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"repro/internal/vfs"
 )
@@ -41,13 +40,13 @@ type Snapshot struct {
 	Stats []byte
 }
 
-// FormatError reports input that is not a snapshot at all (bad magic,
-// trailing garbage after the checksum).
+// FormatError reports input in the wrong format: a preamble with another
+// file type's magic, or a snapshot with trailing garbage after the checksum.
 type FormatError struct{ Reason string }
 
-func (e *FormatError) Error() string { return "snapshot: not a snapshot file: " + e.Reason }
+func (e *FormatError) Error() string { return "snapshot: unrecognized format: " + e.Reason }
 
-// VersionError reports a snapshot written by an incompatible format version.
+// VersionError reports a file written by an incompatible format version.
 type VersionError struct{ Got, Want uint32 }
 
 func (e *VersionError) Error() string {
@@ -81,8 +80,7 @@ func (e *ChecksumError) Error() string {
 // equal bytes.
 func Encode(s *Snapshot) []byte {
 	var e Enc
-	e.b = append(e.b, magic...)
-	e.U32(Version)
+	e.Preamble(magic, Version)
 	e.I64(s.Cycle)
 	e.U64(s.StateHash)
 	e.Blob(s.Spec)
@@ -96,20 +94,9 @@ func Encode(s *Snapshot) []byte {
 // mismatch, truncation, checksum failure, or trailing garbage. It never
 // panics on arbitrary input (the fuzz target enforces this).
 func Decode(b []byte) (*Snapshot, error) {
-	if len(b) < len(magic) {
-		return nil, &TruncatedError{What: "magic", Offset: 0, Size: len(b)}
-	}
-	if string(b[:len(magic)]) != magic {
-		return nil, &FormatError{Reason: "bad magic"}
-	}
 	d := NewDec(b)
-	d.take(len(magic), "magic")
-	v := d.U32()
-	if d.Err != nil {
-		return nil, d.Err
-	}
-	if v != Version {
-		return nil, &VersionError{Got: v, Want: Version}
+	if err := d.Preamble(magic, Version); err != nil {
+		return nil, err
 	}
 	s := &Snapshot{}
 	s.Cycle = d.I64()
@@ -135,40 +122,11 @@ func Decode(b []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-// AtomicWriteFile writes data to path via a temporary file in the same
-// directory plus a rename, so readers only ever observe the old contents or
-// the complete new contents — never a torn file. Checkpoints and sweep
-// results files go through it. The sequence is the full crash-safe dance:
-// write the temp file, fsync it (so the rename never outlives the data),
-// rename into place, then fsync the parent directory (so the rename itself
-// survives a power-loss-style crash).
+// AtomicWriteFile writes data to path with vfs.WriteAtomic on the host
+// filesystem: readers see the old contents or the complete new contents,
+// never a torn file. Checkpoints and sweep results files go through it.
 func AtomicWriteFile(path string, data []byte) error {
-	var fsys vfs.OS
-	tmp := path + ".tmp"
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return err
-	}
-	cleanup := func(err error) error {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	return fsys.SyncDir(filepath.Dir(path))
+	return vfs.WriteAtomic(vfs.OS{}, path, data)
 }
 
 // ReadFile reads and decodes a snapshot file.

@@ -1,9 +1,8 @@
 // Package vfs is the filesystem seam under the sweep service's durable
-// store: the serve WAL segments, which also hold the result cache's records
-// and preempted jobs' resume points, perform their I/O through the FS
-// interface rather than the os package directly. snapshot.AtomicWriteFile
-// (checkpoint files, sweep results files) calls OS directly, so no fault
-// plan reaches it.
+// store: the serve WAL, which also holds the result cache's records and
+// preempted jobs' resume points, performs its I/O through the FS interface
+// rather than the os package directly, its compaction's rename included
+// (WriteAtomic, which snapshot.AtomicWriteFile also calls, on OS).
 //
 // Two implementations exist. OS is a passthrough to the host filesystem.
 // Faulty (faulty.go) wraps another FS with a deterministic, seeded fault
@@ -19,6 +18,7 @@ import (
 	"errors"
 	iofs "io/fs"
 	"os"
+	"path/filepath"
 	"sort"
 	"syscall"
 )
@@ -103,6 +103,35 @@ func (OS) SyncDir(path string) error {
 		err = cerr
 	}
 	return err
+}
+
+// WriteAtomic writes data to path via path+".tmp" and a rename, so readers
+// see the old contents or the complete new ones, never a torn file: write
+// and fsync the temp file (so the rename never outlives the data), rename,
+// then fsync the directory (so the rename survives a power-loss-style
+// crash). Create truncates a temp file an earlier crash left. Only the
+// directory sync fails after the rename, with the new contents in place.
+func WriteAtomic(fsys FS, path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := fsys.Create(tmp)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, path)
+	}
+	if err != nil {
+		fsys.Remove(tmp)
+		return err
+	}
+	return fsys.SyncDir(filepath.Dir(path))
 }
 
 // IsNotExist reports a missing-file error from any FS implementation.

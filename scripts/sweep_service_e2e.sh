@@ -63,9 +63,10 @@ start_daemon() { # $1 = log file
     daemon=$!
     for _ in $(seq 100); do
       curl -sf "http://$addr/healthz" >/dev/null 2>&1 && return
-      # A fault plan can kill startup itself (e.g. ENOSPC while creating the
-      # first WAL segment). That exit is correct — refusing to serve without
-      # a durable log — so restart with the next seed, like an operator.
+      # A fault plan can kill startup itself (e.g. ENOSPC while writing a
+      # fresh dir's first wal/log). That exit is correct — refusing to serve
+      # without a durable log — so restart with the next seed, like an
+      # operator.
       kill -0 "$daemon" 2>/dev/null || break
       sleep 0.1
     done
