@@ -386,10 +386,6 @@ func (pr *Protocol) nack(home int, r request, arrive sim.Time) {
 // directory server to be free (contention) and is serviced.
 func (pr *Protocol) dirServe(home int, r request, arrive sim.Time) {
 	e := pr.entryOf(home, r.block)
-	if Debug {
-		trace("dir home=%d %v block=%#x from=%d arrive=%d busy=%v state=%d",
-			home, r.kind, r.block, r.reqID, arrive, e.pend != nil, e.state)
-	}
 	if t := e.pend; t != nil {
 		if pr.forensics {
 			pr.record(e, arrive, "queue %v from %d (txn in flight)", r.kind, r.reqID)
@@ -521,9 +517,6 @@ func (pr *Protocol) beginRecall(home int, e *entry, r request, arrive, start sim
 // invalidation round. The controller acts independently of its processor;
 // its cost appears only as transaction latency.
 func (pr *Protocol) ctrlInval(id, home int, block uint64, at sim.Time, _ bool) {
-	if Debug {
-		trace("ctrlInval node=%d block=%#x at=%d", id, block, at)
-	}
 	if fa, ok := pr.fillDeferral(id, block, at); ok {
 		ev := pr.getEv()
 		ev.kind, ev.id, ev.home, ev.block = evCtrlInval, id, home, block
@@ -565,9 +558,6 @@ func (pr *Protocol) ctrlInval(id, home int, block uint64, at sim.Time, _ bool) {
 // ctrlRecall is the cache controller on the exclusive owner servicing a
 // recall: flush (downgrade or invalidate) and return the data.
 func (pr *Protocol) ctrlRecall(id, home int, block uint64, at sim.Time, downgrade bool) {
-	if Debug {
-		trace("ctrlRecall node=%d block=%#x at=%d downgrade=%v", id, block, at, downgrade)
-	}
 	if fa, ok := pr.fillDeferral(id, block, at); ok {
 		ev := pr.getEv()
 		ev.kind, ev.id, ev.home, ev.block, ev.flag = evCtrlRecall, id, home, block, downgrade

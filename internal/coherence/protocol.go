@@ -332,9 +332,6 @@ func (pr *Protocol) Watch(m *memsim.Mem, addr uint64) bool {
 	n := pr.nodes[m.P.ID]
 	block := m.Cache.BlockOf(addr)
 	if m.Cache.Lookup(block) == memsim.Invalid {
-		if Debug {
-			trace("watch-refused node=%d block=%#x clock=%d", m.P.ID, block, m.P.Clock())
-		}
 		return false
 	}
 	ws, ok := n.watchers[block]
@@ -355,9 +352,6 @@ func (pr *Protocol) wakeWatchers(id int, block uint64, at sim.Time) {
 	}
 	delete(n.watchers, block)
 	for _, p := range ws {
-		if Debug {
-			trace("wakeWatcher node=%d block=%#x at=%d", id, block, at)
-		}
 		p.Wake(at)
 	}
 	n.watchFree = append(n.watchFree, ws[:0])
@@ -395,12 +389,3 @@ const (
 	// which leaves a stale Shared copy alive across a write.
 	mutateSkipInval
 )
-
-// Debug enables protocol event tracing to stdout (tests only).
-var Debug bool
-
-func trace(format string, args ...any) {
-	if Debug {
-		fmt.Printf("coh: "+format+"\n", args...)
-	}
-}

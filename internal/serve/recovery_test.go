@@ -206,6 +206,31 @@ func TestQuarantineSurvivesCompaction(t *testing.T) {
 	}
 }
 
+// TestQuarantineHoldsEachRangeOnce: opens that do not compact (the cache's)
+// find the same rotten record at every open; wal/log.quarantine still holds
+// its bytes once, after three of them and the server open that compacts it
+// away.
+func TestQuarantineHoldsEachRangeOnce(t *testing.T) {
+	dir := t.TempDir()
+	res := sampleResult()
+	cachedLog(t, dir, res)
+	rotten := rotRecord(t, dir, Record{Type: recResult, Result: res})
+
+	for range 3 {
+		c := openCache(t, dir)
+		if q := c.wal.Quarantined(); q != 1 {
+			t.Fatalf("cache open quarantined %d records, want 1", q)
+		}
+		c.wal.Close()
+	}
+	s := newTestServer(t, dir, nil)
+	defer s.Close()
+	if got, err := os.ReadFile(logPath(dir) + ".quarantine"); err != nil || !bytes.Equal(got, rotten) {
+		t.Fatalf("after three cache opens and a server open, wal/log.quarantine holds %d bytes (%v), want the %d rotten record bytes once",
+			len(got), err, len(rotten))
+	}
+}
+
 // TestRecoverySelfHealsMissingCacheEntry: a done job whose result record
 // has rotted recovers as pending and recomputes — determinism guarantees
 // the same fingerprint.

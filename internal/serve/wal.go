@@ -23,13 +23,13 @@ import (
 // records. A torn tail — the one corruption a kill -9 can produce, since
 // records are synced in order — is truncated away on open. A corrupt record
 // anywhere else (bit rot, a failed fsync whose partial bytes landed) is
-// copied to wal/log.quarantine, which every open appends to, and skipped, so
-// good records after it are never silently discarded. Compaction, which
-// runs at every open, writes the minimal live record set to wal/log.tmp and
-// renames it over wal/log (vfs.WriteAtomic): a crash leaves the old log or
-// the new one, and a stray log.tmp is ignored. A data dir written by an
-// older build holds numbered segments wal/wal.000001, … instead; the first
-// open migrates them into wal/log.
+// copied to wal/log.quarantine, once however often the log is reopened, and
+// skipped, so good records after it are never silently discarded.
+// Compaction, which every server open runs, writes the minimal live record
+// set to wal/log.tmp and renames it over wal/log (vfs.WriteAtomic): a crash
+// leaves the old log or the new one, and a stray log.tmp is ignored. A data
+// dir written by an older build holds numbered segments wal/wal.000001, …
+// instead; the first open migrates them into wal/log.
 
 const (
 	walMagic          = "WWTWAL\x00"
@@ -331,23 +331,28 @@ func (w *WAL) migrate() (recs []Record, rep RecoveryReport, err error) {
 
 // quarantineRanges appends corrupt byte ranges of a log image to
 // wal/log.quarantine (evidence for the operator, out of the replay path,
-// kept across compactions) and returns how many ranges there were.
+// kept across compactions) and returns how many ranges there were. A range
+// the file already holds is not appended again: an open that does not
+// compact the rotten record away finds it again at every open.
 // Best-effort: quarantine must never turn a readable log into an open error.
 func (w *WAL) quarantineRanges(b []byte, ranges [][2]int) int {
 	if len(ranges) == 0 {
 		return 0
 	}
 	path := w.path + ".quarantine"
-	blob, err := w.fs.ReadFile(path)
+	old, err := w.fs.ReadFile(path)
 	if err != nil && !vfs.IsNotExist(err) {
 		return len(ranges) // never overwrite evidence that could not be read
 	}
+	blob := old
 	for _, r := range ranges {
-		if r[0] < r[1] && r[1] <= len(b) {
+		if r[0] < r[1] && r[1] <= len(b) && !bytes.Contains(old, b[r[0]:r[1]]) {
 			blob = append(blob, b[r[0]:r[1]]...)
 		}
 	}
-	w.fs.WriteFile(path, blob, 0o644)
+	if len(blob) > len(old) {
+		w.fs.WriteFile(path, blob, 0o644)
+	}
 	return len(ranges)
 }
 

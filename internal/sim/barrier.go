@@ -291,6 +291,21 @@ func (b *Barrier) stageRelease() {
 	b.stager.ScheduleAction(release, r)
 }
 
+// insertionSortByID sorts a release's waiters by processor ID. They arrive
+// in dispatch order, which is ID order within each quantum, so the list is
+// nearly sorted already and insertion sort suits it.
+func insertionSortByID(ps []*Proc) {
+	for i := 1; i < len(ps); i++ {
+		p := ps[i]
+		j := i - 1
+		for j >= 0 && ps[j].ID > p.ID {
+			ps[j+1] = ps[j]
+			j--
+		}
+		ps[j+1] = p
+	}
+}
+
 // ReduceOp is a reduction operator over (value, index) contributions, so
 // that pivot selection (max |value| with its owning row) needs a single
 // reduction. It is the one operator set of both machines' software trees

@@ -21,9 +21,7 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
-	"slices"
 
 	"repro/internal/stats"
 )
@@ -72,19 +70,13 @@ type Engine struct {
 	qEnd   Time // end of the current quantum
 	events bucketQueue
 	seq    uint64
-	procs  []*Proc
 
-	// The runnable set is split by the quantum horizon: ready holds procs
-	// whose next dispatch may fall in the coming quantum (unordered; it is
-	// consumed wholesale at every batch collection, so membership order
-	// never matters), ahead holds procs that computed past the horizon,
-	// ordered by (clock, ID) so the engine can skip idle time straight to
-	// the earliest one. In the common SPMD steady state every proc re-
-	// enters ready each quantum and the collection is O(batch), with no
-	// per-proc heap maintenance.
-	ready []*Proc
-	ahead procHeap
-	batch []*Proc // scratch: the procs dispatched this quantum, ID-sorted
+	// procs is every processor in ID order, and the processor phase scans
+	// it: a processor runs in a quantum when it is neither done nor
+	// blocked and its clock is below the quantum end. Wakes are illegal
+	// while the scan runs, so no dispatch changes another processor's
+	// eligibility and the scan needs no run queue.
+	procs []*Proc
 
 	finished    int  // processors that have retired
 	inProcPhase bool // processor phase in flight: Schedule/Wake are off-limits
@@ -123,10 +115,6 @@ type Engine struct {
 	// (plus Abort): mutating simulation state from a hook would diverge a
 	// checkpointed run from an unobserved one.
 	hooks []func(now Time)
-
-	// Trace, when non-nil, receives a line per engine decision. Used by
-	// tests; nil in normal runs. Must only be called from engine context.
-	Trace func(format string, args ...any)
 }
 
 // NewEngine returns an engine with the given quantum (use the network
@@ -237,7 +225,6 @@ func (e *Engine) newProc() *Proc {
 	p.sharedCat = stats.SharedMiss
 	p.wfCat = stats.WriteFault
 	e.procs = append(e.procs, p)
-	e.ready = append(e.ready, p)
 	return p
 }
 
@@ -330,28 +317,8 @@ func (e *Engine) run() error {
 			e.release(ev)
 		}
 
-		// Processor phase: run each processor that has work this quantum.
-		// ready is consumed wholesale — procs past the horizon spill into
-		// the ahead heap, the rest join the batch, and procs whose run-
-		// ahead ends this quantum come back off the heap top.
-		e.batch = e.batch[:0]
-		for _, p := range e.ready {
-			if p.clock < e.qEnd {
-				e.batch = append(e.batch, p)
-			} else {
-				heap.Push(&e.ahead, p)
-			}
-		}
-		e.ready = e.ready[:0]
-		for len(e.ahead) > 0 && e.ahead[0].clock < e.qEnd {
-			e.batch = append(e.batch, heap.Pop(&e.ahead).(*Proc))
-		}
-		if len(e.batch) > 0 {
-			// Sort by ID once: dispatch walks this order, so every
-			// deterministic tie-break reduces to processor ID.
-			sortBatchByID(e.batch)
-			e.runBatch(e.batch)
-			e.settleBatch(e.batch)
+		// Processor phase.
+		if e.runQuantum() {
 			e.now = e.qEnd
 			continue
 		}
@@ -389,16 +356,38 @@ func (e *Engine) run() error {
 	return nil
 }
 
-// runBatch executes every processor in the batch for one quantum, in the
-// batch's ID order on the engine's own goroutine: each coroutine proc costs
-// one runtime coroutine switch in and one back, each step proc one function
-// call.
-func (e *Engine) runBatch(batch []*Proc) {
+// runQuantum is the processor phase. It dispatches, in ID order on the
+// engine's own goroutine, every processor that is neither done nor blocked
+// and whose clock is below the quantum end, and counts the ones that
+// retire. A coroutine proc costs one runtime coroutine switch in and one
+// back, a step proc one function call. ID order reduces every
+// deterministic tie-break to processor ID. The Stagers' events are then
+// enqueued after everything the processors raised. It reports whether any
+// processor ran.
+func (e *Engine) runQuantum() (ran bool) {
 	e.inProcPhase = true
-	for _, p := range batch {
+	qEnd := e.qEnd
+	for _, p := range e.procs {
+		if p.done || p.blocked || p.clock >= qEnd {
+			continue
+		}
+		ran = true
 		p.dispatch()
+		if p.done {
+			e.finished++
+		}
 	}
 	e.inProcPhase = false
+	for _, s := range e.stagers {
+		for i, ev := range s.staged {
+			e.seq++
+			ev.seq = e.seq
+			e.events.push(ev)
+			s.staged[i] = nil
+		}
+		s.staged = s.staged[:0]
+	}
+	return ran
 }
 
 // shutdown runs however Run ends, a panic included. Halting a live
@@ -411,59 +400,6 @@ func (e *Engine) shutdown() {
 			p.halt()
 		}
 	}
-}
-
-// settleBatch runs at the quantum boundary after the batch: it enqueues the
-// Stagers' events after everything the processors raised, counts finished
-// processors, and requeues the still-runnable ones in processor-ID order
-// (Run sorts the batch before dispatch).
-func (e *Engine) settleBatch(batch []*Proc) {
-	for _, s := range e.stagers {
-		for i, ev := range s.staged {
-			e.seq++
-			ev.seq = e.seq
-			e.events.push(ev)
-			s.staged[i] = nil
-		}
-		s.staged = s.staged[:0]
-	}
-	for _, p := range batch {
-		switch {
-		case p.done:
-			e.finished++
-		case p.blocked:
-			// Re-enters ready when an event wakes it.
-		default:
-			e.ready = append(e.ready, p)
-		}
-	}
-}
-
-// insertionSortByID sorts a batch by processor ID. Steady-state batches
-// arrive nearly sorted already (settle requeues in ID order), so insertion
-// sort beats a general sort at small sizes.
-func insertionSortByID(ps []*Proc) {
-	for i := 1; i < len(ps); i++ {
-		p := ps[i]
-		j := i - 1
-		for j >= 0 && ps[j].ID > p.ID {
-			ps[j+1] = ps[j]
-			j--
-		}
-		ps[j+1] = p
-	}
-}
-
-// sortBatchByID ID-sorts the batch: insertion sort for small or nearly-
-// sorted batches, pdqsort beyond that (wake-heavy workloads at large P can
-// interleave hundreds of out-of-order entries, where insertion sort's
-// quadratic tail would bite).
-func sortBatchByID(ps []*Proc) {
-	if len(ps) <= 64 {
-		insertionSortByID(ps)
-		return
-	}
-	slices.SortFunc(ps, func(a, b *Proc) int { return a.ID - b.ID })
 }
 
 // AddPublisher registers fn to run at the top of every scheduling iteration,
@@ -499,19 +435,13 @@ func (e *Engine) Abort(err error) {
 func (e *Engine) Aborted() error { return e.aborted }
 
 // nextInteresting returns the earliest time at which anything can happen:
-// the next event or the clock of the earliest run-ahead processor. Returns
-// -1 if nothing can ever happen again. ready is almost always empty here
-// (an empty batch means collection just spilled everything into ahead),
-// but a wake landing after collection keeps the scan for completeness.
+// the next event or the lowest clock of a processor that is neither done
+// nor blocked. Returns -1 if nothing can ever happen again. Only idle
+// quanta pay for its scan of every processor.
 func (e *Engine) nextInteresting() Time {
 	next := e.events.minAt()
-	if len(e.ahead) > 0 {
-		if c := e.ahead[0].clock; next < 0 || c < next {
-			next = c
-		}
-	}
-	for _, p := range e.ready {
-		if next < 0 || p.clock < next {
+	for _, p := range e.procs {
+		if !p.done && !p.blocked && (next < 0 || p.clock < next) {
 			next = p.clock
 		}
 	}
@@ -541,27 +471,4 @@ func (e *Engine) procStates() string {
 		}
 	}
 	return msg
-}
-
-// procHeap is a min-heap of run-ahead processors on (clock, ID): the heap
-// top is always the earliest future work, which keeps idle-time skipping
-// and run-ahead re-entry O(log n) without scanning every processor.
-type procHeap []*Proc
-
-func (h procHeap) Len() int { return len(h) }
-func (h procHeap) Less(i, j int) bool {
-	if h[i].clock != h[j].clock {
-		return h[i].clock < h[j].clock
-	}
-	return h[i].ID < h[j].ID
-}
-func (h procHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *procHeap) Push(x any)   { *h = append(*h, x.(*Proc)) }
-func (h *procHeap) Pop() any {
-	old := *h
-	n := len(old)
-	p := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return p
 }

@@ -13,7 +13,7 @@ import (
 // same-time events run in (processor ID, raise order) — whatever order the
 // processors became runnable in — and events staged through a Stager run
 // after all of them. Each round wakes the processors in reverse ID order,
-// so a dispatcher that walked the ready list instead of the ID-sorted batch
+// so a dispatcher that ran processors in wake order instead of ID order
 // would reverse the trace.
 func TestStagedMergeOrderIndependent(t *testing.T) {
 	const procs, rounds = 6, 3
@@ -170,5 +170,91 @@ func TestWorkersZeroStartsNoPool(t *testing.T) {
 		if high > base {
 			t.Errorf("workers=%d: goroutine high-water %d, baseline %d", workers, high, base)
 		}
+	}
+}
+
+// TestDispatchFollowsClockAndID pins the dispatch rule on a seeded mix of
+// step processors that compute 0-1,000 cycles at a time and sometimes
+// block until an event 1-500 cycles later wakes them (often at a time the
+// engine has already passed). Within a quantum the dispatched IDs strictly
+// increase; every dispatch starts with the clock below the quantum end; and
+// a processor that yields unblocked, or is woken, next runs in the first
+// quantum at or after the current one that contains its clock. The hash of
+// the whole (quantum, ID) trace pins the order against any dispatcher that
+// keeps these rules but visits processors differently.
+func TestDispatchFollowsClockAndID(t *testing.T) {
+	const (
+		procs   = 64
+		q       = 100
+		horizon = 200_000 // about 2,000 quanta
+		// wantHash is the FNV-1a hash of the (quantum start, ID) trace.
+		wantHash = 0x56b19613011a9240
+	)
+	e := NewEngine(q)
+	expect := make([]Time, procs) // start of the quantum each proc must next run in
+	hash := uint64(14695981039346656037)
+	mix := func(v int64) {
+		for range 8 {
+			hash = (hash ^ uint64(v&0xff)) * 1099511628211
+			v >>= 8
+		}
+	}
+	dispatches, wakes, lateWakes, lastQ, lastID := 0, 0, 0, Time(-1), -1
+	for i := range procs {
+		rng := NewRNG(uint64(i + 1))
+		e.AddStepProc(func(p *Proc) StepStatus {
+			now, end := e.Now(), e.QuantumEnd()
+			if now == lastQ && p.ID <= lastID {
+				t.Fatalf("quantum %d: proc %d dispatched after proc %d", now, p.ID, lastID)
+			}
+			if p.Clock() >= end {
+				t.Fatalf("quantum %d: proc %d dispatched at clock %d, quantum end %d", now, p.ID, p.Clock(), end)
+			}
+			if now != expect[p.ID] {
+				t.Fatalf("proc %d ran in quantum %d, want %d", p.ID, now, expect[p.ID])
+			}
+			lastQ, lastID = now, p.ID
+			dispatches++
+			mix(now)
+			mix(int64(p.ID))
+			if p.WakePending() {
+				p.WakePayload()
+			}
+			for p.Clock() < end {
+				if p.Clock() >= horizon {
+					return StepDone
+				}
+				p.Compute(int64(rng.Intn(1001)))
+				if rng.Intn(8) == 0 {
+					at := p.Clock() + 1 + int64(rng.Intn(500))
+					p.StepBlock(stats.SharedMiss, "dispatch test")
+					p.Schedule(at, func() {
+						wakes++
+						if at < e.Now() {
+							lateWakes++
+						}
+						p.Wake(at)
+						c := p.Clock()
+						expect[p.ID] = max(e.Now(), c-c%q)
+					})
+					return StepYield
+				}
+				if rng.Intn(16) == 0 {
+					break // yield early, clock still inside the quantum
+				}
+			}
+			c := p.Clock()
+			expect[p.ID] = max(end, c-c%q)
+			return StepYield
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if lastQ < horizon-q || lateWakes == 0 || lateWakes == wakes {
+		t.Fatalf("trace too narrow: last quantum %d, %d wakes, %d of them late", lastQ, wakes, lateWakes)
+	}
+	if hash != wantHash {
+		t.Errorf("trace hash %#x over %d dispatches, %d wakes; want %#x", hash, dispatches, wakes, uint64(wantHash))
 	}
 }

@@ -27,8 +27,8 @@ import (
 // visibility (memory-system access, network-interface access,
 // synchronization) first synchronizes with the quantum via Interact.
 //
-// Dispatch is a loop on the engine's goroutine over the quantum's ID-sorted
-// batch. A coroutine proc's body lives behind iter.Pull: dispatching it is
+// Dispatch is a loop on the engine's goroutine over the processors in ID
+// order. A coroutine proc's body lives behind iter.Pull: dispatching it is
 // a runtime coroutine switch that hands the dispatcher's thread straight to
 // the body, and the body's yield is the same switch back — no channel, no
 // run queue, no wakeup of another host thread. A step proc has no
@@ -39,6 +39,10 @@ type Proc struct {
 
 	eng   *Engine
 	clock Time
+	// done and blocked sit beside clock: the dispatch scan reads all three
+	// for every processor each quantum.
+	done    bool
+	blocked bool
 
 	// resume and halt are the iter.Pull pair around body: resume switches
 	// into the coroutine until its next yield, halt unwinds it (or, before
@@ -51,8 +55,6 @@ type Proc struct {
 	body   func(*Proc)
 	step   func(*Proc) StepStatus
 
-	done        bool
-	blocked     bool
 	wakeKind    uint8
 	blockReason string
 	blockStart  Time
@@ -160,9 +162,8 @@ func (p *Proc) dispatch() {
 	if p.step != nil {
 		p.runStep()
 	} else if _, live := p.resume(); !live {
-		// The engine counts finished processors when it settles the
-		// batch. The coroutine is gone, so a retired processor pins no
-		// stack.
+		// The engine counts finished processors as it dispatches them.
+		// The coroutine is gone, so a retired processor pins no stack.
 		p.done = true
 	}
 }
@@ -369,7 +370,6 @@ func (p *Proc) wake(at Time, kind uint8, a, b int64) {
 	if p.clock < at {
 		p.clock = at
 	}
-	p.eng.ready = append(p.eng.ready, p)
 }
 
 // Blocked reports whether the processor is blocked, and why.
