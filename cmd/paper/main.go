@@ -7,18 +7,26 @@
 //
 //	paper [-quick] [-table N] [-app mse|gauss|em3d|lcp|ablation]
 //
-// With no flags it regenerates every table (4-23) at the paper's scale
-// (32 processors); -quick runs reduced workloads on 8 processors. -table
-// selects one table by its paper number; -app selects one application's
-// table group.
+// With no flags it regenerates every table (4-23) and the two ablations at
+// the paper's scale (32 processors); -quick runs reduced workloads on 8
+// processors. -table selects one table by its paper number; -app selects
+// one application's table group. Either way only the runs the selected
+// group reads are made (runner.PaperSpecs names them), up to GOMAXPROCS of
+// them at once, and the tables are built from their outcomes
+// (tables.Build). After the tables it prints one "fingerprint NAME 0x…"
+// line per run, the same digest wwtsim prints for that run's spec.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"slices"
+	"sync"
 	"time"
 
+	"repro/internal/runner"
 	"repro/internal/tables"
 )
 
@@ -28,49 +36,58 @@ func main() {
 	app := flag.String("app", "", "regenerate one application's tables: mse|gauss|em3d|lcp|ablation")
 	flag.Parse()
 
-	sc := tables.Full
-	if *quick {
-		sc = tables.Quick
+	// One lookup: -table picks the group that prints it, -app names one.
+	var runs []string
+	for _, g := range tables.Groups {
+		if (*tableNum == 0 && (*app == "" || *app == g.Name)) || slices.Contains(g.Tables, *tableNum) {
+			runs = append(runs, g.Runs...)
+		}
+	}
+	if len(runs) == 0 {
+		fmt.Fprintf(os.Stderr, "no such paper table (valid: 4-23) or app: -table %d -app %q\n", *tableNum, *app)
+		os.Exit(2)
+	}
+	var specs []runner.NamedSpec
+	for _, ns := range runner.PaperSpecs(*quick) {
+		if slices.Contains(runs, ns.Name) {
+			specs = append(specs, ns)
+		}
 	}
 
 	start := time.Now()
-	var ts []tables.Table
-	switch {
-	case *tableNum != 0:
-		switch {
-		case *tableNum >= 4 && *tableNum <= 7:
-			ts = tables.MSE(sc)
-		case *tableNum >= 8 && *tableNum <= 11:
-			ts = tables.Gauss(sc)
-		case *tableNum >= 12 && *tableNum <= 17:
-			ts = tables.EM3D(sc)
-		case *tableNum >= 18 && *tableNum <= 23:
-			ts = tables.LCP(sc)
-		default:
-			fmt.Fprintf(os.Stderr, "no such paper table: %d (valid: 4-23)\n", *tableNum)
-			os.Exit(2)
-		}
-		t := tables.Find(ts, *tableNum)
-		t.Render(os.Stdout)
-	case *app != "":
-		switch *app {
-		case "mse":
-			ts = tables.MSE(sc)
-		case "gauss":
-			ts = tables.Gauss(sc)
-		case "em3d":
-			ts = tables.EM3D(sc)
-		case "lcp":
-			ts = tables.LCP(sc)
-		case "ablation":
-			ts = tables.Ablations(sc)
-		default:
-			fmt.Fprintf(os.Stderr, "unknown app %q\n", *app)
-			os.Exit(2)
-		}
+	outs := make(map[string]*runner.Outcome, len(specs))
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	for _, ns := range specs {
+		slots <- struct{}{} // in list order: the long runs start first
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out, err := runner.Run(ns.Spec, runner.Options{})
+			if err == nil {
+				err = out.Res.Err
+			}
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "%s: %v\n", ns.Name, err)
+				os.Exit(1)
+			}
+			mu.Lock()
+			outs[ns.Name] = out
+			mu.Unlock()
+			<-slots
+		}()
+	}
+	wg.Wait()
+
+	ts := tables.Build(*quick, outs)
+	if *tableNum != 0 {
+		tables.Find(ts, *tableNum).Render(os.Stdout)
+	} else {
 		tables.RenderAll(ts, os.Stdout)
-	default:
-		tables.RenderAll(tables.All(sc), os.Stdout)
+	}
+	for _, ns := range specs {
+		fmt.Printf("fingerprint %s %#x\n", ns.Name, outs[ns.Name].Fingerprint)
 	}
 	fmt.Printf("regenerated in %v\n", time.Since(start).Round(time.Millisecond))
 }

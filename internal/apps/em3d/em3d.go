@@ -48,6 +48,13 @@ type Params struct {
 	Iters int
 	// Seed drives the deterministic graph generator.
 	Seed uint64
+	// Flush selects the software flush the paper proposes (§5.3.4, RunSM
+	// only): after consuming a remote value the consumer flushes its cached
+	// copy, turning the producer's next two-message invalidation round into
+	// a silent single-message replacement. (The paper notes the benefit
+	// shrinks as the data set outgrows the cache, since lines are often
+	// evicted anyway.)
+	Flush bool
 }
 
 // DefaultParams returns the paper's workload.

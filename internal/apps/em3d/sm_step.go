@@ -22,22 +22,9 @@ type smShared struct {
 // locality, with the invalidation protocol's four-message producer-consumer
 // cost. policy selects gmalloc placement (RoundRobin reproduces Table 14;
 // Local reproduces the Table 17 ablation). Pass a Config with a 1 MB cache
-// for the Table 16 ablation. The program is a step machine (smStep) that
-// the engine calls directly.
+// for the Table 16 ablation, and par.Flush for the §5.3.4 software flush.
+// The program is a step machine (smStep) that the engine calls directly.
 func RunSM(cfg cost.Config, policy parmacs.Policy, par Params) *Output {
-	return runSM(cfg, policy, par, false)
-}
-
-// RunSMFlush runs the §5.3.4 software-flush variant the paper proposes:
-// after consuming a remote value, the consumer flushes its cached copy,
-// turning the producer's next two-message invalidation round into a silent
-// single-message replacement. (The paper notes the benefit shrinks as the
-// data set outgrows the cache, since lines are often evicted anyway.)
-func RunSMFlush(cfg cost.Config, policy parmacs.Policy, par Params) *Output {
-	return runSM(cfg, policy, par, true)
-}
-
-func runSM(cfg cost.Config, policy parmacs.Policy, par Params, flush bool) *Output {
 	out := &Output{}
 	g := genGraph(par, cfg.Procs)
 	procs := cfg.Procs
@@ -47,7 +34,7 @@ func runSM(cfg cost.Config, policy parmacs.Policy, par Params, flush bool) *Outp
 	var sh smShared
 
 	out.Res = machine.NewSMStep(cfg, policy, func(nd *machine.SMNode) func(*sim.Proc) sim.StepStatus {
-		return newSMStep(nd, g, par, procs, flush, out, &sh).step
+		return newSMStep(nd, g, par, procs, out, &sh).step
 	}).Run()
 
 	if out.Res.Err == nil {
@@ -79,7 +66,6 @@ type smStep struct {
 	out   *Output
 	sh    *smShared
 	sinks []int // me then ring neighbors: registration order
-	flush bool  // the §5.3.4 software-flush variant
 
 	pc int
 	it int
@@ -94,10 +80,10 @@ type smStep struct {
 // policy) before any other node can observe them: non-zero nodes touch sh
 // only after their StepWaitCreate completes, which a Create wake (a later
 // quantum) must precede.
-func newSMStep(nd *machine.SMNode, g *graph, par Params, procs int, flush bool, out *Output, sh *smShared) *smStep {
+func newSMStep(nd *machine.SMNode, g *graph, par Params, procs int, out *Output, sh *smShared) *smStep {
 	np, deg := par.NodesPer, par.Degree
 	me := nd.ID
-	s := &smStep{nd: nd, m: nd.Mem, g: g, par: par, procs: procs, flush: flush, out: out, sh: sh,
+	s := &smStep{nd: nd, m: nd.Mem, g: g, par: par, procs: procs, out: out, sh: sh,
 		sinks: append([]int{me}, neighbors(me, procs)...)}
 	nd.Phase(PhaseInit)
 	if me == 0 {
@@ -318,7 +304,7 @@ func (s *smStep) stepSMHalf(idx *memsim.IVec, w *memsim.FVec, srcVals []memsim.F
 		switch hf.sub {
 		case 0:
 			if hf.i >= np {
-				if s.flush {
+				if s.par.Flush {
 					hf.k = 0
 					hf.flushed = make(map[uint64]struct{})
 					hf.sub = 4

@@ -64,3 +64,37 @@ func EquivalenceMatrix() []NamedSpec {
 		{"mse-sm-p64", Spec{App: "mse", Machine: "sm", Procs: 64, Size: 64, Iters: 6}},
 	}
 }
+
+// PaperSpecs names every run behind the paper's Tables 4-23 and the two
+// ablations its text reports (internal/tables builds them from these runs'
+// outcomes), in the order cmd/paper starts them: the long MSE runs first.
+// Table 8's Gauss-MP run is also the lop-sided arm of the §5.2 broadcast
+// ablation, and Table 14's EM3D-SM run the base of the §5.3.4 flush
+// ablation, so no two entries share a CacheKey. quick selects the reduced
+// workloads: 8 processors, and only the Size and Iters overrides.
+func PaperSpecs(quick bool) []NamedSpec {
+	at := func(app, machine string, size, iters int) Spec {
+		s := TableSpec(app, machine)
+		if quick {
+			s.Procs, s.Size, s.Iters = 8, size, iters
+		}
+		return s
+	}
+	mse := func(m string) Spec { return at("mse", m, 64, 8) }
+	gauss := func(m string) Spec { return at("gauss", m, 128, 0) }
+	em3d := func(m string) Spec { return at("em3d", m, 250, 12) }
+	lcp := func(app, m string) Spec { return at(app, m, 512, 0) }
+	flat, binary := gauss("mp"), gauss("mp")
+	flat.Shape, binary.Shape = "flat", "binary"
+	big, local, flush := em3d("sm"), em3d("sm"), em3d("sm")
+	big.CacheBytes, local.Policy, flush.Flush = 1<<20, "local", true
+	return []NamedSpec{
+		{"mse-mp", mse("mp")}, {"mse-sm", mse("sm")},
+		{"gauss-mp", gauss("mp")}, {"gauss-sm", gauss("sm")},
+		{"gauss-mp-flat", flat}, {"gauss-mp-binary", binary},
+		{"em3d-mp", em3d("mp")}, {"em3d-sm", em3d("sm")},
+		{"em3d-sm-1mb", big}, {"em3d-sm-local", local}, {"em3d-sm-flush", flush},
+		{"lcp-mp", lcp("lcp", "mp")}, {"lcp-sm", lcp("lcp", "sm")},
+		{"alcp-mp", lcp("alcp", "mp")}, {"alcp-sm", lcp("alcp", "sm")},
+	}
+}

@@ -45,6 +45,8 @@ func (s Spec) Normalized() Spec {
 
 // cacheKeyVersion tags the key encoding; bump it whenever the Spec fields
 // or their encoding change so stale cache entries miss instead of aliasing.
+// A field that is encoded only when set, after every other field, needs no
+// bump: it leaves every key without it unchanged.
 const cacheKeyVersion = "wwt-spec-key-v2"
 
 // CacheKey returns the content address of the run this spec describes: the
@@ -90,6 +92,9 @@ func (s Spec) CacheKey() uint64 {
 	}
 	e.I64(n.SMWatchdog)
 	e.Bool(n.HWCombining)
+	if n.Flush {
+		e.Bool(true)
+	}
 	return snapshot.Hash(e.Bytes())
 }
 

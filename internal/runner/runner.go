@@ -61,6 +61,10 @@ type Spec struct {
 	// simulated hardware, so it must survive the snapshot round-trip.
 	HWCombining bool `json:"hw_combining,omitempty"`
 
+	// Flush selects EM3D-SM's consumer software flush (paper §5.3.4,
+	// em3d.Params.Flush).
+	Flush bool `json:"flush,omitempty"`
+
 	// StepProcs is decode-only and has no effect: it once selected the
 	// processor form, which now follows the program (a step program runs as
 	// step processors, a blocking one as coroutines). The field stays so
@@ -103,6 +107,9 @@ func (s *Spec) Validate() error {
 	}
 	if (s.SMCheck || s.SMFaults != nil || s.SMWatchdog > 0) && s.Machine != "sm" {
 		return fmt.Errorf("runner: coherence robustness controls require machine sm")
+	}
+	if s.Flush && (s.App != "em3d" || s.Machine != "sm") {
+		return fmt.Errorf("runner: flush requires app em3d on machine sm")
 	}
 	// The row-partitioned apps give every processor N/P rows, and LCP-MP's
 	// butterfly all-gather pairs processors across log2(P) stages.
@@ -260,6 +267,9 @@ type Outcome struct {
 	Preempted *snapshot.Snapshot
 	// Verified reports that resume verification ran and passed.
 	Verified bool
+	// Steps is the number of steps lcp and alcp took to converge (zero for
+	// the other apps).
+	Steps int
 }
 
 // ReplayDivergenceError reports a resumed run whose replayed execution did
@@ -412,7 +422,7 @@ func Run(spec Spec, opts Options) (*Outcome, error) {
 		}
 	}
 
-	out.Res, out.AppLine = runApp(&spec, cfg)
+	out.Res, out.AppLine, out.Steps = runApp(&spec, cfg)
 	finalize()
 	if stop, ok := out.Res.Err.(*sim.RunStopError); ok {
 		out.Stopped, out.StoppedAt = true, stop.At
@@ -427,7 +437,9 @@ func Run(spec Spec, opts Options) (*Outcome, error) {
 	return out, nil
 }
 
-func runApp(spec *Spec, cfg cost.Config) (*machine.Result, string) {
+// runApp runs the spec's program and returns its result, its answer line
+// and, for lcp and alcp, the steps it took to converge.
+func runApp(spec *Spec, cfg cost.Config) (*machine.Result, string, int) {
 	shape := spec.shape()
 	switch spec.App {
 	case "mse":
@@ -444,7 +456,7 @@ func runApp(spec *Spec, cfg cost.Config) (*machine.Result, string) {
 		} else {
 			out = mse.RunSM(cfg, par)
 		}
-		return out.Res, fmt.Sprintf("refErr=%.3g residual=%.3g", out.RefErr, out.Residual)
+		return out.Res, fmt.Sprintf("refErr=%.3g residual=%.3g", out.RefErr, out.Residual), 0
 	case "gauss":
 		par := gauss.Params{N: spec.rows(), Seed: 1}
 		var out *gauss.Output
@@ -453,7 +465,7 @@ func runApp(spec *Spec, cfg cost.Config) (*machine.Result, string) {
 		} else {
 			out = gauss.RunSM(cfg, par)
 		}
-		return out.Res, fmt.Sprintf("maxErr=%.3g", out.MaxErr)
+		return out.Res, fmt.Sprintf("maxErr=%.3g", out.MaxErr), 0
 	case "em3d":
 		par := em3d.DefaultParams()
 		if spec.Size > 0 {
@@ -462,13 +474,14 @@ func runApp(spec *Spec, cfg cost.Config) (*machine.Result, string) {
 		if spec.Iters > 0 {
 			par.Iters = spec.Iters
 		}
+		par.Flush = spec.Flush
 		var out *em3d.Output
 		if spec.Machine == "mp" {
 			out = em3d.RunMP(cfg, shape, par)
 		} else {
 			out = em3d.RunSM(cfg, spec.policy(), par)
 		}
-		return out.Res, fmt.Sprintf("maxErr=%.3g", out.MaxErr)
+		return out.Res, fmt.Sprintf("maxErr=%.3g", out.MaxErr), 0
 	default: // lcp | alcp, enforced by Validate
 		par := lcp.DefaultParams()
 		par.N = spec.rows()
@@ -486,6 +499,6 @@ func runApp(spec *Spec, cfg cost.Config) (*machine.Result, string) {
 		default:
 			out = lcp.RunASM(cfg, par)
 		}
-		return out.Res, fmt.Sprintf("steps=%d residual=%.3g", out.Steps, out.Residual)
+		return out.Res, fmt.Sprintf("steps=%d residual=%.3g", out.Steps, out.Residual), out.Steps
 	}
 }

@@ -99,6 +99,7 @@ func randSpec(rng *rand.Rand) Spec {
 	if rng.Intn(4) == 0 {
 		s.CacheBytes = cost.Default(s.Procs).CacheBytes // default spelled out
 	}
+	s.Flush = s.App == "em3d" && s.Machine == "sm" && rng.Intn(2) == 0
 	return s
 }
 
@@ -212,7 +213,7 @@ func TestCacheKeyCoversEverySpecField(t *testing.T) {
 	mp.Faults = &cost.FaultsConfig{Seed: 3, DropRate: 0.5, DupRate: 0.25, CorruptRate: 0.125,
 		DelayRate: 0.5, MaxDelay: 400, RTO: 2000, RTOMax: 9000, MaxRetries: 5, Window: 3}
 	sm.Machine = "sm"
-	sm.SMCheck, sm.SMWatchdog = true, 1_000_000
+	sm.SMCheck, sm.SMWatchdog, sm.Flush = true, 1_000_000, true
 	sm.SMFaults = &cost.SMFaultsConfig{Seed: 3, NACKRate: 0.5, ReorderRate: 0.25, DelayRate: 0.125,
 		MaxDelay: 400, Backoff: 50, BackoffMax: 800, RetryBudget: 9}
 	bases := []Spec{mp, sm}
@@ -336,6 +337,8 @@ func TestValidateRejects(t *testing.T) {
 		{"coherence checks on mp", func(s *Spec) { s.SMCheck = true }},
 		{"coherence faults on mp", func(s *Spec) { s.SMFaults = &cost.SMFaultsConfig{NACKRate: 0.1} }},
 		{"watchdog on mp", func(s *Spec) { s.SMWatchdog = 1000 }},
+		{"flush on mp", func(s *Spec) { s.App = "em3d"; s.Flush = true }},
+		{"flush off em3d", func(s *Spec) { s.Machine = "sm"; s.Flush = true }},
 	}
 	for _, c := range cases {
 		s := ok
@@ -455,5 +458,46 @@ func TestInterruptPreemptsAndResumes(t *testing.T) {
 	}
 	if res.Fingerprint != base.Fingerprint {
 		t.Fatalf("fingerprint %#x after preempt+resume, want %#x", res.Fingerprint, base.Fingerprint)
+	}
+}
+
+// equivalenceKeys are the cache keys of every EquivalenceMatrix spec as the
+// build before Spec.Flush computed them: keys stored in sweep-service WALs
+// and result caches must not move when a field is added.
+var equivalenceKeys = map[string]string{
+	"em3d-mp": "0de3532bf1026738", "em3d-sm": "191114d267b8a7b5",
+	"gauss-mp": "6aec257da7aa82de", "gauss-sm": "ce193547cf892bc7",
+	"lcp-mp": "b3d04778d64734e1", "lcp-sm": "125050d94ae9dfc8",
+	"mse-mp": "692d40b020be9d3c", "mse-sm": "9cd04120fd9d69e5",
+	"em3d-mp-faults": "7cffac5d89ed994b", "gauss-sm-faults": "20a2859545ebdd80",
+	"em3d-mp-p64": "0dded26673e9af2d", "em3d-sm-p64": "19159597e4d15fc0",
+	"gauss-mp-p64": "b461a938ae4affea", "gauss-sm-p64": "178eb902d629a8d3",
+	"lcp-mp-p64": "93bc00e7e1909594", "lcp-sm-p64": "792699a0f594989d",
+	"mse-mp-p64": "a765fe169b5ccc9c", "mse-sm-p64": "b7f595dc904aba45",
+}
+
+// TestPaperSpecsAndStoredKeys: the paper's runs are 15 valid specs with
+// distinct cache keys at either scale (a table that reads an existing run
+// does not repeat it), and a zero Flush leaves every stored key in place.
+func TestPaperSpecsAndStoredKeys(t *testing.T) {
+	for _, quick := range []bool{false, true} {
+		keys := map[uint64]string{}
+		for _, ns := range PaperSpecs(quick) {
+			if err := ns.Spec.Validate(); err != nil {
+				t.Errorf("quick=%v %s: %v", quick, ns.Name, err)
+			}
+			if prev, dup := keys[ns.Spec.CacheKey()]; dup {
+				t.Errorf("quick=%v: %s repeats %s", quick, ns.Name, prev)
+			}
+			keys[ns.Spec.CacheKey()] = ns.Name
+		}
+		if len(keys) != 15 {
+			t.Errorf("quick=%v: %d distinct runs, want 15", quick, len(keys))
+		}
+	}
+	for _, ns := range EquivalenceMatrix() {
+		if got, want := ns.Spec.KeyString(), equivalenceKeys[ns.Name]; got != want {
+			t.Errorf("%s: key %s, stored %s", ns.Name, got, want)
+		}
 	}
 }

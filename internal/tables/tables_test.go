@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/runner"
 )
 
 func TestRenderFormatsPaperAndMissingValues(t *testing.T) {
@@ -37,19 +39,34 @@ func TestFind(t *testing.T) {
 	}
 }
 
-// TestQuickTables builds the Gauss and ablation groups at Quick scale, where
-// no row may carry a paper value.
+// TestQuickTables builds every group from the quick paper runs: each table
+// comes out in Groups order, every Total and step count measures something,
+// and no row carries a paper value at reduced scale. A map holding one
+// group's runs builds that group alone, as cmd/paper's selection needs.
 func TestQuickTables(t *testing.T) {
-	ts := append(Gauss(Quick), Ablations(Quick)...)
-	for _, id := range []int{8, 9, 10, 11, -52, -534} {
-		if Find(ts, id) == nil {
-			t.Errorf("table %d missing", id)
+	outs := map[string]*runner.Outcome{}
+	for _, ns := range runner.PaperSpecs(true) {
+		out, err := runner.Run(ns.Spec, runner.Options{})
+		if err != nil || out.Res.Err != nil {
+			t.Fatalf("%s: %v %v", ns.Name, err, out.Res.Err)
 		}
+		outs[ns.Name] = out
+	}
+	var want []int
+	for _, g := range Groups {
+		want = append(want, g.Tables...)
+	}
+	ts := Build(true, outs)
+	if len(ts) != len(want) {
+		t.Fatalf("built %d tables, want %d", len(ts), len(want))
 	}
 	totals := 0
-	for _, tb := range ts {
+	for i, tb := range ts {
+		if tb.ID != want[i] {
+			t.Errorf("table %d is %d, want %d", i, tb.ID, want[i])
+		}
 		for _, r := range tb.Rows {
-			if strings.HasSuffix(r.Label, "Total") {
+			if strings.HasSuffix(r.Label, "Total") || r.Label == "Steps to converge" {
 				totals++
 				if !(r.Measured > 0) {
 					t.Errorf("table %d %q measures %v", tb.ID, r.Label, r.Measured)
@@ -60,8 +77,13 @@ func TestQuickTables(t *testing.T) {
 			}
 		}
 	}
-	if totals != 4 { // Tables 8 and 9, and the flush ablation's two runs
-		t.Errorf("%d Total rows, want 4", totals)
+	if totals != 21 { // 18 Total rows, three step counts
+		t.Errorf("%d Total and step rows, want 21", totals)
+	}
+
+	gauss := Build(true, map[string]*runner.Outcome{"gauss-mp": outs["gauss-mp"], "gauss-sm": outs["gauss-sm"]})
+	if len(gauss) != 4 || gauss[0].ID != 8 || gauss[3].ID != 11 {
+		t.Errorf("the Gauss runs alone built %d tables, want Tables 8-11", len(gauss))
 	}
 }
 
