@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"sort"
 	"strconv"
@@ -293,6 +294,43 @@ func TestCrashPointExploration(t *testing.T) {
 			if count > 1 {
 				t.Fatalf("%s: key %s executed %d times post-recovery", ctx, key, count)
 			}
+		}
+	}
+}
+
+// TestCrashPointMigrationLeavesNoSegment: a crash at every operation of a
+// migrating open over a three-segment dir (legacySegments), then one reopen
+// on the real filesystem, leaves the log alone in the wal directory. A
+// crash after the migrated log became durable but before the segments were
+// deleted used to leave them there for good.
+func TestCrashPointMigrationLeavesNoSegment(t *testing.T) {
+	src := t.TempDir()
+	w, _, _ := openWAL(t, src)
+	if err := w.Append(sampleRecords()...); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	log, err := os.ReadFile(logPath(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := int64(0); ; n++ {
+		dir := t.TempDir()
+		legacySegments(t, dir, log, log)
+		faulty := vfs.NewFaulty(vfs.OS{}, vfs.Plan{CrashAt: n})
+		if w, _, _, err := OpenWAL(faulty, dir, 0); err == nil {
+			w.Close()
+		}
+		w, _, _ := openWAL(t, dir)
+		w.Close()
+		if names := walFiles(t, dir); !reflect.DeepEqual(names, []string{walLogName}) {
+			t.Fatalf("crash at op %d, then reopen: wal directory holds %v, want only %s", n, names, walLogName)
+		}
+		if !faulty.Crashed() {
+			if n < 8 {
+				t.Fatalf("migrating open finished after %d operations", n)
+			}
+			break
 		}
 	}
 }

@@ -248,7 +248,8 @@ func scanSegment(b []byte) (recs []Record, goodLen int, quarantine [][2]int, tor
 }
 
 // OpenWAL opens (or creates) the log dir/wal/log, replays every intact
-// record in order, quarantines corrupt records, and truncates a torn tail.
+// record in order, quarantines corrupt records, truncates a torn tail, and
+// deletes any older build's segments beside the log (see migrate).
 // It returns the replayed records in append order plus a report of repairs.
 // The segment size is ignored: the log does not rotate.
 func OpenWAL(fsys vfs.FS, dir string, _ int64) (w *WAL, recs []Record, rep RecoveryReport, err error) {
@@ -256,9 +257,19 @@ func OpenWAL(fsys vfs.FS, dir string, _ int64) (w *WAL, recs []Record, rep Recov
 	if err := fsys.MkdirAll(filepath.Dir(w.path), 0o755); err != nil {
 		return nil, nil, rep, err
 	}
+	names, err := fsys.ReadDir(filepath.Dir(w.path))
+	if err != nil {
+		return nil, nil, rep, err
+	}
+	var segs []string
+	for _, name := range names {
+		if ok, _ := filepath.Match("wal.[0-9][0-9][0-9][0-9][0-9][0-9]", name); ok {
+			segs = append(segs, filepath.Join(filepath.Dir(w.path), name))
+		}
+	}
 	b, err := fsys.ReadFile(w.path)
 	if vfs.IsNotExist(err) {
-		recs, rep, err = w.migrate()
+		recs, rep, err = w.migrate(segs)
 	} else if err == nil {
 		var goodLen int
 		var quarantine [][2]int
@@ -276,33 +287,26 @@ func OpenWAL(fsys vfs.FS, dir string, _ int64) (w *WAL, recs []Record, rep Recov
 	if err != nil {
 		return nil, nil, rep, err
 	}
+	for _, path := range segs {
+		fsys.Remove(path)
+	}
 	w.records = int64(len(recs))
 	w.quarantined = int64(rep.Quarantined)
 	return w, recs, rep, nil
 }
 
 // migrate creates the log when none exists. An older build kept numbered
-// segments wal/wal.000001, … beside it; their records, read in name order,
-// become the first log, and the segments are deleted only once it is
+// segments wal/wal.000001, … beside it (segs, in name order); their records
+// become the first log, and OpenWAL deletes the segments only once it is
 // durable, so a crash at any point leaves the segments or the log (a
-// segment left beside the log is never read again).
+// segment left beside the log is never read again, and the next open
+// deletes it).
 // Segments are never written here: a partial header (a segment whose
 // creation crashed, which holds no records) is skipped, and a torn tail is
 // quarantined rather than truncated. In a fresh dir this writes an empty
 // log.
-func (w *WAL) migrate() (recs []Record, rep RecoveryReport, err error) {
-	dir := filepath.Dir(w.path)
-	names, err := w.fs.ReadDir(dir)
-	if err != nil {
-		return nil, rep, err
-	}
-	var segs []string
-	for _, name := range names {
-		if ok, _ := filepath.Match("wal.[0-9][0-9][0-9][0-9][0-9][0-9]", name); !ok {
-			continue
-		}
-		path := filepath.Join(dir, name)
-		segs = append(segs, path)
+func (w *WAL) migrate(segs []string) (recs []Record, rep RecoveryReport, err error) {
+	for _, path := range segs {
 		b, err := w.fs.ReadFile(path)
 		if err != nil {
 			return nil, rep, err
@@ -322,9 +326,6 @@ func (w *WAL) migrate() (recs []Record, rep RecoveryReport, err error) {
 	}
 	if err := w.replace(recs); err != nil {
 		return nil, rep, err
-	}
-	for _, path := range segs {
-		w.fs.Remove(path)
 	}
 	return recs, rep, nil
 }
