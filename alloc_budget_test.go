@@ -389,11 +389,11 @@ func TestAllocBudgetTables(t *testing.T) {
 		{"mse-mp", table("mse", "mp", nil), 6_100},
 		{"mse-sm", table("mse", "sm", nil), 2_750},
 		{"gauss-mp", table("gauss", "mp", nil), 3_900},
-		{"gauss-sm", table("gauss", "sm", nil), 10_000},
+		{"gauss-sm", table("gauss", "sm", nil), 7_200},
 		{"em3d-mp", table("em3d", "mp", nil), 7_200},
-		{"em3d-sm", table("em3d", "sm", nil), 59_100},
-		{"em3d-sm-1mb", table("em3d", "sm", func(s *runner.Spec) { s.CacheBytes = 1 << 20 }), 59_100},
-		{"em3d-sm-local", table("em3d", "sm", func(s *runner.Spec) { s.Policy = "local" }), 59_100},
+		{"em3d-sm", table("em3d", "sm", nil), 31_400},
+		{"em3d-sm-1mb", table("em3d", "sm", func(s *runner.Spec) { s.CacheBytes = 1 << 20 }), 31_400},
+		{"em3d-sm-local", table("em3d", "sm", func(s *runner.Spec) { s.Policy = "local" }), 31_400},
 		{"lcp-mp", table("lcp", "mp", nil), 14_100},
 		{"lcp-sm", table("lcp", "sm", nil), 13_700},
 		{"alcp-mp", table("alcp", "mp", nil), 15_200},
@@ -440,16 +440,25 @@ func scalingSpec(app, mach string, procs int) runner.Spec {
 // the host must hold each one until it is received (measured 1.70x). Its
 // bytes ceiling is 1.2x measured: each NI's append-grown 128-byte packet
 // queue read 228.7 KB per node and 1.94x, and must not fit under either.
+//
+// The bytes count each node's constant 64 KB cache tag table, which hides
+// growth in the rest; heapGrowth bounds the Go heap's bytes per node alone.
+// The em3d pairs are held to 1.3x (em3d-sm measured 1.13x; it was 1.95x while
+// every lock kept four P-long vectors and every directory entry a P-bit
+// sharer map). The lcp pairs are not bounded there, for the reason in
+// heapWhy, and their ratio is logged.
 var scalingPairs = []struct {
 	app, mach    string
 	perNode      float64
 	bytesPerNode float64
 	bytesGrowth  float64
+	heapGrowth   float64
+	heapWhy      string
 }{
-	{"em3d", "mp", 170, 116_000, 1.5},
-	{"em3d", "sm", 110, 174_000, 1.5},
-	{"lcp", "mp", 127, 215_000, 1.8},
-	{"lcp", "sm", 84, 160_000, 1.5},
+	{"em3d", "mp", 170, 116_000, 1.5, 1.3, ""},
+	{"em3d", "sm", 110, 174_000, 1.5, 1.3, ""},
+	{"lcp", "mp", 127, 215_000, 1.8, 0, "in-flight butterfly packets per node grow linearly in P (see bytesGrowth)"},
+	{"lcp", "sm", 84, 160_000, 1.5, 0, "a Size=2P problem: each reader's StaleVec copy of the iterate is O(P) words"},
 }
 
 // TestHostAllocsLinearInP holds whole runs to host state linear in the
@@ -488,6 +497,13 @@ func TestHostAllocsLinearInP(t *testing.T) {
 		}
 		if largeBytes > pair.bytesPerNode {
 			t.Errorf("%s-%s: %.0f bytes per node at P=1024, bound %.0f", pair.app, pair.mach, largeBytes, pair.bytesPerNode)
+		}
+		switch heap := largeHeap / smallHeap; {
+		case pair.heapGrowth == 0:
+			t.Logf("%s-%s: Go heap bytes per node grow %.2fx, not bounded: %s", pair.app, pair.mach, heap, pair.heapWhy)
+		case heap > pair.heapGrowth:
+			t.Errorf("%s-%s: Go heap bytes per node grow %.0f -> %.0f from P=256 to P=1024 (%.2fx, bound %.1fx): some host structure is quadratic in P",
+				pair.app, pair.mach, smallHeap, largeHeap, heap, pair.heapGrowth)
 		}
 	}
 }

@@ -123,38 +123,13 @@ const (
 	dirExcl
 )
 
-// bitset is a full-map sharer set (Dir_n: one presence bit per node).
-type bitset []uint64
-
-func (b bitset) set(i int)      { b[i/64] |= 1 << (i % 64) }
-func (b bitset) clear(i int)    { b[i/64] &^= 1 << (i % 64) }
-func (b bitset) has(i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
-func (b bitset) reset() {
-	for i := range b {
-		b[i] = 0
-	}
-}
-func (b bitset) count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-func (b bitset) forEach(fn func(i int)) {
-	for wi, w := range b {
-		for ; w != 0; w &= w - 1 {
-			fn(wi*64 + bits.TrailingZeros64(w))
-		}
-	}
-}
-
 // entry is one block's directory state at its home. It lives inline in its
-// home's chunk table (see chunk); its sharer words are carved from the
-// chunk's slab.
+// home's chunk (see chunk), and so does its sharer set, which reaches out of
+// line only once the block has had more than four sharers on a machine of
+// more than 64 nodes (see sharerSet). It is 64 bytes.
 type entry struct {
 	state   dirState
-	sharers bitset
+	sharers sharerSet
 	owner   int
 
 	// pend is the block's transaction in flight, nil when the block is not
@@ -266,12 +241,12 @@ const (
 )
 
 // chunk is one allocation of a home's directory: the entries of chunkBlocks
-// consecutive blocks, inline, with their sharer sets carved from one slab.
-// Only the entries whose bit is set in present exist; the rest are
-// storage. Chunks are keyed sparsely (block>>chunkShift), never indexed
-// densely: one home's blocks lie far apart (its pages of the striped heap
-// and its local arena are 2^40 blocks apart, and arenas are 2^31 blocks
-// wide), and a dense index pays for every gap.
+// consecutive blocks, inline, sharer sets and all. Only the entries whose
+// bit is set in present exist; the rest are storage. Chunks are keyed
+// sparsely (block>>chunkShift), never indexed densely: one home's blocks
+// lie far apart (its pages of the striped heap and its local arena are 2^40
+// blocks apart, and arenas are 2^31 blocks wide), and a dense index pays for
+// every gap.
 type chunk struct {
 	key     uint64 // block >> chunkShift
 	present uint16 // bit i: the entry of block key<<chunkShift + i exists
@@ -302,13 +277,13 @@ func (pr *Protocol) entryOf(home int, block uint64) *entry {
 	return &c.ents[i]
 }
 
-// newChunk allocates the chunk for key, each entry idle with words sharer
-// words, and files it in the map and, in key order, in n.order.
+// newChunk allocates the chunk for key, each entry idle with an empty
+// sharer set words map words wide, and files it in the map and, in key
+// order, in n.order. It is one allocation whatever the machine's size.
 func (n *node) newChunk(key uint64, words int) *chunk {
 	c := &chunk{key: key}
-	slab := make(bitset, chunkBlocks*words)
 	for i := range c.ents {
-		c.ents[i] = entry{state: dirIdle, owner: -1, sharers: slab[i*words : (i+1)*words : (i+1)*words]}
+		c.ents[i] = entry{state: dirIdle, owner: -1, sharers: sharerSet{words: uint32(words)}}
 	}
 	n.chunks[key] = c
 	at, _ := slices.BinarySearchFunc(n.order, key, func(x *chunk, k uint64) int { return cmp.Compare(x.key, k) })

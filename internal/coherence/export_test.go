@@ -33,3 +33,21 @@ func (pr *Protocol) InFlight() (queuedBlocks, queued, recalls int) {
 	}
 	return queuedBlocks, queued, recalls
 }
+
+// SharerForms counts, over every home, the non-empty sharer sets held inline
+// and those spilled to a full map.
+func (pr *Protocol) SharerForms() (inline, spilled int) {
+	for _, n := range pr.nodes {
+		n.walk(func(_ uint64, e *entry) bool {
+			switch {
+			case e.sharers.count() == 0:
+			case e.sharers.spill != nil:
+				spilled++
+			default:
+				inline++
+			}
+			return true
+		})
+	}
+	return inline, spilled
+}

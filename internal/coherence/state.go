@@ -97,7 +97,7 @@ func (pr *Protocol) encodeNode(enc *snapshot.Enc, n *node) {
 
 func encodeEntry(enc *snapshot.Enc, e *entry, forensics bool) {
 	enc.U8(uint8(e.state))
-	enc.U64s(e.sharers)
+	e.sharers.encode(enc)
 	enc.I64(int64(e.owner))
 	t := e.pend
 	enc.Bool(t != nil) // busy

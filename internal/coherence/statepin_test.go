@@ -21,13 +21,15 @@ type coherenceImage struct {
 	final         string
 }
 
-// stopAndCapture runs Gauss-SM (P=8, N=64) to the quantum boundary stop and
-// captures the coherence layer's image there. The boundary must have a
-// transaction in flight with requests queued behind it and a recall in
-// flight, so the image covers the waiter queue and the recall's fields.
-func stopAndCapture(t *testing.T, stop sim.Time, check bool) coherenceImage {
+// stopAndCapture runs Gauss-SM (procs processors, an n x n system) to the
+// quantum boundary stop and captures the coherence layer's image there. The
+// boundary must have a transaction in flight with requests queued behind it
+// and a recall in flight, so the image covers the waiter queue and the
+// recall's fields; above 64 processors it must also hold sharer sets in both
+// the inline and the spilled form.
+func stopAndCapture(t *testing.T, procs, n int, stop sim.Time, check bool) coherenceImage {
 	t.Helper()
-	cfg := cost.Default(8)
+	cfg := cost.Default(procs)
 	cfg.SMCheck = check
 	var img coherenceImage
 	captured := false
@@ -45,6 +47,9 @@ func stopAndCapture(t *testing.T, stop sim.Time, check bool) coherenceImage {
 			if qb, _, r := mm.Pr.InFlight(); qb == 0 || r == 0 {
 				t.Errorf("@%d: %d blocks with queued requests and %d recalls in flight; the pin needs both", now, qb, r)
 			}
+			if inline, spilled := mm.Pr.SharerForms(); procs > 64 && (inline == 0 || spilled == 0) {
+				t.Errorf("@%d: %d inline and %d spilled sharer sets; the pin needs both", now, inline, spilled)
+			}
 			var enc snapshot.Enc
 			mm.Pr.EncodeState(&enc)
 			img.state = snapshot.Hash(enc.Bytes())
@@ -59,7 +64,7 @@ func stopAndCapture(t *testing.T, stop sim.Time, check bool) coherenceImage {
 			mm.Eng.Abort(errStop)
 		})
 	}
-	res := gauss.RunSM(cfg, gauss.Params{N: 64, Seed: 1}).Res
+	res := gauss.RunSM(cfg, gauss.Params{N: n, Seed: 1}).Res
 	if !captured {
 		t.Fatalf("run ended before cycle %d", stop)
 	}
@@ -107,8 +112,38 @@ func TestCoherenceStateBytesPinned(t *testing.T) {
 				"    @161833 recall owner 3 (GETS from 0)\n" +
 				"    @161996 queue GETX from 4 (txn in flight)"}},
 	} {
-		if got := stopAndCapture(t, tc.stop, tc.check); got != tc.want {
+		if got := stopAndCapture(t, 8, 64, tc.stop, tc.check); got != tc.want {
 			t.Errorf("stop %d check=%v:\n got {%#x, %#x, %q}\nwant {%#x, %#x, %q}", tc.stop, tc.check,
+				got.state, got.report, got.final, tc.want.state, tc.want.report, tc.want.final)
+		}
+	}
+}
+
+// TestCoherenceStateBytesPinnedWide is TestCoherenceStateBytesPinned on a
+// machine of more than 64 nodes, where a sharer set is two map words wide
+// and is held as a short list until its fifth member: Gauss-SM at P=128
+// (N=128) stopped where 232 shared blocks have one to four sharers and 32
+// have more, with recalls and queued requests in flight. The literals were
+// recorded from the build that kept every sharer set as a full map.
+func TestCoherenceStateBytesPinnedWide(t *testing.T) {
+	for _, tc := range []struct {
+		check bool
+		want  coherenceImage
+	}{
+		{false, coherenceImage{0x214ac54eabba847, 0xdaf88e86aceb6bf2, ""}},
+		{true, coherenceImage{0xd482d93ad51ecca3, 0x8ac1b2cf0bfc1ffd,
+			"coherence: invariant \"conservation\" violated @150600: block 0x1000000052a home 10: transaction still in flight at end of run (busy=true waiters=0)\n" +
+				"    @77911 ack from 81 (data=true)\n" +
+				"    @77942 txn done: state=1 owner=-1 sharers=2\n" +
+				"    @77942 grant GETS to 82 (data=true, arrives @78042)\n" +
+				"    @145876 inval round: 1 sharers (UPGRADE from 81)\n" +
+				"    @146752 ack from 82 (data=false)\n" +
+				"    @146791 txn done: state=2 owner=81 sharers=0\n" +
+				"    @146791 grant UPGRADE to 81 (data=false, arrives @146891)\n" +
+				"    @148366 recall owner 81 (GETX from 82)"}},
+	} {
+		if got := stopAndCapture(t, 128, 128, 150600, tc.check); got != tc.want {
+			t.Errorf("check=%v:\n got {%#x, %#x, %q}\nwant {%#x, %#x, %q}", tc.check,
 				got.state, got.report, got.final, tc.want.state, tc.want.report, tc.want.final)
 		}
 	}

@@ -99,6 +99,10 @@ func (s *AddrSpace) take(next *uint64, bytes int) uint64 {
 	return a
 }
 
+// Align returns the allocation alignment in bytes: consecutive allocations
+// of at most Align bytes from one segment lie Align bytes apart.
+func (s *AddrSpace) Align() uint64 { return s.align }
+
 // AllocPrivate reserves bytes in node's private segment.
 func (s *AddrSpace) AllocPrivate(node, bytes int) uint64 {
 	return s.take(&s.privNext[node], bytes)

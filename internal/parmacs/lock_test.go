@@ -36,7 +36,10 @@ func TestNewLockAddressSequence(t *testing.T) {
 	h := fnv.New64a()
 	for k, w := range want {
 		l := NewLock(rt)
-		got := addrs{l.tail.Base, l.lockedAt[0], l.nextAt[0], l.lockedAt[procs-1], l.nextAt[procs-1]}
+		if len(l.vals) != 0 {
+			t.Fatalf("lock %d: %d nodes' cell values held before any node touched it", k, len(l.vals))
+		}
+		got := addrs{l.tail.Base, l.lockedCell(0).Base, l.nextCell(0).Base, l.lockedCell(procs - 1).Base, l.nextCell(procs - 1).Base}
 		if got != w {
 			t.Errorf("lock %d: addresses %#x, want %#x", k, got, w)
 		}
@@ -47,10 +50,11 @@ func TestNewLockAddressSequence(t *testing.T) {
 		}
 		word(l.tail.Base)
 		for i := 0; i < procs; i++ {
-			word(l.lockedAt[i])
-			word(l.nextAt[i])
-			if l.locked[i] != 0 || l.next[i] != -1 {
-				t.Fatalf("lock %d node %d: locked %d next %d, want 0 and -1", k, i, l.locked[i], l.next[i])
+			locked, next := l.lockedCell(i), l.nextCell(i)
+			word(locked.Base)
+			word(next.Base)
+			if locked.V[0] != 0 || next.V[0] != -1 {
+				t.Fatalf("lock %d node %d: locked %d next %d, want 0 and -1", k, i, locked.V[0], next.V[0])
 			}
 		}
 		if l.tail.V[0] != -1 {
@@ -63,8 +67,9 @@ func TestNewLockAddressSequence(t *testing.T) {
 }
 
 // TestNewLockAllocsIndependentOfP: EM3D-SM makes one lock per node, so a lock
-// whose host state is O(P) objects makes the machine's O(P^2). A lock is the
-// struct, the tail vector and four flat cell vectors.
+// whose host state is O(P) objects makes the machine's O(P^2). A new lock is
+// the struct, the tail vector and one vector of P cell offsets; the cells'
+// values come later, one entry per node that touches the lock.
 func TestNewLockAllocsIndependentOfP(t *testing.T) {
 	const procs = 1024
 	rt := lockRuntime(procs)

@@ -7,8 +7,11 @@
 package parmacs
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/coherence"
@@ -149,38 +152,66 @@ type Lock struct {
 	tail memsim.IVec // one element: -1 free, else waiter node id
 
 	// The queue cells: node i's locked flag and next pointer, one word each
-	// in its own block homed at node i. A waiter touches only its own cells
-	// and its neighbours', so per node the lock keeps a value and a simulated
-	// address and nothing else — four vectors per lock, not two objects per
-	// node; lockedCell and nextCell build the one-word view the memory calls
-	// take (the protocol keeps no pointer to it: spins re-derive the address
-	// each call and watchers are keyed by block).
-	locked, next     []int64
-	lockedAt, nextAt []uint64
+	// in two consecutive blocks of node i's local arena. cell[i] is the
+	// locked word's block offset in that arena; the next word is the block
+	// after it. The simulated address space holds both cells for every node,
+	// but the host holds their values only for the nodes that have touched
+	// the lock, in vals in ascending node order, created locked 0 and next
+	// -1 on the node's first touch: em3d-sm makes a lock per node and each
+	// is touched by that node and its two neighbours, so a lock costs the
+	// host P offsets, not 4P words.
+	cell []uint32
+	vals []lockVals
 }
 
+// lockVals is one node's pair of queue-cell values.
+type lockVals struct {
+	node int
+	v    [2]int64 // locked, next
+}
+
+// valsOf returns node i's cell values, creating them on its first touch.
+func (l *Lock) valsOf(i int) *[2]int64 {
+	k, ok := slices.BinarySearchFunc(l.vals, i, func(x lockVals, i int) int { return cmp.Compare(x.node, i) })
+	if !ok {
+		l.vals = slices.Insert(l.vals, k, lockVals{node: i, v: [2]int64{0, -1}})
+	}
+	return &l.vals[k].v
+}
+
+// lockedAt returns node i's locked word; its next word is one block on.
+func (l *Lock) lockedAt(i int) uint64 {
+	return memsim.LocalBase + uint64(i)<<memsim.ArenaShift + uint64(l.cell[i])*l.rt.Space.Align()
+}
+
+// lockedCell and nextCell build the one-word view the memory calls take. A
+// view points into vals, which the next node's first touch may move, so it
+// is taken afresh on each call and never kept; the protocol keeps no pointer
+// to it either (spins re-derive the address each call and watchers are
+// keyed by block).
 func (l *Lock) lockedCell(i int) memsim.IVec {
-	return memsim.IVec{Base: l.lockedAt[i], V: l.locked[i : i+1 : i+1]}
+	return memsim.IVec{Base: l.lockedAt(i), V: l.valsOf(i)[0:1:1]}
 }
 
 func (l *Lock) nextCell(i int) memsim.IVec {
-	return memsim.IVec{Base: l.nextAt[i], V: l.next[i : i+1 : i+1]}
+	return memsim.IVec{Base: l.lockedAt(i) + l.rt.Space.Align(), V: l.valsOf(i)[1:2:2]}
 }
 
 // NewLock allocates a lock. Called once (by node 0) during initialization.
 func NewLock(rt *Runtime) *Lock {
 	n := rt.Cfg.Procs
-	l := &Lock{
-		rt: rt, tail: rt.GMallocIOn(rt.lockSerial%n, 1),
-		locked: make([]int64, n), next: make([]int64, n),
-		lockedAt: make([]uint64, n), nextAt: make([]uint64, n),
-	}
+	l := &Lock{rt: rt, tail: rt.GMallocIOn(rt.lockSerial%n, 1), cell: make([]uint32, n)}
 	rt.lockSerial++
 	l.tail.V[0] = -1
+	align := rt.Space.Align()
 	for i := 0; i < n; i++ {
-		l.lockedAt[i] = rt.Space.AllocSharedOn(i, memsim.WordBytes)
-		l.nextAt[i] = rt.Space.AllocSharedOn(i, memsim.WordBytes)
-		l.next[i] = -1
+		locked := rt.Space.AllocSharedOn(i, memsim.WordBytes)
+		next := rt.Space.AllocSharedOn(i, memsim.WordBytes)
+		off := (locked - memsim.LocalBase - uint64(i)<<memsim.ArenaShift) / align
+		if next != locked+align || off > math.MaxUint32 {
+			panic(fmt.Sprintf("parmacs: node %d's lock cells at %#x and %#x are not consecutive blocks at a 32-bit offset", i, locked, next))
+		}
+		l.cell[i] = uint32(off)
 	}
 	return l
 }

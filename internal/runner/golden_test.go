@@ -27,8 +27,9 @@ type goldenEntry struct {
 	AppLine       string `json:"app_line"`
 }
 
-// scalingRows returns the P<=64 rows of the recorded scaling study.
-func scalingRows(t *testing.T) []goldenEntry {
+// scalingRuns returns every row of the recorded scaling study.
+func scalingRuns(t *testing.T) []goldenEntry {
+	t.Helper()
 	raw, err := os.ReadFile(scalingPath)
 	if err != nil {
 		t.Fatal(err)
@@ -39,8 +40,13 @@ func scalingRows(t *testing.T) []goldenEntry {
 	if err := json.Unmarshal(raw, &file); err != nil {
 		t.Fatalf("%s: %v", scalingPath, err)
 	}
+	return file.Runs
+}
+
+// scalingRows returns the P<=64 rows of the recorded scaling study.
+func scalingRows(t *testing.T) []goldenEntry {
 	var rows []goldenEntry
-	for _, r := range file.Runs {
+	for _, r := range scalingRuns(t) {
 		if r.Spec.Procs <= 64 {
 			rows = append(rows, r)
 		}
@@ -182,9 +188,12 @@ func TestGoldenFingerprints(t *testing.T) {
 			if raceEnabled && ns.Spec.App == "gauss" && ns.Spec.Procs >= 32 {
 				t.Skip("paper-scale gauss takes minutes under the race detector")
 			}
+			if want.Spec.CacheKey() != ns.Spec.CacheKey() {
+				t.Fatalf("golden spec %+v is not goldenSpecs' %+v: regenerate with -update", want.Spec, ns.Spec)
+			}
 			t.Parallel()
 			got := goldenRun(t, ns.Name, ns.Spec)
-			got.Spec = want.Spec // pointer fields; the name ties the row to its spec
+			got.Spec = want.Spec // pointer fields: compared by cache key above
 			if got != want {
 				t.Errorf("\n got %+v\nwant %+v", got, want)
 			}

@@ -188,16 +188,21 @@ func TestProcs4096StepPairsComplete(t *testing.T) {
 }
 
 // TestProcs1024AllPairsComplete runs app pairs at Procs=1024 end to end
-// with per-processor-scaled working sets. The linear-work pairs (em3d,
-// lcp) always run; the quadratic/cubic-work pairs (mse's body interactions,
-// gauss needing N=1024 at P=1024) take minutes to tens of minutes per run
-// and run only with WWT_SCALING_HEAVY=1 — the scaling study in
-// EXPERIMENTS.md records their results.
+// with per-processor-scaled working sets, and holds every run to its row of
+// experiments/scaling_results.json: fingerprint, elapsed cycles and answer
+// line. The linear-work pairs (em3d, lcp) always run, with em3d-sm and
+// lcp-sm also at P=128, where a directory sharer set is wider than one word;
+// the quadratic/cubic-work pairs (mse's body interactions, gauss needing
+// N=1024 at P=1024) take minutes to tens of minutes per run and run only
+// with WWT_SCALING_HEAVY=1 — the scaling study in EXPERIMENTS.md records
+// their results, and this test only that they complete.
 func TestProcs1024AllPairsComplete(t *testing.T) {
 	pairs := []struct {
 		spec  Spec
 		heavy bool
 	}{
+		{Spec{App: "em3d", Machine: "sm", Procs: 128, Size: 8, Iters: 2}, false},
+		{Spec{App: "lcp", Machine: "sm", Procs: 128, Size: 256, Iters: 2}, false},
 		{Spec{App: "em3d", Machine: "mp", Procs: 1024, Size: 8, Iters: 2}, false},
 		{Spec{App: "em3d", Machine: "sm", Procs: 1024, Size: 8, Iters: 2}, false},
 		{Spec{App: "lcp", Machine: "mp", Procs: 1024, Size: 2048, Iters: 2}, false},
@@ -213,17 +218,30 @@ func TestProcs1024AllPairsComplete(t *testing.T) {
 		// scaling dispatcher comes from TestScalingSmoke at P=256.
 		t.Skip("P=1024 completion is verified without -race (see scaling-smoke CI job)")
 	}
+	recorded := map[uint64]goldenEntry{}
+	for _, r := range scalingRuns(t) {
+		recorded[r.Spec.CacheKey()] = r
+	}
 	heavyOn := os.Getenv("WWT_SCALING_HEAVY") == "1"
 	for _, tc := range pairs {
 		tc := tc
 		name := fmt.Sprintf("%s-%s", tc.spec.App, tc.spec.Machine)
+		if tc.spec.Procs != 1024 {
+			name += fmt.Sprintf("-p%d", tc.spec.Procs)
+		}
 		t.Run(name, func(t *testing.T) {
 			if tc.heavy && !heavyOn {
 				t.Skip("quadratic/cubic workload at P=1024; set WWT_SCALING_HEAVY=1")
 			}
-			out, err := Run(tc.spec, Options{})
-			if err != nil || out.Res.Err != nil {
-				t.Fatalf("P=1024 run: %v / %v", err, out.Res.Err)
+			want, ok := recorded[tc.spec.CacheKey()]
+			if !ok && !tc.heavy {
+				t.Fatalf("%s has no row for %+v", scalingPath, tc.spec)
+			}
+			got := goldenRun(t, name, tc.spec)
+			if ok && (got.Fingerprint != want.Fingerprint ||
+				got.ElapsedCycles != want.ElapsedCycles || got.AppLine != want.AppLine) {
+				t.Errorf("got %s/%d cycles/%q, %s records %s/%d cycles/%q", got.Fingerprint,
+					got.ElapsedCycles, got.AppLine, scalingPath, want.Fingerprint, want.ElapsedCycles, want.AppLine)
 			}
 		})
 	}
