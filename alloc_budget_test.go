@@ -394,6 +394,7 @@ func TestAllocBudgetTables(t *testing.T) {
 		{"em3d-sm", table("em3d", "sm", nil), 31_400},
 		{"em3d-sm-1mb", table("em3d", "sm", func(s *runner.Spec) { s.CacheBytes = 1 << 20 }), 31_400},
 		{"em3d-sm-local", table("em3d", "sm", func(s *runner.Spec) { s.Policy = "local" }), 31_400},
+		{"em3d-sm-flush", table("em3d", "sm", func(s *runner.Spec) { s.Flush = true }), 32_100},
 		{"lcp-mp", table("lcp", "mp", nil), 14_100},
 		{"lcp-sm", table("lcp", "sm", nil), 13_700},
 		{"alcp-mp", table("alcp", "mp", nil), 15_200},

@@ -463,9 +463,6 @@ type halfFrame struct {
 	sub  uint8
 	i, k int
 	acc  float64
-	// flushed is the software-flush pass's per-half-step set of blocks
-	// already dropped (EM3D-SM flush variant only; nil otherwise).
-	flushed map[uint64]struct{}
 }
 
 // stepHalf updates dst: per node, load the edge metadata, accumulate the

@@ -73,6 +73,11 @@ type smStep struct {
 	rf regFrame
 	lf parmacs.LockStep
 	hf halfFrame
+
+	// flushed is the software-flush pass's set of blocks already dropped
+	// in the current half-step (the flush variant only), kept across
+	// half-steps and cleared at each pass's start.
+	flushed map[uint64]struct{}
 }
 
 // newSMStep does the host-side setup at the node's first dispatch. Node 0
@@ -306,7 +311,10 @@ func (s *smStep) stepSMHalf(idx *memsim.IVec, w *memsim.FVec, srcVals []memsim.F
 			if hf.i >= np {
 				if s.par.Flush {
 					hf.k = 0
-					hf.flushed = make(map[uint64]struct{})
+					if s.flushed == nil {
+						s.flushed = make(map[uint64]struct{})
+					}
+					clear(s.flushed)
 					hf.sub = 4
 					continue
 				}
@@ -351,6 +359,7 @@ func (s *smStep) stepSMHalf(idx *memsim.IVec, w *memsim.FVec, srcVals []memsim.F
 			// rewrites find no copies to invalidate (a silent replacement
 			// instead of a two-message invalidation round). Deduplicated per
 			// block — values are reused within the half-step.
+			shift := m.Cache.BlockShift()
 			for ; hf.k < np*deg; hf.k++ {
 				packed := idx.V[hf.k]
 				owner := int(packed >> 32)
@@ -358,13 +367,13 @@ func (s *smStep) stepSMHalf(idx *memsim.IVec, w *memsim.FVec, srcVals []memsim.F
 					continue
 				}
 				addr := srcVals[owner].Addr(int(packed & 0xFFFFFFFF))
-				if _, ok := hf.flushed[addr>>5]; ok {
+				if _, ok := s.flushed[addr>>shift]; ok {
 					continue
 				}
 				if !m.StepFlushBlock(addr) {
 					return false
 				}
-				hf.flushed[addr>>5] = struct{}{}
+				s.flushed[addr>>shift] = struct{}{}
 			}
 			*hf = halfFrame{}
 			return true

@@ -337,6 +337,9 @@ func (c *Config) Validate() error {
 		return errf("cache size %d not divisible by block*assoc", c.CacheBytes)
 	case c.PageBytes <= 0 || c.PageBytes&(c.PageBytes-1) != 0:
 		return errf("page size %d must be a positive power of two", c.PageBytes)
+	case c.PageBytes < c.BlockBytes:
+		// A range walk translates once per page, so a block may not span pages.
+		return errf("page size %d smaller than block size %d", c.PageBytes, c.BlockBytes)
 	case c.PacketPayload >= c.PacketBytes:
 		return errf("packet payload %d must leave room for the header in %d",
 			c.PacketPayload, c.PacketBytes)

@@ -55,6 +55,7 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.BlockBytes = 24 },
 		func(c *Config) { c.CacheBytes = 1000 },
 		func(c *Config) { c.PageBytes = 3000 },
+		func(c *Config) { c.PageBytes = 16 },
 		func(c *Config) { c.PacketPayload = 20 },
 		func(c *Config) { c.NetLatency = 0 },
 	}

@@ -7,6 +7,9 @@
 package machine
 
 import (
+	"fmt"
+	"strings"
+
 	"repro/internal/am"
 	"repro/internal/cmmd"
 	"repro/internal/coherence"
@@ -201,10 +204,7 @@ func buildMP(cfg cost.Config, shape cmmd.Shape, program func(n *MPNode), stepPro
 // Run executes the machine to completion and summarizes. A non-nil
 // Result.Err reports an aborted run (stats cover the partial execution).
 func (m *MPMachine) Run() *Result {
-	err := m.Eng.Run()
-	res := summarize(m.Eng)
-	res.Err = err
-	return res
+	return summarize(m.Eng, m.Eng.Run())
 }
 
 // RunMP builds and runs a message-passing machine in one step.
@@ -350,9 +350,7 @@ func (m *SMMachine) Run() *Result {
 			err = ck.Final()
 		}
 	}
-	res := summarize(m.Eng)
-	res.Err = err
-	return res
+	return summarize(m.Eng, err)
 }
 
 // RunSM builds and runs a shared-memory machine in one step.
@@ -360,7 +358,10 @@ func RunSM(cfg cost.Config, policy parmacs.Policy, program func(n *SMNode)) *Res
 	return NewSM(cfg, policy, program).Run()
 }
 
-func summarize(eng *sim.Engine) *Result {
+// summarize builds the run's Result. err is how the run ended; a run that
+// completed is then held to the accounting contract (checkAccounting), and
+// a breach becomes its Err.
+func summarize(eng *sim.Engine, err error) *Result {
 	procs := eng.Procs()
 	accts := make([]*stats.Acct, len(procs))
 	var maxClock sim.Time
@@ -370,5 +371,53 @@ func summarize(eng *sim.Engine) *Result {
 			maxClock = p.Clock()
 		}
 	}
-	return &Result{Summary: stats.Summarize(accts), Elapsed: maxClock, Accts: accts}
+	if err == nil {
+		err = checkAccounting(procs)
+	}
+	return &Result{Summary: stats.Summarize(accts), Elapsed: maxClock, Accts: accts, Err: err}
+}
+
+// AccountingError reports a processor whose cycles, summed over every phase
+// and category, differ from its clock at the end of a completed run: some
+// code advanced the clock without charging a category, or charged one
+// without advancing the clock, so the run's breakdown does not account for
+// its time.
+type AccountingError struct {
+	Proc   int
+	Clock  sim.Time
+	Cycles [stats.NumCategories]int64 // per category, summed over phases
+}
+
+func (e *AccountingError) Error() string {
+	var b strings.Builder
+	var sum int64
+	for c, v := range e.Cycles {
+		sum += v
+		if v != 0 {
+			fmt.Fprintf(&b, " %v=%d", stats.Category(c), v)
+		}
+	}
+	return fmt.Sprintf("machine: proc %d accounts %d cycles but its clock reads %d:%s", e.Proc, sum, e.Clock, b.String())
+}
+
+// checkAccounting holds every processor to the paper's accounting: its
+// category cycles sum to its clock. It runs once per completed run, in
+// O(P × phases × categories); an aborted run may end with a wake delivered
+// but not yet charged, so it is not checked.
+func checkAccounting(procs []*sim.Proc) error {
+	for _, p := range procs {
+		e := AccountingError{Proc: p.ID, Clock: p.Clock()}
+		var total int64
+		for ph := stats.Phase(0); int(ph) < p.Acct.NumPhases(); ph++ {
+			for c := range e.Cycles {
+				v := p.Acct.Cycles(ph, stats.Category(c))
+				e.Cycles[c] += v
+				total += v
+			}
+		}
+		if total != e.Clock {
+			return &e
+		}
+	}
+	return nil
 }

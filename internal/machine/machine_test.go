@@ -162,3 +162,38 @@ func TestStepProgramStartsNoCoroutine(t *testing.T) {
 		t.Errorf("NewMP machine ran with %d extra goroutines, want one coroutine per node (%d)", d, procs)
 	}
 }
+
+// TestAccountingCheckNamesTheProcessor checks the end-of-run accounting
+// contract on both machines: a completed run whose processor charged a
+// category without advancing its clock ends with an *AccountingError
+// naming that processor, its category totals and its clock, and a run that
+// keeps the books passes.
+func TestAccountingCheckNamesTheProcessor(t *testing.T) {
+	leak := func(id int, p *sim.Proc) {
+		p.Compute(40)
+		if id == 2 {
+			p.Acct.Charge(stats.LocalMiss, 7) // charged, clock not advanced
+		}
+	}
+	results := map[string]*Result{
+		"mp": RunMP(cost.Default(4), cmmd.Binary, func(n *MPNode) { leak(n.ID, n.P); n.Barrier() }),
+		"sm": RunSM(cost.Default(4), parmacs.RoundRobin, func(n *SMNode) { leak(n.ID, n.P); n.Barrier() }),
+	}
+	for name, res := range results {
+		var ae *AccountingError
+		if !errors.As(res.Err, &ae) {
+			t.Fatalf("%s: Err = %v, want an *AccountingError", name, res.Err)
+		}
+		if ae.Proc != 2 || ae.Cycles[stats.LocalMiss] != 7 || ae.Cycles[stats.Comp] != 40 {
+			t.Errorf("%s: %+v, want proc 2 with LocalMiss=7 and Comp=40", name, ae)
+		}
+		if ae.Clock != res.Accts[2].TotalCycles(0)-7 {
+			t.Errorf("%s: clock %d, want the charged cycles less the leak", name, ae.Clock)
+		}
+		t.Log(ae)
+	}
+	clean := RunMP(cost.Default(4), cmmd.Binary, func(n *MPNode) { n.Compute(40); n.Barrier() })
+	if clean.Err != nil {
+		t.Errorf("balanced run: %v", clean.Err)
+	}
+}

@@ -91,6 +91,11 @@ type Cache struct {
 	lines      []packedLine
 	rng        *sim.RNG
 
+	// changes counts the calls that changed a line (Insert, SetState,
+	// Flush, and Invalidate of a resident block): Mem's clean-walk memo
+	// holds while it does not move. Host-only, never encoded.
+	changes uint64
+
 	// SharedDirtyIsShared: under the coherence protocol, blocks in the
 	// shared segment track Shared/Modified precisely; the MP machine marks
 	// everything Modified on write.
@@ -166,6 +171,7 @@ func (c *Cache) SetState(block uint64, state uint8) {
 			} else {
 				ws[i] = packLine(block, state)
 			}
+			c.changes++
 			runtime.KeepAlive(c)
 			return
 		}
@@ -183,6 +189,7 @@ func (c *Cache) Invalidate(block uint64) uint8 {
 		if uint64(ws[i])&^3 == want {
 			st := ws[i].state()
 			ws[i] = 0
+			c.changes++
 			runtime.KeepAlive(c)
 			return st
 		}
@@ -194,6 +201,7 @@ func (c *Cache) Invalidate(block uint64) uint8 {
 // the set is full. It returns the evicted line (State Invalid if an empty
 // way was used). Inserting a block that is already resident panics.
 func (c *Cache) Insert(block uint64, state uint8) Line {
+	c.changes++
 	ws := c.set(block)
 	for i := range ws {
 		if ws[i].valid() && ws[i].block() == block {
@@ -229,6 +237,7 @@ func (c *Cache) Resident() int {
 // Flush invalidates the entire cache, returning the dirty lines that would
 // require writeback.
 func (c *Cache) Flush() []Line {
+	c.changes++
 	var dirty []Line
 	for i := range c.lines {
 		if c.lines[i].state() == Modified {

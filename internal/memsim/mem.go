@@ -52,12 +52,31 @@ type Mem struct {
 	Refs int64
 
 	// stepRange is the resumable cursor of an in-progress range walk: the
-	// next block address to access. One cursor per Mem suffices for both
+	// next block number to access. One cursor per Mem suffices for both
 	// processor forms because a processor never starts a range walk inside
 	// another: a private miss never polls the network, and
 	// cmmd.StepChannelWriteF finishes its StepReadRange before it sends.
 	stepRange   uint64
 	stepRangeOn bool
+
+	// memo holds the two most recently used clean walks, most recent
+	// first: host-only knowledge that a block range is resident, so a
+	// re-walk of it can skip its lookups. Never encoded — it changes no
+	// simulated outcome, only how fast one is reached.
+	memo [2]cleanWalk
+}
+
+// cleanWalk records a range walk that completed in one call with every
+// block a cache hit and no TLB miss. While the cache's change counter and
+// the TLB's miss count both still read what they read then, every block of
+// the range is still resident in the state the walk saw and every page
+// still translates: a fresh walk inside the range would hit throughout and
+// charge nothing, so it can be settled by counting its references.
+type cleanWalk struct {
+	first, n  uint64 // block range [first, first+n); n == 0 is an empty entry
+	modified  bool   // every block was Modified: a write walk may use it too
+	changes   uint64
+	tlbMisses int64
 }
 
 // NewMem builds the memory system for proc p. rngSeed feeds the cache's
@@ -161,10 +180,7 @@ func (m *Mem) StepReadTrack(addr uint64) (done, missed bool) {
 	p := m.P
 	if p.WakePending() {
 		// Resuming the shared-miss transaction this access issued.
-		if !m.Shared.StepReadMiss(m, m.Cache.BlockOf(addr)) {
-			return false, true
-		}
-		return true, true
+		return m.Shared.StepReadMiss(m, m.Cache.BlockOf(addr)), true
 	}
 	if !p.StepInteract() {
 		return false, false
@@ -175,12 +191,18 @@ func (m *Mem) StepReadTrack(addr uint64) (done, missed bool) {
 	if m.Cache.Lookup(block) != Invalid {
 		return true, false // hit
 	}
+	return m.readMiss(addr, block), true
+}
+
+// readMiss finishes a fresh load that missed: a shared miss issues its
+// request and blocks (false), a private one is serviced in place.
+func (m *Mem) readMiss(addr, block uint64) bool {
 	if m.Shared != nil && IsShared(addr) {
-		m.Shared.StepReadMiss(m, block) // issues and blocks
-		return false, true
+		m.Shared.StepReadMiss(m, block)
+		return false
 	}
 	m.privateMiss(block)
-	return true, true
+	return true
 }
 
 // StepWrite is the non-suspending Write. After a grant the line is
@@ -189,29 +211,41 @@ func (m *Mem) StepWrite(addr uint64) bool {
 	p := m.P
 	block := m.Cache.BlockOf(addr)
 	if p.WakePending() {
-		if !m.Shared.StepWriteAccess(m, block, Invalid) {
-			return false
-		}
-		// Grant installed; verify ownership survived until retirement.
-	} else {
-		if !p.StepInteract() {
-			return false
-		}
-		m.Refs++
-		m.translate(addr)
+		return m.resumeWrite(addr, block)
 	}
-	for {
-		st := m.Cache.Lookup(block)
-		if st == Modified {
-			return true
-		}
-		if m.Shared != nil && IsShared(addr) {
-			m.Shared.StepWriteAccess(m, block, st) // issues and blocks
-			return false
-		}
-		m.privateMiss(block)
-		return true
+	if !p.StepInteract() {
+		return false
 	}
+	m.Refs++
+	m.translate(addr)
+	if st := m.Cache.Lookup(block); st != Modified {
+		return m.writeMiss(addr, block, st)
+	}
+	return true
+}
+
+// writeMiss finishes a store whose line is not held Modified (st is its
+// resident state): shared data issues an upgrade or write miss and blocks,
+// private data is serviced in place.
+func (m *Mem) writeMiss(addr, block uint64, st uint8) bool {
+	if m.Shared != nil && IsShared(addr) {
+		m.Shared.StepWriteAccess(m, block, st)
+		return false
+	}
+	m.privateMiss(block)
+	return true
+}
+
+// resumeWrite resumes the write transaction a store issued, then verifies
+// that ownership survived until retirement.
+func (m *Mem) resumeWrite(addr, block uint64) bool {
+	if !m.Shared.StepWriteAccess(m, block, Invalid) {
+		return false
+	}
+	if st := m.Cache.Lookup(block); st != Modified {
+		return m.writeMiss(addr, block, st)
+	}
+	return true
 }
 
 // StepReadRange is the non-suspending ReadRange: the block cursor is held
@@ -225,30 +259,113 @@ func (m *Mem) StepWriteRange(addr uint64, bytes int) bool {
 	return m.stepRangeWalk(addr, bytes, true)
 }
 
+// stepRangeWalk performs one StepRead or StepWrite per block of [addr,
+// addr+bytes), in order and with the same checks and charges, but inline:
+// the TLB is consulted once per page per call (it changes only on a miss,
+// and only this processor touches it), and only a block that does not hit,
+// or an access resuming a blocked transaction, leaves the loop for a miss
+// path. A fresh walk that is not inside the quantum returns "not done"
+// without starting, so its re-call is fresh again; a fresh walk covered by
+// a still-valid clean walk (see cleanWalk) only counts its references.
 func (m *Mem) stepRangeWalk(addr uint64, bytes int, write bool) bool {
 	if bytes <= 0 {
 		return true
 	}
-	bs := uint64(m.Cfg.BlockBytes)
-	end := addr + uint64(bytes)
-	if !m.stepRangeOn {
-		m.stepRangeOn = true
-		m.stepRange = addr &^ (bs - 1)
-	}
-	for m.stepRange < end {
-		if write {
-			if !m.StepWrite(m.stepRange) {
+	p, c := m.P, m.Cache
+	shift := c.blockShift
+	first, last := addr>>shift, (addr+uint64(bytes)-1)>>shift
+	fresh := !m.stepRangeOn
+	if fresh {
+		if !p.WakePending() {
+			if !p.StepInteract() {
 				return false
 			}
-		} else {
-			if !m.StepRead(m.stepRange) {
-				return false
+			if m.memoHit(first, last, write) {
+				return true
 			}
 		}
-		m.stepRange += bs
+		m.stepRangeOn = true
+		m.stepRange = first
+	}
+	clean, modified := fresh, true
+	tlbMisses := m.TLB.misses
+	pageShift := m.TLB.pageShift - shift
+	page := ^uint64(0) // no page translated yet in this call
+	for block := m.stepRange; block <= last; block++ {
+		if p.WakePending() {
+			clean = false
+			var done bool
+			if write {
+				done = m.resumeWrite(block<<shift, block)
+			} else {
+				done = m.Shared.StepReadMiss(m, block)
+			}
+			if !done {
+				m.stepRange = block
+				return false
+			}
+			continue
+		}
+		if !p.StepInteract() {
+			m.stepRange = block
+			return false
+		}
+		m.Refs++
+		if pg := block >> pageShift; pg != page {
+			m.translate(block << shift)
+			page = pg
+		}
+		st := c.Lookup(block)
+		if st == Modified || st == Shared && !write {
+			modified = modified && st == Modified
+			continue
+		}
+		clean = false
+		var done bool
+		if write {
+			done = m.writeMiss(block<<shift, block, st)
+		} else {
+			done = m.readMiss(block<<shift, block)
+		}
+		if !done {
+			m.stepRange = block
+			return false
+		}
 	}
 	m.stepRangeOn = false
+	if clean && m.TLB.misses == tlbMisses {
+		m.remember(cleanWalk{first: first, n: last - first + 1, modified: modified,
+			changes: c.changes, tlbMisses: tlbMisses})
+	}
 	return true
+}
+
+// memoHit settles a fresh walk of blocks [first, last] from the memo when
+// an entry still vouches for the whole range (all Modified, for a write):
+// the walk would hit in the TLB and cache throughout and charge nothing,
+// so only its references are counted. The entry used moves to the front.
+func (m *Mem) memoHit(first, last uint64, write bool) bool {
+	for i := range m.memo {
+		e := &m.memo[i]
+		if first >= e.first && last < e.first+e.n && (e.modified || !write) &&
+			e.changes == m.Cache.changes && e.tlbMisses == m.TLB.misses {
+			if i > 0 {
+				m.memo[0], m.memo[i] = m.memo[i], m.memo[0]
+			}
+			m.Refs += int64(last - first + 1)
+			return true
+		}
+	}
+	return false
+}
+
+// remember puts a clean walk at the front of the memo; it replaces the
+// front entry outright when that covers the same range.
+func (m *Mem) remember(w cleanWalk) {
+	if m.memo[0].first != w.first || m.memo[0].n != w.n {
+		m.memo[1] = m.memo[0]
+	}
+	m.memo[0] = w
 }
 
 // StepFlushBlock removes a block containing addr from the cache (the
