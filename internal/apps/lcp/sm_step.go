@@ -218,9 +218,7 @@ func (s *smStep) step(p *sim.Proc) sim.StepStatus {
 			}
 			s.pc = lsPubWrite
 		case lsPubWrite:
-			for r := 0; r < rpp; r++ { // idempotent: zloc is stable here
-				sh.zg.V[lo+r] = s.zloc.V[lo+r]
-			}
+			sh.stale.SetRange(me, lo, s.zloc.V[lo:lo+rpp]) // idempotent: zloc is stable here
 			if !sh.zg.StepWriteRange(m, lo, lo+rpp) {
 				return sim.StepYield
 			}

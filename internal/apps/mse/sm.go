@@ -23,8 +23,8 @@ func RunSM(cfg cost.Config, par Params) *Output {
 	m := par.Elems
 
 	var (
-		xg   memsim.FVec // the global solution vector
-		xmir *memsim.MirrorVec
+		xg memsim.FVec // the global solution vector
+		xb *memsim.BoundaryVec
 	)
 
 	out.Res = machine.RunSM(cfg, parmacs.RoundRobin, func(nd *machine.SMNode) {
@@ -35,7 +35,7 @@ func RunSM(cfg cost.Config, par Params) *Output {
 			// Serial initialization on processor 0 (geometry, self terms,
 			// schedules) while the other processors sit idle.
 			xg = nd.RT.GMallocF(0, nm)
-			xmir = memsim.NewMirror(nd.P.Engine(), &xg)
+			xb = memsim.NewBoundaryVec(nd.P.Engine(), &xg)
 			nd.Compute(serialInitCycles(nm))
 			nd.RT.Create(nd.P)
 		} else {
@@ -69,7 +69,7 @@ func RunSM(cfg cost.Config, par Params) *Output {
 				// Copy the quantum-boundary image, not the live backing:
 				// q may be mid-publish this quantum, and which of its
 				// writes have landed must not depend on dispatch order.
-				copy(xsnap.V[q*epp:(q+1)*epp], xmir.V[q*epp:(q+1)*epp])
+				copy(xsnap.V[q*epp:(q+1)*epp], xb.Image[q*epp:(q+1)*epp])
 				nd.Compute(cSchedule)
 			}
 
@@ -105,10 +105,8 @@ func RunSM(cfg cost.Config, par Params) *Output {
 			}
 			// Publish into the global vector (write faults where readers
 			// hold copies) and into the local snapshot.
-			for li := 0; li < epp; li++ {
-				xg.V[me*epp+li] = next[li]
-				xsnap.V[me*epp+li] = next[li]
-			}
+			xb.SetRange(me, me*epp, next)
+			copy(xsnap.V[me*epp:(me+1)*epp], next)
 			xg.WriteRange(mem, me*epp, (me+1)*epp)
 			xsnap.WriteRange(mem, me*epp, (me+1)*epp)
 		}

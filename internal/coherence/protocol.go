@@ -187,9 +187,6 @@ func (pr *Protocol) EnableCtrlFaults(f cost.SMFaultsConfig) *faults.CtrlPlan {
 	return pr.ctrl
 }
 
-// CtrlPlan returns the armed control-fault plan, or nil.
-func (pr *Protocol) CtrlPlan() *faults.CtrlPlan { return pr.ctrl }
-
 // EnableWatchdog arms the coherence livelock watchdog: if some request has
 // been outstanding and no directory transaction granted a reply for window
 // cycles of virtual time, the run aborts with a sim.StallError carrying the

@@ -40,20 +40,11 @@ type Result struct {
 
 func seedFor(i int) uint64 { return 0xC0FFEE + uint64(i)*0x9E3779B97F4A7C15 }
 
-// --- Message-passing machine ---
-
-// MPNode is one node of the message-passing machine, handed to the target
-// program. Programs compute with Compute, allocate private data with
-// AllocF/AllocI, and communicate through AM (CMAML), EP (CMMD), and Comm
-// (software collectives).
-type MPNode struct {
+// node is what a node of either machine holds and does alike.
+type node struct {
 	ID    int
 	P     *sim.Proc
 	Mem   *memsim.Mem
-	NI    *ni.NI
-	AM    *am.AM
-	EP    *cmmd.Endpoint
-	Comm  *cmmd.Comm
 	Cfg   *cost.Config
 	Space *memsim.AddrSpace
 	Procs int
@@ -65,29 +56,43 @@ type MPNode struct {
 // callbacks run in registration order and append the program's computation
 // state (principal arrays, counters) to the canonical encoding. Programs
 // register their arrays right after allocating them.
-func (n *MPNode) OnState(fn func(*snapshot.Enc)) { n.appState = append(n.appState, fn) }
+func (n *node) OnState(fn func(*snapshot.Enc)) { n.appState = append(n.appState, fn) }
 
 // Compute charges c cycles of application computation.
-func (n *MPNode) Compute(c int64) { n.P.Compute(c) }
+func (n *node) Compute(c int64) { n.P.Compute(c) }
 
 // Phase switches the accounting phase (e.g. initialization vs. main loop).
-func (n *MPNode) Phase(ph stats.Phase) { n.P.Acct.SetPhase(ph) }
+func (n *node) Phase(ph stats.Phase) { n.P.Acct.SetPhase(ph) }
 
 // AllocF allocates a private double-precision vector in this node's local
 // memory.
-func (n *MPNode) AllocF(elems int) memsim.FVec {
+func (n *node) AllocF(elems int) memsim.FVec {
 	return memsim.NewFVec(n.Space.AllocPrivate(n.ID, elems*memsim.WordBytes), elems)
 }
 
 // AllocFSized allocates a private float vector with explicit element size
 // (4 for single precision, as Gauss uses).
-func (n *MPNode) AllocFSized(elems, elemBytes int) memsim.FVec {
+func (n *node) AllocFSized(elems, elemBytes int) memsim.FVec {
 	return memsim.NewFVecSized(n.Space.AllocPrivate(n.ID, elems*elemBytes), elems, elemBytes)
 }
 
 // AllocI allocates a private int vector in this node's local memory.
-func (n *MPNode) AllocI(elems int) memsim.IVec {
+func (n *node) AllocI(elems int) memsim.IVec {
 	return memsim.NewIVec(n.Space.AllocPrivate(n.ID, elems*memsim.WordBytes), elems)
+}
+
+// --- Message-passing machine ---
+
+// MPNode is one node of the message-passing machine, handed to the target
+// program. Programs compute with Compute, allocate private data with
+// AllocF/AllocI, and communicate through AM (CMAML), EP (CMMD), and Comm
+// (software collectives).
+type MPNode struct {
+	node
+	NI   *ni.NI
+	AM   *am.AM
+	EP   *cmmd.Endpoint
+	Comm *cmmd.Comm
 }
 
 // Barrier enters the hardware barrier.
@@ -190,8 +195,8 @@ func buildMP(cfg cost.Config, shape cmmd.Shape, program func(n *MPNode), stepPro
 		ep := cmmd.NewEndpoint(i, c.Procs, a, mem, bar)
 		comm := cmmd.NewComm(ep, topo)
 		nodes[i] = MPNode{
-			ID: i, P: p, Mem: mem, NI: nif, AM: a, EP: ep, Comm: comm,
-			Cfg: &c, Space: space, Procs: c.Procs,
+			node: node{ID: i, P: p, Mem: mem, Cfg: &c, Space: space, Procs: c.Procs},
+			NI:   nif, AM: a, EP: ep, Comm: comm,
 		}
 		m.Nodes[i] = &nodes[i]
 	}
@@ -202,9 +207,15 @@ func buildMP(cfg cost.Config, shape cmmd.Shape, program func(n *MPNode), stepPro
 }
 
 // Run executes the machine to completion and summarizes. A non-nil
-// Result.Err reports an aborted run (stats cover the partial execution).
+// Result.Err reports an aborted run (stats cover the partial execution), or
+// a completed one whose network did not conserve packets
+// (*ni.ConservationError).
 func (m *MPMachine) Run() *Result {
-	return summarize(m.Eng, m.Eng.Run())
+	err := m.Eng.Run()
+	if err == nil {
+		err = m.Net.CheckConservation()
+	}
+	return summarize(m.Eng, err)
 }
 
 // RunMP builds and runs a message-passing machine in one step.
@@ -218,41 +229,9 @@ func RunMP(cfg cost.Config, shape cmmd.Shape, program func(n *MPNode)) *Result {
 // data through RT (gmalloc), private data with AllocF/AllocI, and
 // synchronize with RT's locks, reductions, and barrier.
 type SMNode struct {
-	ID    int
-	P     *sim.Proc
-	Mem   *memsim.Mem
-	Pr    *coherence.Protocol
-	RT    *parmacs.Runtime
-	Cfg   *cost.Config
-	Space *memsim.AddrSpace
-	Procs int
-
-	appState []func(*snapshot.Enc)
-}
-
-// OnState registers an application state contributor; see MPNode.OnState.
-func (n *SMNode) OnState(fn func(*snapshot.Enc)) { n.appState = append(n.appState, fn) }
-
-// Compute charges c cycles of application computation.
-func (n *SMNode) Compute(c int64) { n.P.Compute(c) }
-
-// Phase switches the accounting phase.
-func (n *SMNode) Phase(ph stats.Phase) { n.P.Acct.SetPhase(ph) }
-
-// AllocF allocates a private double-precision vector in this node's local
-// memory.
-func (n *SMNode) AllocF(elems int) memsim.FVec {
-	return memsim.NewFVec(n.Space.AllocPrivate(n.ID, elems*memsim.WordBytes), elems)
-}
-
-// AllocFSized allocates a private float vector with explicit element size.
-func (n *SMNode) AllocFSized(elems, elemBytes int) memsim.FVec {
-	return memsim.NewFVecSized(n.Space.AllocPrivate(n.ID, elems*elemBytes), elems, elemBytes)
-}
-
-// AllocI allocates a private int vector in this node's local memory.
-func (n *SMNode) AllocI(elems int) memsim.IVec {
-	return memsim.NewIVec(n.Space.AllocPrivate(n.ID, elems*memsim.WordBytes), elems)
+	node
+	Pr *coherence.Protocol
+	RT *parmacs.Runtime
 }
 
 // Barrier enters the hardware barrier.
@@ -329,8 +308,8 @@ func buildSM(cfg cost.Config, policy parmacs.Policy, program func(n *SMNode), st
 		mem := memsim.NewMem(p, &c, seedFor(i))
 		pr.AttachMem(i, mem)
 		m.Nodes[i] = &SMNode{
-			ID: i, P: p, Mem: mem, Pr: pr, RT: rt,
-			Cfg: &c, Space: space, Procs: c.Procs,
+			node: node{ID: i, P: p, Mem: mem, Cfg: &c, Space: space, Procs: c.Procs},
+			Pr:   pr, RT: rt,
 		}
 	}
 	if c.OnBuild != nil {

@@ -3,10 +3,12 @@ package machine
 import (
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/cmmd"
 	"repro/internal/cost"
+	"repro/internal/ni"
 	"repro/internal/parmacs"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -109,8 +111,8 @@ func TestPhaseBucketsSeparate(t *testing.T) {
 
 // TestStepProgramStartsNoCoroutine: which constructor built the machine
 // decides the processor form, and nothing else does. A step program never
-// starts a coroutine — at P=32 its machine, on either side, runs with a
-// flat goroutine count — while a blocking program still gets one per node.
+// starts a coroutine — at P=32 its machine, on either side, runs with no
+// processor coroutine — while a blocking program still gets one per node.
 func TestStepProgramStartsNoCoroutine(t *testing.T) {
 	const procs, quanta = 32, 20
 	cfg := cost.Default(procs)
@@ -127,13 +129,15 @@ func TestStepProgramStartsNoCoroutine(t *testing.T) {
 	}
 	var mpStep StepProgramMP = func(*MPNode) func(*sim.Proc) sim.StepStatus { return step() }
 	var smStep StepProgramSM = func(*SMNode) func(*sim.Proc) sim.StepStatus { return step() }
-	// highWater runs the machine and returns the most goroutines seen at a
-	// quantum boundary, over the count before it was built.
+	// highWater runs the machine and returns the most processor coroutines
+	// seen at a quantum boundary, over the count before it was built.
+	// Coroutines are counted by their stacks, so goroutines that other code
+	// starts or ends meanwhile do not move the count.
 	highWater := func(base int, eng *sim.Engine) int {
 		t.Helper()
 		high := 0
 		eng.AddQuantumHook(func(sim.Time) {
-			if n := runtime.NumGoroutine(); n > high {
+			if n := coroutines(); n > high {
 				high = n
 			}
 		})
@@ -143,15 +147,15 @@ func TestStepProgramStartsNoCoroutine(t *testing.T) {
 		return high - base
 	}
 
-	base := runtime.NumGoroutine()
+	base := coroutines()
 	if d := highWater(base, NewMPStep(cfg, cmmd.LopSided, mpStep).Eng); d > 2 {
-		t.Errorf("NewMPStep machine ran with %d extra goroutines: a step program must start no coroutine", d)
+		t.Errorf("NewMPStep machine ran with %d coroutines: a step program must start no coroutine", d)
 	}
-	base = runtime.NumGoroutine()
+	base = coroutines()
 	if d := highWater(base, NewSMStep(cfg, parmacs.RoundRobin, smStep).Eng); d > 2 {
-		t.Errorf("NewSMStep machine ran with %d extra goroutines: a step program must start no coroutine", d)
+		t.Errorf("NewSMStep machine ran with %d coroutines: a step program must start no coroutine", d)
 	}
-	base = runtime.NumGoroutine()
+	base = coroutines()
 	blocking := NewMP(cfg, cmmd.LopSided, func(n *MPNode) {
 		for k := 0; k < quanta; k++ {
 			n.Compute(cfg.NetLatency)
@@ -159,8 +163,25 @@ func TestStepProgramStartsNoCoroutine(t *testing.T) {
 		}
 	})
 	if d := highWater(base, blocking.Eng); d < procs {
-		t.Errorf("NewMP machine ran with %d extra goroutines, want one coroutine per node (%d)", d, procs)
+		t.Errorf("NewMP machine ran with %d coroutines, want one coroutine per node (%d)", d, procs)
 	}
+}
+
+// coroutines counts the goroutines running a processor's coroutine body.
+func coroutines() int {
+	buf := make([]byte, 64<<10)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	count := 0
+	for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+		if strings.Contains(g, "sim.(*Proc).start") {
+			count++
+		}
+	}
+	return count
 }
 
 // TestAccountingCheckNamesTheProcessor checks the end-of-run accounting
@@ -195,5 +216,40 @@ func TestAccountingCheckNamesTheProcessor(t *testing.T) {
 	clean := RunMP(cost.Default(4), cmmd.Binary, func(n *MPNode) { n.Compute(40); n.Barrier() })
 	if clean.Err != nil {
 		t.Errorf("balanced run: %v", clean.Err)
+	}
+}
+
+// TestPacketConservationCheck checks the end-of-run packet contract on the
+// MP machine: a completed run whose network counters do not balance ends
+// with an *ni.ConservationError, and a run that ends right after a send
+// balances, because the engine delivers its trailing packets.
+func TestPacketConservationCheck(t *testing.T) {
+	ping := func(n *MPNode) {
+		if n.ID == 0 {
+			n.NI.Send(&ni.Packet{Dst: 1})
+		} else {
+			n.NI.WaitPacket(stats.NetAccess)
+			n.NI.Recv()
+		}
+		n.Barrier()
+	}
+	if res := RunMP(cost.Default(2), cmmd.Binary, ping); res.Err != nil {
+		t.Errorf("balanced run: %v", res.Err)
+	}
+	m := NewMP(cost.Default(2), cmmd.Binary, ping)
+	m.Net.Injected++ // a packet the network never accounts for
+	var ce *ni.ConservationError
+	if res := m.Run(); !errors.As(res.Err, &ce) || ce.Injected != 2 || ce.Delivered != 1 {
+		t.Errorf("Err = %v, want an *ni.ConservationError with 2 injected and 1 delivered", res.Err)
+	}
+
+	m = NewMP(cost.Default(2), cmmd.Binary, func(n *MPNode) {
+		if n.ID == 0 {
+			n.P.Compute(n.Cfg.NetLatency - 1)
+			n.NI.Send(&ni.Packet{Dst: 1})
+		}
+	})
+	if res := m.Run(); res.Err != nil || m.Net.Delivered != 1 {
+		t.Errorf("run ending before its packet arrives: Err = %v, %d delivered, want nil and 1", res.Err, m.Net.Delivered)
 	}
 }

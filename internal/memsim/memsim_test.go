@@ -340,9 +340,9 @@ func TestStaleVecDeliversCachedValues(t *testing.T) {
 		if got := get(0); got != 1.0 {
 			t.Errorf("own write not visible: %v", got)
 		}
-		// Simulate another party updating the backing without this
-		// processor's cache noticing.
-		g.V[0] = 2.0
+		// A second writer updates the element without this processor's
+		// cache noticing.
+		sv.Set(1, 0, 2.0)
 		if got := get(0); got != 1.0 {
 			t.Errorf("cached read = %v, want the stale 1.0", got)
 		}

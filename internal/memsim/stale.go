@@ -2,6 +2,64 @@ package memsim
 
 import "repro/internal/sim"
 
+// BoundaryVec is the one boundary image of a shared vector: what a processor
+// may see of other nodes' writes. The conservative window leaves open which
+// processors run first inside a quantum, so a cross-node read of the live
+// backing would depend on dispatch order; readers copy from Image, the
+// backing as of the most recent quantum boundary, instead.
+//
+// Every write to the backing goes through Set or SetRange, which record it;
+// the publisher (an Engine publisher, so part of the simulation) copies only
+// the elements written since the last boundary. A write that bypasses them
+// never reaches Image.
+type BoundaryVec struct {
+	G     *FVec     // the live backing
+	Image []float64 // G as of the last boundary; read-only outside the publisher
+
+	writer []int32 // the processor that wrote element i last since the boundary, or -1
+	dirty  []int32 // the elements written since the boundary, each once
+}
+
+// publishHook, when set (by tests only), runs after every publish with the
+// number of elements copied.
+var publishHook func(b *BoundaryVec, n int)
+
+// NewBoundaryVec gives shared vector g a boundary image, published on eng.
+func NewBoundaryVec(eng *sim.Engine, g *FVec) *BoundaryVec {
+	b := &BoundaryVec{G: g, Image: append([]float64(nil), g.V...), writer: make([]int32, len(g.V))}
+	for i := range b.writer {
+		b.writer[i] = -1
+	}
+	eng.AddPublisher(func(sim.Time) {
+		for _, i := range b.dirty {
+			b.Image[i] = g.V[i]
+			b.writer[i] = -1
+		}
+		if publishHook != nil {
+			publishHook(b, len(b.dirty))
+		}
+		b.dirty = b.dirty[:0]
+	})
+	return b
+}
+
+// Set stores x into element i of the backing on behalf of processor p. It
+// moves data only; the caller charges the simulated store.
+func (b *BoundaryVec) Set(p, i int, x float64) {
+	b.G.V[i] = x
+	if b.writer[i] < 0 {
+		b.dirty = append(b.dirty, int32(i))
+	}
+	b.writer[i] = int32(p)
+}
+
+// SetRange stores xs into elements [lo, lo+len(xs)) on behalf of processor p.
+func (b *BoundaryVec) SetRange(p, lo int, xs []float64) {
+	for k, x := range xs {
+		b.Set(p, lo+k, x)
+	}
+}
+
 // StaleVec gives a shared float vector hardware-faithful value semantics:
 // each processor's reads return the values its cache actually holds — the
 // snapshot taken when the block was last fetched — rather than the globally
@@ -16,72 +74,40 @@ import "repro/internal/sim"
 // only as fast as invalidations and refetches allow. Simulating with
 // perfectly fresh values would overstate that advantage enormously.
 //
-// A refetch returns the backing image as of the most recent quantum
-// boundary, with the reading processor's own later writes overlaid. The
-// conservative window already declares intra-quantum cross-processor
-// interactions unordered, so a refetch that sampled the live backing would
-// make the copied values depend on which processors the dispatcher happened
-// to run first inside the quantum — an order the model leaves open.
-// Snapshotting at the boundary (an Engine publisher) makes the values a
-// function of the boundary state alone. Writes to disjoint elements of a
-// shared block remain the writers' responsibility, as on real hardware.
+// A refetch returns the boundary image with the block's elements the reader
+// wrote since the boundary overlaid from the live backing. Of two writers of
+// one element in one quantum only the last counts as its writer: its
+// refetch sees the live value, the earlier one's the boundary image. Writes
+// to disjoint elements of a shared block remain the writers'
+// responsibility, as on real hardware.
 type StaleVec struct {
-	// G is the underlying shared vector (the authoritative backing).
-	G *FVec
-	// snap[p] is processor p's view: refreshed block-by-block on misses.
-	snap [][]float64
-	// base is the backing image captured at the last quantum boundary;
-	// refetches copy from it, never from the live backing.
-	base []float64
-	// wlog[p] holds the indices processor p wrote (via StepSet) since the last
-	// boundary, so refetches can overlay the processor's own fresh values.
-	wlog [][]int
+	*BoundaryVec
+	snap [][]float64 // snap[p] is processor p's view, refreshed block by block on misses
 }
 
 // NewStaleVec wraps a shared vector for procs processors. Initial snapshots
-// equal the backing's current contents. The boundary image refreshes as an
-// engine publisher: part of the simulation, deterministic at every quantum.
+// equal the backing's current contents.
 func NewStaleVec(eng *sim.Engine, g *FVec, procs int) *StaleVec {
-	s := &StaleVec{G: g, snap: make([][]float64, procs), wlog: make([][]int, procs)}
+	s := &StaleVec{BoundaryVec: NewBoundaryVec(eng, g), snap: make([][]float64, procs)}
 	for p := range s.snap {
 		s.snap[p] = append([]float64(nil), g.V...)
 	}
-	s.base = append([]float64(nil), g.V...)
-	eng.AddPublisher(func(sim.Time) {
-		copy(s.base, g.V)
-		for p := range s.wlog {
-			s.wlog[p] = s.wlog[p][:0]
-		}
-	})
 	return s
 }
 
-// elemsPerBlock returns how many elements share a cache block.
-func (s *StaleVec) elemsPerBlock(m *Mem) int {
-	n := m.Cfg.BlockBytes / s.G.ElemBytes
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// refreshBlock fills processor p's snapshot of the block containing element
-// i from the boundary image, then overlays p's own writes from this quantum
-// (which the boundary image cannot hold yet). Only the owning processor
-// touches its wlog entries' backing slots within a quantum, so reading them
-// from the live backing returns its own writes.
+// refreshBlock refills processor p's snapshot of the block containing
+// element i from the boundary image, then overlays the elements p wrote
+// since the boundary.
 func (s *StaleVec) refreshBlock(m *Mem, i int) {
-	per := s.elemsPerBlock(m)
+	per := max(m.Cfg.BlockBytes/s.G.ElemBytes, 1)
 	lo := (i / per) * per
-	hi := lo + per
-	if hi > len(s.G.V) {
-		hi = len(s.G.V)
-	}
-	p := m.P.ID
-	copy(s.snap[p][lo:hi], s.base[lo:hi])
-	for _, j := range s.wlog[p] {
-		if j >= lo && j < hi {
-			s.snap[p][j] = s.G.V[j]
+	hi := min(lo+per, len(s.G.V))
+	p := int32(m.P.ID)
+	snap := s.snap[p]
+	copy(snap[lo:hi], s.Image[lo:hi])
+	for j := lo; j < hi; j++ {
+		if s.writer[j] == p {
+			snap[j] = s.G.V[j]
 		}
 	}
 }
@@ -101,38 +127,14 @@ func (s *StaleVec) StepGet(m *Mem, i int) (float64, bool) {
 	return s.snap[m.P.ID][i], true
 }
 
-// StepSet simulates a store of element i: the write goes to the backing
-// (other processors observe it at their next miss) and to the writer's own
-// view. Backing write, write log, and snapshot refresh all happen exactly
-// once, on the completing call.
+// StepSet simulates a store of element i: the write goes to the backing,
+// which other processors see at their first miss after the boundary, and to
+// the writer's own view, exactly once, on the completing call.
 func (s *StaleVec) StepSet(m *Mem, i int, x float64) bool {
 	if !m.StepWrite(s.G.Addr(i)) {
 		return false
 	}
-	s.G.V[i] = x
-	s.wlog[m.P.ID] = append(s.wlog[m.P.ID], i)
-	// Ownership means our snapshot of this block is current (as of the
-	// boundary image plus our own writes — the overlay restores x).
-	s.refreshBlock(m, i)
+	s.Set(m.P.ID, i, x)
+	s.refreshBlock(m, i) // we own the block: the overlay restores x
 	return true
-}
-
-// MirrorVec is a read-only boundary image of a shared vector for apps that
-// refresh by scheduled bulk copies rather than per-element cached reads
-// (MSE-SM's snapshot refresh). V holds the backing's contents as of the most
-// recent quantum boundary; an engine publisher refreshes it. Readers copy
-// remote partitions from V while owners write the live backing — the same
-// one-quantum visibility floor the conservative window already imposes on
-// every cross-processor interaction, so results cannot depend on which
-// processors the dispatcher happened to run first.
-type MirrorVec struct {
-	// V is the boundary image. Read-only outside the publisher.
-	V []float64
-}
-
-// NewMirror wraps shared vector g with a quantum-boundary image.
-func NewMirror(eng *sim.Engine, g *FVec) *MirrorVec {
-	mv := &MirrorVec{V: append([]float64(nil), g.V...)}
-	eng.AddPublisher(func(sim.Time) { copy(mv.V, g.V) })
-	return mv
 }

@@ -37,9 +37,6 @@ func NewFVecSized(base uint64, n, elemBytes int) FVec {
 // Len returns the element count.
 func (v *FVec) Len() int { return len(v.V) }
 
-// SizeBytes returns the simulated footprint.
-func (v *FVec) SizeBytes() int { return len(v.V) * v.ElemBytes }
-
 // Addr returns the simulated address of element i.
 func (v *FVec) Addr(i int) uint64 { return v.Base + uint64(i)*uint64(v.ElemBytes) }
 
@@ -106,9 +103,6 @@ func NewIVec(base uint64, n int) IVec {
 
 // Len returns the element count.
 func (v *IVec) Len() int { return len(v.V) }
-
-// SizeBytes returns the simulated footprint.
-func (v *IVec) SizeBytes() int { return len(v.V) * WordBytes }
 
 // Addr returns the simulated address of element i.
 func (v *IVec) Addr(i int) uint64 { return v.Base + uint64(i)*WordBytes }

@@ -162,10 +162,6 @@ func (ni *NI) qpop(dst *Packet) {
 // Pending returns the number of queued incoming packets (for tests).
 func (ni *NI) Pending() int { return ni.qlen() }
 
-// Nodes returns the number of interfaces attached to the network so far
-// (the machine size once construction is complete).
-func (ni *NI) Nodes() int { return len(ni.net.nis) }
-
 // Faulty reports whether a fault plan is attached to the network.
 func (ni *NI) Faulty() bool { return ni.net.Faults != nil }
 
@@ -312,6 +308,28 @@ func (ni *NI) sendBody(pkt *Packet) {
 		}
 	}
 	ni.deliver(dstNI, pkt)
+}
+
+// ConservationError reports a network that lost or invented packets: at
+// the end of a completed run, the packets injected and duplicated differ
+// from those delivered and dropped.
+type ConservationError struct {
+	Injected, Duplicated, Delivered, Dropped int64
+}
+
+func (e *ConservationError) Error() string {
+	return fmt.Sprintf("ni: packets not conserved: injected %d + duplicated %d != delivered %d + dropped %d",
+		e.Injected, e.Duplicated, e.Delivered, e.Dropped)
+}
+
+// CheckConservation holds a completed run's network to its conservation
+// counters: Injected + Duplicated == Delivered + Dropped. No packet is in
+// flight then, as Engine.Run drains the trailing events of a completed run.
+func (n *Network) CheckConservation() error {
+	if n.Injected+n.Duplicated != n.Delivered+n.Dropped {
+		return &ConservationError{n.Injected, n.Duplicated, n.Delivered, n.Dropped}
+	}
+	return nil
 }
 
 // delivery is a pooled, closure-free packet-arrival event (sim.Action).

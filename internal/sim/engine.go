@@ -15,9 +15,13 @@
 // it runs the event phase, then dispatches the quantum's processors in ID
 // order. An event a processor raises is pushed as it is raised, so sequence
 // numbers — and every same-time tie-break — follow (procID, raise order);
-// events staged through a Stager follow all of them. All time is virtual
-// (cycles); wall-clock effects such as Go's garbage collector cannot
-// perturb measurements.
+// events staged through a Stager follow all of them. A processor reads
+// another node's state only as it stood at the last quantum boundary: a
+// cross-node read of application data goes through memsim.BoundaryVec, and
+// the one other publisher (Engine.AddPublisher) is am.Group's, exempt
+// because it holds two scalars per member and runs only under a network
+// fault plan. All time is virtual (cycles); wall-clock effects such as Go's
+// garbage collector cannot perturb measurements.
 package sim
 
 import (
@@ -101,11 +105,7 @@ type Engine struct {
 	watchdogs []*Watchdog
 
 	// publishers run at the top of every scheduling iteration, before the
-	// watchdog check and the hooks: they copy values that processors read
-	// across node boundaries (e.g. the transport group's outstanding
-	// counts) into quantum-stable snapshots. A read across nodes inside a
-	// quantum then sees the boundary value whichever order the quantum's
-	// processors ran in: the conservative window leaves that order open.
+	// watchdog check and the hooks (see AddPublisher).
 	publishers []func(now Time)
 
 	// hooks run at the top of every scheduling iteration, when e.now is a
@@ -403,11 +403,16 @@ func (e *Engine) shutdown() {
 }
 
 // AddPublisher registers fn to run at the top of every scheduling iteration,
-// before the watchdog check and the quantum hooks. Publishers copy live
-// per-node values into quantum-stable snapshots that other processors may
-// read during the processor phase (see Engine.publishers). Unlike hooks,
-// publishers are part of the simulation: they must be deterministic
-// functions of the boundary state.
+// before the watchdog check and the quantum hooks. A publisher copies live
+// per-node values into a quantum-stable image that other processors read
+// during the processor phase, so a read across nodes sees the boundary
+// value whichever order the quantum's processors ran in: the conservative
+// window leaves that order open. Unlike hooks, publishers are part of the
+// simulation: they must be deterministic functions of the boundary state.
+// The rule: a cross-node read of application data goes through
+// memsim.BoundaryVec, the one publisher of app backing; am.Group's
+// published transport counts are the one exemption (two scalars per
+// member, only under a network fault plan).
 func (e *Engine) AddPublisher(fn func(now Time)) {
 	e.publishers = append(e.publishers, fn)
 }

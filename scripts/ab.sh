@@ -40,15 +40,32 @@ fi
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+# A run is a background job in its own process group (set -m), so INT or TERM
+# stops the whole run — bench/run.sh, its go build or the wwtbench it execs —
+# and waits for it before the EXIT trap removes the tree it runs from.
+set -m
+child=
+stop() {
+	trap - INT TERM
+	if [ -n "$child" ]; then
+		kill -TERM -- "-$child" 2>/dev/null || true
+		wait "$child" 2>/dev/null || true
+	fi
+	exit "$1"
+}
+trap 'stop 130' INT
+trap 'stop 143' TERM
 mkdir "$tmp/parent"
 git -C "$root" archive "$ref" | tar -x -C "$tmp/parent"
 
 # run TREE WORKLOAD SEED prints the run's result object on one line; a run
 # that dies before printing one counts as a failed run with no metrics.
 run() {
-	local out
-	out=$(bash "$1/bench/run.sh" --workload "$2" --seed "$3" --seconds "$seconds" --trace 0 2>/dev/null | tail -n 1) || true
-	jq -ce . <<<"$out" 2>/dev/null || echo '{"failed":1,"metrics":{}}'
+	bash "$1/bench/run.sh" --workload "$2" --seed "$3" --seconds "$seconds" --trace 0 >"$tmp/out" 2>/dev/null &
+	child=$!
+	wait "$child" || true
+	child=
+	tail -n 1 "$tmp/out" | jq -ce . 2>/dev/null || echo '{"failed":1,"metrics":{}}'
 }
 
 for w in "${workloads[@]}"; do
